@@ -22,8 +22,9 @@
 //! runs this suite with `--release`.
 
 use vs2_conformance::alloc::AllocProbe;
-use vs2_core::{logical_blocks, logical_blocks_ctx, DocContext, Vs2Pipeline};
-use vs2_docmodel::Document;
+use vs2_core::select::{ScanScratch, SyntacticPattern};
+use vs2_core::{logical_blocks, logical_blocks_ctx, DocContext, LogicalBlock, Vs2Pipeline};
+use vs2_docmodel::{BBox, Document, TextElement};
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate, DatasetConfig, DatasetId};
 
@@ -73,11 +74,12 @@ struct CtxCeiling {
 }
 
 const CTX_CEILINGS: [CtxCeiling; 3] = [
-    // D1 (measured: segment 696, select 1602, extract 2379)
+    // D1 (measured: segment 696, select 763, extract 1540 — select
+    // builds token-only block texts for the all-descriptor D1 model)
     CtxCeiling {
         segment: 765,
-        select: 1760,
-        extract: 2615,
+        select: 840,
+        extract: 1694,
     },
     // D2 (measured: segment 255, select 704, extract 978)
     CtxCeiling {
@@ -267,4 +269,85 @@ fn allocation_gates() {
             owned.extract,
         );
     }
+}
+
+/// One block of `words`, laid out left to right.
+fn word_block(words: &[String]) -> (Document, LogicalBlock) {
+    let mut doc = Document::new("scan", 60.0 * words.len().max(1) as f64, 40.0);
+    let elements = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            doc.push_text(TextElement::word(
+                w.as_str(),
+                BBox::new(60.0 * i as f64, 10.0, 50.0, 10.0),
+            ))
+        })
+        .collect();
+    let block = LogicalBlock {
+        bbox: BBox::new(0.0, 0.0, doc.width, doc.height),
+        elements,
+    };
+    (doc, block)
+}
+
+/// `PatternIndex::block_best_into` allocates nothing per block once its
+/// scratch and output buffers are warm — D1 blocks, plus blocks whose
+/// phrase walk takes OCR merge and split continuations. Holds in every
+/// build profile.
+#[test]
+fn warm_block_scan_allocates_nothing() {
+    let (pipeline, docs) = corpus(DatasetId::D1);
+    let mut texts = Vec::new();
+    for doc in &docs {
+        let blocks = logical_blocks(doc, &pipeline.config.segment);
+        texts.extend(pipeline.block_texts(doc, &blocks));
+    }
+    // OCR-merged and OCR-split renderings of the model's own phrases.
+    let phrases = pipeline
+        .patterns()
+        .values()
+        .flatten()
+        .filter_map(|p| match p {
+            SyntacticPattern::ExactPhrase(s) => Some(s.to_lowercase()),
+            _ => None,
+        });
+    for phrase in phrases
+        .filter(|p| p.split_whitespace().count() >= 2)
+        .take(40)
+    {
+        let words: Vec<String> = phrase.split_whitespace().map(str::to_string).collect();
+        let merged: Vec<String> = std::iter::once(format!("{}{}", words[0], words[1]))
+            .chain(words[2..].iter().cloned())
+            .collect();
+        let cut = words[0].len() / 2;
+        let split: Vec<String> = [words[0][..cut].to_string(), words[0][cut..].to_string()]
+            .into_iter()
+            .chain(words[1..].iter().cloned())
+            .collect();
+        for ws in [merged, split] {
+            let (doc, block) = word_block(&ws);
+            texts.extend(pipeline.block_texts(&doc, &[block]));
+        }
+    }
+    let index = pipeline.model().index();
+    let mut scratch = ScanScratch::default();
+    let mut out = Vec::new();
+    for bt in &texts {
+        index.block_best_into(bt, &mut scratch, &mut out);
+    }
+    let probe = AllocProbe::start();
+    let mut hits = 0usize;
+    for bt in &texts {
+        index.block_best_into(bt, &mut scratch, &mut out);
+        hits += out.iter().flatten().count();
+    }
+    let allocs = probe.finish().allocs;
+    assert!(hits > 0, "the scan found nothing to match");
+    assert_eq!(
+        allocs,
+        0,
+        "warm block_best_into allocated over {} blocks",
+        texts.len()
+    );
 }

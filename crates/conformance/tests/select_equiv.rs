@@ -284,3 +284,330 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// High-fanout battery: the length-bucketed probe tables and the
+// token-only block texts of phrase-only models.
+// ---------------------------------------------------------------------
+
+/// SplitMix64: the generated inventories and blocks are a pure function
+/// of the property's case seed.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    /// A word over a three-letter alphabet, so edit-one, merge and split
+    /// coincidences are frequent.
+    fn word(&mut self, len: usize) -> String {
+        (0..len).map(|_| b"abc"[self.below(3)] as char).collect()
+    }
+}
+
+/// A phrase `"abbc b"` whose first edge both merges (`"abcb"` is one
+/// deletion from `"abbcb"`) and splits (`"abcb" + "c"` is one deletion
+/// from `"abbc"`) on the same block tokens, while `"abcb"` misses
+/// `"abbc"` directly — so the split continuation must exclude the merged
+/// grandchild `"b"`.
+const SAME_EDGE_PHRASES: [&str; 3] = ["abbc b", "abbc b ca", "abbc ca"];
+const SAME_EDGE_TOKENS: [&str; 4] = ["abcb", "c", "b", "ca"];
+
+/// A generated phrase inventory with at least 40 distinct first words:
+/// 1–3-byte words (exact match only) next to 4–7-byte ones (one edit
+/// allowed), one first word heading a wide fan of phrases, phrases
+/// shared by two entities, and the same-edge merge/split phrases.
+/// Returns the inventory and every phrase as word lists.
+fn high_fanout_inventory(
+    rng: &mut Mix,
+) -> (BTreeMap<String, Vec<SyntacticPattern>>, Vec<Vec<String>>) {
+    let mut roots: Vec<String> = Vec::new();
+    while roots.len() < 44 {
+        let len = if roots.len() < 14 {
+            1 + rng.below(3)
+        } else {
+            4 + rng.below(4)
+        };
+        let w = rng.word(len);
+        if !roots.contains(&w) {
+            roots.push(w);
+        }
+    }
+    let mut phrases: Vec<Vec<String>> = Vec::new();
+    for (ri, root) in roots.iter().enumerate() {
+        // Root 0 heads a wide fan, like "total" on the tax forms.
+        let fan = if ri == 0 { 24 } else { 1 + rng.below(3) };
+        for _ in 0..fan {
+            let mut p = vec![root.clone()];
+            for _ in 0..rng.below(4) {
+                let len = 1 + rng.below(6);
+                p.push(rng.word(len));
+            }
+            phrases.push(p);
+        }
+    }
+    for p in SAME_EDGE_PHRASES {
+        phrases.push(p.split_whitespace().map(str::to_string).collect());
+    }
+    let mut m: BTreeMap<String, Vec<SyntacticPattern>> = BTreeMap::new();
+    for (pi, p) in phrases.iter().enumerate() {
+        let text = p.join(" ");
+        let entity = format!("e{}", rng.below(9));
+        m.entry(entity)
+            .or_default()
+            .push(SyntacticPattern::ExactPhrase(text.clone()));
+        if pi % 7 == 0 {
+            m.entry(format!("e{}", rng.below(9)))
+                .or_default()
+                .push(SyntacticPattern::ExactPhrase(text));
+        }
+    }
+    (m, phrases)
+}
+
+/// Block words drawn to hit the probe tables' edges: exact phrase words,
+/// edit-one mutations, OCR merges of consecutive phrase words, OCR splits,
+/// empty-norm and 1-byte tokens, tokens longer than any bucket (their
+/// rejoined pairs too), and the same-edge merge/split tokens.
+fn high_fanout_words(rng: &mut Mix, phrases: &[Vec<String>]) -> Vec<String> {
+    let mut words: Vec<String> = Vec::new();
+    let n = 8 + rng.below(28);
+    while words.len() < n {
+        let p = &phrases[rng.below(phrases.len())];
+        let j = rng.below(p.len());
+        match rng.below(10) {
+            0..=2 => words.extend(p[j..].iter().cloned()),
+            3 => {
+                let mut w = p[j].clone().into_bytes();
+                let k = rng.below(w.len() + 1);
+                match rng.below(3) {
+                    0 if k < w.len() => w[k] = b"abc"[rng.below(3)],
+                    1 => w.insert(k, b"abc"[rng.below(3)]),
+                    _ if w.len() > 1 && k < w.len() => {
+                        w.remove(k);
+                    }
+                    _ => {}
+                }
+                words.push(String::from_utf8(w).unwrap());
+            }
+            4 if j + 1 < p.len() => words.push(format!("{}{}", p[j], p[j + 1])),
+            5 if p[j].len() > 1 => {
+                let k = 1 + rng.below(p[j].len() - 1);
+                words.push(p[j][..k].to_string());
+                words.push(p[j][k..].to_string());
+            }
+            6 => words.push([",", "-", "a", "b", "c"][rng.below(5)].to_string()),
+            7 => {
+                let len = 16 + rng.below(8);
+                words.push(rng.word(len));
+            }
+            8 => words.extend(SAME_EDGE_TOKENS.iter().map(|t| t.to_string())),
+            _ => words.push(p[j].clone()),
+        }
+    }
+    words
+}
+
+/// One block holding every word of `doc`, in reading order.
+fn whole_block(doc: &Document) -> vs2_core::LogicalBlock {
+    let elements: Vec<vs2_docmodel::ElementRef> = (0..doc.texts.len())
+        .map(vs2_docmodel::ElementRef::Text)
+        .collect();
+    vs2_core::LogicalBlock {
+        bbox: BBox::new(0.0, 0.0, doc.width, doc.height),
+        elements,
+    }
+}
+
+/// The index's per-entity best equals the naive matcher's on `block`.
+fn assert_index_equals_naive(
+    patterns: &BTreeMap<String, Vec<SyntacticPattern>>,
+    doc: &Document,
+    block: &vs2_core::LogicalBlock,
+) {
+    let bt = vs2_core::select::BlockText::build(doc, block);
+    let index = vs2_core::select::PatternIndex::build(patterns);
+    let indexed = index.block_best(&bt);
+    for (ei, (entity, pats)) in patterns.iter().enumerate() {
+        let expected =
+            vs2_core::select::naive::block_best(pats, &bt).map(|(m, exact, specificity)| {
+                vs2_core::select::BlockBest {
+                    m,
+                    exact,
+                    specificity,
+                }
+            });
+        assert_eq!(
+            indexed[ei],
+            expected,
+            "entity {entity} over {:?}",
+            bt.ann.tokens.iter().map(|t| &*t.raw).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// The select entry points — owned, context and naive — agree on the
+/// given blocks in every disambiguation mode, before and after
+/// assignment.
+fn assert_entry_points_agree(
+    pipeline: &Vs2Pipeline,
+    doc: &Document,
+    blocks: &[vs2_core::LogicalBlock],
+) {
+    let ctx = vs2_core::DocContext::build(doc);
+    for mode in MODES {
+        let mut p = pipeline.clone();
+        p.config.disambiguation = mode;
+        let owned = render_candidates(&p.candidates_on_blocks(doc, blocks));
+        let in_ctx = render_candidates(&p.candidates_on_blocks_ctx(&ctx, blocks));
+        let naive = render_candidates(&p.candidates_on_blocks_naive(doc, blocks));
+        assert_eq!(owned, naive, "owned vs naive ({mode:?}, doc {})", doc.id);
+        assert_eq!(in_ctx, naive, "ctx vs naive ({mode:?}, doc {})", doc.id);
+        assert_eq!(
+            render_extractions(&p.extract_on_blocks_ctx(&ctx, blocks)),
+            render_extractions(&p.extract_on_blocks_naive(doc, blocks)),
+            "assigned extractions diverged ({mode:?}, doc {})",
+            doc.id
+        );
+    }
+}
+
+#[test]
+fn same_edge_merge_and_split_match_naive() {
+    let mut m = BTreeMap::new();
+    m.insert(
+        "e".to_string(),
+        SAME_EDGE_PHRASES
+            .iter()
+            .map(|p| SyntacticPattern::ExactPhrase(p.to_string()))
+            .collect::<Vec<_>>(),
+    );
+    let doc = doc_from_words("same-edge", &SAME_EDGE_TOKENS);
+    let block = whole_block(&doc);
+    // The merge matches "abbc b" over token 0 alone. The split
+    // continuation (tokens 0..2 reach "abbc") may not take the merged
+    // "b" again, so neither "abbc b" over 0..3 nor "abbc b ca" over 0..4
+    // matches: the winner stays the merge path's one-token span.
+    assert_index_equals_naive(&m, &doc, &block);
+    let bt = vs2_core::select::BlockText::build(&doc, &block);
+    let best = vs2_core::select::PatternIndex::build(&m).block_best(&bt)[0].unwrap();
+    assert_eq!(best.m, vs2_core::select::PatternMatch { start: 0, end: 1 });
+    assert_entry_points_agree(
+        &Vs2Pipeline::with_patterns(m, Vs2Config::default()),
+        &doc,
+        &[block],
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Generated high-fanout phrase inventories (≥ 40 first words, short
+    /// exact-only words, a wide fan under one first word) over blocks of
+    /// exact, mutated, merged, split, empty, 1-byte and over-long tokens:
+    /// the bucketed trie walk equals the naive matcher, and the phrase-only
+    /// pipeline (token-only block texts) equals the annotated reference.
+    #[test]
+    fn property_high_fanout_index_equals_naive(seed in 0u64..u64::MAX) {
+        let mut rng = Mix(seed);
+        let (patterns, phrases) = high_fanout_inventory(&mut rng);
+        let roots: std::collections::BTreeSet<&str> =
+            phrases.iter().map(|p| p[0].as_str()).collect();
+        prop_assert!(roots.len() >= 40);
+        let words = high_fanout_words(&mut rng, &phrases);
+        let refs: Vec<&str> = words.iter().map(String::as_str).collect();
+        let doc = doc_from_words("fanout", &refs);
+        let block = whole_block(&doc);
+        assert_index_equals_naive(&patterns, &doc, &block);
+        if seed % 8 == 0 {
+            let pipeline = Vs2Pipeline::with_patterns(patterns, Vs2Config::default());
+            assert_entry_points_agree(&pipeline, &doc, &[block]);
+        }
+    }
+}
+
+/// A phrase-plus-window inventory keeps annotated block texts: its window
+/// entity fires (it needs NER) and every entry point equals the naive
+/// reference.
+#[test]
+fn mixed_inventory_still_annotates() {
+    let mut rng = Mix(7);
+    let (mut patterns, _) = high_fanout_inventory(&mut rng);
+    patterns.insert(
+        "organizer".to_string(),
+        vec![SyntacticPattern::Window {
+            kind: None,
+            required: vec![vs2_core::select::Feature::from_label("NER:person").unwrap()],
+        }],
+    );
+    let pipeline = Vs2Pipeline::with_patterns(patterns, Vs2Config::default());
+    assert!(pipeline.model().index().window_count() > 0);
+    let doc = doc_from_words(
+        "mixed",
+        &["Hosted", "by", "James", "Wilson", "abcb", "c", "b", "ca"],
+    );
+    let block = whole_block(&doc);
+    let ctx = vs2_core::DocContext::build(&doc);
+    let blocks = [block];
+    assert!(
+        pipeline.candidates_on_blocks_ctx(&ctx, &blocks)["organizer"][0]
+            .text
+            .contains("James"),
+        "the window pattern must see NER annotation"
+    );
+    assert!(pipeline.candidates_on_blocks(&doc, &blocks)["organizer"][0]
+        .text
+        .contains("James"));
+    assert_entry_points_agree(&pipeline, &doc, &blocks);
+}
+
+/// The all-descriptor D1 model (no window patterns, so token-only block
+/// texts): context, owned and naive candidates agree in all three modes.
+#[test]
+fn d1_phrase_only_entry_points_agree() {
+    let (_, d1) = &pipelines()[2];
+    assert_eq!(d1.model().index().window_count(), 0);
+    assert!(d1.model().index().phrase_count() > 0);
+    for i in 0..6 {
+        let doc = generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+        let blocks = logical_blocks(&doc, &d1.config.segment);
+        assert_entry_points_agree(d1, &doc, &blocks);
+    }
+}
+
+/// The serving degrade fallback (XY-cut blocks through the owned
+/// extract path) gives D1 the same output as the annotated reference.
+#[test]
+fn d1_degrade_fallback_unchanged() {
+    use vs2_baselines::{Segmenter, XyCutSegmenter};
+    let (_, d1) = &pipelines()[2];
+    for i in 0..6 {
+        let doc = generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+        let blocks = XyCutSegmenter::default().segment(&doc);
+        for mode in MODES {
+            let mut p = d1.clone();
+            p.config.disambiguation = mode;
+            let fallback = render_extractions(&p.extract_on_blocks(&doc, &blocks));
+            assert_eq!(
+                fallback,
+                render_extractions(&p.extract_on_blocks_naive(&doc, &blocks)),
+                "degrade fallback diverged ({mode:?}, doc {})",
+                doc.id
+            );
+            assert!(
+                fallback.len() > 2,
+                "fallback extracted nothing from {}",
+                doc.id
+            );
+        }
+    }
+}

@@ -280,9 +280,10 @@ impl Vs2Pipeline {
     /// [`candidates_on_blocks`](Self::candidates_on_blocks) over a
     /// per-job [`DocContext`] — the zero-copy select entry point. Block
     /// texts come from the context's interned token view
-    /// ([`BlockText::build_in`]) and every embedding goes through the
-    /// context's per-job memo, so nothing is re-tokenised, re-stemmed or
-    /// re-embedded per block. Observationally identical to
+    /// ([`BlockText::build_in`]; token-only when the model has no window
+    /// pattern) and every embedding goes through the context's per-job
+    /// memo, so nothing is re-tokenised, re-stemmed or re-embedded per
+    /// block. Observationally identical to
     /// [`candidates_on_blocks`](Self::candidates_on_blocks); pinned by
     /// `tests/arena_equiv.rs` in `vs2-conformance`.
     pub fn candidates_on_blocks_ctx(
@@ -295,7 +296,11 @@ impl Vs2Pipeline {
         let embedder = ctx.embedder();
         let (texts, ip_enc, page) = {
             let _index_span = vs2_obs::span(vs2_obs::stages::SELECT_INDEX);
-            let texts = self.block_texts_ctx(ctx, blocks);
+            let annotate = self.select_annotates();
+            let texts: Vec<BlockText> = blocks
+                .iter()
+                .map(|b| BlockText::build_in_with(ctx, b, annotate))
+                .collect();
             let (ip_enc, page) = self.select_prep_rest(ctx.doc(), blocks, &texts, &embedder);
             (texts, ip_enc, page)
         };
@@ -384,13 +389,16 @@ impl Vs2Pipeline {
     /// The original (pre-index) search-and-select loop, kept as the
     /// executable reference for the differential equivalence suite and
     /// the select-perf gate. Emits no tracing spans: only the production
-    /// path participates in the documented span tree.
+    /// path participates in the documented span tree. Always builds fully
+    /// annotated block texts, so the differential battery compares the
+    /// annotation-gated fast path against an ungated specification.
     pub fn candidates_on_blocks_naive(
         &self,
         doc: &Document,
         blocks: &[LogicalBlock],
     ) -> BTreeMap<String, Vec<Extraction>> {
-        let (texts, ip_enc, page) = self.select_prep(doc, blocks);
+        let texts = self.block_texts(doc, blocks);
+        let (ip_enc, page) = self.select_prep_rest(doc, blocks, &texts, &LexiconEmbedding);
         let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
         for (entity, patterns) in self.model.patterns() {
             let mut cands: Vec<Extraction> = Vec::new();
@@ -452,14 +460,29 @@ impl Vs2Pipeline {
         blocks.iter().map(|b| BlockText::build_in(ctx, b)).collect()
     }
 
-    /// Shared select-stage preparation: block texts (with their feature
-    /// tables) and the interest-point encodings of the multimodal mode.
+    /// Whether the select stage's own block texts carry POS, chunks, NER
+    /// and feature tables. Only window patterns read them — the phrase
+    /// scan reads normal forms, scoring reads tokens, content words and
+    /// provenance — so a model whose index has no window pattern (the
+    /// all-descriptor D1 model) gets token-only texts. The one place the
+    /// select stage decides how much of a block to annotate.
+    fn select_annotates(&self) -> bool {
+        self.model.index.window_count() > 0
+    }
+
+    /// Select-stage preparation on the owned path: block texts (annotated
+    /// only when [`select_annotates`](Self::select_annotates)) and the
+    /// interest-point encodings of the multimodal mode.
     fn select_prep(
         &self,
         doc: &Document,
         blocks: &[LogicalBlock],
     ) -> (Vec<BlockText>, Vec<AreaEncoding>, PageScale) {
-        let texts = self.block_texts(doc, blocks);
+        let annotate = self.select_annotates();
+        let texts: Vec<BlockText> = blocks
+            .iter()
+            .map(|b| BlockText::build_with(doc, b, annotate))
+            .collect();
         let (ip_enc, page) = self.select_prep_rest(doc, blocks, &texts, &LexiconEmbedding);
         (texts, ip_enc, page)
     }

@@ -5,6 +5,11 @@
 //! [`BlockText`] tokenises each word element separately, so every token
 //! knows which atomic element produced it, and carries the full NLP
 //! annotation of the block's text.
+//!
+//! The select stage may also build *token-only* texts (tokens and
+//! provenance, no POS, chunks, NER or [`FeatureTable`]) when its compiled
+//! index has no window pattern to read the annotation; those never leave
+//! the crate.
 
 use std::sync::Arc;
 
@@ -309,6 +314,15 @@ impl BlockText {
     /// reading order; each word may tokenise into several tokens (a
     /// trailing comma, say), all inheriting the word's element.
     pub fn build(doc: &Document, block: &LogicalBlock) -> Self {
+        Self::build_with(doc, block, true)
+    }
+
+    /// [`BlockText::build`], or with `annotate == false` a token-only
+    /// text: tokens and element provenance, empty POS/chunk/NER columns
+    /// and an empty [`FeatureTable`]. That is enough for the exact-phrase
+    /// scan (normal forms) and candidate scoring (tokens, content words,
+    /// provenance).
+    pub(crate) fn build_with(doc: &Document, block: &LogicalBlock, annotate: bool) -> Self {
         let order = doc.reading_order(&block.elements);
         let mut tokens: Vec<Token> = Vec::new();
         let mut elem_of: Vec<ElementRef> = Vec::new();
@@ -318,6 +332,9 @@ impl BlockText {
                 tokens.push(t);
                 elem_of.push(r);
             }
+        }
+        if !annotate {
+            return Self::unannotated(block, tokens, elem_of);
         }
         let pos = tag(&tokens);
         let phrases = chunk(&tokens, &pos);
@@ -346,6 +363,16 @@ impl BlockText {
     /// is context-dependent; all string derivation is interned.
     /// Observationally identical to [`BlockText::build`].
     pub fn build_in(ctx: &DocContext<'_>, block: &LogicalBlock) -> Self {
+        Self::build_in_with(ctx, block, true)
+    }
+
+    /// [`BlockText::build_in`], or a token-only text when `annotate` is
+    /// false — the context-path twin of [`BlockText::build_with`].
+    pub(crate) fn build_in_with(
+        ctx: &DocContext<'_>,
+        block: &LogicalBlock,
+        annotate: bool,
+    ) -> Self {
         let doc = ctx.doc();
         let order = doc.reading_order(&block.elements);
         let count: usize = order
@@ -356,15 +383,20 @@ impl BlockText {
             })
             .sum();
         let mut tokens: Vec<Token> = Vec::with_capacity(count);
-        let mut ids: Vec<TokenId> = Vec::with_capacity(count);
+        let mut ids: Vec<TokenId> = Vec::with_capacity(if annotate { count } else { 0 });
         let mut elem_of: Vec<ElementRef> = Vec::with_capacity(count);
         for r in order {
             let ElementRef::Text(i) = r else { continue };
             for id in ctx.view.tokens_of_text(i) {
                 tokens.push(ctx.token(*id).clone());
-                ids.push(*id);
+                if annotate {
+                    ids.push(*id);
+                }
                 elem_of.push(r);
             }
+        }
+        if !annotate {
+            return Self::unannotated(block, tokens, elem_of);
         }
         let pos = tag(&tokens);
         let phrases = chunk(&tokens, &pos);
@@ -381,6 +413,20 @@ impl BlockText {
             ann,
             elem_of,
             features,
+        }
+    }
+
+    fn unannotated(block: &LogicalBlock, tokens: Vec<Token>, elem_of: Vec<ElementRef>) -> Self {
+        BlockText {
+            bbox: block.bbox,
+            ann: Annotated {
+                tokens,
+                pos: Vec::new(),
+                phrases: Vec::new(),
+                ner: Vec::new(),
+            },
+            elem_of,
+            features: FeatureTable::default(),
         }
     }
 

@@ -15,6 +15,18 @@
 //!   rare case where a merge and a split fire on the same edge — the
 //!   split continuation then excludes the merged grandchildren, exactly
 //!   as per-phrase greedy alignment would.
+//! * **Length-bucketed probe tables.** Each trie node's edge words (and
+//!   their precomputed two-word merges) sit in flat CSR tables keyed by
+//!   the byte length of the query they can match: a word of ≥ 4 bytes
+//!   (which admits one OCR edit) in buckets `len − 1 ..= len + 1`, a
+//!   shorter word (exact match only) in bucket `len` alone. A DFS pop
+//!   reads only the token's bucket (direct and merge branches) and the
+//!   rejoined pair's bucket (split branch, against the direct table),
+//!   skips entries whose first *and* last bytes both differ from the
+//!   query's — a necessary condition of the edit-one comparator on those
+//!   lengths — and runs the unchanged comparator on the rest. A root
+//!   with dozens of first words and hundreds of merged forms thus costs a
+//!   handful of byte checks per start token, not a full edge sweep.
 //! * **Window patterns grouped by anchor feature.** Each compiled
 //!   window pattern is bucketed under its most selective requirement
 //!   (stem ≻ NER ≻ verb sense ≻ noun sense ≻ POS flag ≻ TIMEX/geocode);
@@ -23,11 +35,20 @@
 //!   candidate windows with bitmask subset checks against the block's
 //!   [`FeatureTable`] instead of rebuilding `BTreeSet<Feature>`s.
 //!
+//! The phrase scan reads only the tokens' normal forms; only window
+//! patterns read POS, chunks, NER and the [`FeatureTable`]. An index with
+//! no window patterns ([`PatternIndex::window_count`] `== 0`) therefore
+//! accepts token-only block texts, and the pipeline builds annotation
+//! only when a window pattern can read it.
+//!
 //! Tie-breaking is bit-for-bit the old loop's: longest match wins, ties
 //! go to the lowest pattern rank, then the earliest `(start, end)` span.
-//! The naive matcher survives as [`crate::select::naive`] and the
-//! `select_equiv` differential suite in `vs2-conformance` proves the two
-//! observationally identical.
+//! That key is a total order, so the order in which the walk visits hits
+//! does not affect the result. The naive matcher survives as
+//! [`crate::select::naive`] and the `select_equiv` differential suite in
+//! `vs2-conformance` proves the two observationally identical.
+//!
+//! [`FeatureTable`]: crate::select::FeatureTable
 
 use crate::select::blocktext::{BlockText, WindowRep, FLAG_CD, FLAG_GEO, FLAG_JJ, FLAG_TIMEX};
 use crate::select::pattern::{ner_code, Feature, SyntacticPattern};
@@ -50,17 +71,38 @@ pub struct BlockBest {
     pub specificity: usize,
 }
 
-/// Reusable buffers for the per-block scan: the phrase-walk DFS stack
-/// and the OCR-split rejoin text (one buffer + span table instead of a
+/// Reusable buffers for the per-block scan: the phrase-walk DFS stack,
+/// the split continuations' banned-edge sets, the per-pop hit lists and
+/// the OCR-split rejoin text (one buffer + span table instead of a
 /// `String` per adjacent token pair). Create once per worker (or via
 /// [`PatternIndex::scratch`]) and pass to
 /// [`PatternIndex::block_best_with`] for every block of a job.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
-    stack: Vec<(usize, u32, Option<Vec<u32>>)>,
+    stack: Vec<Frame>,
+    /// Banned grandchild-edge sets of split continuations, addressed by
+    /// [`Frame::banned`] ranges; cleared per start token.
+    banned: Vec<u32>,
+    /// Edges of the popped node that hit directly (their merge and split
+    /// branches are suppressed).
+    direct_hits: Vec<u32>,
+    /// `(edge, grandchild edge)` of every merge that fired at the popped
+    /// node (the split continuation of that edge must exclude them).
+    merged_hits: Vec<(u32, u32)>,
     rejoined_text: String,
     rejoined_spans: Vec<(u32, u32)>,
     acc: Vec<Acc>,
+}
+
+/// One pending trie-walk state: the next block token, the trie node, and
+/// the `start..end` range of [`ScanScratch::banned`] holding the node's
+/// edges this continuation may not take (empty for all but split
+/// continuations whose edge also merged).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    i: usize,
+    node: u32,
+    banned: (u32, u32),
 }
 
 /// A registration of one pattern: which entity, at which rank within
@@ -94,6 +136,89 @@ struct Edge {
 struct TrieNode {
     children: Vec<Edge>,
     terminals: Vec<Slot>,
+}
+
+/// One entry of a [`ProbeTable`]: which edge (and, in the merged table,
+/// which of its [`Merged`] forms) to compare, plus the probe word's
+/// first and last byte for the prefilter.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    edge: u32,
+    merged: u32,
+    first: u8,
+    last: u8,
+}
+
+impl Probe {
+    /// A necessary condition of [`word_matches`] on bucketed lengths: an
+    /// equal-length match substitutes at most one byte, so the first and
+    /// last bytes cannot both differ (words of < 4 bytes must be equal);
+    /// a one-byte insertion or deletion leaves the first bytes equal, or
+    /// — when it sits at the front — the last bytes.
+    fn may_match(&self, query: &[u8]) -> bool {
+        query.first() == Some(&self.first) || query.last() == Some(&self.last)
+    }
+}
+
+/// Flat, length-bucketed probe tables for every trie node, in CSR
+/// layout: node `n` owns buckets `0..spans[n].1`, and bucket `L` of it is
+/// `entries[offsets[spans[n].0 + L]..offsets[spans[n].0 + L + 1]]` — the
+/// probes that can match a query of `L` bytes (see [`in_bucket`]).
+/// Entries keep edge order within a bucket.
+#[derive(Debug, Clone, Default)]
+struct ProbeTable {
+    spans: Vec<(u32, u32)>,
+    offsets: Vec<u32>,
+    entries: Vec<Probe>,
+}
+
+impl ProbeTable {
+    /// Appends the next node's table from its probe words.
+    fn push_node(&mut self, words: &[(&str, Probe)]) {
+        let buckets = words
+            .iter()
+            .map(|(w, _)| {
+                if w.len() >= 4 {
+                    w.len() + 2
+                } else {
+                    w.len() + 1
+                }
+            })
+            .max()
+            .unwrap_or(0);
+        self.spans.push((self.offsets.len() as u32, buckets as u32));
+        for len in 0..buckets {
+            self.offsets.push(self.entries.len() as u32);
+            self.entries.extend(
+                words
+                    .iter()
+                    .filter(|(w, _)| in_bucket(w.len(), len))
+                    .map(|(_, p)| *p),
+            );
+        }
+        self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// The probes of `node` that can match a query of `len` bytes.
+    fn bucket(&self, node: u32, len: usize) -> &[Probe] {
+        let (base, buckets) = self.spans[node as usize];
+        if len >= buckets as usize {
+            return &[];
+        }
+        let at = base as usize + len;
+        &self.entries[self.offsets[at] as usize..self.offsets[at + 1] as usize]
+    }
+}
+
+/// `true` when a probe word of `word_len` bytes can match a query of
+/// `query_len` bytes under [`word_matches`]: words of ≥ 4 bytes admit one
+/// edit (lengths within one), shorter words match exactly or not at all.
+fn in_bucket(word_len: usize, query_len: usize) -> bool {
+    if word_len >= 4 {
+        word_len.abs_diff(query_len) <= 1
+    } else {
+        word_len == query_len
+    }
 }
 
 /// A window pattern compiled to bitmasks.
@@ -173,6 +298,12 @@ impl Anchor {
 pub struct PatternIndex {
     n_entities: usize,
     nodes: Vec<TrieNode>,
+    /// Per-node probes of the edge words: read at the token's length by
+    /// the direct branch and at the rejoined pair's length by the split
+    /// branch (both compare against the edge word).
+    direct: ProbeTable,
+    /// Per-node probes of the edges' merged two-word forms.
+    merged: ProbeTable,
     /// Window patterns bucketed by anchor; buckets sorted for
     /// determinism (evaluation order does not affect results — the
     /// accumulator's tie-break key is order-free).
@@ -260,6 +391,7 @@ impl PatternIndex {
         }
         idx.groups = grouped.into_iter().collect();
         idx.link_merged();
+        idx.build_probes();
         idx
     }
 
@@ -309,6 +441,42 @@ impl PatternIndex {
                 self.nodes[id].children[ei].merged = merged;
             }
         }
+    }
+
+    /// Fills the per-node [`ProbeTable`]s from the edges and their merged
+    /// forms.
+    fn build_probes(&mut self) {
+        let probe = |word: &str, edge: usize, merged: usize| Probe {
+            edge: edge as u32,
+            merged: merged as u32,
+            first: word.as_bytes()[0],
+            last: word.as_bytes()[word.len() - 1],
+        };
+        let mut direct = ProbeTable::default();
+        let mut merged = ProbeTable::default();
+        for node in &self.nodes {
+            let words: Vec<(&str, Probe)> = node
+                .children
+                .iter()
+                .enumerate()
+                .map(|(ei, e)| (e.word.as_str(), probe(&e.word, ei, 0)))
+                .collect();
+            direct.push_node(&words);
+            let words: Vec<(&str, Probe)> = node
+                .children
+                .iter()
+                .enumerate()
+                .flat_map(|(ei, e)| {
+                    e.merged
+                        .iter()
+                        .enumerate()
+                        .map(move |(mi, m)| (m.word.as_str(), probe(&m.word, ei, mi)))
+                })
+                .collect();
+            merged.push_node(&words);
+        }
+        self.direct = direct;
+        self.merged = merged;
     }
 
     /// Number of entities the index was compiled over.
@@ -379,7 +547,10 @@ impl PatternIndex {
     }
 
     /// One left-to-right pass over the block: from every start token,
-    /// walk the trie with the greedy aligner's branch order.
+    /// walk the trie with the greedy aligner's branch order. Each DFS pop
+    /// reads only the probe buckets its query lengths select; per edge, a
+    /// direct hit suppresses the merge and split branches, and a split
+    /// continuation is banned from the grandchildren its edge merged into.
     fn scan_phrases(&self, bt: &BlockText, acc: &mut [Acc], scratch: &mut ScanScratch) {
         if self.nodes[0].children.is_empty() {
             return;
@@ -387,57 +558,118 @@ impl PatternIndex {
         let tokens = &bt.ann.tokens;
         let n = tokens.len();
         let norm = |i: usize| -> &str { &tokens[i].norm };
+        let ScanScratch {
+            stack,
+            banned,
+            direct_hits,
+            merged_hits,
+            rejoined_text,
+            rejoined_spans,
+            ..
+        } = scratch;
         // Adjacent-token rejoins for the OCR-split branch, built once
         // per block into one reused buffer instead of one `String` per
         // adjacent pair.
-        scratch.rejoined_text.clear();
-        scratch.rejoined_spans.clear();
+        rejoined_text.clear();
+        rejoined_spans.clear();
         for i in 0..n.saturating_sub(1) {
-            let start = scratch.rejoined_text.len() as u32;
-            scratch.rejoined_text.push_str(norm(i));
-            scratch.rejoined_text.push_str(norm(i + 1));
-            scratch
-                .rejoined_spans
-                .push((start, scratch.rejoined_text.len() as u32));
+            let start = rejoined_text.len() as u32;
+            rejoined_text.push_str(norm(i));
+            rejoined_text.push_str(norm(i + 1));
+            rejoined_spans.push((start, rejoined_text.len() as u32));
         }
         let rejoined = |i: usize| -> &str {
-            let (s, e) = scratch.rejoined_spans[i];
-            &scratch.rejoined_text[s as usize..e as usize]
+            let (s, e) = rejoined_spans[i];
+            &rejoined_text[s as usize..e as usize]
         };
-        let stack = &mut scratch.stack;
         stack.clear();
         for start in 0..n {
-            stack.push((start, 0, None));
-            while let Some((i, node_id, banned)) = stack.pop() {
+            banned.clear();
+            stack.push(Frame {
+                i: start,
+                node: 0,
+                banned: (0, 0),
+            });
+            while let Some(Frame {
+                i,
+                node: node_id,
+                banned: (b0, b1),
+            }) = stack.pop()
+            {
                 let node = &self.nodes[node_id as usize];
                 for slot in &node.terminals {
                     update(acc, *slot, PatternMatch { start, end: i }, true, 4);
                 }
-                for (ei, edge) in node.children.iter().enumerate() {
-                    if banned.as_ref().is_some_and(|b| b.contains(&(ei as u32))) {
-                        continue;
-                    }
-                    if i < n && word_matches(norm(i), &edge.word) {
-                        // Greedy: a direct hit commits every phrase
-                        // through this edge; merge/split are fallbacks.
-                        stack.push((i + 1, edge.node, None));
-                        continue;
-                    }
-                    let mut merged_edges: Vec<u32> = Vec::new();
-                    if i < n {
-                        for m in &edge.merged {
-                            if word_matches(norm(i), &m.word) {
-                                stack.push((i + 1, m.target, None));
-                                merged_edges.push(m.edge_idx);
-                            }
+                if node.children.is_empty() {
+                    continue;
+                }
+                let is_banned =
+                    |banned: &[u32], edge: u32| banned[b0 as usize..b1 as usize].contains(&edge);
+                direct_hits.clear();
+                merged_hits.clear();
+                if i < n {
+                    let q = norm(i);
+                    for p in self.direct.bucket(node_id, q.len()) {
+                        if !p.may_match(q.as_bytes()) || is_banned(banned, p.edge) {
+                            continue;
+                        }
+                        let edge = &node.children[p.edge as usize];
+                        if word_matches(q, &edge.word) {
+                            // Greedy: a direct hit commits every phrase
+                            // through this edge; merge/split are fallbacks.
+                            direct_hits.push(p.edge);
+                            stack.push(Frame {
+                                i: i + 1,
+                                node: edge.node,
+                                banned: (0, 0),
+                            });
                         }
                     }
-                    if i + 1 < n && word_matches(rejoined(i), &edge.word) {
-                        // Phrases whose continuation already merged must
-                        // not also take the split path — per-phrase
-                        // greedy alignment tries merge before split.
-                        let b = (!merged_edges.is_empty()).then_some(merged_edges);
-                        stack.push((i + 2, edge.node, b));
+                    for p in self.merged.bucket(node_id, q.len()) {
+                        if !p.may_match(q.as_bytes())
+                            || is_banned(banned, p.edge)
+                            || direct_hits.contains(&p.edge)
+                        {
+                            continue;
+                        }
+                        let m = &node.children[p.edge as usize].merged[p.merged as usize];
+                        if word_matches(q, &m.word) {
+                            stack.push(Frame {
+                                i: i + 1,
+                                node: m.target,
+                                banned: (0, 0),
+                            });
+                            merged_hits.push((p.edge, m.edge_idx));
+                        }
+                    }
+                }
+                if i + 1 < n {
+                    let q = rejoined(i);
+                    for p in self.direct.bucket(node_id, q.len()) {
+                        if !p.may_match(q.as_bytes())
+                            || is_banned(banned, p.edge)
+                            || direct_hits.contains(&p.edge)
+                        {
+                            continue;
+                        }
+                        let edge = &node.children[p.edge as usize];
+                        if word_matches(q, &edge.word) {
+                            // Phrases whose continuation already merged must
+                            // not also take the split path — per-phrase
+                            // greedy alignment tries merge before split.
+                            let from = banned.len() as u32;
+                            banned.extend(
+                                merged_hits
+                                    .iter()
+                                    .filter(|(e, _)| *e == p.edge)
+                                    .map(|(_, g)| *g),
+                            );
+                            stack.push(Frame {
+                                i: i + 2,
+                                node: edge.node,
+                                banned: (from, banned.len() as u32),
+                            });
+                        }
                     }
                 }
             }

@@ -429,6 +429,51 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_invalid_and_the_stream_continues() {
+        // 300k unclosed brackets used to overflow the parser's recursion
+        // and abort the process, losing every later job.
+        let doc = vs2_synth::dataset::generate_one(
+            vs2_synth::dataset::DatasetId::D1,
+            0,
+            vs2_synth::dataset::DatasetConfig::new(1, DEFAULT_DOC_SEED),
+        )
+        .doc;
+        let inline = Value::Object(vec![
+            ("dataset".to_string(), Value::Str("D1".to_string())),
+            ("doc".to_string(), serde::Serialize::to_value(&doc)),
+        ]);
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(300_000),
+            serde_json::to_string(&inline).unwrap()
+        );
+        let service = test_service(1);
+        let mut out = Vec::new();
+        let run = run_batch(
+            &service,
+            Cursor::new(input),
+            &mut out,
+            &BatchOptions::default(),
+        );
+        assert_eq!(run.invalid, 1);
+        let results = parse_lines(&out);
+        assert_eq!(results.len(), 2, "one answer per line, no abort");
+        assert_eq!(results[0].status, JobStatus::Invalid);
+        assert!(
+            results[0]
+                .error
+                .as_deref()
+                .unwrap()
+                .contains("nesting deeper than"),
+            "{:?}",
+            results[0].error
+        );
+        assert_eq!(results[1].status, JobStatus::Ok);
+        assert!(!results[1].extractions.is_empty());
+        service.shutdown();
+    }
+
+    #[test]
     fn invalid_utf8_line_is_reported_and_the_stream_continues() {
         let mut input: Vec<u8> = Vec::new();
         input.extend_from_slice(b"{\"dataset\":\"D1\",\"doc_index\":0}\n");

@@ -5,6 +5,10 @@
 //! and `\uXXXX` surrogate pairs, numbers, booleans, null). Integers that
 //! fit `i64`/`u64` round-trip exactly; output key order follows insertion
 //! order, so serialization is deterministic.
+//!
+//! Parsing recurses once per nested array or object, so nesting deeper
+//! than [`MAX_DEPTH`] is rejected with an [`Error`] instead of
+//! overflowing the stack (as `serde_json`'s own recursion limit does).
 
 #![forbid(unsafe_code)]
 
@@ -41,11 +45,16 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
     T::from_value(value)
 }
 
-/// Parses JSON text into a [`Value`] tree.
+/// The deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses JSON text into a [`Value`] tree. Fails on nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -152,6 +161,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -192,8 +203,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
@@ -201,6 +212,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// descend past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -422,6 +448,24 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Unterminated and far past any stack: an error, not an abort.
+        assert!(parse(&"[".repeat(300_000)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        let mixed = format!("{}0{}", r#"[{"a":"#.repeat(64), "}]".repeat(64));
+        assert!(parse(&mixed).is_ok());
     }
 
     #[test]
