@@ -2,7 +2,7 @@
 //!
 //! Every baseline implements [`Segmenter`] and can be plugged into the
 //! same VS2-Select stage through
-//! [`vs2_core::Vs2Pipeline::candidates_on_blocks`], which is how the
+//! [`vs2_core::Vs2Pipeline::extract_on_blocks`], which is how the
 //! Table 5 comparison localises named entities per algorithm.
 
 pub mod tesseract;

@@ -7,114 +7,19 @@
 //! normalisation, no semantics — is exactly what VS2's Algorithm 1
 //! improves on, and is why XY-Cut degrades on heterogeneous layouts
 //! (Table 5: strong on D1's uniform grid, weak on D2/D3).
+//!
+//! The algorithm itself is [`vs2_core::triage::cheap_blocks`], which the
+//! triage cheap path and the serving tier's degradation fallback also
+//! run; this module only adapts it to the [`Segmenter`] interface.
 
 use crate::seg::Segmenter;
 use vs2_core::segment::LogicalBlock;
-use vs2_docmodel::{BBox, Document, ElementRef};
+use vs2_core::triage::{cheap_blocks, CheapPathConfig};
+use vs2_docmodel::Document;
 
-/// Recursive XY-Cut with a fixed valley threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct XyCutSegmenter {
-    /// Minimum empty-valley extent (document units) to cut at.
-    pub min_gap: f64,
-    /// Maximum recursion depth.
-    pub max_depth: usize,
-}
-
-impl Default for XyCutSegmenter {
-    fn default() -> Self {
-        Self {
-            min_gap: 10.0,
-            max_depth: 8,
-        }
-    }
-}
-
-/// Largest empty valley of a set of 1-D intervals; returns the valley
-/// centre and extent.
-fn largest_valley(mut intervals: Vec<(f64, f64)>) -> Option<(f64, f64)> {
-    if intervals.len() < 2 {
-        return None;
-    }
-    intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut best: Option<(f64, f64)> = None;
-    let mut cover_end = intervals[0].1;
-    for w in intervals.windows(2) {
-        cover_end = cover_end.max(w[0].1);
-        let gap = w[1].0 - cover_end;
-        if gap > 0.0 && best.is_none_or(|(_, g)| gap > g) {
-            best = Some((cover_end + gap / 2.0, gap));
-        }
-    }
-    best
-}
-
-fn cut(
-    doc: &Document,
-    elements: Vec<ElementRef>,
-    depth: usize,
-    cfg: &XyCutSegmenter,
-    out: &mut Vec<LogicalBlock>,
-) {
-    let emit = |elements: Vec<ElementRef>, out: &mut Vec<LogicalBlock>| {
-        let boxes: Vec<BBox> = elements.iter().map(|r| doc.bbox_of(*r)).collect();
-        if let Some(bbox) = BBox::enclosing(boxes.iter()) {
-            out.push(LogicalBlock { bbox, elements });
-        }
-    };
-    if depth >= cfg.max_depth || elements.len() < 2 {
-        emit(elements, out);
-        return;
-    }
-    let ys: Vec<(f64, f64)> = elements
-        .iter()
-        .map(|r| {
-            let b = doc.bbox_of(*r);
-            (b.y, b.bottom())
-        })
-        .collect();
-    let xs: Vec<(f64, f64)> = elements
-        .iter()
-        .map(|r| {
-            let b = doc.bbox_of(*r);
-            (b.x, b.right())
-        })
-        .collect();
-    let vy = largest_valley(ys).filter(|(_, g)| *g >= cfg.min_gap);
-    let vx = largest_valley(xs).filter(|(_, g)| *g >= cfg.min_gap);
-
-    // Cut along the wider valley.
-    let (horizontal, at) = match (vy, vx) {
-        (Some((cy, gy)), Some((cx, gx))) => {
-            if gy >= gx {
-                (true, cy)
-            } else {
-                (false, cx)
-            }
-        }
-        (Some((cy, _)), None) => (true, cy),
-        (None, Some((cx, _))) => (false, cx),
-        (None, None) => {
-            emit(elements, out);
-            return;
-        }
-    };
-    let (a, b): (Vec<ElementRef>, Vec<ElementRef>) = elements.into_iter().partition(|r| {
-        let c = doc.bbox_of(*r).centroid();
-        if horizontal {
-            c.y < at
-        } else {
-            c.x < at
-        }
-    });
-    if a.is_empty() || b.is_empty() {
-        // Degenerate cut — stop here.
-        emit(a.into_iter().chain(b).collect(), out);
-        return;
-    }
-    cut(doc, a, depth + 1, cfg, out);
-    cut(doc, b, depth + 1, cfg, out);
-}
+/// Recursive XY-Cut with a fixed valley threshold (`min_gap`, document
+/// units) and a recursion bound (`max_depth`).
+pub type XyCutSegmenter = CheapPathConfig;
 
 impl Segmenter for XyCutSegmenter {
     fn name(&self) -> &'static str {
@@ -122,13 +27,7 @@ impl Segmenter for XyCutSegmenter {
     }
 
     fn segment(&self, doc: &Document) -> Vec<LogicalBlock> {
-        let elements = doc.element_refs();
-        if elements.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        cut(doc, elements, 0, self, &mut out);
-        out
+        cheap_blocks(doc, self)
     }
 }
 
@@ -136,6 +35,7 @@ impl Segmenter for XyCutSegmenter {
 mod tests {
     use super::*;
     use crate::seg::testdoc::two_paragraphs;
+    use vs2_docmodel::BBox;
 
     #[test]
     fn splits_clear_paragraph_gap() {
@@ -157,15 +57,6 @@ mod tests {
         }
         let blocks = XyCutSegmenter::default().segment(&d);
         assert_eq!(blocks.len(), 1);
-    }
-
-    #[test]
-    fn valley_helper() {
-        let v = largest_valley(vec![(0.0, 10.0), (30.0, 40.0), (12.0, 14.0)]);
-        let (center, gap) = v.unwrap();
-        assert_eq!(gap, 16.0);
-        assert_eq!(center, 22.0);
-        assert!(largest_valley(vec![(0.0, 10.0)]).is_none());
     }
 
     #[test]

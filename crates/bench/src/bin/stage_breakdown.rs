@@ -3,17 +3,14 @@
 //!
 //! Each document is extracted under an installed [`vs2_obs::Trace`]; the
 //! captured spans are summed per stage per document, and the per-stage
-//! p50/p95 over documents is reported. Each paper dataset runs twice —
-//! the owned per-stage re-derivation path and a `(ctx)` arm through
-//! [`Vs2Pipeline::extract_ctx`], the zero-copy arena path serve workers
-//! use — so the before/after of the context refactor reads directly off
-//! adjacent rows. The templated serving corpus additionally runs a
-//! plan-replay arm (`Templated(replay)`) against a warmed
-//! [`vs2_core::plan::PlanStore`], so the `vs2.plan.*` stage family shows
-//! up alongside the segmentation stages it displaces. Writes
-//! `results/stage_breakdown.{txt,json}` plus `BENCH_stages.json` at the
-//! workspace root — the per-stage profile later optimisation PRs can
-//! diff against.
+//! p50/p95 over documents is reported. Each dataset runs once through
+//! `Vs2Pipeline::extract`, the context path serve workers use. The
+//! templated serving corpus additionally runs a plan-replay arm
+//! (`Templated(replay)`) against a warmed [`vs2_core::plan::PlanStore`],
+//! so the `vs2.plan.*` stage family shows up alongside the segmentation
+//! stages it displaces. Writes `results/stage_breakdown.{txt,json}` plus
+//! `BENCH_stages.json` at the workspace root — the per-stage profile
+//! later optimisation PRs can diff against.
 //!
 //! Usage: `cargo run --release -p vs2-bench --bin stage_breakdown [n_docs]`
 
@@ -66,29 +63,6 @@ fn profile(dataset: DatasetId, n_docs: usize) -> StageSamples {
     }
     StageSamples {
         label: format!("{dataset:?}"),
-        n_docs,
-        per_stage,
-    }
-}
-
-/// The zero-copy arm: the same corpus extracted through the arena path
-/// ([`DocContext`] + interned select), as serve workers run it.
-fn profile_ctx(dataset: DatasetId, n_docs: usize) -> StageSamples {
-    let pipeline = build_pipeline(dataset, SEED, Vs2Config::default());
-    let docs = dataset_docs(dataset, &RunConfig { n_docs, seed: SEED });
-    let mut per_stage: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
-    for ad in &docs {
-        let trace = vs2_obs::Trace::start();
-        let extractions = pipeline.extract_ctx(&ad.doc);
-        let spans = trace.finish();
-        assert!(!extractions.is_empty(), "extraction must produce output");
-        fold_spans(&mut per_stage, &spans);
-    }
-    for samples in per_stage.values_mut() {
-        samples.sort_unstable();
-    }
-    StageSamples {
-        label: format!("{dataset:?}(ctx)"),
         n_docs,
         per_stage,
     }
@@ -177,7 +151,7 @@ fn main() {
     let arms = DatasetId::ALL
         .into_iter()
         .chain([DatasetId::D4, DatasetId::Templated])
-        .flat_map(|dataset| [profile(dataset, n_docs), profile_ctx(dataset, n_docs)])
+        .map(|dataset| profile(dataset, n_docs))
         .chain([profile_replay(n_docs), profile_routed(n_docs)]);
     for samples in arms {
         for stage in vs2_obs::stages::ALL {

@@ -22,43 +22,35 @@
 //! runs this suite with `--release`.
 
 use vs2_conformance::alloc::AllocProbe;
-use vs2_core::select::{ScanScratch, SyntacticPattern};
-use vs2_core::{logical_blocks, logical_blocks_ctx, DocContext, LogicalBlock, Vs2Pipeline};
+use vs2_core::select::{BlockText, ScanScratch, SyntacticPattern};
+use vs2_core::{logical_blocks_ctx, DocContext, LogicalBlock, Vs2Pipeline};
 use vs2_docmodel::{BBox, Document, TextElement};
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate, DatasetConfig, DatasetId};
 
 const CORPUS_DOCS: usize = 8;
 
-/// Pre-refactor owned-path allocations per document, recorded with this
-/// same probe over the same corpora at the PR tip before the zero-copy
-/// pipeline landed. These are the denominators of the ⅓ gate — they are
-/// history, not targets, and must not be re-recorded when the pipeline
-/// changes.
+/// Pre-refactor owned-path extract allocations per document, recorded
+/// with this same probe over the same corpora at the commit before the
+/// zero-copy pipeline landed. These are the denominators of the ⅓ gate —
+/// they are history, not targets, and must not be re-recorded when the
+/// pipeline changes.
 struct PreRefactor {
     dataset: DatasetId,
-    segment: u64,
-    select: u64,
     extract: u64,
 }
 
 const PRE_REFACTOR: [PreRefactor; 3] = [
     PreRefactor {
         dataset: DatasetId::D1,
-        segment: 2935,
-        select: 4471,
         extract: 7487,
     },
     PreRefactor {
         dataset: DatasetId::D2,
-        segment: 1803,
-        select: 1744,
         extract: 3566,
     },
     PreRefactor {
         dataset: DatasetId::D3,
-        segment: 1043,
-        select: 1713,
         extract: 2778,
     },
 ];
@@ -109,42 +101,6 @@ fn corpus(dataset: DatasetId) -> (std::sync::Arc<Vs2Pipeline>, Vec<Document>) {
         .map(|labeled| labeled.doc)
         .collect();
     (pipeline.into(), docs)
-}
-
-/// Allocations per document of the owned (naive-signature) path.
-fn measure_owned(pipeline: &Vs2Pipeline, docs: &[Document]) -> StageAllocs {
-    // Warm pass: lazy globals (lexicon centroids, gazetteers) off-probe.
-    for doc in docs {
-        let blocks = logical_blocks(doc, &pipeline.config.segment);
-        std::hint::black_box(pipeline.extract_on_blocks(doc, &blocks));
-    }
-
-    let n = docs.len() as u64;
-    let probe = AllocProbe::start();
-    let block_sets: Vec<_> = docs
-        .iter()
-        .map(|doc| logical_blocks(doc, &pipeline.config.segment))
-        .collect();
-    let segment = probe.finish().allocs / n;
-
-    let probe = AllocProbe::start();
-    for (doc, blocks) in docs.iter().zip(&block_sets) {
-        std::hint::black_box(pipeline.candidates_on_blocks(doc, blocks));
-    }
-    let select = probe.finish().allocs / n;
-
-    let probe = AllocProbe::start();
-    for doc in docs {
-        let blocks = logical_blocks(doc, &pipeline.config.segment);
-        std::hint::black_box(pipeline.extract_on_blocks(doc, &blocks));
-    }
-    let extract = probe.finish().allocs / n;
-
-    StageAllocs {
-        segment,
-        select,
-        extract,
-    }
 }
 
 /// Allocations per document of the context (zero-copy) path. The
@@ -200,14 +156,9 @@ fn allocation_gates() {
     }
     for (pre, ceiling) in PRE_REFACTOR.iter().zip(&CTX_CEILINGS) {
         let (pipeline, docs) = corpus(pre.dataset);
-        let owned = measure_owned(&pipeline, &docs);
         let ctx = measure_ctx(&pipeline, &docs);
         println!(
-            "{:?} allocs/doc owned: segment {} select {} extract {}",
-            pre.dataset, owned.segment, owned.select, owned.extract,
-        );
-        println!(
-            "{:?} allocs/doc ctx:   segment {} select {} extract {} (⅓ extract gate: {})",
+            "{:?} allocs/doc ctx: segment {} select {} extract {} (⅓ extract gate: {})",
             pre.dataset,
             ctx.segment,
             ctx.select,
@@ -243,31 +194,6 @@ fn allocation_gates() {
                 pre.dataset,
             );
         }
-
-        // The owned path shares the scratch-buffer work and must never
-        // regress past its own pre-refactor baseline.
-        for (stage, got, cap) in [
-            ("segment", owned.segment, pre.segment),
-            ("select", owned.select, pre.select),
-            ("extract", owned.extract, pre.extract),
-        ] {
-            assert!(
-                got <= cap,
-                "{:?}: owned {stage} allocates {got}/doc, over the \
-                 pre-refactor baseline of {cap}",
-                pre.dataset,
-            );
-        }
-
-        // And the context path must beat the owned path stage-for-stage —
-        // the whole point of the zero-copy pipeline.
-        assert!(
-            ctx.extract < owned.extract,
-            "{:?}: ctx extract ({}) not below owned extract ({})",
-            pre.dataset,
-            ctx.extract,
-            owned.extract,
-        );
     }
 }
 
@@ -300,8 +226,9 @@ fn warm_block_scan_allocates_nothing() {
     let (pipeline, docs) = corpus(DatasetId::D1);
     let mut texts = Vec::new();
     for doc in &docs {
-        let blocks = logical_blocks(doc, &pipeline.config.segment);
-        texts.extend(pipeline.block_texts(doc, &blocks));
+        let ctx = DocContext::build(doc);
+        let blocks = logical_blocks_ctx(&ctx, &pipeline.config.segment);
+        texts.extend(pipeline.block_texts_ctx(&ctx, &blocks));
     }
     // OCR-merged and OCR-split renderings of the model's own phrases.
     let phrases = pipeline
@@ -327,7 +254,7 @@ fn warm_block_scan_allocates_nothing() {
             .collect();
         for ws in [merged, split] {
             let (doc, block) = word_block(&ws);
-            texts.extend(pipeline.block_texts(&doc, &[block]));
+            texts.push(BlockText::build(&doc, &block));
         }
     }
     let index = pipeline.model().index();

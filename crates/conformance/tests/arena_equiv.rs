@@ -2,14 +2,16 @@
 //!
 //! The arena path (one [`DocContext`] per job: interned tokens, shared
 //! derived columns, memoising embedder, borrow-based stage interfaces)
-//! must be *observationally identical* to the owned path that clones and
-//! re-derives everything per stage. These tests pin that equivalence at
-//! every seam and at full-service scale:
+//! must be *observationally identical* to the owned reference that
+//! re-derives everything from the [`Document`]. These tests pin that
+//! equivalence at every seam and at full-service scale:
 //!
 //! * layout trees and logical blocks — byte-identical debug renderings
-//!   (full `f64` precision participates);
+//!   (full `f64` precision participates) against the owned segmenter;
 //! * per-entity candidates and final extractions — byte-identical JSON,
-//!   under all three disambiguation modes;
+//!   under all three disambiguation modes, against the naive select
+//!   reference (`candidates_on_blocks_naive`: fully annotated
+//!   `BlockText::build` texts, the entity × block × pattern loop);
 //! * corpora: the three paper datasets, the templated corpus and its
 //!   adversarial near-miss variants, the adversarial layout corpus, and
 //!   proptest-generated arbitrary/degenerate documents;
@@ -41,8 +43,8 @@ const MODES: [DisambiguationMode; 3] = [
     DisambiguationMode::Lesk,
 ];
 
-/// The core assertion: the arena path agrees with the owned path on
-/// `doc` — tree, blocks, candidates and extractions, every mode, byte
+/// The core assertion: the arena path agrees with the owned reference
+/// on `doc` — tree, blocks, candidates and extractions, every mode, byte
 /// for byte.
 fn assert_arena_equiv(pipeline: &Vs2Pipeline, doc: &Document) {
     let ctx = DocContext::build(doc);
@@ -69,7 +71,7 @@ fn assert_arena_equiv(pipeline: &Vs2Pipeline, doc: &Document) {
         let mut p = pipeline.clone();
         p.config.disambiguation = mode;
 
-        let owned_cands = p.candidates_on_blocks(doc, &owned_blocks);
+        let owned_cands = p.candidates_on_blocks_naive(doc, &owned_blocks);
         let ctx_cands = p.candidates_on_blocks_ctx(&ctx, &ctx_blocks);
         let owned_json: Vec<String> = owned_cands
             .iter()
@@ -85,7 +87,7 @@ fn assert_arena_equiv(pipeline: &Vs2Pipeline, doc: &Document) {
             doc.id
         );
 
-        let owned_ex = p.extract_on_blocks(doc, &owned_blocks);
+        let owned_ex = p.extract_on_blocks_naive(doc, &owned_blocks);
         let ctx_ex = p.extract_on_blocks_ctx(&ctx, &ctx_blocks);
         assert_eq!(
             serde_json::to_string(&owned_ex.to_value()).unwrap(),
@@ -260,7 +262,7 @@ fn render(done: &Completed<Vec<vs2_core::Extraction>>) -> String {
 fn served_arena_path_equals_offline_owned_through_plan_replay() {
     let specs = service_batch();
 
-    // Offline owned-path expectation, one JSON string per spec.
+    // Offline owned-reference expectation, one JSON string per spec.
     let cache = ModelCache::new();
     let expected: Vec<String> = specs
         .iter()
@@ -275,7 +277,7 @@ fn served_arena_path_equals_offline_owned_through_plan_replay() {
             };
             let doc = generate_one(spec.dataset, *doc_index, DatasetConfig::new(1, *seed)).doc;
             let blocks = logical_blocks(&doc, &pipeline.config.segment);
-            let ex = pipeline.extract_on_blocks(&doc, &blocks);
+            let ex = pipeline.extract_on_blocks_naive(&doc, &blocks);
             serde_json::to_string(&ex.to_value()).unwrap()
         })
         .collect();

@@ -15,7 +15,6 @@
 //! determinism contract (they get their own engine unit tests).
 
 use serde::Serialize as _;
-use vs2_baselines::{Segmenter, XyCutSegmenter};
 use vs2_serve::{
     default_config_for, BatchEngine, EngineConfig, ExtractService, FaultPlan, FaultSite,
     JobOutcome, JobSource, JobSpec, ModelCache, RetryPolicy, ServeError, DEFAULT_DOC_SEED,
@@ -26,7 +25,7 @@ const FAULT_SEED: u64 = 0xC4A0_5EED;
 
 /// Synthetic D1 documents plus the whole adversarial corpus, served as
 /// inline D1 jobs — the hostile documents exercise the degradation
-/// fallback on inputs the baseline segmenter itself finds difficult.
+/// fallback on inputs the XY-cut segmenter itself finds difficult.
 fn chaos_batch() -> Vec<JobSpec> {
     let mut specs: Vec<JobSpec> = (0..6)
         .map(|doc_index| JobSpec {
@@ -232,7 +231,7 @@ fn degraded_fallback_goes_through_the_indexed_matcher() {
             default_config_for(spec.dataset),
         );
         let doc = spec.document();
-        let blocks = XyCutSegmenter::default().segment(&doc);
+        let blocks = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
         let indexed = pipeline.extract_on_blocks(&doc, &blocks);
         let naive = pipeline.extract_on_blocks_naive(&doc, &blocks);
         let served = serde_json::to_string(&output.to_value()).unwrap();

@@ -199,7 +199,7 @@ fn context_path_tokenises_each_element_exactly_once() {
     // The owned builder pays at least one tokenise call per non-empty
     // block — the regression this pin exists to catch.
     let owned_before = tokenize_call_count();
-    let owned_texts = pipeline.block_texts(&doc, &blocks);
+    let owned_texts: Vec<BlockText> = blocks.iter().map(|b| BlockText::build(&doc, b)).collect();
     let owned_calls = tokenize_call_count() - owned_before;
     let nonempty = texts.iter().filter(|t| !t.is_empty()).count() as u64;
     assert!(

@@ -14,8 +14,7 @@
 //! modes. On top of the two-path differential, the cross-feature
 //! contracts are pinned: plan-cache capture/replay/collider-rejection
 //! over fast-path trees, chaos determinism at 1 vs 4 workers with the
-//! fast path on, the degraded XY-cut fallback, and the select-side
-//! FeatureTable sharing seam.
+//! fast path on, and the degraded XY-cut fallback.
 //!
 //! Case counts honour `VS2_PROPTEST_CASES`; failures print a
 //! `VS2_PROPTEST_SEED` repro command (see the `proptest` shim docs).
@@ -165,47 +164,6 @@ proptest! {
         for cfg in config_grid(SegmentConfig::default()) {
             assert_trees_equiv(&doc, &cfg);
         }
-    }
-}
-
-/// FeatureTable sharing regression: `BlockText::build` is a pure
-/// function of `(doc, block)`, so the tables a segment-side consumer
-/// builds through the [`Vs2Pipeline::block_texts`] seam are identical —
-/// every per-token column, every window rep — to the ones the select
-/// stage builds internally, and feeding them back through
-/// [`Vs2Pipeline::candidates_on_blocks_with_texts`] changes nothing.
-/// This is the contract that killed the merge-stage re-tokenisation:
-/// one table per block, observed identically by every stage.
-#[test]
-fn shared_feature_tables_match_select_and_candidates() {
-    let cache = ModelCache::new();
-    let pipeline = cache.pipeline_for(
-        DatasetId::D1,
-        DEFAULT_DOC_SEED,
-        default_config_for(DatasetId::D1),
-    );
-    for i in 0..4 {
-        let doc = generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
-        let blocks = logical_blocks(&doc, &pipeline.config.segment);
-        let shared = pipeline.block_texts(&doc, &blocks);
-        let rebuilt = pipeline.block_texts(&doc, &blocks);
-        assert_eq!(shared.len(), blocks.len());
-        for (a, b) in shared.iter().zip(&rebuilt) {
-            // FeatureTable carries floats nowhere; the debug rendering is
-            // a complete byte-level witness of every column and window.
-            assert_eq!(
-                format!("{:?}", a.features),
-                format!("{:?}", b.features),
-                "feature tables for the same block diverged between builds"
-            );
-            assert_eq!(a.ann.tokens.len(), b.ann.tokens.len());
-        }
-        let through_seam = pipeline.candidates_on_blocks_with_texts(&doc, &blocks, &shared);
-        let self_built = pipeline.candidates_on_blocks(&doc, &blocks);
-        assert_eq!(
-            through_seam, self_built,
-            "select over shared tables diverged from select over its own"
-        );
     }
 }
 
@@ -387,7 +345,7 @@ fn service_naive_segment_escape_hatch_is_byte_identical() {
 /// under the same plan (the fault checkpoints sit outside the segment
 /// branch, so the decision sequence cannot differ). The degraded jobs in
 /// the batch also pin that the XY-cut fallback is unaffected: its output
-/// goes through `vs2_baselines::XyCutSegmenter`, not the fast path.
+/// goes through `vs2_core::cheap_blocks`, not the fast path.
 #[test]
 fn chaos_with_fast_segment_is_deterministic_across_workers() {
     let specs = interaction_batch();
@@ -416,10 +374,9 @@ fn chaos_with_fast_segment_is_deterministic_across_workers() {
 
 /// The degraded XY-cut fallback bypasses the fast path entirely: a job
 /// degraded under chaos carries exactly the extractions of the XY-cut
-/// baseline pipeline run directly, regardless of segment path.
+/// pipeline run directly, regardless of segment path.
 #[test]
 fn degraded_fallback_output_is_the_xy_cut_baseline() {
-    use vs2_baselines::{Segmenter, XyCutSegmenter};
     let specs = interaction_batch();
     let faults = Some(FaultPlan::chaos(0xFA57_5EED));
     let runs = run_service(1, faults, ServiceOptions::default(), &specs);
@@ -435,12 +392,12 @@ fn degraded_fallback_output_is_the_xy_cut_baseline() {
             continue;
         }
         let doc = spec.document();
-        let blocks = XyCutSegmenter::default().segment(&doc);
+        let blocks = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
         let expected =
             serde_json::to_string(&pipeline.extract_on_blocks(&doc, &blocks).to_value()).unwrap();
         assert!(
             line.ends_with(&format!("extractions={expected}")),
-            "degraded job {} does not carry the XY-cut baseline output",
+            "degraded job {} does not carry the XY-cut output",
             spec.job_id.as_deref().unwrap_or("<synthetic>")
         );
         checked += 1;

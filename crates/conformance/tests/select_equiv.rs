@@ -1,6 +1,6 @@
 //! Differential equivalence battery for the select-stage matchers.
 //!
-//! `Vs2Pipeline::candidates_on_blocks` runs the compiled
+//! `Vs2Pipeline::candidates_on_blocks_ctx` runs the compiled
 //! [`vs2_core::select::PatternIndex`]; `candidates_on_blocks_naive`
 //! drives the original triple-loop matcher kept verbatim in
 //! `vs2_core::select::naive`. Both paths share one scoring function by
@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use vs2_conformance::strategy::{arb_any_document, q};
 use vs2_core::segment::logical_blocks;
 use vs2_core::select::{table3, table4, SyntacticPattern};
-use vs2_core::{DisambiguationMode, Extraction, Vs2Config, Vs2Pipeline};
+use vs2_core::{DisambiguationMode, DocContext, Extraction, Vs2Config, Vs2Pipeline};
 use vs2_docmodel::{BBox, Document, TextElement};
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{adversarial, generate_one, DatasetConfig, DatasetId};
@@ -50,10 +50,11 @@ fn render_extractions(e: &[Extraction]) -> String {
 /// both before and after assignment.
 fn assert_equiv(pipeline: &Vs2Pipeline, doc: &Document) {
     let blocks = logical_blocks(doc, &pipeline.config.segment);
+    let ctx = DocContext::build(doc);
     for mode in MODES {
         let mut p = pipeline.clone();
         p.config.disambiguation = mode;
-        let fast = p.candidates_on_blocks(doc, &blocks);
+        let fast = p.candidates_on_blocks_ctx(&ctx, &blocks);
         let slow = p.candidates_on_blocks_naive(doc, &blocks);
         assert_eq!(
             fast, slow,
@@ -67,7 +68,7 @@ fn assert_equiv(pipeline: &Vs2Pipeline, doc: &Document) {
             doc.id
         );
         assert_eq!(
-            render_extractions(&p.extract_on_blocks(doc, &blocks)),
+            render_extractions(&p.extract_on_blocks_ctx(&ctx, &blocks)),
             render_extractions(&p.extract_on_blocks_naive(doc, &blocks)),
             "assigned extractions diverged ({mode:?}, doc {})",
             doc.id
@@ -455,22 +456,19 @@ fn assert_index_equals_naive(
     }
 }
 
-/// The select entry points — owned, context and naive — agree on the
-/// given blocks in every disambiguation mode, before and after
-/// assignment.
+/// The select entry points — context and naive — agree on the given
+/// blocks in every disambiguation mode, before and after assignment.
 fn assert_entry_points_agree(
     pipeline: &Vs2Pipeline,
     doc: &Document,
     blocks: &[vs2_core::LogicalBlock],
 ) {
-    let ctx = vs2_core::DocContext::build(doc);
+    let ctx = DocContext::build(doc);
     for mode in MODES {
         let mut p = pipeline.clone();
         p.config.disambiguation = mode;
-        let owned = render_candidates(&p.candidates_on_blocks(doc, blocks));
         let in_ctx = render_candidates(&p.candidates_on_blocks_ctx(&ctx, blocks));
         let naive = render_candidates(&p.candidates_on_blocks_naive(doc, blocks));
-        assert_eq!(owned, naive, "owned vs naive ({mode:?}, doc {})", doc.id);
         assert_eq!(in_ctx, naive, "ctx vs naive ({mode:?}, doc {})", doc.id);
         assert_eq!(
             render_extractions(&p.extract_on_blocks_ctx(&ctx, blocks)),
@@ -556,7 +554,7 @@ fn mixed_inventory_still_annotates() {
         &["Hosted", "by", "James", "Wilson", "abcb", "c", "b", "ca"],
     );
     let block = whole_block(&doc);
-    let ctx = vs2_core::DocContext::build(&doc);
+    let ctx = DocContext::build(&doc);
     let blocks = [block];
     assert!(
         pipeline.candidates_on_blocks_ctx(&ctx, &blocks)["organizer"][0]
@@ -564,14 +562,11 @@ fn mixed_inventory_still_annotates() {
             .contains("James"),
         "the window pattern must see NER annotation"
     );
-    assert!(pipeline.candidates_on_blocks(&doc, &blocks)["organizer"][0]
-        .text
-        .contains("James"));
     assert_entry_points_agree(&pipeline, &doc, &blocks);
 }
 
 /// The all-descriptor D1 model (no window patterns, so token-only block
-/// texts): context, owned and naive candidates agree in all three modes.
+/// texts): context and naive candidates agree in all three modes.
 #[test]
 fn d1_phrase_only_entry_points_agree() {
     let (_, d1) = &pipelines()[2];
@@ -584,19 +579,19 @@ fn d1_phrase_only_entry_points_agree() {
     }
 }
 
-/// The serving degrade fallback (XY-cut blocks through the owned
+/// The serving degrade fallback (XY-cut blocks through the context
 /// extract path) gives D1 the same output as the annotated reference.
 #[test]
 fn d1_degrade_fallback_unchanged() {
-    use vs2_baselines::{Segmenter, XyCutSegmenter};
     let (_, d1) = &pipelines()[2];
     for i in 0..6 {
         let doc = generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
-        let blocks = XyCutSegmenter::default().segment(&doc);
+        let blocks = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
+        let ctx = DocContext::build(&doc);
         for mode in MODES {
             let mut p = d1.clone();
             p.config.disambiguation = mode;
-            let fallback = render_extractions(&p.extract_on_blocks(&doc, &blocks));
+            let fallback = render_extractions(&p.extract_on_blocks_ctx(&ctx, &blocks));
             assert_eq!(
                 fallback,
                 render_extractions(&p.extract_on_blocks_naive(&doc, &blocks)),

@@ -1,9 +1,10 @@
 //! Select-stage performance gate: the indexed matcher must never be
 //! slower than the naive reference it replaced.
 //!
-//! Both arms run the full search-and-select phase (`candidates_on_blocks`
-//! vs `candidates_on_blocks_naive`) over the same pre-segmented 60-doc
-//! D1 corpus — the dataset where the pattern inventory is largest and
+//! Both arms run the full search-and-select phase from the document
+//! (`DocContext::build` + `candidates_on_blocks_ctx` vs
+//! `candidates_on_blocks_naive`) over the same pre-segmented 60-doc D1
+//! corpus — the dataset where the pattern inventory is largest and
 //! select dominates end-to-end time. Passes are interleaved and the
 //! minima compared (the most stable order statistic, same methodology as
 //! the tracing-overhead gate), with a small absolute slack so timer
@@ -15,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use vs2_core::segment::logical_blocks;
 use vs2_core::segment::LogicalBlock;
+use vs2_core::DocContext;
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate, DatasetConfig, DatasetId};
 
@@ -38,7 +40,8 @@ fn indexed_select_is_not_slower_than_naive() {
     let pass_indexed = || {
         let started = Instant::now();
         for (doc, blocks) in &segmented {
-            std::hint::black_box(pipeline.candidates_on_blocks(doc, blocks));
+            let ctx = DocContext::build(doc);
+            std::hint::black_box(pipeline.candidates_on_blocks_ctx(&ctx, blocks));
         }
         started.elapsed()
     };

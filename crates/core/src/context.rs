@@ -16,7 +16,7 @@
 //!   selection's interest points embed each distinct word once per job.
 //!
 //! Every derived value is a pure function of the token string, so the
-//! context path is observationally identical to the owned path that
+//! context path is observationally identical to the owned reference that
 //! recomputes them per instance — which `tests/arena_equiv.rs` and the
 //! interner proptest battery in `vs2-conformance` pin.
 

@@ -60,5 +60,4 @@ pub use segment::{
 pub use select::{Eq2Weights, SyntacticPattern};
 pub use triage::{
     cheap_blocks, routed_blocks_ctx, triage_doc, CheapPathConfig, TriageConfig, TriageDecision,
-    TriageFeatures,
 };

@@ -8,7 +8,7 @@
 //! Eq. 2 (or, for the §6.5 ablations, first-match / Lesk selection).
 
 use crate::context::DocContext;
-use crate::segment::{logical_blocks, LogicalBlock, SegmentConfig};
+use crate::segment::{LogicalBlock, SegmentConfig};
 use crate::select::blocktext::BlockText;
 use crate::select::disambiguate::{distance_to_nearest, AreaEncoding, Eq2Weights, PageScale};
 use crate::select::index::PatternIndex;
@@ -246,46 +246,21 @@ impl Vs2Pipeline {
         self.model.entities()
     }
 
-    /// Segments the document and returns all candidates per entity,
-    /// ranked best-first. The first candidate per entity is the
-    /// pipeline's extraction.
-    pub fn candidates(&self, doc: &Document) -> BTreeMap<String, Vec<Extraction>> {
-        let blocks = logical_blocks(doc, &self.config.segment);
-        self.candidates_on_blocks(doc, &blocks)
-    }
-
-    /// Runs the search-and-select phase over an externally provided block
-    /// partition — the hook that plugs alternative segmentation
-    /// algorithms (the Table 5 baselines) into the same VS2-Select stage.
+    /// Runs the search-and-select phase over a block partition and
+    /// returns all candidates per entity, ranked best-first; the first
+    /// candidate per entity is the pipeline's extraction. Any segmenter's
+    /// blocks plug in here (the Table 5 baselines, plan replay, the
+    /// triage cheap path).
     ///
-    /// This is the indexed fast path: one [`PatternIndex::block_best`]
-    /// query per block answers for every entity at once, instead of the
-    /// old entity × block × pattern triple loop (preserved as
-    /// [`candidates_on_blocks_naive`](Self::candidates_on_blocks_naive)).
-    pub fn candidates_on_blocks(
-        &self,
-        doc: &Document,
-        blocks: &[LogicalBlock],
-    ) -> BTreeMap<String, Vec<Extraction>> {
-        let select_span = vs2_obs::span(vs2_obs::stages::SELECT);
-        select_span.tag("blocks", blocks.len() as u64);
-        let (texts, ip_enc, page) = {
-            let _index_span = vs2_obs::span(vs2_obs::stages::SELECT_INDEX);
-            self.select_prep(doc, blocks)
-        };
-        let _scan_span = vs2_obs::span(vs2_obs::stages::SELECT_SCAN);
-        self.scan_indexed(doc, blocks, &texts, &ip_enc, &page, &LexiconEmbedding)
-    }
-
-    /// [`candidates_on_blocks`](Self::candidates_on_blocks) over a
-    /// per-job [`DocContext`] — the zero-copy select entry point. Block
-    /// texts come from the context's interned token view
-    /// ([`BlockText::build_in`]; token-only when the model has no window
-    /// pattern) and every embedding goes through the context's per-job
-    /// memo, so nothing is re-tokenised, re-stemmed or re-embedded per
-    /// block. Observationally identical to
-    /// [`candidates_on_blocks`](Self::candidates_on_blocks); pinned by
-    /// `tests/arena_equiv.rs` in `vs2-conformance`.
+    /// One [`PatternIndex::block_best_into`] query per block answers for
+    /// every entity at once. Block texts come from the context's interned
+    /// token view ([`BlockText::build_in`]; token-only when the model has
+    /// no window pattern) and every embedding goes through the context's
+    /// per-job memo, so nothing is re-tokenised, re-stemmed or
+    /// re-embedded per block. Pinned equal to the executable reference
+    /// [`candidates_on_blocks_naive`](Self::candidates_on_blocks_naive)
+    /// by `tests/arena_equiv.rs` and `tests/select_equiv.rs` in
+    /// `vs2-conformance`.
     pub fn candidates_on_blocks_ctx(
         &self,
         ctx: &DocContext<'_>,
@@ -301,47 +276,10 @@ impl Vs2Pipeline {
                 .iter()
                 .map(|b| BlockText::build_in_with(ctx, b, annotate))
                 .collect();
-            let (ip_enc, page) = self.select_prep_rest(ctx.doc(), blocks, &texts, &embedder);
+            let (ip_enc, page) = self.select_prep(ctx.doc(), blocks, &texts, &embedder);
             (texts, ip_enc, page)
         };
         let _scan_span = vs2_obs::span(vs2_obs::stages::SELECT_SCAN);
-        self.scan_indexed(ctx.doc(), blocks, &texts, &ip_enc, &page, &embedder)
-    }
-
-    /// [`candidates_on_blocks`](Self::candidates_on_blocks) over
-    /// externally built [`BlockText`]s — the feature-table sharing seam.
-    /// A caller that already holds the per-block tables (e.g. built once
-    /// via [`block_texts`](Self::block_texts) next to segmentation) hands
-    /// them in and the select stage re-derives nothing. `BlockText::build`
-    /// is deterministic, so the output is identical to the self-building
-    /// entry point; the feature-table regression test in the conformance
-    /// suite pins exactly that.
-    pub fn candidates_on_blocks_with_texts(
-        &self,
-        doc: &Document,
-        blocks: &[LogicalBlock],
-        texts: &[BlockText],
-    ) -> BTreeMap<String, Vec<Extraction>> {
-        let select_span = vs2_obs::span(vs2_obs::stages::SELECT);
-        select_span.tag("blocks", blocks.len() as u64);
-        let (ip_enc, page) = {
-            let _index_span = vs2_obs::span(vs2_obs::stages::SELECT_INDEX);
-            self.select_prep_rest(doc, blocks, texts, &LexiconEmbedding)
-        };
-        let _scan_span = vs2_obs::span(vs2_obs::stages::SELECT_SCAN);
-        self.scan_indexed(doc, blocks, texts, &ip_enc, &page, &LexiconEmbedding)
-    }
-
-    /// The indexed per-block scan shared by every select entry point.
-    fn scan_indexed<E: Embedder>(
-        &self,
-        doc: &Document,
-        blocks: &[LogicalBlock],
-        texts: &[BlockText],
-        ip_enc: &[AreaEncoding],
-        page: &PageScale,
-        embedder: &E,
-    ) -> BTreeMap<String, Vec<Extraction>> {
         // One pass over the blocks; the index answers for all entities at
         // once. Accumulating per entity in ascending block order keeps the
         // pre-sort candidate order — and therefore the stable sort's
@@ -360,7 +298,7 @@ impl Vs2Pipeline {
             for (ei, best) in bests.iter().enumerate() {
                 let Some(b) = *best else { continue };
                 per_entity[ei].push(self.score_candidate(
-                    doc,
+                    ctx.doc(),
                     blocks,
                     bi,
                     bt,
@@ -368,9 +306,9 @@ impl Vs2Pipeline {
                     b.m,
                     b.exact,
                     b.specificity,
-                    ip_enc,
-                    page,
-                    embedder,
+                    &ip_enc,
+                    &page,
+                    &embedder,
                 ));
             }
         }
@@ -397,8 +335,8 @@ impl Vs2Pipeline {
         doc: &Document,
         blocks: &[LogicalBlock],
     ) -> BTreeMap<String, Vec<Extraction>> {
-        let texts = self.block_texts(doc, blocks);
-        let (ip_enc, page) = self.select_prep_rest(doc, blocks, &texts, &LexiconEmbedding);
+        let texts: Vec<BlockText> = blocks.iter().map(|b| BlockText::build(doc, b)).collect();
+        let (ip_enc, page) = self.select_prep(doc, blocks, &texts, &LexiconEmbedding);
         let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
         for (entity, patterns) in self.model.patterns() {
             let mut cands: Vec<Extraction> = Vec::new();
@@ -436,26 +374,10 @@ impl Vs2Pipeline {
         out
     }
 
-    /// Builds the select-side [`BlockText`] — tokenised reading-order
-    /// text plus its [`FeatureTable`](crate::select::FeatureTable) — of
-    /// every block. This is the feature-table sharing seam: a consumer
-    /// that needs per-block text features (the segment side, diagnostics,
-    /// a caller batching several selects over one partition) builds them
-    /// once here and hands them to
-    /// [`candidates_on_blocks_with_texts`](Self::candidates_on_blocks_with_texts),
-    /// instead of every stage re-tokenising the same blocks privately.
-    /// `BlockText::build` is a pure function of `(doc, block)`, so tables
-    /// built through this seam are identical to the ones
-    /// [`candidates_on_blocks`](Self::candidates_on_blocks) builds
-    /// internally.
-    pub fn block_texts(&self, doc: &Document, blocks: &[LogicalBlock]) -> Vec<BlockText> {
-        blocks.iter().map(|b| BlockText::build(doc, b)).collect()
-    }
-
-    /// [`block_texts`](Self::block_texts) over a per-job [`DocContext`]:
-    /// tokens come from the context's interned view instead of
-    /// re-tokenising every block's elements
-    /// ([`BlockText::build_in`]). Byte-identical tables.
+    /// Builds the fully annotated select-side [`BlockText`] — tokens,
+    /// POS, chunks, NER and [`FeatureTable`](crate::select::FeatureTable)
+    /// — of every block, from the context's interned token view
+    /// ([`BlockText::build_in`]).
     pub fn block_texts_ctx(&self, ctx: &DocContext<'_>, blocks: &[LogicalBlock]) -> Vec<BlockText> {
         blocks.iter().map(|b| BlockText::build_in(ctx, b)).collect()
     }
@@ -470,26 +392,9 @@ impl Vs2Pipeline {
         self.model.index.window_count() > 0
     }
 
-    /// Select-stage preparation on the owned path: block texts (annotated
-    /// only when [`select_annotates`](Self::select_annotates)) and the
-    /// interest-point encodings of the multimodal mode.
-    fn select_prep(
-        &self,
-        doc: &Document,
-        blocks: &[LogicalBlock],
-    ) -> (Vec<BlockText>, Vec<AreaEncoding>, PageScale) {
-        let annotate = self.select_annotates();
-        let texts: Vec<BlockText> = blocks
-            .iter()
-            .map(|b| BlockText::build_with(doc, b, annotate))
-            .collect();
-        let (ip_enc, page) = self.select_prep_rest(doc, blocks, &texts, &LexiconEmbedding);
-        (texts, ip_enc, page)
-    }
-
-    /// The non-text half of select preparation, over already-built block
-    /// texts.
-    fn select_prep_rest<E: Embedder>(
+    /// The interest-point encodings of the multimodal mode and the page
+    /// scale, over already-built block texts.
+    fn select_prep<E: Embedder>(
         &self,
         doc: &Document,
         blocks: &[LogicalBlock],
@@ -604,14 +509,15 @@ impl Vs2Pipeline {
     }
 
     /// Extracts the best candidate per entity over externally provided
-    /// blocks.
+    /// blocks: [`extract_on_blocks_ctx`](Self::extract_on_blocks_ctx)
+    /// over a fresh [`DocContext`].
     pub fn extract_on_blocks(&self, doc: &Document, blocks: &[LogicalBlock]) -> Vec<Extraction> {
-        assign(self.candidates_on_blocks(doc, blocks))
+        self.extract_on_blocks_ctx(&DocContext::build(doc), blocks)
     }
 
-    /// [`extract_on_blocks`](Self::extract_on_blocks) over a per-job
-    /// [`DocContext`] — the zero-copy serve path. Byte-identical output;
-    /// nothing is cloned or re-tokenised across the stage boundary.
+    /// Extracts the best candidate per entity over `blocks` and a per-job
+    /// [`DocContext`] — the serve path; nothing is cloned or re-tokenised
+    /// across the stage boundary.
     pub fn extract_on_blocks_ctx(
         &self,
         ctx: &DocContext<'_>,
@@ -620,11 +526,10 @@ impl Vs2Pipeline {
         assign(self.candidates_on_blocks_ctx(ctx, blocks))
     }
 
-    /// End-to-end zero-copy extraction: builds one [`DocContext`] for
-    /// `doc`, segments with the context's memoising embedder, and runs
-    /// the interned select stage — the single-call equivalent of what a
-    /// serve worker does per job. Byte-identical to
-    /// [`extract`](Self::extract).
+    /// End-to-end extraction: builds one [`DocContext`] for `doc`,
+    /// segments with the context's memoising embedder, and runs the
+    /// interned select stage — the single-call equivalent of what a
+    /// serve worker does per job.
     pub fn extract_ctx(&self, doc: &Document) -> Vec<Extraction> {
         let _extract_span = vs2_obs::span(vs2_obs::stages::EXTRACT);
         let ctx = DocContext::build(doc);
@@ -656,9 +561,10 @@ impl Vs2Pipeline {
     }
 
     /// Reference-path variant of
-    /// [`extract_on_blocks`](Self::extract_on_blocks) driving the naive
-    /// matcher — assignment included, so end-to-end differential tests
-    /// can compare full extractions.
+    /// [`extract_on_blocks`](Self::extract_on_blocks) driving
+    /// [`candidates_on_blocks_naive`](Self::candidates_on_blocks_naive) —
+    /// assignment included, so end-to-end differential tests can compare
+    /// full extractions.
     pub fn extract_on_blocks_naive(
         &self,
         doc: &Document,
@@ -667,10 +573,10 @@ impl Vs2Pipeline {
         assign(self.candidates_on_blocks_naive(doc, blocks))
     }
 
-    /// Extracts the best candidate per entity.
+    /// Extracts the best candidate per entity (same as
+    /// [`extract_ctx`](Self::extract_ctx)).
     pub fn extract(&self, doc: &Document) -> Vec<Extraction> {
-        let _extract_span = vs2_obs::span(vs2_obs::stages::EXTRACT);
-        assign(self.candidates(doc))
+        self.extract_ctx(doc)
     }
 }
 
@@ -789,7 +695,9 @@ mod tests {
     fn multimodal_disambiguation_prefers_salient_candidate() {
         let doc = poster();
         let pipeline = Vs2Pipeline::with_patterns(organizer_patterns(), Vs2Config::default());
-        let cands = pipeline.candidates(&doc);
+        let ctx = DocContext::build(&doc);
+        let blocks = crate::segment::logical_blocks_ctx(&ctx, &pipeline.config.segment);
+        let cands = pipeline.candidates_on_blocks_ctx(&ctx, &blocks);
         let organizer = &cands["event_organizer"];
         assert!(organizer.len() >= 2, "need both candidates: {organizer:?}");
         // The winner is the one near the title (y ≈ 80), not the footer.

@@ -38,16 +38,12 @@
 //!    function of the node's element list, so cached and recomputed
 //!    vectors are identical by construction.
 //!
-//! On the FeatureTable-sharing side of the same fix: merge embeddings
-//! intentionally do *not* reuse the select-side
+//! Merge embeddings intentionally do *not* reuse the select-side
 //! [`BlockText`](crate::select::BlockText) tables. A `BlockText`
 //! tokenises the block's text in reading order, while Eq. 1 embeds the
 //! node's words in element order — swapping one for the other changes
 //! embedding sums and therefore merge decisions. Instead, the per-pair
-//! re-derivation is killed by the cache above, and the select stage
-//! exposes [`Vs2Pipeline::block_texts`](crate::Vs2Pipeline::block_texts)
-//! so downstream consumers share one `FeatureTable` per block (pinned by
-//! the feature-table regression test in `segment_equiv.rs`).
+//! re-derivation is killed by the cache above.
 //!
 //! Spans: this path emits the same `vs2.segment.*` span tree as before
 //! (AREA/GRID/CLUSTER/MERGE at identical points) plus two fast-path

@@ -314,15 +314,6 @@ impl BlockText {
     /// reading order; each word may tokenise into several tokens (a
     /// trailing comma, say), all inheriting the word's element.
     pub fn build(doc: &Document, block: &LogicalBlock) -> Self {
-        Self::build_with(doc, block, true)
-    }
-
-    /// [`BlockText::build`], or with `annotate == false` a token-only
-    /// text: tokens and element provenance, empty POS/chunk/NER columns
-    /// and an empty [`FeatureTable`]. That is enough for the exact-phrase
-    /// scan (normal forms) and candidate scoring (tokens, content words,
-    /// provenance).
-    pub(crate) fn build_with(doc: &Document, block: &LogicalBlock, annotate: bool) -> Self {
         let order = doc.reading_order(&block.elements);
         let mut tokens: Vec<Token> = Vec::new();
         let mut elem_of: Vec<ElementRef> = Vec::new();
@@ -332,9 +323,6 @@ impl BlockText {
                 tokens.push(t);
                 elem_of.push(r);
             }
-        }
-        if !annotate {
-            return Self::unannotated(block, tokens, elem_of);
         }
         let pos = tag(&tokens);
         let phrases = chunk(&tokens, &pos);
@@ -366,8 +354,11 @@ impl BlockText {
         Self::build_in_with(ctx, block, true)
     }
 
-    /// [`BlockText::build_in`], or a token-only text when `annotate` is
-    /// false — the context-path twin of [`BlockText::build_with`].
+    /// [`BlockText::build_in`], or with `annotate == false` a token-only
+    /// text: tokens and element provenance, empty POS/chunk/NER columns
+    /// and an empty [`FeatureTable`]. That is enough for the exact-phrase
+    /// scan (normal forms) and candidate scoring (tokens, content words,
+    /// provenance).
     pub(crate) fn build_in_with(
         ctx: &DocContext<'_>,
         block: &LogicalBlock,
@@ -396,7 +387,17 @@ impl BlockText {
             }
         }
         if !annotate {
-            return Self::unannotated(block, tokens, elem_of);
+            return BlockText {
+                bbox: block.bbox,
+                ann: Annotated {
+                    tokens,
+                    pos: Vec::new(),
+                    phrases: Vec::new(),
+                    ner: Vec::new(),
+                },
+                elem_of,
+                features: FeatureTable::default(),
+            };
         }
         let pos = tag(&tokens);
         let phrases = chunk(&tokens, &pos);
@@ -413,20 +414,6 @@ impl BlockText {
             ann,
             elem_of,
             features,
-        }
-    }
-
-    fn unannotated(block: &LogicalBlock, tokens: Vec<Token>, elem_of: Vec<ElementRef>) -> Self {
-        BlockText {
-            bbox: block.bbox,
-            ann: Annotated {
-                tokens,
-                pos: Vec::new(),
-                phrases: Vec::new(),
-                ner: Vec::new(),
-            },
-            elem_of,
-            features: FeatureTable::default(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! The compiled select-stage matcher: [`PatternIndex`].
 //!
-//! `candidates_on_blocks` used to run an entity × block × pattern triple
+//! The select stage used to run an entity × block × pattern triple
 //! loop where every [`SyntacticPattern::matches`] call re-tokenised the
 //! needle, re-derived every window's feature set and re-walked the NER
 //! spans from scratch. The index is built **once per

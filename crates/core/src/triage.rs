@@ -10,8 +10,8 @@
 //! * [`TriageDecision::FullVs2`] — the adaptive segmenter (default, and
 //!   always the choice for skewed or visually complex pages);
 //! * [`TriageDecision::CheapPath`] — the recursive XY-cut fast path
-//!   ([`cheap_blocks`]), bit-compatible with the serving tier's
-//!   degradation fallback;
+//!   ([`cheap_blocks`]), the same segmenter as the serving tier's
+//!   degradation fallback and the Table 5 A2 baseline;
 //! * [`TriageDecision::PlanReplay`] — a validated cached segmentation
 //!   plan (only ever emitted by the routed driver when a
 //!   [`PlanStore`] is supplied and actually replays: replay beats the
@@ -86,8 +86,8 @@ pub struct TriageConfig {
     /// Minimum text-element count for the cheap path: tiny documents
     /// yield unreliable features (and save nothing by routing).
     pub min_texts: u32,
-    /// Cheap-path segmenter geometry; must stay equal to the serving
-    /// tier's degradation fallback for the pinned-equal contract.
+    /// Cheap-path segmenter geometry; the serving tier's degradation
+    /// fallback segments with the same value.
     pub cheap: CheapPathConfig,
 }
 
@@ -104,10 +104,9 @@ impl Default for TriageConfig {
     }
 }
 
-/// Geometry of the XY-cut cheap path. The defaults mirror the
-/// `vs2-baselines` `XyCutSegmenter` defaults exactly; the conformance
-/// suite pins [`cheap_blocks`] byte-identical to that segmenter (and
-/// hence to the serving tier's degradation fallback).
+/// Geometry of the recursive XY-cut ([`cheap_blocks`]): the triage cheap
+/// path, the serving tier's degradation fallback, and (as
+/// `vs2-baselines`' `XyCutSegmenter`) the Table 5 A2 baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheapPathConfig {
     /// Minimum empty-valley extent (document units) to cut at.
@@ -125,34 +124,20 @@ impl Default for CheapPathConfig {
     }
 }
 
-/// The feature vector the scorer decides on. Every field is a pure
-/// function of the document geometry; [`TriageFeatures::compute`]
-/// derives the histogram features from the plan-cache fingerprint it
-/// returns alongside, so routed serving reuses one fingerprint for both
-/// triage and plan lookup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TriageFeatures {
+/// The fingerprint-derived features the scorer decides on. Every field
+/// is a pure function of the document geometry. The page-skew gate is
+/// not here: its estimate is an order of magnitude more expensive and is
+/// only computed once these gates pass.
+struct LayoutFeatures {
     /// Exact text-element count (fingerprint field).
-    pub n_texts: u32,
+    n_texts: u32,
     /// Exact image-element count (fingerprint field).
-    pub n_images: u32,
+    n_images: u32,
     /// Shannon entropy (bits) of the fingerprint's 2-bit cell-bucket
     /// histogram; 0 for an empty page, at most 2.0.
-    pub occupancy_entropy: f64,
+    occupancy_entropy: f64,
     /// Fill ratio of occupied fingerprint columns (0..=1): mean cell
     /// occupancy of the occupied columns relative to the fullest one.
-    pub column_regularity: f64,
-    /// The segmenter's page-skew estimate (radians-equivalent slope).
-    pub skew: f64,
-}
-
-/// The fingerprint-derived feature subset (everything except the skew
-/// estimate, which is an order of magnitude more expensive and is only
-/// needed once the layout gates pass).
-struct LayoutFeatures {
-    n_texts: u32,
-    n_images: u32,
-    occupancy_entropy: f64,
     column_regularity: f64,
 }
 
@@ -162,23 +147,6 @@ impl LayoutFeatures {
             && self.n_texts >= cfg.min_texts
             && self.occupancy_entropy <= cfg.max_entropy
             && self.column_regularity >= cfg.min_column_regularity
-    }
-}
-
-impl TriageFeatures {
-    /// Computes the features and the fingerprint they derive from.
-    pub fn compute(doc: &Document, cfg: &FingerprintConfig) -> (Self, LayoutFingerprint) {
-        let (lay, fp) = layout_features(doc, cfg);
-        (
-            Self {
-                n_texts: lay.n_texts,
-                n_images: lay.n_images,
-                occupancy_entropy: lay.occupancy_entropy,
-                column_regularity: lay.column_regularity,
-                skew: segment::estimate_skew(doc),
-            },
-            fp,
-        )
     }
 }
 
@@ -235,10 +203,9 @@ fn layout_features(doc: &Document, cfg: &FingerprintConfig) -> (LayoutFeatures, 
 /// `PlanReplay` — that outcome needs a plan store and is only produced
 /// by [`routed_blocks_ctx`]). Deterministic in `(doc, seg, cfg)`.
 ///
-/// Equivalent to `decide(&TriageFeatures::compute(..).0, ..)` but runs
-/// the skew estimate lazily: documents that already fail the layout
-/// gates skip it entirely, so scoring a full-VS2-bound page costs one
-/// fingerprint pass (the conformance overhead suite relies on this).
+/// The skew estimate runs lazily: documents that already fail the
+/// layout gates skip it entirely, so scoring a full-VS2-bound page costs
+/// one fingerprint pass (the conformance overhead suite relies on this).
 pub fn triage_doc(doc: &Document, seg: &SegmentConfig, cfg: &TriageConfig) -> TriageDecision {
     triage_lazy(doc, seg, cfg).0
 }
@@ -263,31 +230,12 @@ fn triage_lazy(
     (TriageDecision::CheapPath, fp)
 }
 
-/// Decision rule over precomputed features (exposed so the routed
-/// driver can share one feature pass with the plan lookup).
-pub fn decide(f: &TriageFeatures, seg: &SegmentConfig, cfg: &TriageConfig) -> TriageDecision {
-    // Skewed pages need rotation-corrected analysis: content-dependent
-    // by construction, so they always take the full path (the same gate
-    // the plan cache bypasses on).
-    if seg.deskew && f.skew.abs() >= SKEW_EPSILON {
-        return TriageDecision::FullVs2;
-    }
-    let regular = f.n_images <= cfg.max_images
-        && f.n_texts >= cfg.min_texts
-        && f.occupancy_entropy <= cfg.max_entropy
-        && f.column_regularity >= cfg.min_column_regularity;
-    if regular {
-        TriageDecision::CheapPath
-    } else {
-        TriageDecision::FullVs2
-    }
-}
-
-/// Recursive XY-cut over `doc` — the cheap path's segmenter. This is a
-/// pinned mirror of the `vs2-baselines` `XyCutSegmenter` (same valley
-/// search, same cut order, same defaults): the conformance suite
-/// asserts byte-identical blocks, which is what makes a triage-cheap
-/// result provably equal to the serving tier's degradation fallback.
+/// Recursive XY-cut over `doc` (Nagy et al.): a region is split at the
+/// wider of its widest horizontal and vertical empty valleys,
+/// recursively, until no valley reaches `cfg.min_gap` or `cfg.max_depth`
+/// is hit. The one XY-cut in the workspace: the triage cheap path, the
+/// serving tier's degradation fallback and the Table 5 A2 baseline
+/// (`vs2-baselines`' `XyCutSegmenter`) all call it.
 pub fn cheap_blocks(doc: &Document, cfg: &CheapPathConfig) -> Vec<LogicalBlock> {
     let elements = doc.element_refs();
     if elements.is_empty() {
@@ -299,7 +247,7 @@ pub fn cheap_blocks(doc: &Document, cfg: &CheapPathConfig) -> Vec<LogicalBlock> 
 }
 
 /// Largest empty valley of a set of 1-D intervals; returns the valley
-/// centre and extent. (Mirror of the baseline's helper.)
+/// centre and extent.
 fn largest_valley(mut intervals: Vec<(f64, f64)>) -> Option<(f64, f64)> {
     if intervals.len() < 2 {
         return None;
@@ -591,26 +539,29 @@ mod tests {
             deskew: false,
             ..SegmentConfig::default()
         };
-        let f = TriageFeatures::compute(&d, &FingerprintConfig::default()).0;
+        let cfg = TriageConfig::default();
+        let (lay, _) = layout_features(&d, &cfg.fingerprint);
         assert_eq!(
-            decide(&f, &no_deskew, &TriageConfig::default()) == TriageDecision::CheapPath,
-            f.n_images == 0
-                && f.n_texts >= TriageConfig::default().min_texts
-                && f.occupancy_entropy <= TriageConfig::default().max_entropy
-                && f.column_regularity >= TriageConfig::default().min_column_regularity
+            triage_doc(&d, &no_deskew, &cfg) == TriageDecision::CheapPath,
+            lay.passes(&cfg)
         );
     }
 
     #[test]
     fn lazy_scorer_matches_the_full_feature_rule() {
         // triage_doc short-circuits the skew estimate; its decision must
-        // still equal the eager rule over the complete feature vector.
+        // still equal the eager rule over every feature plus the skew.
         let seg = SegmentConfig::default();
         let cfg = TriageConfig::default();
+        let mut cheap = 0;
         for doc in [grid_doc(), scatter_doc(), Document::new("e", 600.0, 800.0)] {
-            let f = TriageFeatures::compute(&doc, &cfg.fingerprint).0;
-            assert_eq!(triage_doc(&doc, &seg, &cfg), decide(&f, &seg, &cfg));
+            let (lay, _) = layout_features(&doc, &cfg.fingerprint);
+            let eager = lay.passes(&cfg) && segment::estimate_skew(&doc).abs() < SKEW_EPSILON;
+            let routed_cheap = triage_doc(&doc, &seg, &cfg) == TriageDecision::CheapPath;
+            assert_eq!(routed_cheap, eager, "doc {}", doc.id);
+            cheap += usize::from(routed_cheap);
         }
+        assert_eq!(cheap, 1, "the grid is the one cheap-routed document");
     }
 
     #[test]
@@ -626,7 +577,7 @@ mod tests {
     #[test]
     fn empty_document_features_are_sane() {
         let d = Document::new("empty", 600.0, 800.0);
-        let (f, _) = TriageFeatures::compute(&d, &FingerprintConfig::default());
+        let (f, _) = layout_features(&d, &FingerprintConfig::default());
         assert_eq!(f.n_texts, 0);
         assert_eq!(f.occupancy_entropy, 0.0);
         assert_eq!(f.column_regularity, 0.0);
@@ -637,10 +588,19 @@ mod tests {
     fn features_reuse_the_fingerprint() {
         let doc = grid_doc();
         let cfg = FingerprintConfig::default();
-        let (f, fp) = TriageFeatures::compute(&doc, &cfg);
+        let (f, fp) = layout_features(&doc, &cfg);
         assert_eq!(fp, LayoutFingerprint::compute(&doc, &cfg));
         assert_eq!(f.n_texts, fp.n_texts);
         assert_eq!(f.n_images, fp.n_images);
+    }
+
+    #[test]
+    fn valley_helper() {
+        let v = largest_valley(vec![(0.0, 10.0), (30.0, 40.0), (12.0, 14.0)]);
+        let (center, gap) = v.unwrap();
+        assert_eq!(gap, 16.0);
+        assert_eq!(center, 22.0);
+        assert!(largest_valley(vec![(0.0, 10.0)]).is_none());
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! quarantine paths — is testable against in-memory readers and writers.
 //!
 //! One consumed input line, one result line, in input order. Lines that
-//! fail to parse (bad JSON, invalid UTF-8, mid-stream read errors)
-//! produce an `invalid` result line carrying the line number and error
-//! instead of aborting the batch; jobs refused by admission control (or
-//! submitted after a drain began) produce a `shed` result line — an
-//! overloaded server answers every request, it never silently drops
-//! one. After the last result line, one `quarantine` record is emitted
-//! per job in the service's quarantine ledger, in sequence order (see
+//! fail to parse (bad JSON, invalid UTF-8, longer than
+//! [`MAX_LINE_BYTES`], mid-stream read errors) produce an `invalid`
+//! result line carrying the line number and error instead of aborting
+//! the batch; jobs refused by admission control (or submitted after a
+//! drain began) produce a `shed` result line — an overloaded server
+//! answers every request, it never silently drops one. After the last
+//! result line, one `quarantine` record is emitted per job in the
+//! service's quarantine ledger, in sequence order (see
 //! [`crate::job::QuarantineRecord`]).
 //!
 //! Two line forms are consumed without producing a job:
@@ -26,7 +27,7 @@
 //! plans, retry backoff, shed draws) line up with an uninterrupted run.
 
 use std::collections::HashSet;
-use std::io::{BufRead, ErrorKind, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -37,6 +38,47 @@ use crate::engine::JobOutcome;
 use crate::error::ServeError;
 use crate::job::{JobResult, JobSpec, JobStatus, QuarantineRecord};
 use crate::service::ExtractService;
+
+/// Longest input line [`run_batch`] accepts, in bytes before the line
+/// terminator. A longer line is never buffered whole: at most
+/// `MAX_LINE_BYTES + 2` of its bytes are read, the rest is skipped up to
+/// the next newline, and the line is answered `invalid`. The largest
+/// inline job line the synthetic corpora produce is about 25 KB (a D1
+/// tax form), so the cap sits over 160 times above it.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads one line the way `BufRead::lines` does (`\n` or `\r\n`
+/// terminator stripped, non-UTF-8 bytes consumed and reported as
+/// `InvalidData`), but through the [`MAX_LINE_BYTES`] bound: an over-long
+/// line is skipped and reported as `InvalidData` too. `Ok(None)` at end
+/// of input.
+fn read_capped_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    // Room for the line, a `\r\n` terminator, and nothing more.
+    let limit = MAX_LINE_BYTES as u64 + 2;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(None);
+    }
+    let terminated = buf.last() == Some(&b'\n');
+    if terminated {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        if !terminated {
+            reader.skip_until(b'\n')?;
+        }
+        return Err(io::Error::new(
+            ErrorKind::InvalidData,
+            format!("line longer than {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8"))
+}
 
 /// Output shaping for [`run_batch`].
 #[derive(Debug, Clone, Default)]
@@ -108,14 +150,14 @@ pub struct BatchRun {
 /// in submission order, so the emitter simply waits on them as the fates
 /// arrive.
 ///
-/// Input hardening: a line that is not valid JSON, not valid UTF-8, or
-/// hits a read error mid-stream yields an `invalid` result line (with
-/// the 0-based line number in its `job_id` default and the error text)
-/// and the batch continues — except on non-recoverable I/O errors,
+/// Input hardening: a line that is not valid JSON, not valid UTF-8,
+/// longer than [`MAX_LINE_BYTES`], or hits a read error mid-stream
+/// yields an `invalid` result line (with the 0-based line number in its
+/// `job_id` default and the error text) and the batch continues — except on non-recoverable I/O errors,
 /// where the batch stops after reporting the failing line.
 pub fn run_batch(
     service: &ExtractService,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     out: impl Write + Send,
     opts: &BatchOptions,
 ) -> BatchRun {
@@ -249,16 +291,18 @@ pub fn run_batch(
             });
             let mut wire_seq = 0u64;
             let mut submissions = 0u64;
-            for (line_no, line) in reader.lines().enumerate() {
+            for line_no in 0.. {
                 let default_id = format!("job-{line_no}");
-                let line = match line {
-                    Ok(l) => l,
+                let line = match read_capped_line(&mut reader) {
+                    Ok(Some(l)) => l,
+                    Ok(None) => break,
                     Err(e) => {
                         // A broken line must not abort the batch: report it
                         // in-stream and keep going. `InvalidData` (non-UTF-8
-                        // bytes) consumes exactly the offending line, so the
-                        // stream stays aligned; any other I/O error means the
-                        // source itself failed — report, then stop.
+                        // bytes, an over-long line) consumes exactly the
+                        // offending line, so the stream stays aligned; any
+                        // other I/O error means the source itself failed —
+                        // report, then stop.
                         invalid += 1;
                         let recoverable = e.kind() == ErrorKind::InvalidData;
                         let _ = fate_tx.send(LineFate::Invalid {
@@ -471,6 +515,66 @@ mod tests {
         assert_eq!(results[1].status, JobStatus::Ok);
         assert!(!results[1].extractions.is_empty());
         service.shutdown();
+    }
+
+    #[test]
+    fn over_long_line_is_invalid_and_the_stream_continues() {
+        // A job line padded past the cap would parse as a valid job; the
+        // reader must refuse it without buffering it whole, skip to its
+        // newline, and go on to the next line.
+        let doc = vs2_synth::dataset::generate_one(
+            vs2_synth::dataset::DatasetId::D1,
+            0,
+            vs2_synth::dataset::DatasetConfig::new(1, DEFAULT_DOC_SEED),
+        )
+        .doc;
+        let inline = Value::Object(vec![
+            ("dataset".to_string(), Value::Str("D1".to_string())),
+            ("doc".to_string(), serde::Serialize::to_value(&doc)),
+        ]);
+        let padded = format!(
+            "{{\"dataset\":\"D1\",\"doc_index\":0}}{}",
+            " ".repeat(MAX_LINE_BYTES)
+        );
+        let input = format!("{padded}\n{}\n", serde_json::to_string(&inline).unwrap());
+        let service = test_service(1);
+        let mut out = Vec::new();
+        let run = run_batch(
+            &service,
+            Cursor::new(input),
+            &mut out,
+            &BatchOptions::default(),
+        );
+        assert_eq!(run.invalid, 1);
+        let results = parse_lines(&out);
+        assert_eq!(results.len(), 2, "one answer per line");
+        assert_eq!(results[0].status, JobStatus::Invalid);
+        assert!(
+            results[0]
+                .error
+                .as_deref()
+                .unwrap()
+                .contains("input read error at line 0: line longer than"),
+            "{:?}",
+            results[0].error
+        );
+        assert_eq!(results[1].status, JobStatus::Ok);
+        assert!(!results[1].extractions.is_empty());
+        service.shutdown();
+    }
+
+    #[test]
+    fn line_at_the_cap_is_read_whole() {
+        let line = format!(
+            "{{\"dataset\":\"D1\",\"doc_index\":0}}{}",
+            " ".repeat(MAX_LINE_BYTES - 30)
+        );
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        for input in [format!("{line}\r\n"), line.clone()] {
+            let mut reader = Cursor::new(input);
+            assert_eq!(read_capped_line(&mut reader).unwrap(), Some(line.clone()));
+            assert_eq!(read_capped_line(&mut reader).unwrap(), None);
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! `status: "quarantined"`, with one `{"record":"quarantine",...}` line
 //! per quarantined job after the batch.
 //!
-//! Malformed input lines (bad JSON, invalid UTF-8) never abort the
-//! batch: each produces an in-stream `{"status":"invalid",...}` result
-//! carrying the line number and error.
+//! Malformed input lines (bad JSON, invalid UTF-8, longer than
+//! `vs2_serve::batch::MAX_LINE_BYTES`) never abort the batch: each
+//! produces an in-stream `{"status":"invalid",...}` result carrying the
+//! line number and error.
 
 use std::io::BufRead;
 use std::sync::Arc;

@@ -44,8 +44,8 @@
 //! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — opt-in serving metrics
 //!   (sharded lock-free registry) and per-job span capture for `--trace`.
 //! * [`service::ExtractService`] — the layers wired together over
-//!   [`job::JobSpec`]s, degrading to the XY-cut baseline segmenter when
-//!   the learned pipeline fails a job.
+//!   [`job::JobSpec`]s, degrading to XY-cut segmentation
+//!   ([`vs2_core::cheap_blocks`]) when the learned pipeline fails a job.
 //! * [`batch::run_batch`] and the `vs2d` binary — JSONL front end over
 //!   [`service::ExtractService`].
 

@@ -1,13 +1,12 @@
 //! The extraction service: a [`BatchEngine`] whose processor resolves
 //! job specs against the shared [`ModelCache`] and runs the VS2
 //! pipeline, checkpointing at each fault-injection site, and whose
-//! degradation fallback re-runs failed jobs through the cheap XY-cut
-//! baseline segmenter.
+//! degradation fallback re-runs failed jobs over XY-cut blocks
+//! ([`vs2_core::cheap_blocks`], the triage cheap path's segmenter).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use vs2_baselines::{Segmenter, XyCutSegmenter};
 use vs2_core::pipeline::Vs2Config;
 use vs2_core::plan::PlanConfig;
 use vs2_core::Extraction;
@@ -64,10 +63,11 @@ pub struct ServiceOptions {
 /// Fault tolerance: the processor is split across the three
 /// [`FaultSite`]s (model build → segment → select), transient failures
 /// are retried per the engine's [`crate::retry::RetryPolicy`], and a job
-/// whose primary attempts are all spent degrades to the XY-cut baseline
-/// segmenter — the extraction still runs, only the segmentation is the
-/// cheap geometric one. Jobs the fallback cannot save land in the
-/// quarantine ledger ([`ExtractService::quarantine`]).
+/// whose primary attempts are all spent degrades to XY-cut segmentation
+/// — the extraction still runs, only the segmentation is the cheap
+/// geometric one, exactly as on the triage cheap path. Jobs the
+/// fallback cannot save land in the quarantine ledger
+/// ([`ExtractService::quarantine`]).
 pub struct ExtractService {
     engine: BatchEngine<JobSpec, Vec<Extraction>>,
     cache: Arc<ModelCache>,
@@ -154,8 +154,8 @@ impl ExtractService {
                     // degraded/quarantined jobs never poison cached plans
                     // (the XY-cut fallback below never touches them).
                     if options.naive_segment {
-                        // Executable-specification escape hatch: owned
-                        // signatures end to end, no arena context.
+                        // Executable-specification escape hatch: the
+                        // naive segmenter over the owned document.
                         let blocks = vs2_core::logical_blocks_naive(&doc, &pipeline.config.segment);
                         ctx.checkpoint(FaultSite::Select)?;
                         return Ok(pipeline.extract_on_blocks(&doc, &blocks));
@@ -221,16 +221,17 @@ impl ExtractService {
             }
         };
         let fallback = move |spec: &JobSpec| {
-            // Degradation path: same learned pattern inventory, but
-            // segmentation falls back to the geometric XY-cut
-            // baseline. No fault checkpoints here — the fallback must
-            // stay reliable under the same plan that broke the
-            // primary path.
+            // Degradation path (also the admission degrade lane): same
+            // learned pattern inventory and select stage, but
+            // segmentation is the triage cheap path's XY-cut, so a
+            // degraded answer equals a triage-cheap one. No fault
+            // checkpoints here — the fallback must stay reliable under
+            // the same plan that broke the primary path.
             let config = config.unwrap_or_else(|| default_config_for(spec.dataset));
             let pipeline = fallback_cache.pipeline_for(spec.dataset, model_seed, config);
             // Reuses the Arc the primary attempt already materialised.
             let doc = spec.document_arc();
-            let blocks = XyCutSegmenter::default().segment(&doc);
+            let blocks = vs2_core::cheap_blocks(&doc, &triage_config.cheap);
             Some(pipeline.extract_on_blocks(&doc, &blocks))
         };
         let engine = match &hub {

@@ -3,7 +3,6 @@
 use std::time::Duration;
 
 use serde::Serialize;
-use vs2_baselines::{Segmenter, XyCutSegmenter};
 use vs2_serve::{
     Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec,
     RetryPolicy, ServeError, DEFAULT_DOC_SEED,
@@ -242,11 +241,11 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
         match &done.outcome {
             JobOutcome::Degraded { output, error } => {
                 assert!(matches!(error, ServeError::Poison { attempts: 2, .. }));
-                // The degraded answer is exactly the XY-cut baseline
+                // The degraded answer is exactly the XY-cut cheap-path
                 // segmentation driven through the same learned patterns.
                 let doc =
                     generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
-                let blocks = XyCutSegmenter::default().segment(&doc);
+                let blocks = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
                 assert_eq!(output, &pipeline.extract_on_blocks(&doc, &blocks));
             }
             other => panic!("expected degraded, got {other:?}"),
