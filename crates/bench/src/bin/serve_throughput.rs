@@ -21,7 +21,9 @@
 use std::time::{Duration, Instant};
 
 use vs2_bench::ResultTable;
-use vs2_serve::{AdmitConfig, EngineConfig, ExtractService, JobSource, JobSpec, LatencySummary};
+use vs2_serve::{
+    AdmitConfig, EngineConfig, ExtractService, JobSource, JobSpec, LatencySummary, ServiceOptions,
+};
 use vs2_synth::DatasetId;
 
 const DATASET: DatasetId = DatasetId::D1;
@@ -63,7 +65,7 @@ fn spec(doc_index: usize) -> JobSpec {
 }
 
 fn run(workers: usize, n_docs: usize) -> Run {
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers,
             queue_capacity: 2 * workers.max(4),
@@ -71,6 +73,8 @@ fn run(workers: usize, n_docs: usize) -> Run {
             ..EngineConfig::default()
         },
         SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     // Warm the model cache so the timed section measures extraction
@@ -107,7 +111,7 @@ fn run(workers: usize, n_docs: usize) -> Run {
 fn saturation_arm(multiplier: f64, capacity_per_s: f64, n_docs: usize) -> SaturationArm {
     const WORKERS: usize = 4;
     const QUEUE: usize = 16;
-    let service = ExtractService::new(
+    let service = ExtractService::with_options(
         EngineConfig {
             workers: WORKERS,
             queue_capacity: QUEUE,
@@ -119,6 +123,8 @@ fn saturation_arm(multiplier: f64, capacity_per_s: f64, n_docs: usize) -> Satura
             ..EngineConfig::default()
         },
         SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     let warm = service.submit(spec(0));

@@ -14,6 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use serde::{Serialize as _, Value};
+use vs2_core::Extraction;
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
 
@@ -45,12 +46,28 @@ pub fn golden_path(dataset: DatasetId) -> PathBuf {
 pub fn golden_snapshot(dataset: DatasetId) -> String {
     let cache = ModelCache::new();
     let pipeline = cache.pipeline_for(dataset, DEFAULT_DOC_SEED, default_config_for(dataset));
-    let docs: Vec<Value> = (0..N_GOLDEN_DOCS)
-        .map(|i| {
+    render_snapshot(
+        dataset,
+        (0..N_GOLDEN_DOCS).map(|i| {
             let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
             let extractions = pipeline.extract(&doc);
+            (doc.id, extractions)
+        }),
+    )
+}
+
+/// Renders `dataset`'s golden snapshot from `(doc_id, extractions)`
+/// pairs — the shape [`golden_snapshot`] pins, so a served run can be
+/// compared with the fixture byte for byte.
+pub fn render_snapshot(
+    dataset: DatasetId,
+    docs: impl IntoIterator<Item = (String, Vec<Extraction>)>,
+) -> String {
+    let docs: Vec<Value> = docs
+        .into_iter()
+        .map(|(id, extractions)| {
             Value::Object(vec![
-                ("doc_id".into(), Value::Str(doc.id.clone())),
+                ("doc_id".into(), Value::Str(id)),
                 ("extractions".into(), extractions.to_value()),
             ])
         })

@@ -14,15 +14,24 @@
 //!   canonical (order-independent) block encodings for comparison.
 //! * [`golden`] — golden-snapshot plumbing shared by the `golden` bin
 //!   (`--bless`) and the snapshot tests.
+//! * [`serving`] — the shared serving scaffold: job constructors, the
+//!   serving-matrix batch, a [`serving::Mode`] naming every serving
+//!   switch, one runner over `vs2_serve::run_batch`, and the drain →
+//!   handoff → resume sequence.
 //!
 //! The actual properties live in `tests/`: `properties.rs` (metamorphic
 //! and structural), `differential.rs` (serve-vs-direct and 1-vs-N-worker
-//! byte equality), `golden.rs` (snapshot drift), `regression.rs`
-//! (previously-panicking degenerate inputs, pinned), and `chaos.rs`
-//! (the serving layer under seeded fault injection: whole-run
-//! determinism across worker counts, fault-free jobs byte-identical to
-//! the no-fault baseline, quarantine-ledger consistency). Chaos runs
-//! are seeded and excluded from the golden snapshots.
+//! byte equality), `serving_matrix.rs` (every combination of workers
+//! {1, 4}, chaos faults, token-bucket admission, triage, plan cache and
+//! drain/resume, each checked for 1 ≡ 4 determinism, exactly-once
+//! accounting, on ≡ off equivalences, drain ≡ uninterrupted, fault-free
+//! jobs untouched by chaos, and the golden/naive reference),
+//! `golden.rs` (snapshot drift), `regression.rs` (previously-panicking
+//! degenerate inputs, pinned), and the per-feature batteries beside the
+//! matrix, built on the same scaffold (`chaos.rs`, `overload.rs`, `drain.rs`, `plan_cache.rs`,
+//! `triage_equiv.rs`, `arena_equiv.rs`, `segment_equiv.rs`,
+//! `select_equiv.rs`). Chaos runs are seeded and excluded from the
+//! golden snapshots.
 //!
 //! Suite-wide knobs (see the `proptest` shim): `VS2_PROPTEST_CASES` caps
 //! per-property case counts (CI sets a small value), `VS2_PROPTEST_SEED`
@@ -34,5 +43,6 @@
 pub mod alloc;
 pub mod golden;
 pub mod invariants;
+pub mod serving;
 pub mod strategy;
 pub mod transform;

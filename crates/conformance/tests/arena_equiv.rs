@@ -18,22 +18,22 @@
 //! * service arms: the ctx-path serving tier equals offline owned
 //!   extraction job-for-job through plan-cache replay (cold and warm)
 //!   and stays byte-identical between 1 and 4 workers under chaos fault
-//!   injection.
+//!   injection (the serving matrix, `serving_matrix.rs`, crosses these
+//!   with every other serving switch).
 //!
 //! Case counts honour `VS2_PROPTEST_CASES` (the CI `arena` job runs the
 //! full 256); failures print a `VS2_PROPTEST_SEED` repro command.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use serde::Serialize as _;
+use vs2_conformance::serving::{self, extractions_json, Mode, Offline};
 use vs2_conformance::strategy::arb_any_document;
 use vs2_core::segment::{logical_blocks, logical_blocks_ctx, segment, segment_with_embedder};
 use vs2_core::{DisambiguationMode, DocContext, Vs2Pipeline};
 use vs2_docmodel::Document;
 use vs2_serve::{
-    default_config_for, Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource,
-    JobSpec, ModelCache, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+    default_config_for, FaultPlan, JobResult, JobSpec, JobStatus, ModelCache, ServiceOptions,
+    DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, generate_one, templated, DatasetConfig, DatasetId};
 
@@ -161,97 +161,37 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Service arms: the arena path as the serving tier actually runs it.
-// ---------------------------------------------------------------------
-
-fn synthetic(dataset: DatasetId, doc_index: usize) -> JobSpec {
-    JobSpec {
-        job_id: None,
-        client: None,
-        lane: None,
-        dataset,
-        source: JobSource::Synthetic {
-            doc_index,
-            seed: DEFAULT_DOC_SEED,
-        },
-        doc_cache: Default::default(),
-    }
-}
-
-/// Every paper dataset plus templated traffic (several docs per family,
-/// so warm passes replay plans).
+/// The served battery: paper datasets plus two documents per templated
+/// family, so the second pass over a family replays its plan.
 fn service_batch() -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for i in 0..3 {
         for id in [DatasetId::D1, DatasetId::D2, DatasetId::D3] {
-            specs.push(synthetic(id, i));
+            specs.push(serving::synthetic(id, i));
         }
     }
     for i in 0..2 * templated::FAMILIES {
-        specs.push(synthetic(DatasetId::Templated, i));
+        specs.push(serving::synthetic(DatasetId::Templated, i));
     }
     specs
 }
 
+/// Serves `specs` `passes` times on one plan-cache service.
 fn run_passes(
     workers: usize,
     faults: Option<FaultPlan>,
     specs: &[JobSpec],
     passes: usize,
-) -> Vec<Vec<String>> {
-    let mut service = ExtractService::with_options(
-        EngineConfig {
-            workers,
-            queue_capacity: 8,
-            job_timeout: faults.is_none().then(|| Duration::from_secs(120)),
-            retry: RetryPolicy::immediate(3),
-            faults,
-            admit: None,
-        },
-        DEFAULT_DOC_SEED,
-        None,
-        ServiceOptions {
+) -> Vec<String> {
+    let mode = Mode {
+        faults,
+        options: ServiceOptions {
             plan_cache: true,
             ..Default::default()
         },
-        None,
-    );
-    let mut rendered = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        for spec in specs {
-            service.submit(spec.clone());
-        }
-        let results = service.drain();
-        rendered.push(results.iter().map(render).collect());
-    }
-    service.shutdown();
-    rendered
-}
-
-/// Renders one outcome without wall-clock fields.
-fn render(done: &Completed<Vec<vs2_core::Extraction>>) -> String {
-    let (label, error, extractions) = match &done.outcome {
-        JobOutcome::Ok(ex) => ("ok", String::new(), ex),
-        JobOutcome::Degraded { output, error } => ("degraded", error.to_string(), output),
-        JobOutcome::Failed(error) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("failed", error.to_string(), &EMPTY)
-        }
-        JobOutcome::Shed(reason) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("shed", reason.to_string(), &EMPTY)
-        }
+        ..Mode::plain(workers)
     };
-    // No seq: the same service serves every pass, so sequence numbers
-    // keep counting across passes — results are compared in submission
-    // order instead.
-    format!(
-        "{} error={:?} extractions={}",
-        label,
-        error,
-        serde_json::to_string(&extractions.to_value()).unwrap()
-    )
+    serving::passes(&mode, specs, passes).0
 }
 
 /// Plan-replay arm: the ctx-path service — cold pass (plans learned) and
@@ -261,38 +201,21 @@ fn render(done: &Completed<Vec<vs2_core::Extraction>>) -> String {
 #[test]
 fn served_arena_path_equals_offline_owned_through_plan_replay() {
     let specs = service_batch();
-
-    // Offline owned-reference expectation, one JSON string per spec.
-    let cache = ModelCache::new();
-    let expected: Vec<String> = specs
-        .iter()
-        .map(|spec| {
-            let pipeline = cache.pipeline_for(
-                spec.dataset,
-                DEFAULT_DOC_SEED,
-                default_config_for(spec.dataset),
-            );
-            let JobSource::Synthetic { doc_index, seed } = &spec.source else {
-                panic!("batch is synthetic by construction");
-            };
-            let doc = generate_one(spec.dataset, *doc_index, DatasetConfig::new(1, *seed)).doc;
-            let blocks = logical_blocks(&doc, &pipeline.config.segment);
-            let ex = pipeline.extract_on_blocks_naive(&doc, &blocks);
-            serde_json::to_string(&ex.to_value()).unwrap()
-        })
-        .collect();
-
+    let expected = Offline::of(&specs).full;
     for workers in [1, 4] {
         let passes = run_passes(workers, None, &specs, 2);
         assert_eq!(
             passes[0], passes[1],
             "cold and warm (plan-replay) passes diverged ({workers} workers)"
         );
-        for (pass, rendered) in passes.iter().enumerate() {
-            for ((spec, want), got) in specs.iter().zip(&expected).zip(rendered) {
+        for (pass, stdout) in passes.iter().enumerate() {
+            assert_eq!(stdout.lines().count(), specs.len());
+            for ((spec, want), line) in specs.iter().zip(&expected).zip(stdout.lines()) {
+                let got: JobResult = serde_json::from_str(line).expect("result line parses");
+                assert_eq!(got.status, JobStatus::Ok, "{line}");
                 assert_eq!(
-                    got,
-                    &format!("ok error=\"\" extractions={want}"),
+                    &extractions_json(&got.extractions),
+                    want,
                     "served arena output diverged from offline owned extraction \
                      ({:?}, pass {pass}, {workers} workers)",
                     spec.dataset

@@ -1,72 +1,44 @@
 //! Differential tests: independent execution paths through the same
 //! pipeline must produce byte-identical results.
 //!
-//! Two axes are compared: the served path (`ExtractService`, worker
-//! threads, model cache) versus a directly built `Vs2Pipeline`, and a
-//! 1-worker engine versus an N-worker engine over an interleaved batch.
-//! Results are compared as serialised JSON so every field — entity,
-//! value, geometry, score — participates in the comparison.
+//! Two axes are compared: the served path (`run_batch` over an
+//! `ExtractService`, worker threads, model cache) versus a directly
+//! built `Vs2Pipeline`, and a 1-worker engine versus an N-worker engine
+//! over an interleaved batch. Results are compared as serialised JSON so
+//! every field — entity, value, geometry, score — participates in the
+//! comparison.
 
-use std::time::Duration;
+use std::sync::Arc;
 
-use serde::Serialize as _;
-use vs2_serve::{
-    default_config_for, Completed, EngineConfig, ExtractService, JobOutcome, JobSource, JobSpec,
-    ModelCache, DEFAULT_DOC_SEED,
-};
+use vs2_conformance::serving::{self, extractions_json, Mode, Run};
+use vs2_serve::{default_config_for, JobSource, JobSpec, JobStatus, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
-
-fn job(dataset: DatasetId, doc_index: usize) -> JobSpec {
-    JobSpec {
-        job_id: None,
-        client: None,
-        lane: None,
-        dataset,
-        source: JobSource::Synthetic {
-            doc_index,
-            seed: DEFAULT_DOC_SEED,
-        },
-        doc_cache: Default::default(),
-    }
-}
 
 fn interleaved_batch(per_dataset: usize) -> Vec<JobSpec> {
     (0..per_dataset)
         .flat_map(|i| {
-            [
-                job(DatasetId::D1, i),
-                job(DatasetId::D2, i),
-                job(DatasetId::D3, i),
-            ]
+            [DatasetId::D1, DatasetId::D2, DatasetId::D3].map(|d| serving::synthetic(d, i))
         })
         .collect()
 }
 
-/// Runs a batch through a fresh service and serialises every outcome in
-/// submission order.
-fn run_batch(workers: usize, queue_capacity: usize, specs: &[JobSpec]) -> Vec<String> {
-    let mut service = ExtractService::new(
-        EngineConfig {
-            workers,
-            queue_capacity,
-            job_timeout: Some(Duration::from_secs(120)),
-            ..EngineConfig::default()
-        },
-        DEFAULT_DOC_SEED,
-        None,
-    );
-    for spec in specs {
-        service.submit(spec.clone());
+/// Serves `specs` on a fresh service and checks every job succeeded.
+fn run(workers: usize, queue_capacity: usize, specs: &[JobSpec]) -> Run {
+    let mode = Mode {
+        queue_capacity,
+        ..Mode::plain(workers)
+    };
+    let run = serving::serve(&mode, specs).first;
+    for r in &run.results {
+        assert_eq!(
+            r.status,
+            JobStatus::Ok,
+            "job {} failed: {:?}",
+            r.seq,
+            r.error
+        );
     }
-    let results = service.drain();
-    service.shutdown();
-    results
-        .iter()
-        .map(|done: &Completed<_>| match &done.outcome {
-            JobOutcome::Ok(extractions) => serde_json::to_string(&extractions.to_value()).unwrap(),
-            other => panic!("job {} failed: {other:?}", done.seq),
-        })
-        .collect()
+    run
 }
 
 /// Differential 1: the served path must agree byte-for-byte with a
@@ -74,10 +46,10 @@ fn run_batch(workers: usize, queue_capacity: usize, specs: &[JobSpec]) -> Vec<St
 #[test]
 fn served_extractions_equal_direct_pipeline() {
     let specs = interleaved_batch(3);
-    let served = run_batch(2, 4, &specs);
+    let served = run(2, 4, &specs);
 
     let cache = ModelCache::new();
-    for (spec, served_json) in specs.iter().zip(&served) {
+    for (spec, result) in specs.iter().zip(&served.results) {
         let pipeline = cache.pipeline_for(
             spec.dataset,
             DEFAULT_DOC_SEED,
@@ -87,9 +59,9 @@ fn served_extractions_equal_direct_pipeline() {
             panic!("batch is synthetic by construction");
         };
         let doc = generate_one(spec.dataset, *doc_index, DatasetConfig::new(1, *seed)).doc;
-        let direct = serde_json::to_string(&pipeline.extract(&doc).to_value()).unwrap();
         assert_eq!(
-            &direct, served_json,
+            extractions_json(&pipeline.extract(&doc)),
+            extractions_json(&result.extractions),
             "served output diverged from direct extraction for {:?} doc {doc_index}",
             spec.dataset
         );
@@ -102,12 +74,12 @@ fn served_extractions_equal_direct_pipeline() {
 #[test]
 fn one_worker_and_many_workers_are_byte_identical() {
     let specs = interleaved_batch(4);
-    let sequential = run_batch(1, 4, &specs);
-    assert_eq!(sequential.len(), specs.len());
+    let sequential = run(1, 4, &specs);
+    assert_eq!(sequential.results.len(), specs.len());
     for (workers, queue_capacity) in [(4, 8), (4, 1)] {
         assert_eq!(
-            run_batch(workers, queue_capacity, &specs),
-            sequential,
+            run(workers, queue_capacity, &specs).stdout,
+            sequential.stdout,
             "{workers}-worker / queue {queue_capacity} run diverged from sequential"
         );
     }
@@ -118,16 +90,15 @@ fn one_worker_and_many_workers_are_byte_identical() {
 #[test]
 fn inline_and_synthetic_sources_agree() {
     let dataset = DatasetId::D3;
-    let doc = generate_one(dataset, 2, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+    let synthetic_spec = serving::synthetic(dataset, 2);
     let inline_spec = JobSpec {
-        job_id: None,
-        client: None,
-        lane: None,
-        dataset,
-        source: JobSource::Inline(std::sync::Arc::new(doc)),
-        doc_cache: Default::default(),
+        source: JobSource::Inline(Arc::new(synthetic_spec.document())),
+        ..serving::synthetic(dataset, 2)
     };
-    let synthetic = run_batch(2, 4, &[job(dataset, 2)]);
-    let inline = run_batch(2, 4, &[inline_spec]);
-    assert_eq!(synthetic, inline);
+    let synthetic = run(2, 4, &[synthetic_spec]);
+    let inline = run(2, 4, &[inline_spec]);
+    assert_eq!(
+        extractions_json(&synthetic.results[0].extractions),
+        extractions_json(&inline.results[0].extractions)
+    );
 }

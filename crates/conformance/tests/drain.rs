@@ -1,214 +1,81 @@
-//! Drain/handoff lifecycle suite: kill one process mid-stream, carry a
-//! handoff snapshot to a successor, and prove the pair is
-//! byte-equivalent to one uninterrupted run with exactly-once
-//! accounting.
+//! Drain/handoff lifecycle suite.
 //!
-//! The chaos scenario pinned here: a `vs2d`-shaped batch run is cut at
-//! line `K` by drain (the `--drain-after` gate). The dying process still
-//! answers every remaining line (as `shed`/`draining` — nothing is
-//! silently dropped), then exports a handoff snapshot of what it
-//! completed. A successor loads the snapshot, skips the answered lines
-//! while burning engine seqs to stay aligned, and answers the rest. The
-//! concatenation of the two processes' terminal output must be
-//! byte-identical to the uninterrupted run — with and without fault
-//! injection, at 1 and 4 workers.
+//! The kill/resume scenario: a `vs2d`-shaped batch run drained
+//! mid-stream, a handoff snapshot carried to a successor, and the pair
+//! byte-equivalent to one uninterrupted run with exactly-once
+//! accounting, at 1 and 4 workers, with and without chaos faults (the
+//! serving matrix, `serving_matrix.rs`, crosses it with admission,
+//! triage and the plan cache). Beside it, the pieces underneath:
+//! handed-off plans warm-start the successor's plan cache, tampered
+//! snapshots are rejected with typed errors, and a draining service
+//! sheds every new submission.
 
-use std::collections::HashSet;
-use std::io::Cursor;
-use std::sync::Arc;
-
-use vs2_serve::{
-    run_batch, BatchOptions, BatchRun, EngineConfig, ExtractService, FaultPlan, HandoffError,
-    HandoffSnapshot, PlanEntry, PlanNamespace, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
-};
+use vs2_conformance::serving::{self, Mode, FAULT_SEED};
+use vs2_serve::{BatchOptions, FaultPlan, HandoffError, HandoffSnapshot, JobSpec, ServiceOptions};
 use vs2_synth::DatasetId;
 
-const FAULT_SEED: u64 = 0xC4A0_5EED;
 const LINES: usize = 12;
 const CUT: u64 = 6;
 
 fn input(dataset: DatasetId, lines: usize) -> String {
-    (0..lines)
-        .map(|i| format!("{{\"dataset\":\"{}\",\"doc_index\":{i}}}\n", dataset.name()))
-        .collect()
-}
-
-fn engine_config(workers: usize, faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: 8,
-        job_timeout: None,
-        retry: RetryPolicy::immediate(3),
-        faults,
-        admit: None,
-    }
-}
-
-fn service(workers: usize, faults: Option<FaultPlan>) -> ExtractService {
-    ExtractService::new(engine_config(workers, faults), DEFAULT_DOC_SEED, None)
-}
-
-fn run(service: &ExtractService, input: &str, opts: &BatchOptions) -> (String, BatchRun) {
-    let mut out = Vec::new();
-    let run = run_batch(service, Cursor::new(input.to_string()), &mut out, opts);
-    (String::from_utf8(out).unwrap(), run)
-}
-
-/// Splits batch output into (result lines, quarantine lines): drained
-/// runs interleave differently with the uninterrupted run only in where
-/// the quarantine tail sits, so unions compare the streams separately.
-fn split_output(raw: &str) -> (Vec<String>, Vec<String>) {
-    let mut results = Vec::new();
-    let mut quarantine = Vec::new();
-    for line in raw.lines() {
-        if line.contains("\"record\":\"quarantine\"") {
-            quarantine.push(line.to_string());
-        } else {
-            results.push(line.to_string());
-        }
-    }
-    (results, quarantine)
-}
-
-/// Builds the snapshot a draining process would hand to its successor.
-fn snapshot_of(run: &BatchRun, service: &ExtractService) -> HandoffSnapshot {
-    HandoffSnapshot {
-        completed: run.completed_wire_seqs.clone(),
-        quarantine: run.quarantine_records.clone(),
-        plans: service
-            .export_plan_namespaces()
-            .into_iter()
-            .map(|ns| PlanNamespace {
-                dataset: ns.dataset,
-                model_seed: ns.model_seed,
-                learn: ns.learn,
-                entries: ns
-                    .entries
-                    .into_iter()
-                    .map(|(fingerprint, plan)| PlanEntry {
-                        fingerprint,
-                        plan: (*plan).clone(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
+    let specs: Vec<JobSpec> = (0..lines).map(|i| serving::synthetic(dataset, i)).collect();
+    serving::job_lines(&specs)
 }
 
 /// The kill/resume scenario at `workers`, optionally under chaos
-/// faults. Returns the victim's output, the successor's output and the
-/// uninterrupted reference output.
-fn kill_and_resume(workers: usize, faults: Option<FaultPlan>) -> (String, String, String) {
-    let text = input(DatasetId::D1, LINES);
-
-    // Uninterrupted reference.
-    let reference = service(workers, faults);
-    let (ref_out, ref_run) = run(&reference, &text, &BatchOptions::default());
-    reference.shutdown();
+/// faults: the victim drains after [`CUT`] of [`LINES`] D1 lines and a
+/// successor resumes from its handoff snapshot. Checks the pair against
+/// the uninterrupted run and returns the victim's, the successor's and
+/// the uninterrupted run's stdout.
+fn kill_and_resume(workers: usize, faults: Option<FaultPlan>) -> [String; 3] {
+    let specs: Vec<JobSpec> = (0..LINES)
+        .map(|i| serving::synthetic(DatasetId::D1, i))
+        .collect();
+    let mode = Mode {
+        faults,
+        ..Mode::plain(workers)
+    };
+    let reference = serving::serve(&mode, &specs);
     assert_eq!(
-        ref_run.completed_wire_seqs,
+        reference.first.batch.completed_wire_seqs,
         (0..LINES as u64).collect::<Vec<_>>()
     );
-
-    // Victim: drains after CUT submissions, then snapshots.
-    let victim = service(workers, faults);
-    let (victim_out, victim_run) = run(
-        &victim,
-        &text,
-        &BatchOptions {
+    let drained = serving::serve(
+        &Mode {
             drain_after: Some(CUT),
-            ..BatchOptions::default()
+            ..mode
         },
+        &specs,
     );
+    let successor = drained.successor.as_ref().expect("a drained mode resumes");
     assert_eq!(
-        victim_run.completed_wire_seqs,
-        (0..CUT).collect::<Vec<_>>(),
-        "the victim terminally answers exactly the pre-drain lines"
-    );
-    assert_eq!(
-        victim_run.shed,
+        drained.first.batch.shed,
         LINES as u64 - CUT,
         "every post-drain line is answered as shed, never dropped"
     );
-    let snapshot = snapshot_of(&victim_run, &victim);
-    victim.shutdown();
-
-    // Round-trip through the wire format, exactly as vs2d would.
-    let restored = HandoffSnapshot::parse(&snapshot.to_json()).expect("snapshot round-trips");
-    assert_eq!(restored.completed, snapshot.completed);
-
-    // Successor: warm-starts from the snapshot and answers the rest.
-    let successor = service(workers, faults);
-    for ns in &restored.plans {
-        successor.preload_plan_namespace(
-            ns.dataset,
-            ns.model_seed,
-            &ns.learn,
-            ns.entries
-                .iter()
-                .map(|e| (e.fingerprint.clone(), Arc::new(e.plan.clone())))
-                .collect(),
-        );
-    }
-    let (succ_out, succ_run) = run(
-        &successor,
-        &text,
-        &BatchOptions {
-            resume_completed: Some(restored.completed.iter().copied().collect::<HashSet<_>>()),
-            ..BatchOptions::default()
-        },
-    );
-    assert_eq!(succ_run.skipped, CUT, "already-answered lines are skipped");
     assert_eq!(
-        succ_run.completed_wire_seqs,
+        successor.batch.skipped, CUT,
+        "already-answered lines are skipped"
+    );
+    assert_eq!(
+        successor.batch.completed_wire_seqs,
         (CUT..LINES as u64).collect::<Vec<_>>()
     );
-    successor.shutdown();
-
-    (victim_out, succ_out, ref_out)
-}
-
-fn check_union(victim_out: &str, succ_out: &str, ref_out: &str) {
-    let (ref_results, ref_quar) = split_output(ref_out);
-    let (victim_results, victim_quar) = split_output(victim_out);
-    let (succ_results, succ_quar) = split_output(succ_out);
-
-    // The victim's terminal lines + the successor's lines must replay
-    // the uninterrupted run byte-for-byte. The victim's shed tail
-    // (status "shed", reason draining) is exactly the lines the
-    // successor re-answers.
-    let mut union: Vec<String> = victim_results[..CUT as usize].to_vec();
-    union.extend(succ_results.iter().cloned());
-    assert_eq!(
-        union, ref_results,
-        "victim prefix + successor suffix must equal the uninterrupted run"
-    );
-    for line in &victim_results[CUT as usize..] {
-        assert!(
-            line.contains("\"status\":\"shed\"") && line.contains("draining"),
-            "post-drain victim line must be a typed shed: {line}"
-        );
-    }
-
-    // Exactly-once across the pair: each quarantine seq appears exactly
-    // once, and the union matches the reference ledger.
-    let mut quar_union = victim_quar.clone();
-    quar_union.extend(succ_quar.iter().cloned());
-    assert_eq!(
-        quar_union, ref_quar,
-        "quarantine ledgers must concatenate to the uninterrupted ledger"
-    );
+    drained.assert_resumes(&format!("{workers} workers"), &reference, CUT);
+    [
+        drained.first.stdout.clone(),
+        successor.stdout.clone(),
+        reference.first.stdout,
+    ]
 }
 
 #[test]
 fn drain_handoff_resume_is_byte_equivalent_to_an_uninterrupted_run() {
-    let (v1, s1, r1) = kill_and_resume(1, None);
-    check_union(&v1, &s1, &r1);
-    let (v4, s4, r4) = kill_and_resume(4, None);
-    check_union(&v4, &s4, &r4);
-    assert_eq!(r1, r4, "reference runs must agree across worker counts");
-    assert_eq!(v1, v4, "victim runs must agree across worker counts");
-    assert_eq!(s1, s4, "successor runs must agree across worker counts");
+    assert_eq!(
+        kill_and_resume(1, None),
+        kill_and_resume(4, None),
+        "victim, successor and reference runs must agree across worker counts"
+    );
 }
 
 #[test]
@@ -217,28 +84,24 @@ fn drain_handoff_resume_survives_chaos_faults() {
     // per skipped line, so its fault draws line up with the seqs the
     // uninterrupted run would have used.
     let plan = Some(FaultPlan::chaos(FAULT_SEED));
-    let (v1, s1, r1) = kill_and_resume(1, plan);
-    check_union(&v1, &s1, &r1);
-    let (v4, s4, r4) = kill_and_resume(4, plan);
-    check_union(&v4, &s4, &r4);
-    assert_eq!(r1, r4);
-    assert_eq!(v1, v4);
-    assert_eq!(s1, s4);
+    assert_eq!(kill_and_resume(1, plan), kill_and_resume(4, plan));
 }
 
 #[test]
 fn handoff_plans_warm_start_the_successor_plan_cache() {
-    let opts = || ServiceOptions {
-        plan_cache: true,
-        ..ServiceOptions::default()
+    let mode = Mode {
+        options: ServiceOptions {
+            plan_cache: true,
+            ..ServiceOptions::default()
+        },
+        ..Mode::plain(2)
     };
     // Three documents per family so the victim both learns and replays
     // plans before it dies.
     let text = input(DatasetId::Templated, 3 * vs2_synth::templated::FAMILIES);
-    let victim =
-        ExtractService::with_options(engine_config(2, None), DEFAULT_DOC_SEED, None, opts(), None);
-    let (_, victim_run) = run(&victim, &text, &BatchOptions::default());
-    let snapshot = snapshot_of(&victim_run, &victim);
+    let victim = mode.service();
+    let (_, victim_run) = serving::pass(&victim, &text, &BatchOptions::default());
+    let snapshot = serving::handoff_snapshot(&victim_run, &victim);
     assert!(
         !snapshot.plans.is_empty(),
         "a plan-cache service must export its learned plans"
@@ -248,20 +111,8 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
     victim.shutdown();
 
     let restored = HandoffSnapshot::parse(&snapshot.to_json()).expect("round trip");
-    let successor =
-        ExtractService::with_options(engine_config(2, None), DEFAULT_DOC_SEED, None, opts(), None);
-    let mut loaded = 0;
-    for ns in &restored.plans {
-        loaded += successor.preload_plan_namespace(
-            ns.dataset,
-            ns.model_seed,
-            &ns.learn,
-            ns.entries
-                .iter()
-                .map(|e| (e.fingerprint.clone(), Arc::new(e.plan.clone())))
-                .collect(),
-        );
-    }
+    let successor = mode.service();
+    let loaded = serving::preload(&successor, &restored);
     assert_eq!(loaded, total_entries, "every exported plan must preload");
 
     // The successor replays the corpus on warm plans: zero plan misses,
@@ -272,7 +123,7 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
         0,
         "preload must not count as traffic"
     );
-    run(&successor, &text, &BatchOptions::default());
+    serving::pass(&successor, &text, &BatchOptions::default());
     let after = successor.cache_snapshot().plans;
     assert_eq!(after.misses, 0, "warm-started successor must never miss");
     assert_eq!(after.inserts, 0, "no re-learning after a plan handoff");
@@ -311,20 +162,17 @@ fn tampered_snapshots_are_rejected_with_typed_errors() {
 fn draining_service_sheds_every_new_submission_with_dwell_zero() {
     // An (inert) admission controller is wired in so drain sheds are
     // visible in the admission snapshot as well as the engine stats.
-    let svc = ExtractService::new(
-        EngineConfig {
-            admit: Some(vs2_serve::AdmitConfig::for_queue(8, 7).inert_pressure()),
-            ..engine_config(2, None)
-        },
-        DEFAULT_DOC_SEED,
-        None,
-    );
+    let svc = Mode {
+        admit: Some(vs2_serve::AdmitConfig::for_queue(8, 7).inert_pressure()),
+        ..Mode::plain(2)
+    }
+    .service();
     let text = input(DatasetId::D1, 4);
-    let (_, warm) = run(&svc, &text, &BatchOptions::default());
+    let (_, warm) = serving::pass(&svc, &text, &BatchOptions::default());
     assert_eq!(warm.shed, 0);
     svc.begin_drain();
     assert!(svc.is_draining());
-    let (out, drained) = run(&svc, &text, &BatchOptions::default());
+    let (out, drained) = serving::pass(&svc, &text, &BatchOptions::default());
     assert_eq!(drained.shed, 4, "a draining service admits nothing");
     assert!(
         drained.latencies.is_empty(),

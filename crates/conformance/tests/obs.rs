@@ -16,7 +16,7 @@ use serde::Serialize as _;
 use vs2_obs::{stages, SpanRecord, Trace};
 use vs2_serve::{
     default_config_for, run_batch, BatchOptions, EngineConfig, ExtractService, JobSource, JobSpec,
-    ModelCache, ObsHub, DEFAULT_DOC_SEED,
+    ModelCache, ObsHub, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, DatasetId};
 
@@ -170,7 +170,7 @@ fn check_span_line(value: &serde::Value) {
 #[test]
 fn trace_jsonl_matches_the_documented_schema() {
     let hub = ObsHub::new(true, 2);
-    let service = ExtractService::with_obs(
+    let service = ExtractService::with_options(
         EngineConfig {
             workers: 2,
             queue_capacity: 4,
@@ -178,7 +178,8 @@ fn trace_jsonl_matches_the_documented_schema() {
         },
         DEFAULT_DOC_SEED,
         None,
-        hub,
+        ServiceOptions::default(),
+        Some(hub),
     );
     let input = concat!(
         "{\"dataset\":\"D1\",\"doc_index\":0}\n",

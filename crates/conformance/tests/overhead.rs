@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use vs2_obs::Trace;
 use vs2_serve::{
     default_config_for, run_batch, BatchOptions, EngineConfig, ExtractService, JobSource, JobSpec,
-    ModelCache, ObsHub, DEFAULT_DOC_SEED,
+    ModelCache, ObsHub, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, DatasetId};
 
@@ -71,7 +71,13 @@ fn traced_batch_output_is_plain_output_plus_record_lines() {
     let specs = corpus_specs();
     let input = batch_input(&specs);
 
-    let plain_service = ExtractService::new(engine_config(), DEFAULT_DOC_SEED, None);
+    let plain_service = ExtractService::with_options(
+        engine_config(),
+        DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
+        None,
+    );
     let mut plain = Vec::new();
     run_batch(
         &plain_service,
@@ -82,7 +88,13 @@ fn traced_batch_output_is_plain_output_plus_record_lines() {
     plain_service.shutdown();
 
     let hub = ObsHub::new(true, 2);
-    let traced_service = ExtractService::with_obs(engine_config(), DEFAULT_DOC_SEED, None, hub);
+    let traced_service = ExtractService::with_options(
+        engine_config(),
+        DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
+        Some(hub),
+    );
     let mut traced = Vec::new();
     run_batch(
         &traced_service,

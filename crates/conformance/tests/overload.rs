@@ -1,5 +1,8 @@
-//! Overload suite: admission control, fairness lanes and deterministic
-//! load shedding under a two-wave overload scenario.
+//! Overload suite: admission control, fairness lanes and load shedding
+//! under a two-wave overload scenario. The serving matrix
+//! (`serving_matrix.rs`) additionally pins token-bucket admission in
+//! every combination with chaos faults, drain/resume, triage and the
+//! plan cache, and an inert controller byte-indistinguishable from none.
 //!
 //! The contract pinned here:
 //!
@@ -7,40 +10,27 @@
 //!   bucket degrades (or sheds) *its own* traffic only; an interleaved
 //!   interactive client inside its own budget is never shed and never
 //!   degraded.
-//! * **Exactly-once accounting** — every submitted job lands in exactly
-//!   one of {ok, degraded, quarantined, shed}, and the engine counters
-//!   agree with the published outcomes.
 //! * **Determinism** — the token-bucket lane (refill driven by the
 //!   admission tick counter, not wall clock) produces byte-identical
-//!   runs for 1 and 4 workers, with and without chaos fault injection;
-//!   and an inert admission controller is byte-indistinguishable from
-//!   no admission at all.
-//!
-//! Pressure-watermark shedding (backlog depth / latency EWMA) is
-//! wall-clock-coupled, so here it is pinned only up to accounting — the
-//! byte-determinism arm runs with pressure watermarks inert.
+//!   runs for 1 and 4 workers, with and without chaos fault injection.
+//! * **Typed overflow** — interactive jobs past their bucket shed with
+//!   typed, in-order outcomes and never run.
+//! * **Exactly-once accounting under real pressure** — pressure-watermark
+//!   shedding (backlog depth / latency EWMA) is wall-clock-coupled, so
+//!   it is pinned only up to accounting, plus the seeded shed draw.
 
-use serde::Serialize as _;
+use vs2_conformance::serving::{self, Mode, FAULT_SEED, SHED_SEED};
 use vs2_serve::{
-    AdmitConfig, BatchEngine, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource,
-    JobSpec, Lane, RetryPolicy, DEFAULT_DOC_SEED,
+    AdmitConfig, BatchEngine, EngineConfig, FaultPlan, JobOutcome, JobSpec, JobStatus, Lane,
+    RetryPolicy,
 };
 use vs2_synth::DatasetId;
 
-const FAULT_SEED: u64 = 0xC4A0_5EED;
-const SHED_SEED: u64 = 0x0BAD_10AD;
-
 fn spec(doc_index: usize, client: &str, lane: Lane) -> JobSpec {
     JobSpec {
-        job_id: None,
         client: Some(client.to_string()),
         lane: Some(lane),
-        dataset: DatasetId::D1,
-        source: JobSource::Synthetic {
-            doc_index,
-            seed: DEFAULT_DOC_SEED,
-        },
-        doc_cache: Default::default(),
+        ..serving::synthetic(DatasetId::D1, doc_index)
     }
 }
 
@@ -58,108 +48,62 @@ fn overload_batch() -> Vec<JobSpec> {
         .collect()
 }
 
-fn overload_config(workers: usize, faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: 8,
-        job_timeout: None,
-        retry: RetryPolicy::immediate(3),
-        faults,
-        // 12 tokens per client, no refill, pressure watermarks inert:
-        // every admission decision is a pure function of the submission
-        // stream, independent of scheduling.
-        admit: Some(
-            AdmitConfig::for_queue(8, SHED_SEED)
-                .inert_pressure()
-                .with_buckets(12, 0),
-        ),
+/// 12 tokens per client, no refill, pressure watermarks inert: every
+/// admission decision is a pure function of the submission stream,
+/// independent of scheduling.
+fn overload_mode(workers: usize) -> Mode {
+    Mode {
+        admit: Some(serving::inert_admission().with_buckets(12, 0)),
+        ..Mode::plain(workers)
     }
 }
 
-fn render(done: &vs2_serve::Completed<Vec<vs2_core::Extraction>>) -> String {
-    let (label, error, extractions) = match &done.outcome {
-        JobOutcome::Ok(ex) => ("ok", String::new(), ex),
-        JobOutcome::Degraded { output, error } => ("degraded", error.to_string(), output),
-        JobOutcome::Failed(error) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("failed", error.to_string(), &EMPTY)
-        }
-        JobOutcome::Shed(reason) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("shed", reason.to_string(), &EMPTY)
-        }
-    };
-    format!(
-        "{} seq={} attempts={} error={:?} extractions={}",
-        label,
-        done.seq,
-        done.attempts,
-        error,
-        serde_json::to_string(&extractions.to_value()).unwrap()
-    )
-}
-
-/// Runs the two-wave batch and checks exactly-once accounting: one
-/// outcome per submission, in order, with an exact counter partition.
-/// Fairness asserts live in the fault-free test only — chaos faults add
-/// their own (deterministic) degrades and quarantines on top.
-fn run_overload(workers: usize, faults: Option<FaultPlan>) -> Vec<String> {
-    let mut service = ExtractService::new(overload_config(workers, faults), DEFAULT_DOC_SEED, None);
+/// Serves the two-wave batch, checks exactly-once accounting and
+/// returns stdout.
+fn run_overload(workers: usize, faults: Option<FaultPlan>) -> String {
     let batch = overload_batch();
-    for spec in batch.iter().cloned() {
-        service.submit_spec(spec, Lane::Interactive);
-    }
-    let results = service.drain();
-    let rendered: Vec<String> = results.iter().map(render).collect();
-
-    let stats = service.shutdown();
-    assert_eq!(results.len(), batch.len());
-    for (i, done) in results.iter().enumerate() {
-        assert_eq!(done.seq, i as u64, "outcomes must replay submission order");
-    }
-    assert_eq!(stats.submitted, batch.len() as u64);
-    assert_eq!(stats.completed, batch.len() as u64);
-    assert_eq!(
-        stats.completed,
-        stats.ok + stats.degraded + stats.quarantined + stats.shed
-    );
-    rendered
+    let mode = Mode {
+        faults,
+        ..overload_mode(workers)
+    };
+    let run = serving::serve(&mode, &batch).first;
+    run.assert_exactly_once(&format!("{workers} workers"), 0, batch.len() as u64);
+    run.stdout
 }
 
 #[test]
 fn two_wave_overload_protects_the_interactive_lane_deterministically() {
-    let mut service = ExtractService::new(overload_config(4, None), DEFAULT_DOC_SEED, None);
-    let batch = overload_batch();
-    for spec in batch.iter().cloned() {
-        service.submit_spec(spec, Lane::Interactive);
-    }
-    let results = service.drain();
-    let stats = service.shutdown();
+    let run = serving::serve(&overload_mode(4), &overload_batch()).first;
 
     // Fairness: the interactive tenant is inside its budget — never
     // shed, never degraded by admission. The flooding tenant pays for
     // its own overload: its first 12 jobs are admitted normally, the
     // remaining 28 degrade through the XY-cut fallback.
-    for (i, done) in results.iter().enumerate() {
+    for (i, r) in run.results.iter().enumerate() {
         if i % 5 == 4 {
-            assert!(
-                done.outcome.is_ok(),
-                "interactive job {i} must be untouched: {}",
-                render(done)
+            assert_eq!(
+                r.status,
+                JobStatus::Ok,
+                "interactive job {i} must be untouched: {:?}",
+                r.error
             );
         }
     }
-    let flood_degraded = results
+    let flood_degraded = run
+        .results
         .iter()
         .enumerate()
-        .filter(|(i, r)| i % 5 != 4 && matches!(r.outcome, JobOutcome::Degraded { .. }))
+        .filter(|(i, r)| i % 5 != 4 && r.status == JobStatus::Degraded)
         .count();
     assert_eq!(
         flood_degraded, 28,
         "flood jobs past the 12-token budget must degrade, not vanish"
     );
-    assert_eq!(stats.shed, 0, "batch-lane overload degrades, never sheds");
-    assert_eq!(stats.ok, 22, "10 interactive + 12 in-budget flood jobs");
+    assert_eq!(
+        run.stats.shed, 0,
+        "batch-lane overload degrades, never sheds"
+    );
+    assert_eq!(run.stats.ok, 22, "10 interactive + 12 in-budget flood jobs");
 
     // Byte determinism across worker counts and repeats.
     let one = run_overload(1, None);
@@ -168,17 +112,19 @@ fn two_wave_overload_protects_the_interactive_lane_deterministically() {
         one, four,
         "admission decisions must not depend on worker count"
     );
-    let again = run_overload(4, None);
-    assert_eq!(four, again, "repeat runs must be byte-identical");
+    assert_eq!(
+        four,
+        run_overload(4, None),
+        "repeat runs must be byte-identical"
+    );
 }
 
 #[test]
 fn overload_and_chaos_compose_deterministically() {
     let plan = Some(FaultPlan::chaos(FAULT_SEED));
-    let one = run_overload(1, plan);
-    let four = run_overload(4, plan);
     assert_eq!(
-        one, four,
+        run_overload(1, plan),
+        run_overload(4, plan),
         "admission + fault injection must stay deterministic across worker counts"
     );
 }
@@ -187,7 +133,7 @@ fn overload_and_chaos_compose_deterministically() {
 /// jobs past the bucket shed (typed, in-order), they never degrade.
 #[test]
 fn interactive_overflow_sheds_with_typed_outcomes() {
-    let mut service = ExtractService::new(overload_config(2, None), DEFAULT_DOC_SEED, None);
+    let mut service = overload_mode(2).service();
     for i in 0..20 {
         service.submit_spec(spec(i, "burst", Lane::Interactive), Lane::Interactive);
     }
@@ -210,35 +156,6 @@ fn interactive_overflow_sheds_with_typed_outcomes() {
             assert_eq!(done.latency, std::time::Duration::ZERO);
         }
     }
-}
-
-/// Inert admission (buckets off, watermarks inert) must be
-/// byte-indistinguishable from no admission controller at all.
-#[test]
-fn inert_admission_is_indistinguishable_from_none() {
-    let run = |admit: Option<AdmitConfig>| {
-        let mut service = ExtractService::new(
-            EngineConfig {
-                workers: 2,
-                queue_capacity: 8,
-                job_timeout: None,
-                retry: RetryPolicy::immediate(3),
-                faults: Some(FaultPlan::chaos(FAULT_SEED)),
-                admit,
-            },
-            DEFAULT_DOC_SEED,
-            None,
-        );
-        for spec in overload_batch() {
-            service.submit_spec(spec, Lane::Interactive);
-        }
-        let rendered: Vec<String> = service.drain().iter().map(render).collect();
-        service.shutdown();
-        rendered
-    };
-    let none = run(None);
-    let inert = run(Some(AdmitConfig::for_queue(8, SHED_SEED).inert_pressure()));
-    assert_eq!(none, inert);
 }
 
 /// Real pressure shedding (backlog watermarks, scheduling-dependent):

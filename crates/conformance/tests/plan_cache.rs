@@ -1,41 +1,24 @@
 //! Plan-cache conformance: caching segmentation plans must be purely an
 //! optimisation.
 //!
-//! The contract under test, end to end: a service with `plan_cache: on`
-//! produces byte-identical extractions to `plan_cache: off` over every
-//! corpus — the three paper datasets, the templated corpus the cache is
-//! built for, and the adversarial near-miss templates *designed* to
-//! collide with family fingerprints — at any worker count, warm or
-//! cold, and under fault injection. On top of the differential, the
-//! fingerprint robustness contract is pinned property-style: OCR jitter
-//! within the stability bound never changes a templated document's
-//! fingerprint, and distinct template families never share one.
-
-use std::time::Duration;
+//! The end-to-end differential: plan cache on ≡ off over the paper
+//! datasets, the D4 invoices, the templated corpus and its adversarial
+//! near-miss colliders, warm and cold, at 1 and 4 workers and under
+//! fault injection (the serving matrix, `serving_matrix.rs`, crosses it
+//! with every other serving switch). Underneath it, the fingerprint
+//! robustness contract, property-style: OCR jitter within the stability
+//! bound never changes a templated document's fingerprint, distinct
+//! template families never share one, and the near-miss colliders
+//! collide by design yet fail validation.
 
 use proptest::prelude::*;
-use serde::Serialize as _;
-use vs2_core::plan::{FingerprintConfig, LayoutFingerprint, PlanConfig, CENTROID_MARGIN};
-use vs2_serve::{
-    Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec,
-    RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+use vs2_conformance::serving::{self, Mode};
+use vs2_core::plan::{
+    FingerprintConfig, LayoutFingerprint, PlanConfig, PlanCounters, CENTROID_MARGIN,
 };
+use vs2_serve::{FaultPlan, JobOutcome, JobSource, JobSpec, ServiceOptions, DEFAULT_DOC_SEED};
 use vs2_synth::templated;
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
-
-fn synthetic(dataset: DatasetId, doc_index: usize) -> JobSpec {
-    JobSpec {
-        job_id: None,
-        client: None,
-        lane: None,
-        dataset,
-        source: JobSource::Synthetic {
-            doc_index,
-            seed: DEFAULT_DOC_SEED,
-        },
-        doc_cache: Default::default(),
-    }
-}
 
 /// The full differential batch: the paper datasets plus the D4 invoices
 /// corpus, the templated corpus (several documents per family so warm
@@ -46,18 +29,18 @@ fn differential_batch() -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for i in 0..3 {
         for id in DatasetId::EXTENDED {
-            specs.push(synthetic(id, i));
+            specs.push(serving::synthetic(id, i));
         }
     }
     // 2 × FAMILIES invoices: every D4 family seen twice, so a warm pass
     // replays each family at least once.
     for i in 0..2 * vs2_synth::invoices::FAMILIES {
-        specs.push(synthetic(DatasetId::D4, i));
+        specs.push(serving::synthetic(DatasetId::D4, i));
     }
     // 3 × FAMILIES documents: every family seen three times, so a warm
     // pass replays at least two of each.
     for i in 0..3 * templated::FAMILIES {
-        specs.push(synthetic(DatasetId::Templated, i));
+        specs.push(serving::synthetic(DatasetId::Templated, i));
     }
     for (i, labelled) in templated::adversarial_corpus(DEFAULT_DOC_SEED)
         .into_iter()
@@ -65,86 +48,35 @@ fn differential_batch() -> Vec<JobSpec> {
     {
         specs.push(JobSpec {
             job_id: Some(format!("near-miss-{i}")),
-            client: None,
-            lane: None,
-            dataset: DatasetId::Templated,
             source: JobSource::Inline(std::sync::Arc::new(labelled.doc)),
-            doc_cache: Default::default(),
+            ..serving::synthetic(DatasetId::Templated, 0)
         });
     }
     specs
 }
 
-fn engine_config(workers: usize, faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: 8,
-        job_timeout: faults.is_none().then(|| Duration::from_secs(120)),
-        retry: RetryPolicy::immediate(3),
-        faults,
-        admit: None,
-    }
-}
-
-/// Renders one outcome without wall-clock fields (same shape as the
-/// chaos suite's determinism renderer).
-fn render(done: &Completed<Vec<vs2_core::Extraction>>) -> String {
-    let (label, error, extractions) = match &done.outcome {
-        JobOutcome::Ok(ex) => ("ok", String::new(), ex),
-        JobOutcome::Degraded { output, error } => ("degraded", error.to_string(), output),
-        JobOutcome::Failed(error) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("failed", error.to_string(), &EMPTY)
-        }
-        JobOutcome::Shed(reason) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("shed", reason.to_string(), &EMPTY)
-        }
-    };
-    format!(
-        "{} seq={} error={:?} extractions={}",
-        label,
-        done.seq,
-        error,
-        serde_json::to_string(&extractions.to_value()).unwrap()
-    )
-}
-
-/// Runs `specs` through a fresh service `passes` times (same service, so
-/// later passes hit warm plan state) and returns each pass rendered, plus
-/// the final plan counters.
+/// Serves `specs` `passes` times on one service; returns each pass's
+/// stdout and the final plan counters.
 fn run_passes(
     workers: usize,
     plan_cache: bool,
     faults: Option<FaultPlan>,
     specs: &[JobSpec],
     passes: usize,
-) -> (Vec<Vec<String>>, vs2_core::plan::PlanCounters) {
-    let mut service = ExtractService::with_options(
-        engine_config(workers, faults),
-        DEFAULT_DOC_SEED,
-        None,
-        ServiceOptions {
+) -> (Vec<String>, PlanCounters) {
+    let mode = Mode {
+        faults,
+        options: ServiceOptions {
             plan_cache,
             ..Default::default()
         },
-        None,
-    );
-    let mut rendered = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        for spec in specs {
-            service.submit(spec.clone());
-        }
-        let results = service.drain();
-        rendered.push(results.iter().map(render).collect());
-    }
-    let counters = service.cache_snapshot().plans;
-    service.shutdown();
-    (rendered, counters)
+        ..Mode::plain(workers)
+    };
+    serving::passes(&mode, specs, passes)
 }
 
-/// Differential 1: plan cache on vs off, cold and warm, 1 and 4 workers —
-/// all byte-identical, and the warm pass actually replays.
+/// Plan cache on vs off, cold and warm, 1 and 4 workers — all
+/// byte-identical, and the warm pass actually replays.
 #[test]
 fn plan_cache_on_equals_off_across_all_corpora() {
     let specs = differential_batch();
@@ -166,10 +98,10 @@ fn plan_cache_on_equals_off_across_all_corpora() {
     assert_eq!(off[1], on_parallel[1], "warm pass diverged (4 workers)");
 }
 
-/// Differential 2: deterministic fault injection with the plan cache on
-/// must match the cache-off run byte for byte — and a post-chaos clean
-/// pass must too, proving quarantined/degraded jobs never left a bad
-/// plan behind for later traffic to replay.
+/// Deterministic fault injection with the plan cache on must match the
+/// cache-off run byte for byte, pass for pass, proving quarantined and
+/// degraded jobs never leave a bad plan behind for later traffic to
+/// replay.
 #[test]
 fn faulted_runs_never_poison_cached_plans() {
     let specs = differential_batch();
@@ -307,18 +239,16 @@ fn templated_dataset_serves_extractions() {
         DatasetConfig::new(1, DEFAULT_DOC_SEED),
     );
     assert_eq!(doc.annotations.len(), 6);
-    let mut service = ExtractService::with_options(
-        engine_config(1, None),
-        DEFAULT_DOC_SEED,
-        None,
-        ServiceOptions {
+    let mut service = Mode {
+        options: ServiceOptions {
             plan_cache: true,
             ..Default::default()
         },
-        None,
-    );
+        ..Mode::plain(1)
+    }
+    .service();
     for i in 0..4 {
-        service.submit(synthetic(DatasetId::Templated, i));
+        service.submit(serving::synthetic(DatasetId::Templated, i));
     }
     let results = service.drain();
     service.shutdown();

@@ -13,15 +13,16 @@
 //! documents, under every ablation switch and all three disambiguation
 //! modes. On top of the two-path differential, the cross-feature
 //! contracts are pinned: plan-cache capture/replay/collider-rejection
-//! over fast-path trees, chaos determinism at 1 vs 4 workers with the
-//! fast path on, and the degraded XY-cut fallback.
+//! over fast-path trees, the served `--naive-segment` escape hatch,
+//! chaos determinism at 1 vs 4 workers with the fast path on, and the
+//! degraded XY-cut fallback.
 //!
 //! Case counts honour `VS2_PROPTEST_CASES`; failures print a
 //! `VS2_PROPTEST_SEED` repro command (see the `proptest` shim docs).
 
 use proptest::prelude::*;
 use serde::Serialize as _;
-use std::time::Duration;
+use vs2_conformance::serving::{self, Mode, Offline};
 use vs2_conformance::strategy::arb_any_document;
 use vs2_core::segment::{
     logical_blocks, logical_blocks_naive, segment, segment_naive, SegmentConfig,
@@ -29,8 +30,7 @@ use vs2_core::segment::{
 use vs2_core::{DisambiguationMode, Vs2Pipeline};
 use vs2_docmodel::Document;
 use vs2_serve::{
-    default_config_for, Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource,
-    JobSpec, ModelCache, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+    default_config_for, FaultPlan, JobSpec, ModelCache, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, generate_one, templated, DatasetConfig, DatasetId};
 
@@ -227,91 +227,33 @@ fn plan_replay_over_fast_trees_and_collider_rejection() {
 
 // --- Service-level interaction tests -----------------------------------
 
-fn engine_config(workers: usize, faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: 8,
-        job_timeout: faults.is_none().then(|| Duration::from_secs(120)),
-        retry: RetryPolicy::immediate(3),
-        faults,
-        admit: None,
-    }
-}
-
-/// Renders one outcome without wall-clock fields (same shape as the
-/// chaos suite's determinism renderer).
-fn render(done: &Completed<Vec<vs2_core::Extraction>>) -> String {
-    let (label, error, extractions) = match &done.outcome {
-        JobOutcome::Ok(ex) => ("ok", String::new(), ex),
-        JobOutcome::Degraded { output, error } => ("degraded", error.to_string(), output),
-        JobOutcome::Failed(error) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("failed", error.to_string(), &EMPTY)
-        }
-        JobOutcome::Shed(reason) => {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            ("shed", reason.to_string(), &EMPTY)
-        }
-    };
-    format!(
-        "{} seq={} error={:?} extractions={}",
-        label,
-        done.seq,
-        error,
-        serde_json::to_string(&extractions.to_value()).unwrap()
-    )
-}
-
 /// D1 synthetics plus the adversarial corpus as inline jobs — the same
 /// mix the chaos suite uses, so the degradation path actually fires.
 fn interaction_batch() -> Vec<JobSpec> {
-    let mut specs: Vec<JobSpec> = (0..4)
-        .map(|doc_index| JobSpec {
-            job_id: None,
-            client: None,
-            lane: None,
-            dataset: DatasetId::D1,
-            source: JobSource::Synthetic {
-                doc_index,
-                seed: DEFAULT_DOC_SEED,
-            },
-            doc_cache: Default::default(),
-        })
-        .collect();
-    specs.extend(
-        adversarial::corpus()
-            .into_iter()
-            .map(|(name, doc)| JobSpec {
-                job_id: Some(name.to_string()),
-                client: None,
-                lane: None,
-                dataset: DatasetId::D1,
-                source: JobSource::Inline(std::sync::Arc::new(doc)),
-                doc_cache: Default::default(),
-            }),
-    );
-    specs
+    (0..4)
+        .map(|doc_index| serving::synthetic(DatasetId::D1, doc_index))
+        .chain(serving::adversarial_jobs())
+        .collect()
 }
 
+const CHAOS_SEED: u64 = 0xFA57_5EED;
+
+/// Serves `specs` on a fresh service and returns stdout.
 fn run_service(
     workers: usize,
     faults: Option<FaultPlan>,
-    options: ServiceOptions,
+    naive_segment: bool,
     specs: &[JobSpec],
-) -> Vec<String> {
-    let mut service = ExtractService::with_options(
-        engine_config(workers, faults),
-        DEFAULT_DOC_SEED,
-        None,
-        options,
-        None,
-    );
-    for spec in specs {
-        service.submit(spec.clone());
-    }
-    let results = service.drain();
-    service.shutdown();
-    results.iter().map(render).collect()
+) -> String {
+    let mode = Mode {
+        faults,
+        options: ServiceOptions {
+            naive_segment,
+            ..Default::default()
+        },
+        ..Mode::plain(workers)
+    };
+    serving::serve(&mode, specs).first.stdout
 }
 
 /// The `--naive-segment` escape hatch is observationally invisible: a
@@ -321,19 +263,11 @@ fn run_service(
 #[test]
 fn service_naive_segment_escape_hatch_is_byte_identical() {
     let specs = interaction_batch();
-    let fast = run_service(1, None, ServiceOptions::default(), &specs);
+    let fast = run_service(1, None, false, &specs);
     for workers in [1, 4] {
-        let naive = run_service(
-            workers,
-            None,
-            ServiceOptions {
-                naive_segment: true,
-                ..Default::default()
-            },
-            &specs,
-        );
         assert_eq!(
-            fast, naive,
+            fast,
+            run_service(workers, None, true, &specs),
             "naive-segment service output diverged at {workers} workers"
         );
     }
@@ -349,25 +283,17 @@ fn service_naive_segment_escape_hatch_is_byte_identical() {
 #[test]
 fn chaos_with_fast_segment_is_deterministic_across_workers() {
     let specs = interaction_batch();
-    let faults = Some(FaultPlan::chaos(0xFA57_5EED));
-    let single = run_service(1, faults, ServiceOptions::default(), &specs);
-    let parallel = run_service(4, faults, ServiceOptions::default(), &specs);
+    let faults = Some(FaultPlan::chaos(CHAOS_SEED));
+    let single = run_service(1, faults, false, &specs);
+    let parallel = run_service(4, faults, false, &specs);
     assert_eq!(single, parallel, "chaos run diverged across worker counts");
     assert!(
-        single.iter().any(|line| line.starts_with("degraded")),
+        single.contains("\"status\":\"degraded\""),
         "the chaos plan must degrade at least one job for the fallback check"
     );
-    let naive = run_service(
-        1,
-        faults,
-        ServiceOptions {
-            naive_segment: true,
-            ..Default::default()
-        },
-        &specs,
-    );
     assert_eq!(
-        single, naive,
+        single,
+        run_service(1, faults, true, &specs),
         "chaos run diverged between fast and naive segmentation"
     );
 }
@@ -378,29 +304,12 @@ fn chaos_with_fast_segment_is_deterministic_across_workers() {
 #[test]
 fn degraded_fallback_output_is_the_xy_cut_baseline() {
     let specs = interaction_batch();
-    let faults = Some(FaultPlan::chaos(0xFA57_5EED));
-    let runs = run_service(1, faults, ServiceOptions::default(), &specs);
-    let cache = ModelCache::new();
-    let pipeline = cache.pipeline_for(
-        DatasetId::D1,
-        DEFAULT_DOC_SEED,
-        default_config_for(DatasetId::D1),
-    );
-    let mut checked = 0;
-    for (spec, line) in specs.iter().zip(&runs) {
-        if !line.starts_with("degraded") {
-            continue;
-        }
-        let doc = spec.document();
-        let blocks = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
-        let expected =
-            serde_json::to_string(&pipeline.extract_on_blocks(&doc, &blocks).to_value()).unwrap();
-        assert!(
-            line.ends_with(&format!("extractions={expected}")),
-            "degraded job {} does not carry the XY-cut output",
-            spec.job_id.as_deref().unwrap_or("<synthetic>")
-        );
-        checked += 1;
-    }
+    let mode = Mode {
+        faults: Some(FaultPlan::chaos(CHAOS_SEED)),
+        ..Mode::plain(1)
+    };
+    let run = serving::serve(&mode, &specs).first;
+    let answers: Vec<_> = run.results.iter().collect();
+    let checked = Offline::of(&specs).assert_degraded_are_fallback("chaos", &answers);
     assert!(checked > 0, "no degraded jobs to check");
 }

@@ -17,94 +17,21 @@
 //!    arena-vs-owned seam, with permutation/translation metamorphic
 //!    invariance where the underlying features are invariant.
 //!
-//! The chaos interplay (triage under fault injection) and the
-//! throughput/accuracy release gate live in `triage_perf.rs` and the
-//! chaos arm below.
+//! Served triage in combination with every other serving switch —
+//! fault injection, admission, the plan cache, drain/resume — lives in
+//! the serving matrix (`serving_matrix.rs`); the throughput/accuracy
+//! release gate lives in `triage_perf.rs`.
 
 use proptest::prelude::*;
-use serde::{Serialize as _, Value};
-use vs2_conformance::golden::{dataset_name, golden_path, N_GOLDEN_DOCS};
+use serde::Serialize as _;
+use vs2_conformance::golden::{dataset_name, golden_path, render_snapshot, N_GOLDEN_DOCS};
+use vs2_conformance::serving::{self, Mode};
 use vs2_conformance::strategy::arb_any_document;
 use vs2_conformance::transform::{permute_document, translate_document};
 use vs2_core::triage::{cheap_blocks, triage_doc, TriageConfig, TriageDecision};
 use vs2_core::{routed_blocks_ctx, DocContext, SegmentConfig};
-use vs2_serve::{
-    default_config_for, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec,
-    ModelCache, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
-};
+use vs2_serve::{default_config_for, JobSpec, JobStatus, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
-
-fn job(dataset: DatasetId, doc_index: usize) -> JobSpec {
-    JobSpec {
-        job_id: None,
-        client: None,
-        lane: None,
-        dataset,
-        source: JobSource::Synthetic {
-            doc_index,
-            seed: DEFAULT_DOC_SEED,
-        },
-        doc_cache: Default::default(),
-    }
-}
-
-fn engine_config(workers: usize, faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        workers,
-        queue_capacity: 8,
-        job_timeout: None,
-        retry: RetryPolicy::immediate(3),
-        faults,
-        admit: None,
-    }
-}
-
-/// Runs `specs` through a fresh service with `options` and returns each
-/// job's outcome rendered without wall-clock fields.
-fn run_service(
-    workers: usize,
-    options: ServiceOptions,
-    faults: Option<FaultPlan>,
-    specs: &[JobSpec],
-) -> Vec<String> {
-    let mut service = ExtractService::with_options(
-        engine_config(workers, faults),
-        DEFAULT_DOC_SEED,
-        None,
-        options,
-        None,
-    );
-    for spec in specs {
-        service.submit(spec.clone());
-    }
-    let results = service.drain();
-    let rendered = results
-        .iter()
-        .map(|done| {
-            static EMPTY: Vec<vs2_core::Extraction> = Vec::new();
-            let (label, extractions) = match &done.outcome {
-                JobOutcome::Ok(ex) => ("ok", ex),
-                JobOutcome::Degraded { output, .. } => ("degraded", output),
-                JobOutcome::Failed(_) => ("failed", &EMPTY),
-                JobOutcome::Shed(_) => ("shed", &EMPTY),
-            };
-            format!(
-                "{label} seq={} attempts={} extractions={}",
-                done.seq,
-                done.attempts,
-                serde_json::to_string(&extractions.to_value()).unwrap()
-            )
-        })
-        .collect();
-    let stats = service.stats();
-    assert_eq!(
-        stats.ok + stats.degraded + stats.quarantined,
-        stats.submitted,
-        "every submitted job must have exactly one terminal outcome"
-    );
-    service.shutdown();
-    rendered
-}
 
 /// Contract 1: with triage off (the default), the served output over the
 /// golden documents reassembles the checked-in fixtures byte for byte —
@@ -113,38 +40,17 @@ fn run_service(
 fn triage_off_serving_output_matches_the_golden_fixtures() {
     for workers in [1, 4] {
         for dataset in DatasetId::EXTENDED {
-            let specs: Vec<JobSpec> = (0..N_GOLDEN_DOCS).map(|i| job(dataset, i)).collect();
-            let mut service =
-                ExtractService::new(engine_config(workers, None), DEFAULT_DOC_SEED, None);
-            for spec in &specs {
-                service.submit(spec.clone());
-            }
-            let results = service.drain();
-            service.shutdown();
-            // Reassemble the exact snapshot shape `golden_snapshot`
-            // renders, substituting the served extractions.
-            let docs: Vec<Value> = results
-                .iter()
-                .enumerate()
-                .map(|(i, done)| {
-                    let JobOutcome::Ok(extractions) = &done.outcome else {
-                        panic!("golden doc {i} failed: {:?}", done.outcome);
-                    };
-                    let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
-                    Value::Object(vec![
-                        ("doc_id".into(), Value::Str(doc.id.clone())),
-                        ("extractions".into(), extractions.to_value()),
-                    ])
-                })
+            let specs: Vec<JobSpec> = (0..N_GOLDEN_DOCS)
+                .map(|i| serving::synthetic(dataset, i))
                 .collect();
-            let snapshot = Value::Object(vec![
-                ("dataset".into(), Value::Str(dataset_name(dataset).into())),
-                ("model_seed".into(), DEFAULT_DOC_SEED.to_value()),
-                ("documents".into(), Value::Array(docs)),
-            ]);
-            let mut rendered =
-                serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
-            rendered.push('\n');
+            let run = serving::serve(&Mode::plain(workers), &specs).first;
+            let rendered = render_snapshot(
+                dataset,
+                specs.iter().zip(run.results).map(|(spec, r)| {
+                    assert_eq!(r.status, JobStatus::Ok, "golden doc {} failed", r.seq);
+                    (spec.document().id, r.extractions)
+                }),
+            );
             let fixture = std::fs::read_to_string(golden_path(dataset))
                 .expect("golden fixture exists (bless with the golden bin)");
             assert_eq!(
@@ -225,49 +131,6 @@ fn triage_cheap_equals_the_degradation_fallback() {
         }
     }
     assert!(cheap_seen > 0, "no document routed cheap");
-}
-
-/// Chaos interplay: triage routing under deterministic fault injection
-/// keeps the engine's exactly-once accounting, and the whole run is
-/// byte-reproducible at 1 vs 4 workers (cheap-path jobs retry and
-/// degrade through the same sites as full-path jobs).
-#[test]
-fn chaos_with_triage_is_deterministic_and_exactly_once() {
-    let specs: Vec<JobSpec> = (0..4)
-        .flat_map(|i| DatasetId::EXTENDED.map(|d| job(d, i)))
-        .collect();
-    let options = ServiceOptions {
-        triage: true,
-        ..Default::default()
-    };
-    let faults = Some(FaultPlan::chaos(0xC4A0_5EED));
-    let sequential = run_service(1, options, faults, &specs);
-    assert_eq!(sequential.len(), specs.len());
-    let parallel = run_service(4, options, faults, &specs);
-    assert_eq!(
-        sequential, parallel,
-        "chaos + triage run diverged between 1 and 4 workers"
-    );
-    // The same batch without faults must agree on every `ok` line: fault
-    // injection may degrade jobs, but never silently change a
-    // successful extraction.
-    let clean = run_service(2, options, None, &specs);
-    let payload = |line: &str| {
-        line.split_once("extractions=")
-            .map(|(_, p)| p.to_string())
-            .unwrap()
-    };
-    for (faulted, clean) in sequential.iter().zip(&clean) {
-        // Faults may change attempt counts (and degrade some jobs), but
-        // a job that still completes `ok` must extract identically.
-        if faulted.starts_with("ok ") {
-            assert_eq!(
-                payload(faulted),
-                payload(clean),
-                "a successful faulted job drifted from the fault-free run"
-            );
-        }
-    }
 }
 
 /// Purity over the synthetic corpora: the decision is identical across

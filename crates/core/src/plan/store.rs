@@ -252,17 +252,6 @@ impl PlanStore {
         admitted
     }
 
-    /// Records a replayed lookup from outside the plan driver (the
-    /// triage router's cheap-path probe replays plans too).
-    pub(crate) fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a validation reject from outside the plan driver.
-    pub(crate) fn note_validation_reject(&self) {
-        self.validation_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counter snapshot.
     pub fn counters(&self) -> PlanCounters {
         PlanCounters {

@@ -13,9 +13,9 @@
 //!   ([`cheap_blocks`]), the same segmenter as the serving tier's
 //!   degradation fallback and the Table 5 A2 baseline;
 //! * [`TriageDecision::PlanReplay`] — a validated cached segmentation
-//!   plan (only ever emitted by the routed driver when a
-//!   [`PlanStore`] is supplied and actually replays: replay beats the
-//!   cheap path because it reproduces *full-VS2* blocks byte for byte).
+//!   plan (only ever emitted by [`routed_blocks_ctx`] for a
+//!   `FullVs2`-scored document when a [`PlanStore`] is supplied and
+//!   actually replays).
 //!
 //! ## Determinism contract
 //!
@@ -29,9 +29,7 @@
 //! purity and the metamorphic invariances property-style.
 
 use crate::context::DocContext;
-use crate::plan::{
-    FingerprintConfig, LayoutFingerprint, PlanConfig, PlanOutcome, PlanStore, SegmentationPlan,
-};
+use crate::plan::{FingerprintConfig, LayoutFingerprint, PlanConfig, PlanOutcome, PlanStore};
 use crate::segment::{self, LogicalBlock, SegmentConfig, SKEW_EPSILON};
 use vs2_docmodel::{BBox, Document, ElementRef};
 
@@ -338,20 +336,18 @@ fn cut(
 /// 1. Skewed documents score `FullVs2` and (with a store) take the plan
 ///    driver's own skew bypass — identical behaviour to the unrouted
 ///    plan path.
-/// 2. A `CheapPath` score first probes the plan store (when given):
-///    a cached plan that validates **replays instead** — replay
-///    reproduces full-VS2 blocks exactly, which beats the cheap path's
-///    approximation at the same cost class. Probe misses and
-///    validation rejects fall through to XY-cut; nothing is captured
-///    (the cheap path never runs full segmentation, so there is no
-///    plan to capture).
+/// 2. A `CheapPath` score runs XY-cut ([`cheap_blocks`]) and never
+///    touches the store: before the skew gate the score is a pure
+///    function of the fingerprint, and plans are only captured for
+///    unskewed `FullVs2`-scored documents, so within one serving mode a
+///    cheap-scored fingerprint never has a plan.
 /// 3. A `FullVs2` score runs the normal segmentation path — through
 ///    [`crate::plan::planned_blocks_ctx`] when a store is given (so it
 ///    may still replay, reported as `PlanReplay`), plain
 ///    [`crate::segment::logical_blocks_ctx`] otherwise.
 ///
 /// Returns the blocks, the final decision, and the plan outcome when
-/// the plan driver ran (`None` on the storeless or cheap-probe paths).
+/// the plan path ran (`None` on the storeless or cheap paths).
 pub fn routed_blocks_ctx(
     ctx: &DocContext<'_>,
     seg: &SegmentConfig,
@@ -359,31 +355,19 @@ pub fn routed_blocks_ctx(
     plan: Option<(&PlanConfig, &PlanStore)>,
 ) -> (Vec<LogicalBlock>, TriageDecision, Option<PlanOutcome>) {
     let doc = ctx.doc();
-    let (scored, fp) = {
+    let scored = {
         let span = vs2_obs::span(vs2_obs::stages::TRIAGE);
         let (scored, fp) = triage_lazy(doc, seg, cfg);
         span.tag("digest", fp.digest());
         span.tag("cheap", u64::from(scored == TriageDecision::CheapPath));
-        (scored, fp)
+        scored
     };
     match scored {
-        TriageDecision::CheapPath => {
-            if let Some((plan_cfg, store)) = plan {
-                // Replay beats cheap-path when a validated plan exists.
-                if let Some(blocks) = try_replay(doc, &fp, plan_cfg, store) {
-                    return (
-                        blocks,
-                        TriageDecision::PlanReplay,
-                        Some(PlanOutcome::Replayed),
-                    );
-                }
-            }
-            (
-                cheap_blocks(doc, &cfg.cheap),
-                TriageDecision::CheapPath,
-                None,
-            )
-        }
+        TriageDecision::CheapPath => (
+            cheap_blocks(doc, &cfg.cheap),
+            TriageDecision::CheapPath,
+            None,
+        ),
         _ => {
             if let Some((plan_cfg, store)) = plan {
                 let (blocks, outcome) = crate::plan::planned_blocks_ctx(ctx, seg, plan_cfg, store);
@@ -399,38 +383,6 @@ pub fn routed_blocks_ctx(
                     None,
                 )
             }
-        }
-    }
-}
-
-/// Probes the store for a plan under `fp` and replays it when it
-/// validates; counts a hit / validation-reject on the store exactly
-/// like the plan driver. Misses are silent — a cheap-path probe is not
-/// a serving miss (nothing will be captured for it).
-fn try_replay(
-    doc: &Document,
-    fp: &LayoutFingerprint,
-    plan_cfg: &PlanConfig,
-    store: &PlanStore,
-) -> Option<Vec<LogicalBlock>> {
-    let plan: std::sync::Arc<SegmentationPlan> = store.lookup(fp)?;
-    let validated = {
-        let _span = vs2_obs::span(vs2_obs::stages::PLAN_VALIDATE);
-        plan.validate(doc, plan_cfg)
-    };
-    match validated {
-        Ok(assignment) => {
-            let blocks = {
-                let span = vs2_obs::span(vs2_obs::stages::PLAN_REPLAY);
-                span.tag("blocks", assignment.len() as u64);
-                plan.replay(doc, &assignment)
-            };
-            store.note_hit();
-            Some(blocks)
-        }
-        Err(_) => {
-            store.note_validation_reject();
-            None
         }
     }
 }
@@ -614,29 +566,6 @@ mod tests {
         seen.dedup();
         assert_eq!(seen.len(), doc.len());
         assert!(blocks.len() > 1, "a clear grid must split");
-    }
-
-    #[test]
-    fn routed_cheap_prefers_plan_replay_when_warm() {
-        let doc = grid_doc();
-        let seg = SegmentConfig::default();
-        let tcfg = TriageConfig::default();
-        let plan_cfg = PlanConfig::default();
-        let store = PlanStore::default();
-        // Warm the store through the plan driver (full segmentation).
-        let (full_blocks, outcome) = crate::plan::planned_blocks(&doc, &seg, &plan_cfg, &store);
-        assert_eq!(outcome, PlanOutcome::Miss { inserted: true });
-
-        let ctx = DocContext::build(&doc);
-        let (blocks, decision, plan_outcome) =
-            routed_blocks_ctx(&ctx, &seg, &tcfg, Some((&plan_cfg, &store)));
-        assert_eq!(decision, TriageDecision::PlanReplay);
-        assert_eq!(plan_outcome, Some(PlanOutcome::Replayed));
-        assert_eq!(blocks.len(), full_blocks.len());
-        for (r, f) in blocks.iter().zip(&full_blocks) {
-            assert_eq!(r.bbox, f.bbox);
-        }
-        assert_eq!(store.counters().hits, 1);
     }
 
     #[test]

@@ -360,6 +360,21 @@ impl AdmitController {
         }
     }
 
+    /// Advances the admission tick and charges one job to `client`'s
+    /// token bucket; `true` when the client is over its rate. Counts
+    /// nothing. This is the whole deterministic-lane effect of a
+    /// submission: [`AdmitController::decide`] starts with it, and a
+    /// resumed run calls it alone for each line a predecessor already
+    /// answered, so its buckets and tick clock match an uninterrupted
+    /// run's.
+    pub fn charge(&self, client: Option<&str>) -> bool {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        match client {
+            Some(c) if self.config.bucket_capacity > 0 => !self.take_token(c, tick),
+            _ => false,
+        }
+    }
+
     /// Decides one submission. `backlog` is the queue depth sampled just
     /// before the would-be enqueue. Bumps the matching counter.
     pub fn decide(
@@ -369,11 +384,7 @@ impl AdmitController {
         seq: u64,
         backlog: usize,
     ) -> AdmitDecision {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let over_rate = match client {
-            Some(c) if self.config.bucket_capacity > 0 => !self.take_token(c, tick),
-            _ => false,
-        };
+        let over_rate = self.charge(client);
         let decision = if over_rate {
             match lane {
                 // Fairness never outright drops batch work — it just
@@ -505,6 +516,28 @@ mod tests {
             AdmitDecision::Accept,
             "two ticks at 500 millitokens each refill a whole token"
         );
+    }
+
+    #[test]
+    fn replayed_submissions_tick_and_charge_without_counting() {
+        // Capacity 2, refill 500‰: a bare charge spends a token and a
+        // tick exactly like a decided submission, but counts nothing.
+        let replayed = AdmitController::new(inert().with_buckets(2, 500));
+        let decided = AdmitController::new(inert().with_buckets(2, 500));
+        assert!(!replayed.charge(Some("a")));
+        assert!(!replayed.charge(Some("a")));
+        assert!(!replayed.charge(None));
+        decided.decide(Some("a"), Lane::Batch, 0, 0);
+        decided.decide(Some("a"), Lane::Batch, 1, 0);
+        decided.decide(None, Lane::Batch, 2, 0);
+        assert_eq!(replayed.snapshot(), AdmitSnapshot::default());
+        for seq in 3..8 {
+            assert_eq!(
+                replayed.decide(Some("a"), Lane::Interactive, seq, 0),
+                decided.decide(Some("a"), Lane::Interactive, seq, 0),
+                "seq {seq}"
+            );
+        }
     }
 
     #[test]

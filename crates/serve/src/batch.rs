@@ -23,8 +23,10 @@
 //! With [`BatchOptions::resume_completed`] set (warm restart from a
 //! [`crate::handoff::HandoffSnapshot`]), lines whose wire seq the
 //! predecessor already answered are skipped; each skipped *valid* spec
-//! burns one engine sequence number so seq-keyed decisions (fault
-//! plans, retry backoff, shed draws) line up with an uninterrupted run.
+//! replays its submission's deterministic side effects — one engine
+//! sequence number, one admission tick and its client's bucket token —
+//! so seq-keyed decisions (fault plans, retry backoff, shed draws) and
+//! token-bucket decisions line up with an uninterrupted run.
 
 use std::collections::HashSet;
 use std::io::{self, BufRead, ErrorKind, Read, Write};
@@ -100,7 +102,8 @@ pub struct BatchOptions {
     /// still answered, but as `shed` lines with reason `draining`.
     pub drain_after: Option<u64>,
     /// Wire seqs already answered by a predecessor (from a handoff
-    /// snapshot): skip them, burning engine seqs for the valid ones.
+    /// snapshot): skip them, replaying the engine seq and admission
+    /// charge of the valid ones.
     pub resume_completed: Option<HashSet<u64>>,
 }
 
@@ -339,25 +342,28 @@ pub fn run_batch(
                         continue;
                     }
                 }
-                // Warm restart: lines the predecessor already answered
-                // are skipped; a valid skipped spec still burns an
-                // engine seq so seq-keyed decisions stay aligned with
-                // an uninterrupted run.
-                if let Some(done) = &opts.resume_completed {
-                    if done.contains(&wire_seq) {
-                        if serde_json::from_str::<JobSpec>(&line).is_ok() {
-                            service.reserve_seq();
-                        }
-                        skipped += 1;
-                        wire_seq += 1;
-                        continue;
+                let parsed = serde_json::from_str::<JobSpec>(&line).map(|mut spec| {
+                    if spec.client.is_none() {
+                        spec.client = opts.default_client.clone();
                     }
+                    spec
+                });
+                // Warm restart: lines the predecessor already answered
+                // are skipped; a valid skipped spec still replays its
+                // engine seq, admission tick and bucket charge so seq-
+                // and tick-keyed decisions stay aligned with an
+                // uninterrupted run.
+                let resumed = opts.resume_completed.as_ref();
+                if resumed.is_some_and(|done| done.contains(&wire_seq)) {
+                    if let Ok(spec) = &parsed {
+                        service.skip_submission(spec.client.as_deref());
+                    }
+                    skipped += 1;
+                    wire_seq += 1;
+                    continue;
                 }
-                match serde_json::from_str::<JobSpec>(&line) {
-                    Ok(mut spec) => {
-                        if spec.client.is_none() {
-                            spec.client = opts.default_client.clone();
-                        }
+                match parsed {
+                    Ok(spec) => {
                         let job_id = spec.job_id.clone().unwrap_or(default_id);
                         if opts.drain_after == Some(submissions) {
                             service.begin_drain();
@@ -406,16 +412,19 @@ mod tests {
     use crate::admit::AdmitConfig;
     use crate::engine::EngineConfig;
     use crate::job::DEFAULT_DOC_SEED;
+    use crate::service::ServiceOptions;
     use std::io::Cursor;
 
     fn test_service(workers: usize) -> ExtractService {
-        ExtractService::new(
+        ExtractService::with_options(
             EngineConfig {
                 workers,
                 queue_capacity: 8,
                 ..EngineConfig::default()
             },
             DEFAULT_DOC_SEED,
+            None,
+            ServiceOptions::default(),
             None,
         )
     }
@@ -639,7 +648,7 @@ mod tests {
     }
 
     fn admission_service(workers: usize, bucket_capacity: u32) -> ExtractService {
-        ExtractService::new(
+        ExtractService::with_options(
             EngineConfig {
                 workers,
                 queue_capacity: 8,
@@ -651,6 +660,8 @@ mod tests {
                 ..EngineConfig::default()
             },
             DEFAULT_DOC_SEED,
+            None,
+            ServiceOptions::default(),
             None,
         )
     }

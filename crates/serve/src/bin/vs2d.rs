@@ -88,8 +88,8 @@ USAGE: vs2d [OPTIONS]
   --handoff PATH       on shutdown, write a handoff snapshot (answered wire
                        seqs + quarantine ledger + cached segmentation plans)
   --resume-from PATH   warm-start from a handoff snapshot: skip answered
-                       lines, preload cached plans, keep seq-keyed decisions
-                       aligned with an uninterrupted run
+                       lines, preload cached plans, keep seq- and token-
+                       bucket decisions aligned with an uninterrupted run
 ";
 
 struct Options {

@@ -467,33 +467,19 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// job's primary attempts are all spent (other than by timeout),
     /// `fallback` gets one shot at producing a cheaper answer. A `Some`
     /// return completes the job as [`JobOutcome::Degraded`]; `None` or a
-    /// panic sends it to quarantine.
-    pub fn with_fallback<F, G>(config: EngineConfig, process: F, fallback: G) -> Self
-    where
-        F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
-        G: Fn(&J) -> Option<O> + Send + Sync + 'static,
-    {
-        Self::build(config, Arc::new(process), Some(Arc::new(fallback)), None)
-    }
-
-    /// Like [`BatchEngine::with_fallback`], additionally recording queue
-    /// dwell, retry/panic/timeout and outcome metrics into `metrics`.
-    pub fn with_fallback_observed<F, G>(
+    /// panic sends it to quarantine. With `metrics`, the engine also
+    /// records queue dwell, retry/panic/timeout and outcome metrics.
+    pub fn with_fallback<F, G>(
         config: EngineConfig,
         process: F,
         fallback: G,
-        metrics: Arc<EngineMetrics>,
+        metrics: Option<Arc<EngineMetrics>>,
     ) -> Self
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
         G: Fn(&J) -> Option<O> + Send + Sync + 'static,
     {
-        Self::build(
-            config,
-            Arc::new(process),
-            Some(Arc::new(fallback)),
-            Some(metrics),
-        )
+        Self::build(config, Arc::new(process), Some(Arc::new(fallback)), metrics)
     }
 
     #[allow(clippy::type_complexity)]
@@ -640,15 +626,21 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         seq
     }
 
-    /// Reserves (burns) one sequence number without submitting or
-    /// publishing anything. Warm-restart alignment: a successor process
-    /// skipping already-completed wire lines still consumes the engine
-    /// seqs those lines would have used, so seq-keyed decisions (fault
-    /// plan, retry backoff, shed draw) stay aligned with an
-    /// uninterrupted run. Incompatible with [`BatchEngine::drain`]
-    /// (which would block forever on the hole) — use
-    /// [`BatchEngine::wait_result`] per submitted seq instead.
-    pub fn reserve_seq(&self) -> u64 {
+    /// Replays a submission by `client` that a predecessor process
+    /// already answered, without submitting or publishing anything: it
+    /// burns the sequence number and (with admission control) the
+    /// admission tick and bucket token the submission used. Warm-restart
+    /// alignment: a successor skipping already-completed wire lines still
+    /// consumes the seqs and tokens those lines would have used, so
+    /// seq-keyed decisions (fault plan, retry backoff, shed draw) and
+    /// tick-keyed ones (token buckets) stay aligned with an
+    /// uninterrupted run. No counter moves. Incompatible with
+    /// [`BatchEngine::drain`] (which would block forever on the hole) —
+    /// use [`BatchEngine::wait_result`] per submitted seq instead.
+    pub fn skip_submission(&self, client: Option<&str>) -> u64 {
+        if let Some(admit) = &self.shared.admit {
+            admit.charge(client);
+        }
         self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -1218,6 +1210,7 @@ mod tests {
             },
             |_job, _ctx| Err(ServeError::Retryable("always flaky".into())),
             |job| Some(job + 100),
+            None,
         );
         engine.submit(1);
         engine.submit(2);
@@ -1289,6 +1282,7 @@ mod tests {
                 }
                 None // fallback declines
             },
+            None,
         );
         engine.submit(0);
         engine.submit(1);
@@ -1583,6 +1577,7 @@ mod tests {
             },
             |job, _ctx| Ok(*job),
             |job| Some(job + 100),
+            None,
         );
         engine.submit_with(1, Some("flood"), Lane::Batch);
         engine.submit_with(2, Some("flood"), Lane::Batch);
@@ -1671,8 +1666,8 @@ mod tests {
     #[test]
     fn reserve_seq_burns_numbers_without_outcomes() {
         let engine = plain_engine(1, 4, |job: &u32| *job);
-        assert_eq!(engine.reserve_seq(), 0);
-        assert_eq!(engine.reserve_seq(), 1);
+        assert_eq!(engine.skip_submission(None), 0);
+        assert_eq!(engine.skip_submission(Some("c")), 1);
         let seq = engine.submit(7);
         assert_eq!(seq, 2, "submit continues after the reserved hole");
         assert_eq!(engine.wait_result(seq).outcome, JobOutcome::Ok(7));

@@ -5,10 +5,11 @@
 //!
 //! * **Completed wire seqs** — the input line numbers whose result lines
 //!   the draining process already emitted. The successor skips these
-//!   (burning their engine sequence numbers with
-//!   [`crate::engine::BatchEngine::reserve_seq`] so seq-keyed decisions
-//!   line up with an uninterrupted run) and processes only the rest,
-//!   giving exactly-once output across the pair of processes.
+//!   (replaying their engine sequence numbers and admission charges with
+//!   [`crate::engine::BatchEngine::skip_submission`] so seq- and
+//!   tick-keyed decisions line up with an uninterrupted run) and
+//!   processes only the rest, giving exactly-once output across the
+//!   pair of processes.
 //! * **Quarantine ledger** — the records behind the draining run's
 //!   `{"record":"quarantine",...}` lines, so accounting survives the
 //!   process boundary.

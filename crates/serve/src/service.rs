@@ -44,11 +44,11 @@ pub struct ServiceOptions {
     /// Route segmentation through the layout-complexity triage scorer
     /// ([`vs2_core::routed_blocks_ctx`]): whitespace-regular documents
     /// take the cheap XY-cut path, everything else full VS2 — the
-    /// switch behind `vs2d --triage`. Composes with `plan_cache` (a
-    /// validated cached plan replays instead of the cheap path, and the
-    /// full path still runs the plan driver); `naive_segment` takes
-    /// precedence. Unlike the other two switches this one trades
-    /// accuracy on routed documents for throughput; the conformance
+    /// switch behind `vs2d --triage`. Composes with `plan_cache` (full-
+    /// routed documents go through the plan cache; the cheap path never
+    /// touches it); `naive_segment` takes precedence. Unlike the other
+    /// two switches this one trades accuracy on routed documents for
+    /// throughput; the conformance
     /// suite pins the trade-off and pins full-routed documents
     /// byte-identical to the unrouted path. Off by default.
     pub triage: bool,
@@ -79,51 +79,16 @@ impl ExtractService {
     /// default configuration ([`default_config_for`]); `Some(cfg)`
     /// applies `cfg` verbatim to every dataset. `model_seed` addresses
     /// the holdout corpus used for learning (see
-    /// [`ModelCache::model_for`]).
-    pub fn new(engine_config: EngineConfig, model_seed: u64, config: Option<Vs2Config>) -> Self {
-        Self::build(
-            engine_config,
-            model_seed,
-            config,
-            ServiceOptions::default(),
-            None,
-        )
-    }
-
-    /// Builds the service with an observability hub attached: the engine
-    /// records queue dwell, latency, retries, panics, timeouts, outcomes
-    /// and per-site fault triggers into the hub's [`crate::obs::EngineMetrics`],
-    /// and — when the hub has tracing enabled — each successful job's
-    /// pipeline spans are captured for the batch emitter to serialise.
-    pub fn with_obs(
-        engine_config: EngineConfig,
-        model_seed: u64,
-        config: Option<Vs2Config>,
-        hub: Arc<ObsHub>,
-    ) -> Self {
-        Self::build(
-            engine_config,
-            model_seed,
-            config,
-            ServiceOptions::default(),
-            Some(hub),
-        )
-    }
-
-    /// Builds the service with explicit [`ServiceOptions`] (and an
-    /// optional observability hub) — the constructor behind the `vs2d`
-    /// `--plan-cache` / `--metrics` flags.
+    /// [`ModelCache::model_for`]). `options` picks the segmentation
+    /// route (the `vs2d` `--plan-cache` / `--triage` / `--naive-segment`
+    /// flags).
+    ///
+    /// With a `hub`, the engine records queue dwell, latency, retries,
+    /// panics, timeouts, outcomes and per-site fault triggers into the
+    /// hub's [`crate::obs::EngineMetrics`], and — when the hub has
+    /// tracing enabled — each successful job's pipeline spans are
+    /// captured for the batch emitter to serialise.
     pub fn with_options(
-        engine_config: EngineConfig,
-        model_seed: u64,
-        config: Option<Vs2Config>,
-        options: ServiceOptions,
-        hub: Option<Arc<ObsHub>>,
-    ) -> Self {
-        Self::build(engine_config, model_seed, config, options, hub)
-    }
-
-    fn build(
         engine_config: EngineConfig,
         model_seed: u64,
         config: Option<Vs2Config>,
@@ -165,9 +130,9 @@ impl ExtractService {
                     // embeddings through segment → select → assign.
                     let dctx = vs2_core::DocContext::build(&doc);
                     if options.triage {
-                        // Triage routing: score first, then plan replay
-                        // beats cheap path beats full segmentation. The
-                        // plan store only participates when the plan
+                        // Triage routing: score first, then cheap path
+                        // or full segmentation. The plan store only
+                        // participates (on the full path) when the plan
                         // cache is also on.
                         let plans = options.plan_cache.then(|| {
                             worker_cache.plan_store_for(spec.dataset, model_seed, &config)
@@ -234,15 +199,8 @@ impl ExtractService {
             let blocks = vs2_core::cheap_blocks(&doc, &triage_config.cheap);
             Some(pipeline.extract_on_blocks(&doc, &blocks))
         };
-        let engine = match &hub {
-            Some(h) => BatchEngine::with_fallback_observed(
-                engine_config,
-                process,
-                fallback,
-                Arc::clone(h.metrics()),
-            ),
-            None => BatchEngine::with_fallback(engine_config, process, fallback),
-        };
+        let metrics = hub.as_ref().map(|h| Arc::clone(h.metrics()));
+        let engine = BatchEngine::with_fallback(engine_config, process, fallback, metrics);
         Self {
             engine,
             cache,
@@ -271,10 +229,10 @@ impl ExtractService {
         self.engine.submit_with(spec, client.as_deref(), lane)
     }
 
-    /// Burns one sequence number without submitting work; see
-    /// [`BatchEngine::reserve_seq`].
-    pub fn reserve_seq(&self) -> u64 {
-        self.engine.reserve_seq()
+    /// Replays a submission by `client` that a predecessor already
+    /// answered, without running it; see [`BatchEngine::skip_submission`].
+    pub fn skip_submission(&self, client: Option<&str>) -> u64 {
+        self.engine.skip_submission(client)
     }
 
     /// Stops admitting new work: every subsequent submission is shed

@@ -5,7 +5,7 @@ use std::time::Duration;
 use serde::Serialize;
 use vs2_serve::{
     Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec,
-    RetryPolicy, ServeError, DEFAULT_DOC_SEED,
+    RetryPolicy, ServeError, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
@@ -38,7 +38,7 @@ fn mixed_batch() -> Vec<JobSpec> {
 }
 
 fn run_batch(workers: usize, specs: &[JobSpec]) -> Vec<String> {
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers,
             queue_capacity: 4,
@@ -46,6 +46,8 @@ fn run_batch(workers: usize, specs: &[JobSpec]) -> Vec<String> {
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     for spec in specs {
@@ -82,13 +84,15 @@ fn extractions_match_unserved_pipeline() {
     // produces on the same document.
     let dataset = DatasetId::D2;
     let spec = job(dataset, 1);
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers: 2,
             queue_capacity: 2,
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     service.submit(spec.clone());
@@ -111,13 +115,15 @@ fn extractions_match_unserved_pipeline() {
 fn one_model_learned_per_dataset() {
     // Single worker so cache hit/miss counts are deterministic; the
     // concurrent learn-once property is covered by the cache unit tests.
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers: 1,
             queue_capacity: 8,
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     for spec in mixed_batch() {
@@ -135,7 +141,7 @@ fn job_soft_timeout_retries_then_quarantines() {
     // A 1µs deadline is shorter than real extraction, so every attempt
     // overruns: one free watchdog retry, then timeout quarantine — and
     // the service must keep running, not wedge or panic.
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers: 1,
             queue_capacity: 4,
@@ -143,6 +149,8 @@ fn job_soft_timeout_retries_then_quarantines() {
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     service.submit(job(DatasetId::D2, 0));
@@ -174,13 +182,15 @@ fn job_soft_timeout_retries_then_quarantines() {
 fn queue_backpressure_stalls_are_counted() {
     // A 1-deep queue over a single worker doing real extraction forces
     // the submitting thread to block; the stall counter must record it.
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers: 1,
             queue_capacity: 1,
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     for i in 0..6 {
@@ -209,7 +219,7 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
         injected_latency: Duration::ZERO,
     };
     let run = |workers: usize| {
-        let mut service = ExtractService::new(
+        let mut service = ExtractService::with_options(
             EngineConfig {
                 workers,
                 queue_capacity: 4,
@@ -218,6 +228,8 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
                 ..EngineConfig::default()
             },
             DEFAULT_DOC_SEED,
+            None,
+            ServiceOptions::default(),
             None,
         );
         for i in 0..3 {
@@ -264,7 +276,7 @@ fn inert_fault_plan_changes_nothing() {
     // byte-identical extractions to a plain run.
     let specs: Vec<JobSpec> = (0..3).map(|i| job(DatasetId::D3, i)).collect();
     let baseline = run_batch(2, &specs);
-    let mut service = ExtractService::new(
+    let mut service = ExtractService::with_options(
         EngineConfig {
             workers: 2,
             queue_capacity: 4,
@@ -272,6 +284,8 @@ fn inert_fault_plan_changes_nothing() {
             ..EngineConfig::default()
         },
         DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
         None,
     );
     for spec in &specs {

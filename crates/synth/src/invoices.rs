@@ -17,7 +17,7 @@
 //! per-line token counts are content-independent. Consequently a family
 //! shares one layout fingerprint, the triage features are stable under
 //! the [`invoice_ocr`] noise channel, and the plan cache composes with
-//! cheap-path routing on this corpus (replay beats XY-cut).
+//! cheap-path routing on this corpus.
 //!
 //! The noise channel deliberately excludes rotation: a rotated scan is
 //! exactly the case triage must *not* route cheap (the skew gate sends
