@@ -6,8 +6,8 @@
 //! Every run goes through the wire format — JSONL job lines in, result
 //! and quarantine lines out — with latency fields off, so outputs are
 //! byte-comparable across worker counts, repeats and modes. Each
-//! service carries an [`ObsHub`] (tracing off) so the metrics counters
-//! can be reconciled with the wire. Watchdog deadlines are wall-clock
+//! service's ledger ([`ExtractService::metrics`]) is read back so its
+//! counters can be reconciled with the wire. Watchdog deadlines are wall-clock
 //! and therefore outside the determinism contract, so every service
 //! here runs with `job_timeout: None`.
 
@@ -23,7 +23,7 @@ use vs2_docmodel::Document;
 use vs2_serve::{
     default_config_for, run_batch, AdmitConfig, BatchOptions, BatchRun, EngineConfig, EngineStats,
     ExtractService, FaultPlan, HandoffSnapshot, JobResult, JobSource, JobSpec, JobStatus, Lane,
-    ModelCache, ObsHub, PlanEntry, PlanNamespace, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+    ModelCache, PlanEntry, PlanNamespace, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, invoices, templated, DatasetId};
 
@@ -236,14 +236,14 @@ impl Mode {
         }
     }
 
-    /// A fresh service in this mode, with a tracing-off [`ObsHub`].
+    /// A fresh service in this mode (tracing off).
     pub fn service(&self) -> ExtractService {
         ExtractService::with_options(
             self.engine_config(),
             DEFAULT_DOC_SEED,
             None,
             self.options,
-            Some(ObsHub::new(false, self.workers)),
+            None,
         )
     }
 }
@@ -260,7 +260,7 @@ pub struct Run {
     pub batch: BatchRun,
     /// The engine's final counters.
     pub stats: EngineStats,
-    /// The hub's counters, by name.
+    /// The ledger's counters, by name.
     pub counters: BTreeMap<&'static str, u64>,
     /// The plan cache's counters.
     pub plans: PlanCounters,
@@ -272,7 +272,7 @@ impl Run {
         self.results.iter().filter(|r| r.status == status).count() as u64
     }
 
-    /// The hub counter `name`.
+    /// The ledger counter `name`.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -280,7 +280,7 @@ impl Run {
     /// Exactly-once accounting of a pass over an `n`-line batch whose
     /// first `skipped` lines were resumed past: one result line per
     /// remaining job line, in input order, and the engine counters,
-    /// `BatchRun`, quarantine records and hub `jobs_*` counters all
+    /// `BatchRun`, quarantine records and ledger `jobs_*` counters all
     /// agreeing with the statuses on the wire.
     pub fn assert_exactly_once(&self, context: &str, skipped: u64, n: u64) {
         assert_eq!(self.batch.skipped, skipped, "{context}");
@@ -314,7 +314,7 @@ impl Run {
             ["jobs_ok", "jobs_degraded", "jobs_quarantined", "jobs_shed"]
                 .map(|name| self.counter(name)),
             [ok, degraded, quarantined, shed],
-            "{context}: hub counters disagree with the wire"
+            "{context}: ledger counters disagree with the wire"
         );
         assert_eq!(self.batch.invalid, 0, "{context}");
         assert_eq!(self.batch.shed, shed, "{context}");
@@ -379,7 +379,7 @@ impl Served {
         self.runs().map(|r| field(&r.plans)).sum()
     }
 
-    /// A hub counter summed over every run.
+    /// A ledger counter summed over every run.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.runs().map(|r| r.counter(name)).sum()
     }
@@ -622,13 +622,7 @@ fn finish(service: ExtractService, stdout: String, batch: BatchRun) -> Run {
         .map(|l| serde_json::from_str::<JobResult>(l).expect("result line parses"))
         .collect();
     let quarantine = quarantine.into_iter().map(str::to_string).collect();
-    let counters = service
-        .obs()
-        .expect("scaffold services carry a hub")
-        .metrics()
-        .registry()
-        .counters()
-        .collect();
+    let counters = service.metrics().registry().counters().collect();
     let plans = service.cache_snapshot().plans;
     let stats = service.shutdown();
     Run {

@@ -169,7 +169,7 @@ fn check_span_line(value: &serde::Value) {
 
 #[test]
 fn trace_jsonl_matches_the_documented_schema() {
-    let hub = ObsHub::new(true, 2);
+    let hub = ObsHub::new();
     let service = ExtractService::with_options(
         EngineConfig {
             workers: 2,

@@ -87,7 +87,7 @@ fn traced_batch_output_is_plain_output_plus_record_lines() {
     );
     plain_service.shutdown();
 
-    let hub = ObsHub::new(true, 2);
+    let hub = ObsHub::new();
     let traced_service = ExtractService::with_options(
         engine_config(),
         DEFAULT_DOC_SEED,

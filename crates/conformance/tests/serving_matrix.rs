@@ -19,7 +19,7 @@
 //! * **1 ≡ 4 workers** — stdout is byte-identical, and one cell is run
 //!   twice to show repeat-run identity;
 //! * **exactly-once** — one result line per job line, in input order,
-//!   with the engine, `BatchRun`, quarantine records and hub counters
+//!   with the engine, `BatchRun`, quarantine records and ledger counters
 //!   all agreeing with the statuses on the wire;
 //! * **plan cache on ≡ off** — stdout is identical, and the triage-off
 //!   plan cells really replay and really reject colliders;

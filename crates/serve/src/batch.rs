@@ -33,7 +33,7 @@ use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use serde::Value;
+use serde::{Deserialize, Value};
 
 use crate::admit::Lane;
 use crate::engine::JobOutcome;
@@ -89,9 +89,10 @@ pub struct BatchOptions {
     /// and quarantine lines. Off by default so output is byte-stable
     /// across runs and worker counts.
     pub include_latency: bool,
-    /// End the batch with the `{"record":"metrics",...}` tail even when
-    /// tracing is off. Requires the service to have an [`crate::obs::ObsHub`];
-    /// without one the flag is a no-op. Tracing implies the tail.
+    /// End the batch with the `{"record":"metrics",...}` tail, rendered
+    /// from the service's ledger ([`ExtractService::metrics`]). A
+    /// service with a `--trace` [`crate::obs::ObsHub`] ends with the tail
+    /// regardless.
     pub emit_metrics: bool,
     /// Client identity applied to specs that carry none — the `vs2d
     /// --client` default feeding per-client admission fairness.
@@ -180,7 +181,7 @@ pub fn run_batch(
                 // With tracing on, each result line is followed by that
                 // job's span records, and the batch ends with a metrics
                 // snapshot. Off (the default), the wire format is untouched.
-                let trace_hub = service.obs().filter(|h| h.trace_enabled()).cloned();
+                let trace_hub = service.obs().cloned();
                 // Engine seq → (wire seq, job id): the two diverge once an
                 // invalid line consumes a wire seq without entering the
                 // engine, and quarantine records must speak wire seqs.
@@ -283,9 +284,8 @@ pub fn run_batch(
                     writeln!(out, "{line}").expect("write output");
                     records.push(record);
                 }
-                let metrics_hub = service.obs().filter(|h| h.trace_enabled() || emit_metrics);
-                if let Some(hub) = metrics_hub {
-                    for line in hub.metrics_lines(&service.cache_snapshot()) {
+                if emit_metrics || trace_hub.is_some() {
+                    for line in service.metrics().metrics_lines(&service.cache_snapshot()) {
                         writeln!(out, "{line}").expect("write output");
                     }
                 }
@@ -325,8 +325,10 @@ pub fn run_batch(
                 }
                 // Control records steer the service without consuming a
                 // wire seq — they are commands, not jobs, and must not
-                // shift the seqs of surrounding result lines.
-                if let Ok(value) = serde_json::parse(&line) {
+                // shift the seqs of surrounding result lines. A job line's
+                // spec is read from the same parsed tree.
+                let value = serde_json::parse(&line);
+                if let Ok(value) = &value {
                     if let Some(ctl) = value.get("control") {
                         if matches!(ctl, Value::Str(cmd) if cmd == "drain") {
                             service.begin_drain();
@@ -342,7 +344,7 @@ pub fn run_batch(
                         continue;
                     }
                 }
-                let parsed = serde_json::from_str::<JobSpec>(&line).map(|mut spec| {
+                let parsed = value.and_then(|v| JobSpec::from_value(&v)).map(|mut spec| {
                     if spec.client.is_none() {
                         spec.client = opts.default_client.clone();
                     }

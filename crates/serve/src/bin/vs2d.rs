@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vs2_core::pipeline::Vs2Config;
+use vs2_core::triage::TriageDecision;
 use vs2_serve::{
     run_batch, AdmitConfig, BatchOptions, EngineConfig, ExtractService, FaultPlan, HandoffSnapshot,
     Lane, PlanEntry, PlanNamespace, RetryPolicy, DEFAULT_DOC_SEED,
@@ -301,11 +302,10 @@ fn main() {
         naive_segment: opts.naive_segment,
         triage: opts.triage,
     };
-    // `--metrics` needs a hub for the metrics tail; `--trace` needs one
-    // with span capture on top; `--triage` needs one for the routing
-    // counters in the shutdown summary.
-    let hub = (opts.trace || opts.metrics || opts.triage)
-        .then(|| vs2_serve::ObsHub::new(opts.trace, opts.workers));
+    // The service always counts into its ledger (the metrics tail and
+    // the triage counts below read it); a hub only adds `--trace` span
+    // capture.
+    let hub = opts.trace.then(vs2_serve::ObsHub::new);
     let service =
         ExtractService::with_options(engine_config, opts.model_seed, config, options, hub);
     if let Some(snap) = &resume {
@@ -382,19 +382,12 @@ fn main() {
     let stats = service.stats();
     let (cache_hits, cache_misses) = service.cache_counters();
     let cache_snapshot = service.cache_snapshot();
-    // [full, cheap, replay] routing counts, when --triage recorded them.
-    let triage_counts = service.obs().map(|h| {
-        let mut t = [0u64; 3];
-        for (name, total) in h.metrics().registry().counters() {
-            match name {
-                "triage_full" => t[0] = total,
-                "triage_cheap" => t[1] = total,
-                "triage_replay" => t[2] = total,
-                _ => {}
-            }
-        }
-        t
-    });
+    let [triage_full, triage_cheap, triage_replay] = [
+        TriageDecision::FullVs2,
+        TriageDecision::CheapPath,
+        TriageDecision::PlanReplay,
+    ]
+    .map(|decision| service.metrics().triage_count(decision));
     service.shutdown();
 
     let lat = vs2_serve::LatencySummary::from_latencies(&run.latencies);
@@ -441,8 +434,9 @@ fn main() {
         );
     }
     if opts.triage {
-        let [full, cheap, replay] = triage_counts.unwrap_or_default();
-        eprintln!("vs2d: triage routed {full} full, {cheap} cheap, {replay} replay");
+        eprintln!(
+            "vs2d: triage routed {triage_full} full, {triage_cheap} cheap, {triage_replay} replay"
+        );
     }
     if let Some(path) = &opts.summary_json {
         let summary = serde::Value::Object(vec![
@@ -487,18 +481,9 @@ fn main() {
                 "plan_cache_bypasses".into(),
                 serde::Value::UInt(cache_snapshot.plans.bypasses),
             ),
-            (
-                "triage_full".into(),
-                serde::Value::UInt(triage_counts.map_or(0, |t| t[0])),
-            ),
-            (
-                "triage_cheap".into(),
-                serde::Value::UInt(triage_counts.map_or(0, |t| t[1])),
-            ),
-            (
-                "triage_replay".into(),
-                serde::Value::UInt(triage_counts.map_or(0, |t| t[2])),
-            ),
+            ("triage_full".into(), serde::Value::UInt(triage_full)),
+            ("triage_cheap".into(), serde::Value::UInt(triage_cheap)),
+            ("triage_replay".into(), serde::Value::UInt(triage_replay)),
         ]);
         if let Err(e) = std::fs::write(
             path,

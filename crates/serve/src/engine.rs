@@ -30,6 +30,10 @@
 //!   [`JobCtx`] passed to the processor injects deterministic panics,
 //!   transient errors and latency at named pipeline sites (see
 //!   [`crate::faults`]); with it unset the check is one branch.
+//! * **One ledger.** Every engine event (submission lane, outcome,
+//!   retry, panic, timeout trip, fault trigger, queue dwell, job
+//!   latency) is counted once, in the engine's [`EngineMetrics`];
+//!   [`BatchEngine::stats`] is read back from it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -88,7 +92,7 @@ pub struct JobCtx {
     /// 0-based attempt number (retries increment it).
     pub attempt: u32,
     faults: Option<FaultPlan>,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
 }
 
 impl std::fmt::Debug for JobCtx {
@@ -103,33 +107,36 @@ impl std::fmt::Debug for JobCtx {
 
 impl JobCtx {
     /// Builds a context explicitly — for driving processors outside an
-    /// engine (direct calls in tests and differential harnesses).
+    /// engine (direct calls in tests and differential harnesses). It
+    /// records into a ledger of its own.
     pub fn new(seq: u64, attempt: u32, faults: Option<FaultPlan>) -> Self {
         Self {
             seq,
             attempt,
             faults,
-            metrics: None,
+            metrics: Arc::new(EngineMetrics::new(1)),
         }
+    }
+
+    /// The engine's ledger, for processors that record their own events
+    /// (routing decisions) against this job.
+    pub fn metrics(&self) -> &EngineMetrics {
+        &self.metrics
     }
 
     /// Fault-injection checkpoint: a no-op unless the engine was
     /// configured with a [`FaultPlan`], in which case the plan's
     /// deterministic decision for `(site, seq, attempt)` is applied
-    /// (sleep / `Err(Retryable)` / panic). With engine metrics attached,
-    /// each fired decision also bumps the site's fault-trigger counter.
+    /// (sleep / `Err(Retryable)` / panic). Each fired decision also
+    /// bumps the site's fault-trigger counter.
     pub fn checkpoint(&self, site: FaultSite) -> Result<(), ServeError> {
-        match &self.faults {
-            None => Ok(()),
-            Some(plan) => {
-                if let Some(metrics) = &self.metrics {
-                    if plan.decide(site, self.seq, self.attempt).is_some() {
-                        metrics.on_fault(site, self.seq);
-                    }
-                }
-                plan.apply(site, self.seq, self.attempt)
-            }
+        let Some(plan) = &self.faults else {
+            return Ok(());
+        };
+        if plan.decide(site, self.seq, self.attempt).is_some() {
+            self.metrics.on_fault(site, self.seq);
         }
+        plan.apply(site, self.seq, self.attempt)
     }
 }
 
@@ -200,7 +207,8 @@ pub struct Completed<O> {
     pub attempts: u32,
 }
 
-/// Counters snapshot; see [`BatchEngine::stats`].
+/// Counters snapshot, read from the engine's [`EngineMetrics`]; see
+/// [`BatchEngine::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Jobs accepted by `submit`.
@@ -224,18 +232,6 @@ pub struct EngineStats {
     pub shed: u64,
     /// Submissions that blocked on a full queue.
     pub queue_stalls: u64,
-}
-
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    ok: AtomicU64,
-    degraded: AtomicU64,
-    quarantined: AtomicU64,
-    retried: AtomicU64,
-    panicked: AtomicU64,
-    timed_out: AtomicU64,
-    shed: AtomicU64,
 }
 
 /// One queue entry: a job plus the attempt number it will run as.
@@ -291,11 +287,10 @@ struct Shared<J, O> {
     results_cv: Condvar,
     inflight: Mutex<HashMap<u64, Inflight<J>>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
-    counters: Counters,
     timeout: Option<Duration>,
     retry: RetryPolicy,
     faults: Option<FaultPlan>,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
     admit: Option<AdmitController>,
     /// Once set, every new submission is shed with
     /// [`ShedReason::Draining`]; in-flight and queued work still
@@ -392,28 +387,16 @@ impl<J, O> Shared<J, O> {
         }
         results.epochs.remove(&seq);
         match &outcome {
-            JobOutcome::Ok(_) => self.counters.ok.fetch_add(1, Ordering::Relaxed),
-            JobOutcome::Degraded { .. } => self.counters.degraded.fetch_add(1, Ordering::Relaxed),
-            JobOutcome::Failed(_) => self.counters.quarantined.fetch_add(1, Ordering::Relaxed),
-            JobOutcome::Shed(_) => self.counters.shed.fetch_add(1, Ordering::Relaxed),
-        };
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        let is_shed = outcome.is_shed();
-        if let Some(metrics) = &self.metrics {
-            match &outcome {
-                JobOutcome::Ok(_) => metrics.on_ok(seq),
-                JobOutcome::Degraded { .. } => metrics.on_degraded(seq),
-                JobOutcome::Failed(_) => metrics.on_quarantined(seq),
-                JobOutcome::Shed(_) => metrics.on_shed(seq),
-            }
-            if !is_shed {
-                metrics.on_job_latency(seq, latency);
-            }
+            JobOutcome::Ok(_) => self.metrics.on_ok(seq),
+            JobOutcome::Degraded { .. } => self.metrics.on_degraded(seq),
+            JobOutcome::Failed(_) => self.metrics.on_quarantined(seq),
+            JobOutcome::Shed(_) => self.metrics.on_shed(seq),
         }
-        // Engine progress — not wall clock — advances the admission
-        // controller's latency EWMA. Shed jobs did no work and would
-        // only drag the signal toward zero.
-        if !is_shed {
+        // Shed jobs did no work: no latency sample, and no step of the
+        // admission controller's latency EWMA (engine progress, not wall
+        // clock, advances it), which they would only drag toward zero.
+        if !outcome.is_shed() {
+            self.metrics.on_job_latency(seq, latency);
             if let Some(admit) = &self.admit {
                 admit.on_completion(latency);
             }
@@ -460,26 +443,20 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
     {
-        Self::build(config, Arc::new(process), None, None)
+        Self::build(config, Arc::new(process), None)
     }
 
     /// Like [`BatchEngine::new`], plus a degradation fallback: when a
     /// job's primary attempts are all spent (other than by timeout),
     /// `fallback` gets one shot at producing a cheaper answer. A `Some`
     /// return completes the job as [`JobOutcome::Degraded`]; `None` or a
-    /// panic sends it to quarantine. With `metrics`, the engine also
-    /// records queue dwell, retry/panic/timeout and outcome metrics.
-    pub fn with_fallback<F, G>(
-        config: EngineConfig,
-        process: F,
-        fallback: G,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> Self
+    /// panic sends it to quarantine.
+    pub fn with_fallback<F, G>(config: EngineConfig, process: F, fallback: G) -> Self
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
         G: Fn(&J) -> Option<O> + Send + Sync + 'static,
     {
-        Self::build(config, Arc::new(process), Some(Arc::new(fallback)), metrics)
+        Self::build(config, Arc::new(process), Some(Arc::new(fallback)))
     }
 
     #[allow(clippy::type_complexity)]
@@ -487,7 +464,6 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         config: EngineConfig,
         process: Arc<dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync>,
         fallback: Option<Fallback<J, O>>,
-        metrics: Option<Arc<EngineMetrics>>,
     ) -> Self {
         let shared = Arc::new(Shared {
             queue: LaneQueue::new(config.queue_capacity),
@@ -500,21 +476,10 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
             results_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
-            counters: Counters {
-                submitted: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                ok: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
-                quarantined: AtomicU64::new(0),
-                retried: AtomicU64::new(0),
-                panicked: AtomicU64::new(0),
-                timed_out: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-            },
             timeout: config.job_timeout,
             retry: config.retry,
             faults: config.faults,
-            metrics,
+            metrics: Arc::new(EngineMetrics::new(config.workers.max(1))),
             admit: config.admit.map(AdmitController::new),
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -552,6 +517,11 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         self.config
     }
 
+    /// The engine's ledger: every event it counts, one shard per worker.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
+        &self.shared.metrics
+    }
+
     /// Submits an anonymous interactive-lane job, blocking while the
     /// queue is full (backpressure). Returns the job's sequence number.
     ///
@@ -574,13 +544,7 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// closed).
     pub fn submit_with(&self, job: J, client: Option<&str>, lane: Lane) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.on_lane(seq, lane);
-        }
+        self.shared.metrics.on_lane(seq, lane);
         let decision = if self.shared.draining.load(Ordering::Relaxed) {
             if let Some(admit) = &self.shared.admit {
                 admit.count_shed(ShedReason::Draining);
@@ -598,9 +562,7 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
                 return seq;
             }
             AdmitDecision::Degrade(reason) => {
-                if let Some(metrics) = &self.shared.metrics {
-                    metrics.on_admit_degrade(seq);
-                }
+                self.shared.metrics.on_admit_degrade(seq);
                 Some(reason)
             }
             AdmitDecision::Accept => None,
@@ -697,20 +659,11 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         out
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot, read from the ledger.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            submitted: self.shared.counters.submitted.load(Ordering::Relaxed),
-            completed: self.shared.counters.completed.load(Ordering::Relaxed),
-            ok: self.shared.counters.ok.load(Ordering::Relaxed),
-            degraded: self.shared.counters.degraded.load(Ordering::Relaxed),
-            quarantined: self.shared.counters.quarantined.load(Ordering::Relaxed),
-            retried: self.shared.counters.retried.load(Ordering::Relaxed),
-            panicked: self.shared.counters.panicked.load(Ordering::Relaxed),
-            timed_out: self.shared.counters.timed_out.load(Ordering::Relaxed),
-            shed: self.shared.counters.shed.load(Ordering::Relaxed),
-            queue_stalls: self.shared.queue.stall_count(),
-        }
+        self.shared
+            .metrics
+            .engine_stats(self.shared.queue.stall_count())
     }
 
     /// Snapshot of the quarantine ledger, ordered by quarantine time.
@@ -816,9 +769,7 @@ fn run_job<J: Clone, O>(
         enqueued,
     } = queued;
     let dwell = enqueued.elapsed();
-    if let Some(metrics) = &shared.metrics {
-        metrics.on_dwell(seq, dwell);
-    }
+    shared.metrics.on_dwell(seq, dwell);
     // Degrade-routed jobs skip the primary pipeline entirely: one shot
     // at the cheap fallback, no retries, no watchdog registration. A
     // missing or panicking fallback quarantines the job.
@@ -865,7 +816,7 @@ fn run_job<J: Clone, O>(
             seq,
             attempt,
             faults: shared.faults,
-            metrics: shared.metrics.clone(),
+            metrics: Arc::clone(&shared.metrics),
         };
         let result = catch_unwind(AssertUnwindSafe(|| process(&job, &ctx)));
         let latency = start.elapsed();
@@ -888,17 +839,11 @@ fn run_job<J: Clone, O>(
             if !shared.claim_timeout(seq, attempt, terminal) {
                 return; // the watchdog owns this trip
             }
-            shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &shared.metrics {
-                metrics.on_timeout(seq);
-            }
+            shared.metrics.on_timeout(seq);
             if result.is_err() {
                 // The overrunning attempt also panicked; record it — the
                 // timeout still decides the outcome.
-                shared.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                if let Some(metrics) = &shared.metrics {
-                    metrics.on_panic(seq);
-                }
+                shared.metrics.on_panic(seq);
             }
             if terminal {
                 finish_failed(
@@ -914,10 +859,7 @@ fn run_job<J: Clone, O>(
                 );
                 return;
             }
-            shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &shared.metrics {
-                metrics.on_retry(seq);
-            }
+            shared.metrics.on_retry(seq);
             attempt += 1;
             continue;
         }
@@ -935,18 +877,12 @@ fn run_job<J: Clone, O>(
             }
             Ok(Err(error)) => error,
             Err(payload) => {
-                shared.counters.panicked.fetch_add(1, Ordering::Relaxed);
-                if let Some(metrics) = &shared.metrics {
-                    metrics.on_panic(seq);
-                }
+                shared.metrics.on_panic(seq);
                 ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
             }
         };
         if matches!(error, ServeError::Retryable(_)) && attempt + 1 < shared.retry.max_attempts {
-            shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &shared.metrics {
-                metrics.on_retry(seq);
-            }
+            shared.metrics.on_retry(seq);
             let delay = shared.retry.backoff_delay(seq, attempt);
             if !delay.is_zero() {
                 std::thread::sleep(delay);
@@ -1003,10 +939,7 @@ fn watchdog_loop<J: Clone, O>(shared: &Shared<J, O>, timeout: Duration) {
             if !shared.claim_timeout(seq, entry.attempt, terminal) {
                 continue; // the worker noticed its own overrun first
             }
-            shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &shared.metrics {
-                metrics.on_timeout(seq);
-            }
+            shared.metrics.on_timeout(seq);
             if terminal {
                 // No degradation for timeouts: the document already
                 // burnt two deadline windows; the quarantine record *is*
@@ -1024,10 +957,7 @@ fn watchdog_loop<J: Clone, O>(shared: &Shared<J, O>, timeout: Duration) {
                 );
                 continue;
             }
-            shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &shared.metrics {
-                metrics.on_retry(seq);
-            }
+            shared.metrics.on_retry(seq);
             let lane = entry.lane;
             let requeued = QueuedJob {
                 seq,
@@ -1210,7 +1140,6 @@ mod tests {
             },
             |_job, _ctx| Err(ServeError::Retryable("always flaky".into())),
             |job| Some(job + 100),
-            None,
         );
         engine.submit(1);
         engine.submit(2);
@@ -1282,7 +1211,6 @@ mod tests {
                 }
                 None // fallback declines
             },
-            None,
         );
         engine.submit(0);
         engine.submit(1);
@@ -1577,7 +1505,6 @@ mod tests {
             },
             |job, _ctx| Ok(*job),
             |job| Some(job + 100),
-            None,
         );
         engine.submit_with(1, Some("flood"), Lane::Batch);
         engine.submit_with(2, Some("flood"), Lane::Batch);

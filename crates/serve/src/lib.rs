@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────┐
-//!  submit ──────────▶│  BoundedQueue (cap N)      │   backpressure:
+//!  submit ──────────▶│  LaneQueue (cap N)         │   backpressure:
 //!  (blocks if full)  └──────────┬─────────────────┘   stalls counted
 //!                               │ pop
 //!            ┌──────────┬───────┴──┬──────────┐
@@ -25,9 +25,9 @@
 //!
 //! Layers, bottom up:
 //!
-//! * [`queue::BoundedQueue`] / [`queue::LaneQueue`] — blocking MPMC
-//!   queues; the bound is the service's backpressure, the lanes the
-//!   interactive/batch priority split.
+//! * [`queue::LaneQueue`] — the blocking MPMC work queue; its bound is
+//!   the service's backpressure, its lanes the interactive/batch
+//!   priority split.
 //! * [`admit::AdmitController`] — admission control: deterministic
 //!   per-client token buckets, backlog/latency pressure watermarks,
 //!   seeded load shedding and degrade routing.
@@ -41,8 +41,9 @@
 //!   isolation, retry/backoff, soft timeouts, poison-job quarantine,
 //!   graceful degradation and submission-ordered results.
 //! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing.
-//! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — opt-in serving metrics
-//!   (sharded lock-free registry) and per-job span capture for `--trace`.
+//! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — the engine's always-on
+//!   ledger (sharded lock-free registry) and opt-in per-job span capture
+//!   for `--trace`.
 //! * [`service::ExtractService`] — the layers wired together over
 //!   [`job::JobSpec`]s, degrading to XY-cut segmentation
 //!   ([`vs2_core::cheap_blocks`]) when the learned pipeline fails a job.
@@ -80,6 +81,6 @@ pub use job::{
     JobDocCache, JobResult, JobSource, JobSpec, JobStatus, QuarantineRecord, DEFAULT_DOC_SEED,
 };
 pub use obs::{EngineMetrics, ObsHub};
-pub use queue::{BoundedQueue, LaneQueue, PushError};
+pub use queue::{LaneQueue, PushError};
 pub use retry::RetryPolicy;
 pub use service::{ExtractService, LatencySummary, ServiceOptions};

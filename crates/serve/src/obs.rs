@@ -1,15 +1,15 @@
-//! Serving-layer observability: engine metrics over a sharded
+//! Serving-layer observability: the engine's ledger over a sharded
 //! [`MetricsRegistry`], and per-job span capture for `--trace` output.
 //!
 //! [`EngineMetrics`] declares the serving metric set once and hands the
 //! engine dense counter/histogram ids; the hot path is one relaxed
 //! atomic add into the shard addressed by the job's sequence number, so
-//! workers never contend on a metrics lock. [`ObsHub`] bundles the
-//! metrics with a span store keyed by engine sequence number — the batch
-//! emitter drains it to produce `{"record":"span",...}` JSONL lines.
-//!
-//! Everything here is opt-in: a service built without a hub records
-//! nothing, and the engine's metrics hooks are one `Option` branch.
+//! workers never contend on a metrics lock. Every engine owns one and
+//! always records into it — it is the single source of
+//! [`crate::engine::EngineStats`] and of the `{"record":"metrics",...}`
+//! tail. [`ObsHub`] is the opt-in part: a span store keyed by engine
+//! sequence number that the batch emitter drains to produce
+//! `{"record":"span",...}` JSONL lines.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -22,6 +22,7 @@ use vs2_obs::{CounterId, HistogramId, MetricsRegistry, MetricsSpec, SpanRecord};
 
 use crate::admit::Lane;
 use crate::cache::CacheSnapshot;
+use crate::engine::EngineStats;
 use crate::faults::FaultSite;
 
 /// Micros of a duration, saturating into `u64`.
@@ -116,6 +117,45 @@ impl EngineMetrics {
         &self.registry
     }
 
+    fn total(&self, id: CounterId) -> u64 {
+        self.registry.counter_total(id)
+    }
+
+    /// The engine counters: submissions are the two lane counts, and
+    /// `completed` is `ok + degraded + quarantined + shed`. The queue
+    /// keeps its own stall count.
+    pub fn engine_stats(&self, queue_stalls: u64) -> EngineStats {
+        let ok = self.total(self.jobs_ok);
+        let degraded = self.total(self.jobs_degraded);
+        let quarantined = self.total(self.jobs_quarantined);
+        let shed = self.total(self.jobs_shed);
+        EngineStats {
+            submitted: self.total(self.lane_interactive) + self.total(self.lane_batch),
+            completed: ok + degraded + quarantined + shed,
+            ok,
+            degraded,
+            quarantined,
+            retried: self.total(self.retries),
+            panicked: self.total(self.panics),
+            timed_out: self.total(self.timeouts),
+            shed,
+            queue_stalls,
+        }
+    }
+
+    /// How many times the triage router took `decision`.
+    pub fn triage_count(&self, decision: TriageDecision) -> u64 {
+        self.total(self.triage_id(decision))
+    }
+
+    fn triage_id(&self, decision: TriageDecision) -> CounterId {
+        match decision {
+            TriageDecision::FullVs2 => self.triage_full,
+            TriageDecision::CheapPath => self.triage_cheap,
+            TriageDecision::PlanReplay => self.triage_replay,
+        }
+    }
+
     /// Time a job spent queued before a worker picked it up.
     pub fn on_dwell(&self, seq: u64, dwell: Duration) {
         self.registry
@@ -193,12 +233,8 @@ impl EngineMetrics {
 
     /// The triage router decided how a job's segmentation ran.
     pub fn on_triage(&self, seq: u64, decision: TriageDecision) {
-        let id = match decision {
-            TriageDecision::FullVs2 => self.triage_full,
-            TriageDecision::CheapPath => self.triage_cheap,
-            TriageDecision::PlanReplay => self.triage_replay,
-        };
-        self.registry.counter_add(seq as usize, id, 1);
+        self.registry
+            .counter_add(seq as usize, self.triage_id(decision), 1);
     }
 
     /// An injected fault fired at `site`.
@@ -210,56 +246,12 @@ impl EngineMetrics {
         };
         self.registry.counter_add(seq as usize, id, 1);
     }
-}
 
-/// Observability hub for one [`crate::service::ExtractService`]: the
-/// engine metrics plus (when tracing) the per-job span store.
-pub struct ObsHub {
-    metrics: Arc<EngineMetrics>,
-    trace: bool,
-    spans: Mutex<BTreeMap<u64, Vec<SpanRecord>>>,
-}
-
-impl ObsHub {
-    /// Builds a hub. With `trace` set, the service's processor installs
-    /// a [`vs2_obs::Trace`] around each job and the batch emitter writes
-    /// span and metrics JSONL records; without it only the in-memory
-    /// metrics are recorded.
-    pub fn new(trace: bool, shards: usize) -> Arc<Self> {
-        Arc::new(Self {
-            metrics: Arc::new(EngineMetrics::new(shards)),
-            trace,
-            spans: Mutex::new(BTreeMap::new()),
-        })
-    }
-
-    /// The engine metric set.
-    pub fn metrics(&self) -> &Arc<EngineMetrics> {
-        &self.metrics
-    }
-
-    /// Whether span tracing (and wire emission) is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
-    }
-
-    /// Stores the spans of a successfully extracted job, keyed by engine
-    /// sequence number. A retried job overwrites its failed attempts'
-    /// (never stored) slot with the deciding attempt's spans.
-    pub fn store_spans(&self, seq: u64, spans: Vec<SpanRecord>) {
-        self.spans.lock().unwrap().insert(seq, spans);
-    }
-
-    /// Removes and returns the spans stored for `seq`.
-    pub fn take_spans(&self, seq: u64) -> Option<Vec<SpanRecord>> {
-        self.spans.lock().unwrap().remove(&seq)
-    }
-
-    /// Renders the current metrics as `{"record":"metrics",...}` JSONL
-    /// lines: every declared counter and histogram in declaration order,
-    /// plus both levels of the model + plan cache's counters.
+    /// Renders the ledger as `{"record":"metrics",...}` JSONL lines:
+    /// every declared counter and histogram in declaration order, plus
+    /// both levels of the model + plan cache's counters.
     pub fn metrics_lines(&self, cache: &CacheSnapshot) -> Vec<String> {
-        let reg = self.metrics.registry();
+        let reg = &self.registry;
         let mut lines = Vec::new();
         for (name, total) in reg.counters() {
             lines.push(counter_json(name, total));
@@ -282,5 +274,33 @@ impl ObsHub {
             lines.push(histogram_json(name, &snap));
         }
         lines
+    }
+}
+
+/// The `--trace` span store for one [`crate::service::ExtractService`]:
+/// with a hub, the service's processor installs a [`vs2_obs::Trace`]
+/// around each job and keeps the deciding attempt's spans here for the
+/// batch emitter to serialise.
+#[derive(Default)]
+pub struct ObsHub {
+    spans: Mutex<BTreeMap<u64, Vec<SpanRecord>>>,
+}
+
+impl ObsHub {
+    /// Builds an empty span store.
+    pub fn new() -> Arc<Self> {
+        Arc::default()
+    }
+
+    /// Stores the spans of a successfully extracted job, keyed by engine
+    /// sequence number. A retried job overwrites its failed attempts'
+    /// (never stored) slot with the deciding attempt's spans.
+    pub fn store_spans(&self, seq: u64, spans: Vec<SpanRecord>) {
+        self.spans.lock().unwrap().insert(seq, spans);
+    }
+
+    /// Removes and returns the spans stored for `seq`.
+    pub fn take_spans(&self, seq: u64) -> Option<Vec<SpanRecord>> {
+        self.spans.lock().unwrap().remove(&seq)
     }
 }

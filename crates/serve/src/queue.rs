@@ -1,5 +1,5 @@
-//! Bounded multi-producer/multi-consumer work queues built on
-//! `Mutex` + `Condvar`.
+//! The engine's bounded multi-producer/multi-consumer work queue, built
+//! on `Mutex` + `Condvar`.
 //!
 //! `push` blocks while the queue is at capacity — that blocking *is* the
 //! service's backpressure: a submitter can never race ahead of the worker
@@ -7,10 +7,11 @@
 //! least once bumps a stall counter, surfaced in the shutdown summary so
 //! operators can see when the queue (not the workers) was the bottleneck.
 //!
-//! [`LaneQueue`] is the two-class variant the engine runs on: one shared
-//! capacity over an interactive and a batch [`Lane`], popped by a
-//! deterministic 3:1 weighted pick so interactive traffic keeps moving
-//! while a batch backlog exists but batch work is never starved.
+//! [`LaneQueue`] holds two classes under one shared capacity, an
+//! interactive and a batch [`Lane`], popped by a deterministic 3:1
+//! weighted pick so interactive traffic keeps moving while a batch
+//! backlog exists but batch work is never starved. Single-lane traffic
+//! is plain FIFO.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use crate::admit::Lane;
 
-/// Why a [`BoundedQueue::push_timeout`] returned the item instead of
+/// Why a [`LaneQueue::push_timeout`] returned the item instead of
 /// enqueuing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -35,140 +36,6 @@ impl<T> PushError<T> {
         match self {
             PushError::Closed(item) | PushError::Timeout(item) => item,
         }
-    }
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Bounded blocking MPMC queue.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-    stalls: AtomicU64,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-            stalls: AtomicU64::new(0),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Returns the
-    /// item back if the queue was closed before space opened up.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap();
-        let mut stalled = false;
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.items.len() < self.capacity {
-                break;
-            }
-            if !stalled {
-                stalled = true;
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Like [`BoundedQueue::push`], but gives up once `timeout` has
-    /// elapsed with the queue still full — bounded backpressure for
-    /// producers that must not block indefinitely (the watchdog's retry
-    /// re-enqueue, latency-budgeted front ends). A push that waited at
-    /// all — including one that ultimately timed out — counts in
-    /// [`BoundedQueue::stall_count`].
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), PushError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap();
-        let mut stalled = false;
-        loop {
-            if st.closed {
-                return Err(PushError::Closed(item));
-            }
-            if st.items.len() < self.capacity {
-                break;
-            }
-            if !stalled {
-                stalled = true;
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Timeout(item));
-            }
-            (st, _) = self.not_full.wait_timeout(st, deadline - now).unwrap();
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed *and* drained — the
-    /// worker-loop termination signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Closes the queue: pending items stay poppable, new pushes fail,
-    /// blocked poppers wake once the backlog drains.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Number of queued (not yet popped) items.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of pushes that blocked at least once on a full queue.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
     }
 }
 
@@ -193,8 +60,7 @@ impl<T> LaneState<T> {
 /// Pop order is a deterministic weighted pick over the *pop counter*
 /// (not wall clock): every fourth pop prefers the batch lane, the rest
 /// prefer interactive; when the preferred lane is empty the other lane
-/// is taken. With single-lane traffic this degenerates to exact FIFO —
-/// byte-compatible with [`BoundedQueue`].
+/// is taken. With single-lane traffic this degenerates to exact FIFO.
 pub struct LaneQueue<T> {
     state: Mutex<LaneState<T>>,
     not_full: Condvar,
@@ -225,35 +91,27 @@ impl<T> LaneQueue<T> {
     /// Enqueues `item` on `lane`, blocking while the queue is full.
     /// Returns the item back if the queue was closed first.
     pub fn push(&self, item: T, lane: Lane) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap();
-        let mut stalled = false;
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.len() < self.capacity {
-                break;
-            }
-            if !stalled {
-                stalled = true;
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-        match lane {
-            Lane::Interactive => st.interactive.push_back(item),
-            Lane::Batch => st.batch.push_back(item),
-        }
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
+        self.push_until(item, lane, None)
+            .map_err(PushError::into_inner)
     }
 
     /// Like [`LaneQueue::push`], but gives up once `timeout` elapses
-    /// with the queue still full. Same stall accounting as
-    /// [`BoundedQueue::push_timeout`].
+    /// with the queue still full — bounded backpressure for producers
+    /// that must not block indefinitely (the watchdog's retry
+    /// re-enqueue). A push that waited at all — including one that
+    /// ultimately timed out — counts in [`LaneQueue::stall_count`].
     pub fn push_timeout(&self, item: T, lane: Lane, timeout: Duration) -> Result<(), PushError<T>> {
-        let deadline = Instant::now() + timeout;
+        self.push_until(item, lane, Some(Instant::now() + timeout))
+    }
+
+    /// The one wait loop behind both pushes: waits for space until
+    /// `deadline`, or forever without one.
+    fn push_until(
+        &self,
+        item: T,
+        lane: Lane,
+        deadline: Option<Instant>,
+    ) -> Result<(), PushError<T>> {
         let mut st = self.state.lock().unwrap();
         let mut stalled = false;
         loop {
@@ -267,11 +125,16 @@ impl<T> LaneQueue<T> {
                 stalled = true;
                 self.stalls.fetch_add(1, Ordering::Relaxed);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Timeout(item));
+            match deadline {
+                None => st = self.not_full.wait(st).unwrap(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(PushError::Timeout(item));
+                    }
+                    (st, _) = self.not_full.wait_timeout(st, deadline - now).unwrap();
+                }
             }
-            (st, _) = self.not_full.wait_timeout(st, deadline - now).unwrap();
         }
         match lane {
             Lane::Interactive => st.interactive.push_back(item),
@@ -345,13 +208,15 @@ impl<T> LaneQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
+
+    /// The lane of the single-lane tests.
+    const L: Lane = Lane::Interactive;
 
     #[test]
     fn fifo_within_capacity() {
-        let q = BoundedQueue::new(8);
+        let q = LaneQueue::new(8);
         for i in 0..5 {
-            q.push(i).unwrap();
+            q.push(i, L).unwrap();
         }
         assert_eq!(q.len(), 5);
         for i in 0..5 {
@@ -362,11 +227,11 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        let q = LaneQueue::new(4);
+        q.push(1, L).unwrap();
+        q.push(2, L).unwrap();
         q.close();
-        assert_eq!(q.push(3), Err(3));
+        assert_eq!(q.push(3, L), Err(3));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
@@ -374,11 +239,11 @@ mod tests {
 
     #[test]
     fn full_queue_blocks_and_counts_stalls() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).unwrap();
+        let q = Arc::new(LaneQueue::new(1));
+        q.push(0u32, L).unwrap();
         assert_eq!(q.stall_count(), 0);
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push(1).unwrap());
+        let producer = std::thread::spawn(move || q2.push(1, L).unwrap());
         // Give the producer time to hit the full queue.
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(q.len(), 1, "second push must wait for space");
@@ -390,11 +255,11 @@ mod tests {
 
     #[test]
     fn push_timeout_succeeds_when_space_opens() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).unwrap();
+        let q = Arc::new(LaneQueue::new(1));
+        q.push(0u32, L).unwrap();
         let q2 = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
-            q2.push_timeout(1, Duration::from_secs(5))
+            q2.push_timeout(1, L, Duration::from_secs(5))
                 .expect("space opens within the deadline")
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -406,10 +271,10 @@ mod tests {
 
     #[test]
     fn push_timeout_expires_on_a_stuck_queue() {
-        let q = BoundedQueue::new(1);
-        q.push(0u32).unwrap();
+        let q = LaneQueue::new(1);
+        q.push(0u32, L).unwrap();
         let before = std::time::Instant::now();
-        match q.push_timeout(1, Duration::from_millis(25)) {
+        match q.push_timeout(1, L, Duration::from_millis(25)) {
             Err(PushError::Timeout(item)) => assert_eq!(item, 1),
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -420,9 +285,9 @@ mod tests {
 
     #[test]
     fn push_timeout_reports_closure() {
-        let q = BoundedQueue::new(2);
+        let q = LaneQueue::new(2);
         q.close();
-        match q.push_timeout(5u32, Duration::from_millis(5)) {
+        match q.push_timeout(5u32, L, Duration::from_millis(5)) {
             Err(PushError::Closed(item)) => assert_eq!(item, 5),
             other => panic!("expected closed, got {other:?}"),
         }
@@ -431,9 +296,9 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let q = BoundedQueue::new(0);
+        let q = LaneQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        q.push(7).unwrap();
+        q.push(7, L).unwrap();
         assert_eq!(q.pop(), Some(7));
     }
 
@@ -442,10 +307,10 @@ mod tests {
         // Closing must wake a push_timeout that is *already waiting* on a
         // full queue — well before its deadline — and hand the item back
         // as Closed, not Timeout.
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).unwrap();
+        let q = Arc::new(LaneQueue::new(1));
+        q.push(0u32, L).unwrap();
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_timeout(1, Duration::from_secs(30)));
+        let producer = std::thread::spawn(move || q2.push_timeout(1, L, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(30));
         let before = std::time::Instant::now();
         q.close();
@@ -467,7 +332,7 @@ mod tests {
         // A consumer draining one item at a time must let a sequence of
         // deadline-bounded pushes through a capacity-1 queue with no
         // timeouts and no lost or duplicated items.
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = Arc::new(LaneQueue::new(1));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             let mut seen = Vec::new();
@@ -478,7 +343,7 @@ mod tests {
             seen
         });
         for i in 0..10u32 {
-            q.push_timeout(i, Duration::from_secs(10))
+            q.push_timeout(i, L, Duration::from_secs(10))
                 .expect("the draining consumer frees space within the deadline");
         }
         q.close();

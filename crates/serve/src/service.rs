@@ -20,7 +20,7 @@ use crate::engine::{BatchEngine, Completed, EngineConfig, EngineStats};
 use crate::error::QuarantineEntry;
 use crate::faults::FaultSite;
 use crate::job::JobSpec;
-use crate::obs::ObsHub;
+use crate::obs::{EngineMetrics, ObsHub};
 
 /// Service-level switches orthogonal to the engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -83,11 +83,12 @@ impl ExtractService {
     /// route (the `vs2d` `--plan-cache` / `--triage` / `--naive-segment`
     /// flags).
     ///
-    /// With a `hub`, the engine records queue dwell, latency, retries,
-    /// panics, timeouts, outcomes and per-site fault triggers into the
-    /// hub's [`crate::obs::EngineMetrics`], and — when the hub has
-    /// tracing enabled — each successful job's pipeline spans are
-    /// captured for the batch emitter to serialise.
+    /// The engine records queue dwell, latency, retries, panics,
+    /// timeouts, outcomes, per-site fault triggers and the routing
+    /// decisions below into its ledger ([`Self::metrics`]) whether or
+    /// not a `hub` is given. With a `hub`, each successful job's
+    /// pipeline spans are also captured for the batch emitter to
+    /// serialise (`vs2d --trace`).
     pub fn with_options(
         engine_config: EngineConfig,
         model_seed: u64,
@@ -143,11 +144,9 @@ impl ExtractService {
                             &triage_config,
                             plans.as_ref().map(|s| (&plan_config, &**s)),
                         );
-                        if let Some(h) = &worker_hub {
-                            h.metrics().on_triage(ctx.seq, decision);
-                            if let Some(o) = &outcome {
-                                h.metrics().on_plan_outcome(ctx.seq, o);
-                            }
+                        ctx.metrics().on_triage(ctx.seq, decision);
+                        if let Some(o) = &outcome {
+                            ctx.metrics().on_plan_outcome(ctx.seq, o);
                         }
                         ctx.checkpoint(FaultSite::Select)?;
                         return Ok(pipeline.extract_on_blocks_ctx(&dctx, &blocks));
@@ -160,9 +159,7 @@ impl ExtractService {
                             &plan_config,
                             &plans,
                         );
-                        if let Some(h) = &worker_hub {
-                            h.metrics().on_plan_outcome(ctx.seq, &outcome);
-                        }
+                        ctx.metrics().on_plan_outcome(ctx.seq, &outcome);
                         blocks
                     } else {
                         vs2_core::logical_blocks_ctx(&dctx, &pipeline.config.segment)
@@ -170,7 +167,7 @@ impl ExtractService {
                     ctx.checkpoint(FaultSite::Select)?;
                     Ok(pipeline.extract_on_blocks_ctx(&dctx, &blocks))
                 };
-            match worker_hub.as_ref().filter(|h| h.trace_enabled()) {
+            match &worker_hub {
                 Some(h) => {
                     let trace = vs2_obs::Trace::start();
                     let result = run(ctx);
@@ -199,8 +196,7 @@ impl ExtractService {
             let blocks = vs2_core::cheap_blocks(&doc, &triage_config.cheap);
             Some(pipeline.extract_on_blocks(&doc, &blocks))
         };
-        let metrics = hub.as_ref().map(|h| Arc::clone(h.metrics()));
-        let engine = BatchEngine::with_fallback(engine_config, process, fallback, metrics);
+        let engine = BatchEngine::with_fallback(engine_config, process, fallback);
         Self {
             engine,
             cache,
@@ -208,9 +204,15 @@ impl ExtractService {
         }
     }
 
-    /// The observability hub, when the service was built with one.
+    /// The `--trace` span store, when the service was built with one.
     pub fn obs(&self) -> Option<&Arc<ObsHub>> {
         self.obs.as_ref()
+    }
+
+    /// The engine's ledger: outcome, retry, fault, routing and plan
+    /// counters plus the dwell and latency histograms.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
+        self.engine.metrics()
     }
 
     /// Submits a job (blocking on a full queue); returns its sequence

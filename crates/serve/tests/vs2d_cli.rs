@@ -1,0 +1,241 @@
+//! End-to-end tests of the `vs2d` binary: a small mixed batch (synthetic
+//! and inline D1/D4 jobs, one malformed line) under deterministic chaos,
+//! checking that the stderr summary, the `--summary-json` file, the
+//! `{"record":"metrics",...}` tail and the result lines all tell the
+//! same story, and that the exit code follows from them.
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use serde::{Serialize, Value};
+use vs2_serve::{JobResult, JobStatus, DEFAULT_DOC_SEED};
+use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
+
+/// Chaos seed whose plan degrades at least one job of [`batch`].
+const FAULT_SEED: &str = "0x5";
+
+/// A scratch file under the test target's temporary directory.
+fn scratch(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("vs2d_cli-{name}"))
+}
+
+/// An inline job line embedding document `index` of `dataset`.
+fn inline_line(dataset: DatasetId, index: usize) -> String {
+    let doc = generate_one(dataset, index, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+    let spec = Value::Object(vec![
+        ("dataset".to_string(), dataset.to_value()),
+        ("doc".to_string(), doc.to_value()),
+    ]);
+    serde_json::to_string(&spec).unwrap()
+}
+
+/// Synthetic and inline D1/D4 jobs with one malformed line among them.
+fn batch() -> String {
+    let mut lines = Vec::new();
+    for i in 0..4 {
+        lines.push(format!("{{\"dataset\":\"D1\",\"doc_index\":{i}}}"));
+        lines.push(format!("{{\"dataset\":\"D4\",\"doc_index\":{i}}}"));
+    }
+    lines.insert(3, inline_line(DatasetId::D1, 7));
+    lines.insert(6, "{\"dataset\":\"D1\",\"doc_index\":".to_string());
+    lines.push(inline_line(DatasetId::D4, 5));
+    lines.push(inline_line(DatasetId::D4, 9));
+    lines.join("\n") + "\n"
+}
+
+/// Runs `vs2d` over `input` with `flags` (plus two workers and the chaos
+/// seed).
+fn vs2d(input: &PathBuf, flags: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vs2d"))
+        .arg("--input")
+        .arg(input)
+        .args(["--workers", "2", "--fault-seed", FAULT_SEED])
+        .args(flags)
+        .output()
+        .expect("vs2d runs")
+}
+
+/// The result lines of a run, parsed.
+fn results(stdout: &str) -> Vec<JobResult> {
+    stdout
+        .lines()
+        .filter(|l| !l.contains("\"record\":"))
+        .map(|l| serde_json::from_str(l).expect("result line parses"))
+        .collect()
+}
+
+/// The `{"record":"metrics","kind":"counter",...}` lines, by name.
+fn metric_counters(stdout: &str) -> BTreeMap<String, u64> {
+    stdout
+        .lines()
+        .filter(|l| l.contains("\"record\":\"metrics\"") && l.contains("\"kind\":\"counter\""))
+        .map(|l| {
+            let v = serde_json::parse(l).unwrap();
+            (v.field("name").unwrap(), v.field("value").unwrap())
+        })
+        .collect()
+}
+
+/// The integers of a stderr summary line after its `vs2d:` prefix, in
+/// order of appearance.
+fn numbers(line: &str) -> Vec<u64> {
+    let line = line.strip_prefix("vs2d:").expect("summary line prefix");
+    line.split(|c: char| !c.is_ascii_digit())
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().unwrap())
+        .collect()
+}
+
+/// The stderr summary line containing `needle`.
+fn stderr_line<'a>(stderr: &'a str, needle: &str) -> &'a str {
+    stderr
+        .lines()
+        .find(|l| l.contains(needle))
+        .unwrap_or_else(|| panic!("no stderr line with `{needle}` in:\n{stderr}"))
+}
+
+#[test]
+fn summary_json_metrics_tail_stderr_and_wire_agree() {
+    let input = scratch("summary.jsonl");
+    let summary_path = scratch("summary.json");
+    let input_lines = batch();
+    std::fs::write(&input, &input_lines).unwrap();
+    let out = vs2d(
+        &input,
+        &[
+            "--triage",
+            "--plan-cache",
+            "--metrics",
+            "--summary-json",
+            summary_path.to_str().unwrap(),
+        ],
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let summary = serde_json::parse(&std::fs::read_to_string(&summary_path).unwrap()).unwrap();
+    let field = |name: &str| -> u64 { summary.field(name).unwrap() };
+    let results = results(&stdout);
+    let wire = |status: JobStatus| results.iter().filter(|r| r.status == status).count() as u64;
+    let metrics = metric_counters(&stdout);
+    let metric = |name: &str| -> u64 {
+        *metrics
+            .get(name)
+            .unwrap_or_else(|| panic!("no `{name}` counter line"))
+    };
+
+    // Non-vacuity: the batch exercises the ok, failure and invalid paths.
+    assert_eq!(
+        results.len(),
+        input_lines.lines().count(),
+        "one result line per input line"
+    );
+    assert!(wire(JobStatus::Ok) >= 1, "{stdout}");
+    assert!(
+        wire(JobStatus::Degraded) + wire(JobStatus::Quarantined) >= 1,
+        "fault seed {FAULT_SEED} must degrade or quarantine a job"
+    );
+    assert_eq!(wire(JobStatus::Invalid), 1);
+
+    // Summary ≡ wire ≡ metrics tail.
+    for (key, status, counter) in [
+        ("ok", JobStatus::Ok, Some("jobs_ok")),
+        ("degraded", JobStatus::Degraded, Some("jobs_degraded")),
+        (
+            "quarantined",
+            JobStatus::Quarantined,
+            Some("jobs_quarantined"),
+        ),
+        ("shed", JobStatus::Shed, Some("jobs_shed")),
+        ("invalid", JobStatus::Invalid, None),
+    ] {
+        assert_eq!(field(key), wire(status), "summary `{key}` vs the wire");
+        if let Some(counter) = counter {
+            assert_eq!(
+                field(key),
+                metric(counter),
+                "summary `{key}` vs `{counter}`"
+            );
+        }
+    }
+    for (key, counter) in [
+        ("retried", "retries"),
+        ("panicked", "panics"),
+        ("timed_out", "timeouts"),
+        ("triage_full", "triage_full"),
+        ("triage_cheap", "triage_cheap"),
+        ("triage_replay", "triage_replay"),
+    ] {
+        assert_eq!(
+            field(key),
+            metric(counter),
+            "summary `{key}` vs `{counter}`"
+        );
+    }
+    assert_eq!(field("jobs"), results.len() as u64);
+    assert!(field("triage_full") + field("triage_cheap") + field("triage_replay") > 0);
+
+    // The stderr summary carries the same counts.
+    let jobs_line = numbers(stderr_line(&stderr, " jobs ("));
+    assert_eq!(
+        jobs_line[..6],
+        [
+            field("jobs"),
+            field("ok"),
+            field("degraded"),
+            field("quarantined"),
+            field("shed"),
+            field("invalid"),
+        ],
+        "{stderr}"
+    );
+    let fault_line = numbers(stderr_line(&stderr, " retries, "));
+    assert_eq!(
+        fault_line[..3],
+        [field("retried"), field("panicked"), field("timed_out")],
+        "{stderr}"
+    );
+    let triage_line = numbers(stderr_line(&stderr, "triage routed"));
+    assert_eq!(
+        triage_line,
+        [
+            field("triage_full"),
+            field("triage_cheap"),
+            field("triage_replay"),
+        ],
+        "{stderr}"
+    );
+
+    // Exit 1 exactly when something was quarantined or invalid.
+    let failed = field("quarantined") + field("invalid") > 0;
+    assert_eq!(out.status.code(), Some(i32::from(failed)), "{stderr}");
+}
+
+#[test]
+fn triage_alone_prints_the_same_routing_line() {
+    let input = scratch("triage.jsonl");
+    std::fs::write(&input, batch()).unwrap();
+    let with_metrics = vs2d(&input, &["--triage", "--plan-cache", "--metrics"]);
+    let alone = vs2d(&input, &["--triage", "--plan-cache"]);
+    let routed = |out: &Output| {
+        let stderr = String::from_utf8(out.stderr.clone()).unwrap();
+        stderr_line(&stderr, "triage routed").to_string()
+    };
+    let line = routed(&alone);
+    assert!(
+        numbers(&line).iter().sum::<u64>() > 0,
+        "routing counts must be recorded without --metrics: {line}"
+    );
+    assert_eq!(line, routed(&with_metrics));
+    assert!(
+        !String::from_utf8(alone.stdout)
+            .unwrap()
+            .contains("\"record\":\"metrics\""),
+        "no metrics tail without --metrics"
+    );
+    assert_eq!(
+        alone.status.code(),
+        Some(1),
+        "the malformed line fails the run"
+    );
+}
