@@ -239,3 +239,108 @@ fn triage_alone_prints_the_same_routing_line() {
         "the malformed line fails the run"
     );
 }
+
+/// Twelve synthetic jobs cycling D1, D4, Templated. Every Templated job
+/// is of template family 0, so later ones replay the plan an earlier one
+/// captured — across a restart only when the handoff carried it.
+fn mixed_batch() -> String {
+    (0..12)
+        .map(|i| match i % 3 {
+            0 => format!("{{\"dataset\":\"D1\",\"doc_index\":{}}}\n", i / 3),
+            1 => format!("{{\"dataset\":\"D4\",\"doc_index\":{}}}\n", i / 3),
+            _ => format!(
+                "{{\"dataset\":\"Templated\",\"doc_index\":{}}}\n",
+                8 * (i / 3)
+            ),
+        })
+        .collect()
+}
+
+/// A run's non-shed result lines and its quarantine records.
+fn answered(stdout: &str) -> (Vec<(u64, String)>, Vec<String>) {
+    let mut lines = Vec::new();
+    let mut quarantine = Vec::new();
+    for line in stdout.lines() {
+        if line.contains("\"record\":\"quarantine\"") {
+            quarantine.push(line.to_string());
+            continue;
+        }
+        let result: JobResult = serde_json::from_str(line).expect("result line parses");
+        if result.status != JobStatus::Shed {
+            lines.push((result.seq, line.to_string()));
+        }
+    }
+    (lines, quarantine)
+}
+
+#[test]
+fn restart_chain_answers_every_line_once_like_an_uninterrupted_run() {
+    let input = scratch("chain.jsonl");
+    std::fs::write(&input, mixed_batch()).unwrap();
+    let [s1, s2] = [scratch("chain-s1.json"), scratch("chain-s2.json")];
+    let [s1, s2] = [s1.to_str().unwrap(), s2.to_str().unwrap()];
+    let uninterrupted = vs2d(&input, &["--plan-cache"]);
+    let chain = [
+        vs2d(
+            &input,
+            &["--plan-cache", "--drain-after", "4", "--handoff", s1],
+        ),
+        vs2d(
+            &input,
+            &[
+                "--plan-cache",
+                "--resume-from",
+                s1,
+                "--drain-after",
+                "4",
+                "--handoff",
+                s2,
+            ],
+        ),
+        vs2d(&input, &["--plan-cache", "--resume-from", s2]),
+    ];
+
+    let (expected, expected_quarantine) =
+        answered(&String::from_utf8(uninterrupted.stdout).unwrap());
+    assert_eq!(
+        expected.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+        (0..12).collect::<Vec<_>>(),
+        "the uninterrupted run answers every line"
+    );
+    let mut lines = Vec::new();
+    let mut quarantine = Vec::new();
+    for (i, run) in chain.iter().enumerate() {
+        let stderr = String::from_utf8(run.stderr.clone()).unwrap();
+        let (run_lines, run_quarantine) = answered(&String::from_utf8(run.stdout.clone()).unwrap());
+        assert_eq!(
+            run_lines.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+            (4 * i as u64..4 * i as u64 + 4).collect::<Vec<_>>(),
+            "run {i} answers the four lines after its predecessors':\n{stderr}"
+        );
+        if i > 0 {
+            assert_eq!(
+                numbers(stderr_line(&stderr, "resumed from handoff")),
+                [4 * i as u64],
+                "run {i} skips every line its predecessors answered"
+            );
+        }
+        lines.extend(run_lines);
+        quarantine.extend(run_quarantine);
+    }
+    assert_eq!(
+        lines, expected,
+        "the chain's answers equal the uninterrupted run's"
+    );
+    assert_eq!(quarantine, expected_quarantine);
+
+    // The second snapshot covers both predecessors, so the chain stays
+    // exactly-once end to end; both carry the captured template plan.
+    let snapshot = |path: &str| {
+        vs2_serve::HandoffSnapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    assert_eq!(snapshot(s1).completed, (0..4).collect::<Vec<_>>());
+    assert_eq!(snapshot(s2).completed, (0..8).collect::<Vec<_>>());
+    for path in [s1, s2] {
+        assert!(!snapshot(path).plans.is_empty(), "{path} carries no plans");
+    }
+}
