@@ -13,10 +13,11 @@
 
 use vs2_baselines::{Extractor, Segmenter};
 use vs2_core::pipeline::{Vs2Config, Vs2Pipeline};
-use vs2_core::select::Eq2Weights;
 use vs2_docmodel::AnnotatedDocument;
 use vs2_eval::{evaluate_end_to_end, evaluate_segmentation, ExtractionItem, PrCounts};
-use vs2_synth::{generate, holdout_corpus, DatasetConfig, DatasetId};
+pub use vs2_serve::weights_for;
+use vs2_serve::ModelCache;
+use vs2_synth::{generate, DatasetConfig, DatasetId};
 
 /// Number of documents per dataset in a harness run.
 #[derive(Debug, Clone, Copy)]
@@ -31,34 +32,17 @@ impl Default for RunConfig {
     fn default() -> Self {
         Self {
             n_docs: 120,
-            seed: 0xC0FFEE,
+            seed: vs2_serve::DEFAULT_DOC_SEED,
         }
     }
 }
 
-/// Per-dataset Eq. 2 weights, following §5.3.2.
-pub fn weights_for(dataset: DatasetId) -> Eq2Weights {
-    match dataset {
-        DatasetId::D2 => Eq2Weights::visual_heavy(),
-        _ => Eq2Weights::balanced(),
-    }
-}
-
-/// Builds the learned VS2 pipeline for a dataset.
+/// Builds the learned VS2 pipeline for a dataset: `config` with the
+/// dataset's Eq. 2 weights, over the model `vs2d` serves for `seed`
+/// ([`ModelCache::pipeline_for`]).
 pub fn build_pipeline(dataset: DatasetId, seed: u64, mut config: Vs2Config) -> Vs2Pipeline {
     config.weights = weights_for(dataset);
-    let corpus = holdout_corpus(dataset, seed ^ 0x4001);
-    let entries: Vec<(String, String, String)> = corpus
-        .entries
-        .iter()
-        .map(|e| (e.entity.clone(), e.text.clone(), e.context.clone()))
-        .collect();
-    Vs2Pipeline::learn(
-        entries
-            .iter()
-            .map(|(a, b, c)| (a.as_str(), b.as_str(), c.as_str())),
-        config,
-    )
+    ModelCache::new().pipeline_for(dataset, seed, config)
 }
 
 /// Generates the evaluation documents of a dataset.
@@ -272,6 +256,7 @@ mod tests {
 
     #[test]
     fn weights_follow_the_paper() {
+        use vs2_core::select::Eq2Weights;
         assert_eq!(weights_for(DatasetId::D2), Eq2Weights::visual_heavy());
         assert_eq!(weights_for(DatasetId::D1), Eq2Weights::balanced());
         assert_eq!(weights_for(DatasetId::D3), Eq2Weights::balanced());

@@ -23,7 +23,7 @@ use vs2_docmodel::Document;
 use vs2_serve::{
     default_config_for, run_batch, AdmitConfig, BatchOptions, BatchRun, EngineConfig, EngineStats,
     ExtractService, FaultPlan, HandoffSnapshot, JobResult, JobSource, JobSpec, JobStatus, Lane,
-    ModelCache, PlanEntry, PlanNamespace, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+    ModelCache, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, invoices, templated, DatasetId};
 
@@ -520,7 +520,9 @@ pub fn serve(mode: &Mode, specs: &[JobSpec]) -> Served {
     };
     let victim = mode.service();
     let (stdout, batch) = pass(&victim, &input, &drain_after);
-    let snapshot = mode.drain_after.map(|_| handoff_snapshot(&batch, &victim));
+    let snapshot = mode
+        .drain_after
+        .map(|_| victim.handoff_snapshot(&batch, None));
     let first = finish(victim, stdout, batch);
     let Some(snapshot) = snapshot else {
         return Served {
@@ -532,7 +534,7 @@ pub fn serve(mode: &Mode, specs: &[JobSpec]) -> Served {
     let restored = HandoffSnapshot::parse(&snapshot.to_json()).expect("snapshot round-trips");
     assert_eq!(restored.completed, snapshot.completed);
     let successor = mode.service();
-    preload(&successor, &restored);
+    successor.warm_start(&restored);
     let resumed = BatchOptions {
         resume_completed: Some(restored.completed.iter().copied().collect::<HashSet<_>>()),
         ..BatchOptions::default()
@@ -542,51 +544,6 @@ pub fn serve(mode: &Mode, specs: &[JobSpec]) -> Served {
         first,
         successor: Some(finish(successor, stdout, batch)),
     }
-}
-
-/// The handoff snapshot a draining process writes after `run`.
-pub fn handoff_snapshot(run: &BatchRun, service: &ExtractService) -> HandoffSnapshot {
-    HandoffSnapshot {
-        completed: run.completed_wire_seqs.clone(),
-        quarantine: run.quarantine_records.clone(),
-        plans: service
-            .export_plan_namespaces()
-            .into_iter()
-            .map(|ns| PlanNamespace {
-                dataset: ns.dataset,
-                model_seed: ns.model_seed,
-                learn: ns.learn,
-                entries: ns
-                    .entries
-                    .into_iter()
-                    .map(|(fingerprint, plan)| PlanEntry {
-                        fingerprint,
-                        plan: (*plan).clone(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// Warm-starts `service`'s plan cache from `snapshot`; returns the
-/// number of plans admitted.
-pub fn preload(service: &ExtractService, snapshot: &HandoffSnapshot) -> usize {
-    snapshot
-        .plans
-        .iter()
-        .map(|ns| {
-            service.preload_plan_namespace(
-                ns.dataset,
-                ns.model_seed,
-                &ns.learn,
-                ns.entries
-                    .iter()
-                    .map(|e| (e.fingerprint.clone(), Arc::new(e.plan.clone())))
-                    .collect(),
-            )
-        })
-        .sum()
 }
 
 /// Serves `specs` `n` times over on one fresh service in `mode` (so

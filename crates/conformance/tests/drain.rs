@@ -101,7 +101,7 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
     let text = input(DatasetId::Templated, 3 * vs2_synth::templated::FAMILIES);
     let victim = mode.service();
     let (_, victim_run) = serving::pass(&victim, &text, &BatchOptions::default());
-    let snapshot = serving::handoff_snapshot(&victim_run, &victim);
+    let snapshot = victim.handoff_snapshot(&victim_run, None);
     assert!(
         !snapshot.plans.is_empty(),
         "a plan-cache service must export its learned plans"
@@ -112,7 +112,7 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
 
     let restored = HandoffSnapshot::parse(&snapshot.to_json()).expect("round trip");
     let successor = mode.service();
-    let loaded = serving::preload(&successor, &restored);
+    let loaded = successor.warm_start(&restored);
     assert_eq!(loaded, total_entries, "every exported plan must preload");
 
     // The successor replays the corpus on warm plans: zero plan misses,

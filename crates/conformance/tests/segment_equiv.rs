@@ -13,7 +13,7 @@
 //! documents, under every ablation switch and all three disambiguation
 //! modes. On top of the two-path differential, the cross-feature
 //! contracts are pinned: plan-cache capture/replay/collider-rejection
-//! over fast-path trees, the served `--naive-segment` escape hatch,
+//! over fast-path trees, the served `naive_segment` escape hatch,
 //! chaos determinism at 1 vs 4 workers with the fast path on, and the
 //! degraded XY-cut fallback.
 //!
@@ -256,7 +256,7 @@ fn run_service(
     serving::serve(&mode, specs).first.stdout
 }
 
-/// The `--naive-segment` escape hatch is observationally invisible: a
+/// The `naive_segment` escape hatch is observationally invisible: a
 /// fault-free service on the fast path (the default) renders byte-
 /// identically to the same service on the preserved naive path, at 1 and
 /// 4 workers.

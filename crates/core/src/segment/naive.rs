@@ -10,8 +10,9 @@
 //! comparison. Nothing in the serving path calls this module: it exists
 //! so the differential battery (`crates/conformance/tests/segment_equiv.rs`)
 //! and the segment-perf release gate can hold the fast path to
-//! byte-identical layout trees, and so `vs2d --naive-segment` has an
-//! escape hatch while the fast path beds in.
+//! byte-identical layout trees, and so a service built with
+//! `ServiceOptions::naive_segment` can be checked to render
+//! byte-identically to one on the fast path.
 //!
 //! The helpers shared with the fast path (`tight_bbox`,
 //! `effective_cell_size`, `is_interior`, `split_by_delimiters`,

@@ -26,14 +26,13 @@
 //! line number and error.
 
 use std::io::BufRead;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vs2_core::pipeline::Vs2Config;
 use vs2_core::triage::TriageDecision;
 use vs2_serve::{
     run_batch, AdmitConfig, BatchOptions, EngineConfig, ExtractService, FaultPlan, HandoffSnapshot,
-    Lane, PlanEntry, PlanNamespace, RetryPolicy, DEFAULT_DOC_SEED,
+    Lane, RetryPolicy, DEFAULT_DOC_SEED,
 };
 
 /// Default shed seed when admission is enabled without `--shed-seed`.
@@ -63,9 +62,6 @@ USAGE: vs2d [OPTIONS]
   --plan-cache         reuse validated segmentation plans across documents
                        that share a layout fingerprint (identical output,
                        faster on templated traffic; see README `Plan cache`)
-  --naive-segment      segment with the preserved naive reference path
-                       instead of the fast path (identical output; escape
-                       hatch — see README `Segment fast path`)
   --triage             route whitespace-regular documents through the cheap
                        XY-cut path instead of full VS2 (faster on templated
                        traffic, bounded accuracy cost; composes with
@@ -106,7 +102,6 @@ struct Options {
     trace: bool,
     metrics: bool,
     plan_cache: bool,
-    naive_segment: bool,
     triage: bool,
     summary_json: Option<String>,
     admit: bool,
@@ -134,7 +129,6 @@ impl Default for Options {
             trace: false,
             metrics: false,
             plan_cache: false,
-            naive_segment: false,
             triage: false,
             summary_json: None,
             admit: false,
@@ -204,7 +198,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
             "--trace" => opts.trace = true,
             "--metrics" => opts.metrics = true,
             "--plan-cache" => opts.plan_cache = true,
-            "--naive-segment" => opts.naive_segment = true,
             "--triage" => opts.triage = true,
             "--summary-json" => opts.summary_json = Some(value("--summary-json")?),
             "--admit" => opts.admit = true,
@@ -299,8 +292,8 @@ fn main() {
     };
     let options = vs2_serve::ServiceOptions {
         plan_cache: opts.plan_cache,
-        naive_segment: opts.naive_segment,
         triage: opts.triage,
+        ..Default::default()
     };
     // The service always counts into its ledger (the metrics tail and
     // the triage counts below read it); a hub only adds `--trace` span
@@ -309,17 +302,7 @@ fn main() {
     let service =
         ExtractService::with_options(engine_config, opts.model_seed, config, options, hub);
     if let Some(snap) = &resume {
-        for ns in &snap.plans {
-            service.preload_plan_namespace(
-                ns.dataset,
-                ns.model_seed,
-                &ns.learn,
-                ns.entries
-                    .iter()
-                    .map(|e| (e.fingerprint.clone(), Arc::new(e.plan.clone())))
-                    .collect(),
-            );
-        }
+        service.warm_start(snap);
     }
 
     let started = Instant::now();
@@ -341,39 +324,7 @@ fn main() {
     let wall = started.elapsed();
 
     if let Some(path) = &opts.handoff {
-        // A resumed run's snapshot covers the whole stream: its own
-        // answered lines plus everything the predecessor answered, so a
-        // chain of restarts stays exactly-once end to end.
-        let mut completed = run.completed_wire_seqs.clone();
-        let mut quarantine = run.quarantine_records.clone();
-        if let Some(snap) = &resume {
-            completed.extend(snap.completed.iter().copied());
-            quarantine.extend(snap.quarantine.iter().cloned());
-        }
-        completed.sort_unstable();
-        completed.dedup();
-        quarantine.sort_by_key(|r| r.seq);
-        let snapshot = HandoffSnapshot {
-            completed,
-            quarantine,
-            plans: service
-                .export_plan_namespaces()
-                .into_iter()
-                .map(|ns| PlanNamespace {
-                    dataset: ns.dataset,
-                    model_seed: ns.model_seed,
-                    learn: ns.learn,
-                    entries: ns
-                        .entries
-                        .into_iter()
-                        .map(|(fingerprint, plan)| PlanEntry {
-                            fingerprint,
-                            plan: (*plan).clone(),
-                        })
-                        .collect(),
-                })
-                .collect(),
-        };
+        let snapshot = service.handoff_snapshot(&run, resume.as_ref());
         if let Err(e) = std::fs::write(path, snapshot.to_json()) {
             eprintln!("vs2d: cannot write --handoff {path}: {e}");
         }

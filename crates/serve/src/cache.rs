@@ -31,18 +31,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use vs2_core::pipeline::{Vs2Config, Vs2Pipeline};
-use vs2_core::plan::{LayoutFingerprint, PlanCounters, PlanStore, SegmentationPlan};
+use vs2_core::plan::{PlanCounters, PlanStore};
 use vs2_core::select::Eq2Weights;
 use vs2_core::Vs2Model;
 use vs2_synth::dataset::{holdout_corpus, DatasetId};
+
+use crate::handoff::{PlanEntry, PlanNamespace};
 
 /// Default bound on live model slots. Model keys are coarse (dataset ×
 /// seed × learn config) and models are large, so a small bound covers
 /// realistic serving mixes while capping memory.
 pub const DEFAULT_MODEL_CAPACITY: usize = 8;
 
-/// Per-dataset Eq. 2 weights, following §5.3.2 (mirrors the bench
-/// harness: visually ornate posters weight the visual modality up).
+/// Per-dataset Eq. 2 weights, following §5.3.2: visually ornate posters
+/// weight the visual modality up.
 pub fn weights_for(dataset: DatasetId) -> Eq2Weights {
     match dataset {
         DatasetId::D2 => Eq2Weights::visual_heavy(),
@@ -94,19 +96,6 @@ pub struct CacheSnapshot {
     /// take their counters with them, so these are a floor, not a
     /// lifetime total.
     pub plans: PlanCounters,
-}
-
-/// The exported plans of one namespace, keyed by the slot identity —
-/// the in-memory face of a drain/handoff snapshot's plan section.
-pub struct PlanNamespaceSnapshot {
-    /// Dataset of the namespace's slot.
-    pub dataset: DatasetId,
-    /// Model seed of the namespace's slot.
-    pub model_seed: u64,
-    /// Canonical JSON of the slot's learning configuration.
-    pub learn: String,
-    /// Cached plans, sorted by fingerprint digest.
-    pub entries: Vec<(LayoutFingerprint, Arc<SegmentationPlan>)>,
 }
 
 /// Learn-once, extract-many cache of [`Vs2Model`]s keyed by
@@ -200,11 +189,9 @@ impl ModelCache {
     }
 
     /// Returns the learned model for `(dataset, model_seed)`, learning it
-    /// from the dataset's holdout corpus on first use. Concurrent callers
-    /// missing on the same key block until the single learner finishes.
-    ///
-    /// The corpus seed derivation (`model_seed ^ 0x4001`) matches the
-    /// bench harness, so served models are the benchmarked models.
+    /// from the dataset's holdout corpus (seed `model_seed ^ 0x4001`) on
+    /// first use. Concurrent callers missing on the same key block until
+    /// the single learner finishes.
     pub fn model_for(
         &self,
         dataset: DatasetId,
@@ -305,17 +292,25 @@ impl ModelCache {
     /// Exports every non-empty plan namespace for a drain/handoff
     /// snapshot, sorted by `(dataset name, model seed, learn config)` so
     /// the serialized order is stable.
-    pub fn export_plan_namespaces(&self) -> Vec<PlanNamespaceSnapshot> {
+    pub fn export_plan_namespaces(&self) -> Vec<PlanNamespace> {
         let inner = self.inner.lock().unwrap();
-        let mut out: Vec<PlanNamespaceSnapshot> = inner
+        let mut out: Vec<PlanNamespace> = inner
             .entries
             .iter()
             .filter(|(_, e)| !e.plans.is_empty())
-            .map(|(key, e)| PlanNamespaceSnapshot {
+            .map(|(key, e)| PlanNamespace {
                 dataset: key.dataset,
                 model_seed: key.model_seed,
                 learn: key.learn.clone(),
-                entries: e.plans.export(),
+                entries: e
+                    .plans
+                    .export()
+                    .into_iter()
+                    .map(|(fingerprint, plan)| PlanEntry {
+                        fingerprint,
+                        plan: (*plan).clone(),
+                    })
+                    .collect(),
             })
             .collect();
         out.sort_by(|a, b| {
@@ -328,25 +323,24 @@ impl ModelCache {
         out
     }
 
-    /// Preloads plans into the namespace of `(dataset, model_seed,
-    /// learn)` — the warm-start half of [`Self::export_plan_namespaces`].
+    /// Preloads an exported namespace's plans into the namespace of the
+    /// same slot — the warm-start half of [`Self::export_plan_namespaces`].
     /// Creates the slot (without learning its model) when absent; the
     /// plan store's own first-plan-wins and capacity rules apply.
     /// Returns the number of plans admitted.
-    pub fn preload_plan_namespace(
-        &self,
-        dataset: DatasetId,
-        model_seed: u64,
-        learn: &str,
-        entries: Vec<(LayoutFingerprint, Arc<SegmentationPlan>)>,
-    ) -> usize {
+    pub fn preload_plan_namespace(&self, namespace: &PlanNamespace) -> usize {
         let key = CacheKey {
-            dataset,
-            model_seed,
-            learn: learn.to_string(),
+            dataset: namespace.dataset,
+            model_seed: namespace.model_seed,
+            learn: namespace.learn.clone(),
         };
         let (_model, plans) = self.entry(&key);
-        plans.preload(entries)
+        plans.preload(
+            namespace
+                .entries
+                .iter()
+                .map(|e| (e.fingerprint.clone(), Arc::new(e.plan.clone()))),
+        )
     }
 
     /// Full counter snapshot of both cache levels.
@@ -567,16 +561,7 @@ mod tests {
         // Warm-start a second cache from the export: the repeat document
         // replays with zero misses.
         let successor = ModelCache::new();
-        let ns = &exported[0];
-        assert_eq!(
-            successor.preload_plan_namespace(
-                ns.dataset,
-                ns.model_seed,
-                &ns.learn,
-                ns.entries.clone()
-            ),
-            1
-        );
+        assert_eq!(successor.preload_plan_namespace(&exported[0]), 1);
         let warm = successor.plan_store_for(DatasetId::D1, 1, &cfg);
         let (_, outcome) = vs2_core::plan::planned_blocks(
             &doc,

@@ -18,14 +18,19 @@
 //!   in-flight jobs; a job past its deadline is re-enqueued once
 //!   (the stuck worker cannot be killed — its eventual result is
 //!   discarded via the attempt-epoch guard) and quarantined as
-//!   [`ServeError::Timeout`] on the second trip.
-//! * **Quarantine, then degrade.** A job whose attempts are all spent is
-//!   handed to the optional fallback processor
-//!   ([`BatchEngine::with_fallback`]); if that yields an answer the job
-//!   completes as [`JobOutcome::Degraded`], otherwise it is recorded in
-//!   the append-only quarantine ledger and completes as
-//!   [`JobOutcome::Failed`]. Either way the batch always gets exactly
-//!   one outcome per sequence number.
+//!   [`ServeError::Timeout`] on the second trip. A worker that notices
+//!   its own overrun first retries in place; both detectors go through
+//!   one trip handler, so whichever claims the trip decides it.
+//! * **Degrade, else quarantine.** Every job left without a primary
+//!   answer — attempts spent, or routed past the primary by admission
+//!   control's degrade lane — ends in one place: the fallback processor
+//!   ([`BatchEngine::with_fallback`]) gets one shot (timeouts excepted),
+//!   and its run time is added to the job's latency. An answer
+//!   completes the job as [`JobOutcome::Degraded`]; otherwise the job is
+//!   recorded in the append-only quarantine ledger and completes as
+//!   [`JobOutcome::Failed`]. Every outcome, shed included, is published
+//!   through one guarded publish, so the batch always gets exactly one
+//!   outcome per sequence number.
 //! * **Fault injection.** With [`EngineConfig::faults`] set, the
 //!   [`JobCtx`] passed to the processor injects deterministic panics,
 //!   transient errors and latency at named pipeline sites (see
@@ -145,12 +150,14 @@ impl JobCtx {
 pub enum JobOutcome<O> {
     /// The primary processor returned normally.
     Ok(O),
-    /// The primary processor failed every attempt but the fallback
-    /// produced an answer.
+    /// The primary path gave no answer (attempts spent, or admission
+    /// control routed the job straight to the fallback) but the fallback
+    /// produced one.
     Degraded {
         /// The fallback's output.
         output: O,
-        /// The final primary-path error that triggered degradation.
+        /// The error that triggered degradation: the final primary-path
+        /// error, or [`ServeError::Overloaded`] for the degrade lane.
         error: ServeError,
     },
     /// The job failed every attempt and no fallback answer exists; a
@@ -189,15 +196,17 @@ impl<O> JobOutcome<O> {
 }
 
 /// One finished job: outcome plus processing latency of the attempt that
-/// produced it (queue wait and earlier attempts excluded; for a timeout,
-/// the elapsed time at the moment the final trip fired).
+/// decided it (queue wait and earlier attempts excluded; for a timeout,
+/// the elapsed time at the moment the final trip fired), including the
+/// fallback's run time whenever the fallback ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completed<O> {
     /// Submission sequence number.
     pub seq: u64,
     /// Terminal state.
     pub outcome: JobOutcome<O>,
-    /// Processing latency of the deciding attempt.
+    /// Processing latency of the deciding attempt plus, when the
+    /// fallback ran, the fallback's own run time.
     pub latency: Duration,
     /// Queue dwell before the deciding attempt was picked up (zero for
     /// shed jobs and watchdog-decided timeouts). `dwell + latency` is
@@ -281,7 +290,12 @@ struct ResultsState<O> {
     epochs: HashMap<u64, u32>,
 }
 
+type Process<J, O> = Box<dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync>;
+type Fallback<J, O> = Box<dyn Fn(&J) -> Option<O> + Send + Sync>;
+
 struct Shared<J, O> {
+    process: Process<J, O>,
+    fallback: Fallback<J, O>,
     queue: LaneQueue<QueuedJob<J>>,
     results: Mutex<ResultsState<O>>,
     results_cv: Condvar,
@@ -323,51 +337,14 @@ impl<J, O> Shared<J, O> {
         true
     }
 
-    /// Publishes the outcome of `(seq, attempt)` unless the attempt was
-    /// superseded by a timeout retry or the seq already completed.
-    #[allow(clippy::too_many_arguments)]
-    fn publish_attempt(
+    /// Publishes `outcome` for `seq` unless the seq already completed or
+    /// was drained. `epoch: Some(attempt)` also drops the publish when a
+    /// timeout claim superseded that attempt; `None` is for a timeout
+    /// claimer that owns the seq (its epoch is `u32::MAX`).
+    fn publish(
         &self,
         seq: u64,
-        attempt: u32,
-        outcome: JobOutcome<O>,
-        latency: Duration,
-        dwell: Duration,
-        attempts: u32,
-    ) {
-        self.publish_inner(seq, Some(attempt), outcome, latency, dwell, attempts);
-    }
-
-    /// Publishes a final outcome on behalf of a timeout claimer that
-    /// owns the seq (its epoch is `u32::MAX`); skips the epoch check.
-    fn publish_terminal(
-        &self,
-        seq: u64,
-        outcome: JobOutcome<O>,
-        latency: Duration,
-        dwell: Duration,
-        attempts: u32,
-    ) {
-        self.publish_inner(seq, None, outcome, latency, dwell, attempts);
-    }
-
-    /// Publishes a shed decided at submit time: the job never entered
-    /// the queue, so its outcome is immediate and zero-cost.
-    fn publish_shed(&self, seq: u64, reason: ShedReason) {
-        self.publish_inner(
-            seq,
-            Some(0),
-            JobOutcome::Shed(reason),
-            Duration::ZERO,
-            Duration::ZERO,
-            0,
-        );
-    }
-
-    fn publish_inner(
-        &self,
-        seq: u64,
-        attempt: Option<u32>,
+        epoch: Option<u32>,
         outcome: JobOutcome<O>,
         latency: Duration,
         dwell: Duration,
@@ -377,7 +354,7 @@ impl<J, O> Shared<J, O> {
         if seq < results.drained_upto {
             return;
         }
-        if let Some(attempt) = attempt {
+        if let Some(attempt) = epoch {
             if results.epochs.get(&seq).copied().unwrap_or(0) > attempt {
                 return;
             }
@@ -416,9 +393,6 @@ impl<J, O> Shared<J, O> {
     }
 }
 
-type Fallback<J, O> = Arc<dyn Fn(&J) -> Option<O> + Send + Sync>;
-type FallbackRef<'a, J, O> = Option<&'a (dyn Fn(&J) -> Option<O> + Send + Sync)>;
-
 /// A concurrent, fault-tolerant batch processor: submit jobs, harvest
 /// outcomes in submission order. Generic over the job and output types
 /// so tests can inject slow, flaky or panicking processors; the
@@ -443,29 +417,23 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
     {
-        Self::build(config, Arc::new(process), None)
+        Self::with_fallback(config, process, |_| None)
     }
 
     /// Like [`BatchEngine::new`], plus a degradation fallback: when a
-    /// job's primary attempts are all spent (other than by timeout),
-    /// `fallback` gets one shot at producing a cheaper answer. A `Some`
-    /// return completes the job as [`JobOutcome::Degraded`]; `None` or a
-    /// panic sends it to quarantine.
+    /// job's primary attempts are all spent (other than by timeout), or
+    /// admission control routes it to the degrade lane, `fallback` gets
+    /// one shot at producing a cheaper answer. A `Some` return completes
+    /// the job as [`JobOutcome::Degraded`]; `None` or a panic sends it
+    /// to quarantine.
     pub fn with_fallback<F, G>(config: EngineConfig, process: F, fallback: G) -> Self
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
         G: Fn(&J) -> Option<O> + Send + Sync + 'static,
     {
-        Self::build(config, Arc::new(process), Some(Arc::new(fallback)))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn build(
-        config: EngineConfig,
-        process: Arc<dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync>,
-        fallback: Option<Fallback<J, O>>,
-    ) -> Self {
         let shared = Arc::new(Shared {
+            process: Box::new(process),
+            fallback: Box::new(fallback),
             queue: LaneQueue::new(config.queue_capacity),
             results: Mutex::new(ResultsState {
                 map: BTreeMap::new(),
@@ -487,11 +455,9 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let process = Arc::clone(&process);
-                let fallback = fallback.clone();
                 std::thread::Builder::new()
                     .name(format!("vs2-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &*process, fallback.as_deref()))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -558,7 +524,9 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         };
         let degrade = match decision {
             AdmitDecision::Shed(reason) => {
-                self.shared.publish_shed(seq, reason);
+                let shed = JobOutcome::Shed(reason);
+                self.shared
+                    .publish(seq, Some(0), shed, Duration::ZERO, Duration::ZERO, 0);
                 return seq;
             }
             AdmitDecision::Degrade(reason) => {
@@ -698,34 +666,33 @@ impl<J: Send + Clone + 'static, O: Send + 'static> Drop for BatchEngine<J, O> {
     }
 }
 
-/// Quarantines `seq` or, when `allow_degrade` holds and a fallback is
-/// available, completes it with a degraded answer. Ledger append happens
-/// before the publish so any observer of the `Failed` outcome also sees
-/// the ledger entry (quarantine monotonicity).
+/// Ends a job that has no primary answer: the fallback gets one shot
+/// (not for timeouts — the document already burnt its deadline windows,
+/// and the quarantine record *is* the answer), its run time added to
+/// `latency`. An answer publishes [`JobOutcome::Degraded`]; otherwise the
+/// job is quarantined. Ledger append happens before the publish so any
+/// observer of the `Failed` outcome also sees the ledger entry
+/// (quarantine monotonicity). `epoch` is passed through to
+/// [`Shared::publish`].
 #[allow(clippy::too_many_arguments)]
 fn finish_failed<J, O>(
     shared: &Shared<J, O>,
-    fallback: FallbackRef<'_, J, O>,
     job: &J,
     seq: u64,
     error: ServeError,
-    latency: Duration,
+    mut latency: Duration,
     dwell: Duration,
     attempts: u32,
-    terminal_claim: bool,
+    epoch: Option<u32>,
 ) {
-    let allow_degrade = !matches!(error, ServeError::Timeout { .. });
-    if allow_degrade {
-        if let Some(fallback) = fallback {
-            if let Ok(Some(output)) = catch_unwind(AssertUnwindSafe(|| fallback(job))) {
-                let outcome = JobOutcome::Degraded { output, error };
-                if terminal_claim {
-                    shared.publish_terminal(seq, outcome, latency, dwell, attempts);
-                } else {
-                    shared.publish_attempt(seq, attempts - 1, outcome, latency, dwell, attempts);
-                }
-                return;
-            }
+    if !matches!(error, ServeError::Timeout { .. }) {
+        let start = Instant::now();
+        let output = catch_unwind(AssertUnwindSafe(|| (shared.fallback)(job)));
+        latency += start.elapsed();
+        if let Ok(Some(output)) = output {
+            let outcome = JobOutcome::Degraded { output, error };
+            shared.publish(seq, epoch, outcome, latency, dwell, attempts);
+            return;
         }
     }
     shared.quarantine.lock().unwrap().push(QuarantineEntry {
@@ -734,32 +701,57 @@ fn finish_failed<J, O>(
         error: error.clone(),
         elapsed: latency,
     });
-    let outcome = JobOutcome::Failed(error);
-    if terminal_claim {
-        shared.publish_terminal(seq, outcome, latency, dwell, attempts);
-    } else {
-        shared.publish_attempt(seq, attempts - 1, outcome, latency, dwell, attempts);
-    }
+    shared.publish(
+        seq,
+        epoch,
+        JobOutcome::Failed(error),
+        latency,
+        dwell,
+        attempts,
+    );
 }
 
-fn worker_loop<J: Clone, O>(
+/// Handles a deadline overrun of `(seq, attempt)` for either detector —
+/// the watchdog or the overrunning worker itself. Claims the trip (a
+/// party that loses the claim does nothing), counts it (and the panic,
+/// when the overrunning attempt also panicked), and on the final trip
+/// quarantines the job as [`ServeError::Timeout`]. Returns `true` when the
+/// caller should run the next attempt.
+fn trip_deadline<J, O>(
     shared: &Shared<J, O>,
-    process: &(dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync),
-    fallback: FallbackRef<'_, J, O>,
-) {
+    job: &J,
+    seq: u64,
+    attempt: u32,
+    elapsed: Duration,
+    dwell: Duration,
+    panicked: bool,
+) -> bool {
+    let terminal = attempt + 1 >= shared.retry.max_timeout_trips.max(1);
+    if !shared.claim_timeout(seq, attempt, terminal) {
+        return false;
+    }
+    shared.metrics.on_timeout(seq);
+    if panicked {
+        shared.metrics.on_panic(seq);
+    }
+    if terminal {
+        let error = ServeError::Timeout { elapsed };
+        finish_failed(shared, job, seq, error, elapsed, dwell, attempt + 1, None);
+        return false;
+    }
+    shared.metrics.on_retry(seq);
+    true
+}
+
+fn worker_loop<J: Clone, O>(shared: &Shared<J, O>) {
     while let Some(queued) = shared.queue.pop() {
-        run_job(shared, process, fallback, queued);
+        run_job(shared, queued);
     }
 }
 
 /// Runs one job to a terminal decision, retrying transient failures in
 /// place.
-fn run_job<J: Clone, O>(
-    shared: &Shared<J, O>,
-    process: &(dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync),
-    fallback: FallbackRef<'_, J, O>,
-    queued: QueuedJob<J>,
-) {
+fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
     let QueuedJob {
         seq,
         mut attempt,
@@ -771,34 +763,10 @@ fn run_job<J: Clone, O>(
     let dwell = enqueued.elapsed();
     shared.metrics.on_dwell(seq, dwell);
     // Degrade-routed jobs skip the primary pipeline entirely: one shot
-    // at the cheap fallback, no retries, no watchdog registration. A
-    // missing or panicking fallback quarantines the job.
+    // at the fallback, no retries, no watchdog registration.
     if let Some(reason) = degrade {
-        let start = Instant::now();
         let error = ServeError::Overloaded { reason };
-        let output = fallback
-            .and_then(|f| catch_unwind(AssertUnwindSafe(|| f(&job))).ok())
-            .flatten();
-        let latency = start.elapsed();
-        match output {
-            Some(output) => shared.publish_attempt(
-                seq,
-                0,
-                JobOutcome::Degraded { output, error },
-                latency,
-                dwell,
-                1,
-            ),
-            None => {
-                shared.quarantine.lock().unwrap().push(QuarantineEntry {
-                    seq,
-                    attempts: 1,
-                    error: error.clone(),
-                    elapsed: latency,
-                });
-                shared.publish_attempt(seq, 0, JobOutcome::Failed(error), latency, dwell, 1);
-            }
-        }
+        finish_failed(shared, &job, seq, error, Duration::ZERO, dwell, 1, Some(0));
         return;
     }
     loop {
@@ -818,7 +786,7 @@ fn run_job<J: Clone, O>(
             faults: shared.faults,
             metrics: Arc::clone(&shared.metrics),
         };
-        let result = catch_unwind(AssertUnwindSafe(|| process(&job, &ctx)));
+        let result = catch_unwind(AssertUnwindSafe(|| (shared.process)(&job, &ctx)));
         let latency = start.elapsed();
         {
             // Remove the in-flight entry only if it is still this
@@ -833,46 +801,18 @@ fn run_job<J: Clone, O>(
         // the watchdog happened to catch it first — keeps the label
         // deterministic under scheduling jitter. This worker is free, so
         // the retry (if any) runs in place instead of being re-enqueued.
-        let late = shared.timeout.is_some_and(|t| latency >= t);
-        if late {
-            let terminal = attempt + 1 >= shared.retry.max_timeout_trips.max(1);
-            if !shared.claim_timeout(seq, attempt, terminal) {
-                return; // the watchdog owns this trip
+        if shared.timeout.is_some_and(|t| latency >= t) {
+            let panicked = result.is_err();
+            if trip_deadline(shared, &job, seq, attempt, latency, dwell, panicked) {
+                attempt += 1;
+                continue;
             }
-            shared.metrics.on_timeout(seq);
-            if result.is_err() {
-                // The overrunning attempt also panicked; record it — the
-                // timeout still decides the outcome.
-                shared.metrics.on_panic(seq);
-            }
-            if terminal {
-                finish_failed(
-                    shared,
-                    fallback,
-                    &job,
-                    seq,
-                    ServeError::Timeout { elapsed: latency },
-                    latency,
-                    dwell,
-                    attempt + 1,
-                    true,
-                );
-                return;
-            }
-            shared.metrics.on_retry(seq);
-            attempt += 1;
-            continue;
+            return;
         }
         let error = match result {
             Ok(Ok(output)) => {
-                shared.publish_attempt(
-                    seq,
-                    attempt,
-                    JobOutcome::Ok(output),
-                    latency,
-                    dwell,
-                    attempt + 1,
-                );
+                let outcome = JobOutcome::Ok(output);
+                shared.publish(seq, Some(attempt), outcome, latency, dwell, attempt + 1);
                 return;
             }
             Ok(Err(error)) => error,
@@ -899,14 +839,13 @@ fn run_job<J: Clone, O>(
         };
         finish_failed(
             shared,
-            fallback,
             &job,
             seq,
             final_error,
             latency,
             dwell,
             attempt + 1,
-            false,
+            Some(attempt),
         );
         return;
     }
@@ -935,33 +874,22 @@ fn watchdog_loop<J: Clone, O>(shared: &Shared<J, O>, timeout: Duration) {
         };
         for (seq, entry) in expired {
             let elapsed = now.duration_since(entry.started);
-            let terminal = entry.attempt + 1 >= shared.retry.max_timeout_trips.max(1);
-            if !shared.claim_timeout(seq, entry.attempt, terminal) {
-                continue; // the worker noticed its own overrun first
-            }
-            shared.metrics.on_timeout(seq);
-            if terminal {
-                // No degradation for timeouts: the document already
-                // burnt two deadline windows; the quarantine record *is*
-                // the answer.
-                finish_failed::<J, O>(
-                    shared,
-                    None,
-                    &entry.job,
-                    seq,
-                    ServeError::Timeout { elapsed },
-                    elapsed,
-                    Duration::ZERO,
-                    entry.attempt + 1,
-                    true,
-                );
+            let attempt = entry.attempt;
+            if !trip_deadline(
+                shared,
+                &entry.job,
+                seq,
+                attempt,
+                elapsed,
+                Duration::ZERO,
+                false,
+            ) {
                 continue;
             }
-            shared.metrics.on_retry(seq);
             let lane = entry.lane;
             let requeued = QueuedJob {
                 seq,
-                attempt: entry.attempt + 1,
+                attempt: attempt + 1,
                 job: entry.job,
                 lane,
                 degrade: None,
@@ -972,16 +900,15 @@ fn watchdog_loop<J: Clone, O>(shared: &Shared<J, O>, timeout: Duration) {
             // is abandoned and the job quarantined as a timeout.
             if let Err(err) = shared.queue.push_timeout(requeued, lane, tick) {
                 let abandoned = err.into_inner();
-                finish_failed::<J, O>(
+                finish_failed(
                     shared,
-                    None,
                     &abandoned.job,
                     seq,
                     ServeError::Timeout { elapsed },
                     elapsed,
                     Duration::ZERO,
                     abandoned.attempt,
-                    true,
+                    None,
                 );
             }
         }
@@ -1165,6 +1092,31 @@ mod tests {
         assert_eq!(stats.quarantined, 0, "degraded jobs are not quarantined");
         assert_eq!(stats.retried, 4);
         assert!(engine.quarantine().is_empty());
+    }
+
+    #[test]
+    fn degraded_latency_covers_the_fallback_run() {
+        let mut engine: BatchEngine<u32, u32> = BatchEngine::with_fallback(
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 4,
+                retry: RetryPolicy::immediate(1),
+                ..EngineConfig::default()
+            },
+            |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
+            |job| {
+                std::thread::sleep(Duration::from_millis(20));
+                Some(*job)
+            },
+        );
+        engine.submit(3);
+        let done = &engine.drain()[0];
+        assert!(done.outcome.is_degraded(), "{:?}", done.outcome);
+        assert!(
+            done.latency >= Duration::from_millis(20),
+            "latency {:?} must include the fallback run",
+            done.latency
+        );
     }
 
     #[test]

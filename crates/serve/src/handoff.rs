@@ -17,6 +17,10 @@
 //!   segmentation-plan cache namespace, so the successor replays
 //!   template plans instead of re-learning layouts it has never seen.
 //!
+//! [`crate::service::ExtractService::handoff_snapshot`] assembles a
+//! snapshot after a run and [`crate::service::ExtractService::warm_start`]
+//! applies one to a successor; `vs2d` goes through both.
+//!
 //! [`HandoffSnapshot::parse`] is strict: an unknown version or a ledger
 //! whose wire seqs are not strictly increasing is rejected with a typed
 //! [`HandoffError`], never silently accepted — a corrupted snapshot must

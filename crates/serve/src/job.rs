@@ -24,8 +24,8 @@ use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
 use crate::admit::Lane;
 
-/// Generation seed used when a synthetic job spec omits `seed`; matches
-/// the bench harness default.
+/// Generation seed used when a synthetic job spec omits `seed`; the
+/// bench harness's `RunConfig` defaults to it too.
 pub const DEFAULT_DOC_SEED: u64 = 0xC0FFEE;
 
 /// Where a job's document comes from.

@@ -70,9 +70,7 @@ pub use admit::{
     AdmitConfig, AdmitController, AdmitDecision, AdmitSnapshot, Lane, PressureLevel, ShedReason,
 };
 pub use batch::{run_batch, BatchOptions, BatchRun};
-pub use cache::{
-    default_config_for, weights_for, CacheSnapshot, ModelCache, PlanNamespaceSnapshot,
-};
+pub use cache::{default_config_for, weights_for, CacheSnapshot, ModelCache};
 pub use engine::{BatchEngine, Completed, EngineConfig, EngineStats, JobCtx, JobOutcome};
 pub use error::{QuarantineEntry, ServeError};
 pub use faults::{FaultKind, FaultPlan, FaultSite};

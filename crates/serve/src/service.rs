@@ -11,14 +11,13 @@ use vs2_core::pipeline::Vs2Config;
 use vs2_core::plan::PlanConfig;
 use vs2_core::Extraction;
 
-use vs2_core::plan::{LayoutFingerprint, SegmentationPlan};
-use vs2_synth::dataset::DatasetId;
-
 use crate::admit::{AdmitSnapshot, Lane};
-use crate::cache::{default_config_for, CacheSnapshot, ModelCache, PlanNamespaceSnapshot};
+use crate::batch::BatchRun;
+use crate::cache::{default_config_for, CacheSnapshot, ModelCache};
 use crate::engine::{BatchEngine, Completed, EngineConfig, EngineStats};
 use crate::error::QuarantineEntry;
 use crate::faults::FaultSite;
+use crate::handoff::HandoffSnapshot;
 use crate::job::JobSpec;
 use crate::obs::{EngineMetrics, ObsHub};
 
@@ -34,12 +33,12 @@ pub struct ServiceOptions {
     /// for segmentation work on templated traffic.
     pub plan_cache: bool,
     /// Route segmentation through the preserved naive segmenter
-    /// ([`vs2_core::segment_naive`]) instead of the default fast path —
-    /// the escape hatch behind `vs2d --naive-segment`. Both produce
-    /// byte-identical layout trees and extractions (the conformance
-    /// suite enforces it); the switch only trades speed for the
-    /// executable-specification code path. Takes precedence over
-    /// `plan_cache` for the segmentation stage. Off by default.
+    /// ([`vs2_core::segment_naive`]) instead of the default fast path.
+    /// Both produce byte-identical layout trees and extractions (the
+    /// conformance suite enforces it); the switch only trades speed for
+    /// the executable-specification code path, and `vs2d` does not
+    /// expose it. Takes precedence over `plan_cache` for the
+    /// segmentation stage. Off by default.
     pub naive_segment: bool,
     /// Route segmentation through the layout-complexity triage scorer
     /// ([`vs2_core::routed_blocks_ctx`]): whitespace-regular documents
@@ -80,8 +79,8 @@ impl ExtractService {
     /// applies `cfg` verbatim to every dataset. `model_seed` addresses
     /// the holdout corpus used for learning (see
     /// [`ModelCache::model_for`]). `options` picks the segmentation
-    /// route (the `vs2d` `--plan-cache` / `--triage` / `--naive-segment`
-    /// flags).
+    /// route (the `vs2d` `--plan-cache` / `--triage` flags, plus the
+    /// library-only naive segmenter).
     ///
     /// The engine records queue dwell, latency, retries, panics,
     /// timeouts, outcomes, per-site fault triggers and the routing
@@ -254,24 +253,41 @@ impl ExtractService {
         self.engine.admit_snapshot().unwrap_or_default()
     }
 
-    /// Exports every non-empty plan-cache namespace for a drain/handoff
-    /// snapshot; see [`ModelCache::export_plan_namespaces`].
-    pub fn export_plan_namespaces(&self) -> Vec<PlanNamespaceSnapshot> {
-        self.cache.export_plan_namespaces()
+    /// The drain/handoff snapshot to write after `run`: its answered
+    /// wire seqs and quarantine records, merged with those of the
+    /// `predecessor` the run resumed from (so a chain of restarts stays
+    /// exactly-once end to end), plus every non-empty plan-cache
+    /// namespace ([`ModelCache::export_plan_namespaces`]).
+    pub fn handoff_snapshot(
+        &self,
+        run: &BatchRun,
+        predecessor: Option<&HandoffSnapshot>,
+    ) -> HandoffSnapshot {
+        let mut completed = run.completed_wire_seqs.clone();
+        let mut quarantine = run.quarantine_records.clone();
+        if let Some(snap) = predecessor {
+            completed.extend(snap.completed.iter().copied());
+            quarantine.extend(snap.quarantine.iter().cloned());
+        }
+        completed.sort_unstable();
+        completed.dedup();
+        quarantine.sort_by_key(|r| r.seq);
+        HandoffSnapshot {
+            completed,
+            quarantine,
+            plans: self.cache.export_plan_namespaces(),
+        }
     }
 
-    /// Warm-starts one plan-cache namespace from a handoff snapshot;
-    /// see [`ModelCache::preload_plan_namespace`]. Returns the number of
+    /// Warm-starts the plan cache from a handoff snapshot's namespaces
+    /// ([`ModelCache::preload_plan_namespace`]); returns the number of
     /// plans admitted.
-    pub fn preload_plan_namespace(
-        &self,
-        dataset: DatasetId,
-        model_seed: u64,
-        learn: &str,
-        entries: Vec<(LayoutFingerprint, Arc<SegmentationPlan>)>,
-    ) -> usize {
-        self.cache
-            .preload_plan_namespace(dataset, model_seed, learn, entries)
+    pub fn warm_start(&self, snapshot: &HandoffSnapshot) -> usize {
+        snapshot
+            .plans
+            .iter()
+            .map(|ns| self.cache.preload_plan_namespace(ns))
+            .sum()
     }
 
     /// Blocks until job `seq` finishes; see [`BatchEngine::wait_result`].
