@@ -9,7 +9,8 @@
 //!
 //! * the **one-third extract gate** — the context (zero-copy) path must
 //!   allocate at most one third of the recorded pre-refactor owned-path
-//!   allocations per document on the full extract path, per dataset;
+//!   allocations per document on the full extract path, per dataset
+//!   with pre-refactor history (D1–D3);
 //! * **pinned ceilings** — segment / select / extract on the context
 //!   path are pinned at their achieved values plus ~10% headroom, so a
 //!   regression well short of the ⅓ line still trips.
@@ -55,35 +56,48 @@ const PRE_REFACTOR: [PreRefactor; 3] = [
     },
 ];
 
-/// Pinned allocations-per-doc ceilings for the context path: the values
-/// measured when the zero-copy pipeline landed, plus ~10% headroom.
-/// Tightening these after further allocation work is encouraged;
-/// loosening them is a regression and needs justification in review.
+/// Pinned allocations-per-doc ceilings for the context path: measured
+/// values plus ~10% headroom. Tightening these after further allocation
+/// work is encouraged; loosening them is a regression and needs
+/// justification in review.
 struct CtxCeiling {
+    dataset: DatasetId,
     segment: u64,
     select: u64,
     extract: u64,
 }
 
-const CTX_CEILINGS: [CtxCeiling; 3] = [
-    // D1 (measured: segment 696, select 763, extract 1540 — select
-    // builds token-only block texts for the all-descriptor D1 model)
+const CTX_CEILINGS: [CtxCeiling; 4] = [
+    // D1 (measured: segment 697, select 293, extract 1072 — select
+    // builds token-only block texts for the all-descriptor D1 model and
+    // scores gloss overlap over interned Lesk keys)
     CtxCeiling {
+        dataset: DatasetId::D1,
         segment: 765,
-        select: 840,
-        extract: 1694,
+        select: 322,
+        extract: 1179,
     },
-    // D2 (measured: segment 255, select 704, extract 978)
+    // D2 (measured: segment 256, select 293, extract 568)
     CtxCeiling {
+        dataset: DatasetId::D2,
         segment: 280,
-        select: 775,
-        extract: 1075,
+        select: 322,
+        extract: 625,
     },
-    // D3 (measured: segment 192, select 680, extract 894)
+    // D3 (measured: segment 193, select 286, extract 501)
     CtxCeiling {
+        dataset: DatasetId::D3,
         segment: 211,
-        select: 750,
-        extract: 983,
+        select: 315,
+        extract: 551,
+    },
+    // D4 (measured: segment 270, select 386, extract 672). No
+    // pre-refactor history, so no ⅓ gate.
+    CtxCeiling {
+        dataset: DatasetId::D4,
+        segment: 297,
+        select: 425,
+        extract: 739,
     },
 ];
 
@@ -154,16 +168,17 @@ fn allocation_gates() {
     if !asserting {
         eprintln!("debug build: printing allocation counts, skipping gate assertions");
     }
-    for (pre, ceiling) in PRE_REFACTOR.iter().zip(&CTX_CEILINGS) {
-        let (pipeline, docs) = corpus(pre.dataset);
+    for ceiling in &CTX_CEILINGS {
+        let (pipeline, docs) = corpus(ceiling.dataset);
         let ctx = measure_ctx(&pipeline, &docs);
+        let pre = PRE_REFACTOR.iter().find(|p| p.dataset == ceiling.dataset);
         println!(
-            "{:?} allocs/doc ctx: segment {} select {} extract {} (⅓ extract gate: {})",
-            pre.dataset,
+            "{:?} allocs/doc ctx: segment {} select {} extract {} (⅓ extract gate: {:?})",
+            ceiling.dataset,
             ctx.segment,
             ctx.select,
             ctx.extract,
-            pre.extract / 3,
+            pre.map(|p| p.extract / 3),
         );
         if !asserting {
             continue;
@@ -171,15 +186,17 @@ fn allocation_gates() {
 
         // The hard gate: the extract path allocates at most one third of
         // what the pre-refactor pipeline did.
-        assert!(
-            ctx.extract <= pre.extract / 3,
-            "{:?}: ctx extract path allocates {}/doc, over the one-third \
-             gate of {} (pre-refactor owned baseline {})",
-            pre.dataset,
-            ctx.extract,
-            pre.extract / 3,
-            pre.extract,
-        );
+        if let Some(pre) = pre {
+            assert!(
+                ctx.extract <= pre.extract / 3,
+                "{:?}: ctx extract path allocates {}/doc, over the one-third \
+                 gate of {} (pre-refactor owned baseline {})",
+                pre.dataset,
+                ctx.extract,
+                pre.extract / 3,
+                pre.extract,
+            );
+        }
 
         // Pinned per-stage ceilings on the context path.
         for (stage, got, cap) in [
@@ -191,7 +208,7 @@ fn allocation_gates() {
                 got <= cap,
                 "{:?}: ctx {stage} allocates {got}/doc, over the pinned \
                  ceiling of {cap}",
-                pre.dataset,
+                ceiling.dataset,
             );
         }
     }

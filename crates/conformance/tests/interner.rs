@@ -12,7 +12,10 @@
 //!   element's text;
 //! * **feature-column identity** — `BlockText::build_in` (interned
 //!   columns) produces byte-identical [`FeatureTable`] columns to
-//!   `BlockText::build` (per-instance derivation).
+//!   `BlockText::build` (per-instance derivation);
+//! * **Lesk-key identity** — a block's interned Lesk keys
+//!   (`DocContext::lesk_key` over its token ids) scored with
+//!   `Lesk::score_keys` equal `Lesk::score` over its content words.
 //!
 //! Plus the call-count pin for the double-tokenisation fix: a context
 //! job tokenises each text element exactly once, and the interned block
@@ -23,12 +26,14 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use vs2_conformance::strategy::arb_any_document;
 use vs2_core::segment::{logical_blocks, logical_blocks_ctx};
-use vs2_core::select::BlockText;
+use vs2_core::select::{BlockText, ReadSet};
 use vs2_core::DocContext;
-use vs2_docmodel::{Document, TokenInterner};
+use vs2_docmodel::{BBox, Document, ElementRef, TextElement, TokenInterner};
 use vs2_nlp::token::{tokenize, tokenize_call_count};
+use vs2_nlp::wsd::{gloss_key, Lesk};
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
 
@@ -99,6 +104,23 @@ proptest! {
         }
     }
 
+    /// Interned Lesk keys score exactly like `Lesk::score` over content
+    /// words, for words drawn from arbitrary printable text, mixed-case
+    /// ASCII and the edge pool (Unicode case, stopwords, numbers).
+    #[test]
+    fn lesk_keys_score_like_content_words(
+        words in vec(
+            prop_oneof![
+                "\\PC{1,8}",
+                "[a-zA-Z]{1,9}",
+                (0usize..EDGE_WORDS.len()).prop_map(|i| EDGE_WORDS[i].to_string()),
+            ],
+            0..24,
+        ),
+    ) {
+        assert_lesk_keys_match(&words);
+    }
+
     /// Interned and owned block builders agree on every feature column
     /// over arbitrary documents.
     #[test]
@@ -142,6 +164,95 @@ fn assert_tables_identical(
         format!("{stripped:?}"),
         "feature columns diverged",
     );
+}
+
+/// Words whose Lesk keys differ from the context's other columns:
+/// mixed-case Unicode (lower-cased by the tokeniser, some non-idempotently
+/// by `to_lowercase`), stopwords in any case, and numbers — `1,000`,
+/// `inf`, `nan` and `infinity` parse as numeric, so the stem column
+/// leaves them empty, while `Lesk` still stems `infinity`.
+const EDGE_WORDS: &[&str] = &[
+    "İstanbul",
+    "ẞtraße",
+    "ΣΊΣΥΦΟΣ",
+    "Ǆungla",
+    "The",
+    "AND",
+    "of",
+    "1,000",
+    "2,465.50",
+    "inf",
+    "NaN",
+    "nan",
+    "infinity",
+    "INFINITY",
+    "Infinity,",
+    "hosted",
+    "Hosting",
+    "concerts",
+    "7pm",
+    "-",
+    "(",
+    "e-mail",
+];
+
+/// One block over `words` (one element each): its interned Lesk keys
+/// equal the gloss keys of its content words, and score like them under
+/// every sense of a small inventory — before and after the per-thread
+/// form cache holds the words.
+fn assert_lesk_keys_match(words: &[String]) {
+    let mut doc = Document::new("lesk", 60.0 * words.len().max(1) as f64, 40.0);
+    let elements: Vec<ElementRef> = words
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            doc.push_text(TextElement::word(
+                w.as_str(),
+                BBox::new(60.0 * i as f64, 10.0, 50.0, 10.0),
+            ))
+        })
+        .collect();
+    let block = vs2_core::LogicalBlock {
+        bbox: BBox::new(0.0, 0.0, doc.width, doc.height),
+        elements,
+    };
+    let mut lesk = Lesk::new();
+    lesk.add_gloss("own", words.iter().step_by(2).map(String::as_str));
+    lesk.add_gloss("edge", EDGE_WORDS.iter().copied());
+    lesk.add_gloss("stopwords", ["the", "and", "of"]);
+    for _ in 0..2 {
+        let ctx = DocContext::build(&doc);
+        let bt = BlockText::build_in_with(&ctx, &block, &ReadSet::default());
+        assert_eq!(bt.features.ids.len(), bt.len(), "token-only texts keep ids");
+        let mut keys: Vec<&str> = bt
+            .features
+            .ids
+            .iter()
+            .filter_map(|id| ctx.lesk_key(*id))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let content = bt.ann.content_words();
+        let want: BTreeSet<String> = content.iter().filter_map(|w| gloss_key(w)).collect();
+        let got: BTreeSet<String> = keys.iter().map(|k| k.to_string()).collect();
+        assert_eq!(got, want, "keys of {words:?}");
+        for sense in ["own", "edge", "stopwords", "missing"] {
+            assert_eq!(
+                lesk.score_keys(sense, &keys).to_bits(),
+                lesk.score(sense, content.iter().copied()).to_bits(),
+                "sense {sense} over {words:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lesk_keys_score_like_content_words_on_edge_words() {
+    let words: Vec<String> = EDGE_WORDS.iter().map(|w| w.to_string()).collect();
+    assert_lesk_keys_match(&words);
+    for w in &words {
+        assert_lesk_keys_match(std::slice::from_ref(w));
+    }
 }
 
 /// The synthetic corpora, run through the same column-identity witness —

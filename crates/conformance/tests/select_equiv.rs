@@ -97,6 +97,7 @@ fn pipelines() -> &'static Vec<(&'static str, Vs2Pipeline)> {
             ("learned-D1", DatasetId::D1),
             ("learned-D2", DatasetId::D2),
             ("learned-D3", DatasetId::D3),
+            ("learned-D4", DatasetId::D4),
         ] {
             v.push((
                 name,
@@ -604,5 +605,105 @@ fn d1_degrade_fallback_unchanged() {
                 doc.id
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Read-set battery: block texts built with only the windows and window
+// checks the compiled index reads.
+// ---------------------------------------------------------------------
+
+fn learned(name: &str) -> &'static Vs2Pipeline {
+    &pipelines().iter().find(|(n, _)| *n == name).unwrap().1
+}
+
+/// The learned D4 model reads only part of a block (noun-phrase windows,
+/// TIMEX only next to a number and a date span), so its block texts skip
+/// most windows and checks. On invoices it equals the fully annotated
+/// reference over both VS2's blocks and the XY-cut partition that
+/// `--triage` serves invoices on.
+#[test]
+fn learned_d4_entry_points_agree_on_both_partitions() {
+    let d4 = learned("learned-D4");
+    let read = d4.model().index().read_set();
+    assert!(!read.is_empty(), "the D4 model has window patterns");
+    assert_ne!(
+        read,
+        vs2_core::select::ReadSet::all(),
+        "the D4 model reads a strict subset of the windows and checks"
+    );
+    for i in 0..6 {
+        let doc = generate_one(DatasetId::D4, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+        let blocks = logical_blocks(&doc, &d4.config.segment);
+        assert_entry_points_agree(d4, &doc, &blocks);
+        let cheap = vs2_core::cheap_blocks(&doc, &vs2_core::TriageConfig::default().cheap);
+        assert_entry_points_agree(d4, &doc, &cheap);
+    }
+}
+
+/// An inventory whose TIMEX and geocode readers sit on `kind: None`
+/// windows (the NER windows and the whole block), alone, together, next
+/// to an NER requirement, and next to a noun-phrase geocode reader.
+fn span_check_patterns() -> BTreeMap<String, Vec<SyntacticPattern>> {
+    let f = |label: &str| vs2_core::select::Feature::from_label(label).unwrap();
+    let window = |kind, labels: &[&str]| SyntacticPattern::Window {
+        kind,
+        required: labels.iter().map(|l| f(l)).collect(),
+    };
+    let np = Some(vs2_nlp::chunk::PhraseKind::Np);
+    let mut m = BTreeMap::new();
+    m.insert("when".to_string(), vec![window(None, &["TIMEX"])]);
+    m.insert(
+        "when_dated".to_string(),
+        vec![window(None, &["NER:date", "TIMEX"])],
+    );
+    m.insert("where".to_string(), vec![window(None, &["GEO"])]);
+    m.insert(
+        "when_where".to_string(),
+        vec![window(None, &["TIMEX", "GEO"])],
+    );
+    m.insert("where_np".to_string(), vec![window(np, &["CD", "GEO"])]);
+    m
+}
+
+/// The `kind: None` branch of the read set: TIMEX and geocode checks on
+/// NER and whole-block windows give the same candidates as validating
+/// every window, on hand-built date/address blocks and on the event and
+/// listing corpora.
+#[test]
+fn span_window_checks_agree_with_the_reference() {
+    let pipeline = Vs2Pipeline::with_patterns(span_check_patterns(), Vs2Config::default());
+    let read = pipeline.model().index().read_set();
+    assert!(read.reads_spans());
+    assert!(read.reads_phrase(vs2_nlp::chunk::PhraseKind::Np));
+    assert!(!read.reads_phrase(vs2_nlp::chunk::PhraseKind::Vp));
+    let cases: &[&[&str]] = &[
+        &["Saturday", "April", "5,", "2025", "at", "7", "pm"],
+        &["1458", "Maple", "Ave", "Columbus", "OH", "43210"],
+        &[
+            "Join", "us", "April", "5", "at", "1458", "Maple", "Ave", "Columbus", "OH",
+        ],
+        &["Invoice", "date", "03/14/2024", "due", "04/13/2024"],
+        &["no", "dates", "or", "places", "here"],
+        &[],
+    ];
+    let mut fired = std::collections::BTreeSet::new();
+    let mut check = |doc: &Document, blocks: &[vs2_core::LogicalBlock]| {
+        assert_entry_points_agree(&pipeline, doc, blocks);
+        let ctx = DocContext::build(doc);
+        fired.extend(pipeline.candidates_on_blocks_ctx(&ctx, blocks).into_keys());
+    };
+    for (i, words) in cases.iter().enumerate() {
+        let doc = doc_from_words(&format!("span-{i}"), words);
+        check(&doc, &[whole_block(&doc)]);
+    }
+    for dataset in [DatasetId::D2, DatasetId::D3, DatasetId::D4] {
+        for i in 0..3 {
+            let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+            check(&doc, &logical_blocks(&doc, &pipeline.config.segment));
+        }
+    }
+    for entity in ["when", "when_dated", "where"] {
+        assert!(fired.contains(entity), "{entity} never fired: {fired:?}");
     }
 }

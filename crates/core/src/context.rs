@@ -10,8 +10,8 @@
 //! * a canonical [`Token`] per distinct [`TokenId`] (shared `Arc<str>`
 //!   forms: block texts clone tokens by bumping refcounts);
 //! * per-distinct-token derived columns — stem, noun hypernym-sense
-//!   mask, verb-sense mask — computed once instead of once per token
-//!   instance per block;
+//!   mask, verb-sense mask, Lesk gloss key — computed once instead of
+//!   once per token instance per block;
 //! * a memoising [`CtxEmbedder`] so segmentation's semantic merge and
 //!   selection's interest points embed each distinct word once per job.
 //!
@@ -31,6 +31,7 @@ use vs2_nlp::stem::stem;
 use vs2_nlp::stopwords::is_stopword;
 use vs2_nlp::token::{tokenize_each, Token};
 use vs2_nlp::verbs;
+use vs2_nlp::wsd::gloss_key;
 
 /// The shared empty-string `Arc` used for the "no stem" sentinel, so
 /// ineligible tokens never pay an allocation.
@@ -53,6 +54,34 @@ struct CachedForms {
     stem: Arc<str>,
     sense: u16,
     vsense: u8,
+    /// Where the Lesk key lives; a tag, not a string, so the entry stays
+    /// the size it was (the byte sits in padding).
+    key: KeyForm,
+}
+
+/// Which cached form a token's Lesk gloss key equals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyForm {
+    /// Not a content word, or its lower-cased form is a stopword.
+    None,
+    /// The stem column (every eligible, already lower-case word).
+    Stem,
+    /// The normal form (numbers the stemmer leaves alone).
+    Norm,
+    /// Neither: recompute (numbers the stemmer changes, like `infinity`,
+    /// and norms whose lower-casing is not idempotent).
+    Recompute,
+}
+
+/// The Lesk gloss key of a token with normal form `norm`, exactly as
+/// `Lesk::score` derives it from `Annotated::content_words`: content
+/// words (non-empty, not a stopword) map through [`gloss_key`].
+fn lesk_key_of(norm: &str) -> Option<String> {
+    if norm.is_empty() || is_stopword(norm) {
+        None
+    } else {
+        gloss_key(norm)
+    }
 }
 
 const FORM_CACHE_CAP: usize = 1 << 16;
@@ -84,6 +113,8 @@ pub struct DocContext<'d> {
     sense: Vec<u16>,
     /// Per-id verb-sense mask.
     vsense: Vec<u8>,
+    /// Per-id Lesk gloss key (`None` for words `Lesk` ignores).
+    keys: Vec<Option<Arc<str>>>,
 }
 
 impl<'d> DocContext<'d> {
@@ -99,6 +130,7 @@ impl<'d> DocContext<'d> {
         let mut stems = Vec::with_capacity(n);
         let mut sense = Vec::with_capacity(n);
         let mut vsense = Vec::with_capacity(n);
+        let mut keys = Vec::with_capacity(n);
         let empty = empty_arc();
         FORM_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -109,6 +141,12 @@ impl<'d> DocContext<'d> {
                     stems.push(f.stem.clone());
                     sense.push(f.sense);
                     vsense.push(f.vsense);
+                    keys.push(match f.key {
+                        KeyForm::None => None,
+                        KeyForm::Stem => Some(f.stem.clone()),
+                        KeyForm::Norm => Some(f.norm.clone()),
+                        KeyForm::Recompute => lesk_key_of(norm).map(Arc::from),
+                    });
                     continue;
                 }
                 // Already-normalised words (the common case) share one Arc
@@ -141,6 +179,21 @@ impl<'d> DocContext<'d> {
                 for v in verbs::senses_of(&tok.norm) {
                     vmask |= 1 << crate::select::pattern::vsense_code(v);
                 }
+                // An eligible word that lower-casing leaves alone (ASCII
+                // without capitals) keys by its stem: no second stemming
+                // on the miss path.
+                let lower =
+                    tok.norm.is_ascii() && !tok.norm.bytes().any(|b| b.is_ascii_uppercase());
+                let (key_form, key) = if eligible && lower {
+                    (KeyForm::Stem, Some(stem_arc.clone()))
+                } else {
+                    match lesk_key_of(&tok.norm) {
+                        None => (KeyForm::None, None),
+                        Some(k) if k == *stem_arc => (KeyForm::Stem, Some(stem_arc.clone())),
+                        Some(k) if k == *tok.norm => (KeyForm::Norm, Some(tok.norm.clone())),
+                        Some(k) => (KeyForm::Recompute, Some(Arc::from(k))),
+                    }
+                };
                 if cache.len() < FORM_CACHE_CAP {
                     cache.insert(
                         raw.into(),
@@ -150,9 +203,11 @@ impl<'d> DocContext<'d> {
                             stem: stem_arc.clone(),
                             sense: smask,
                             vsense: vmask,
+                            key: key_form,
                         },
                     );
                 }
+                keys.push(key);
                 stems.push(stem_arc);
                 sense.push(smask);
                 vsense.push(vmask);
@@ -165,6 +220,7 @@ impl<'d> DocContext<'d> {
             stems,
             sense,
             vsense,
+            keys,
         }
     }
 
@@ -192,6 +248,12 @@ impl<'d> DocContext<'d> {
     /// Verb-sense mask for `id`.
     pub fn vsense_mask(&self, id: TokenId) -> u8 {
         self.vsense[id.index()]
+    }
+
+    /// Lesk gloss key for `id`: what `Lesk::score` reduces this token to
+    /// when it is a content word of a block, `None` when it drops it.
+    pub fn lesk_key(&self, id: TokenId) -> Option<&str> {
+        self.keys[id.index()].as_deref()
     }
 
     /// A memoising embedder over the per-thread embedding cache.
@@ -282,6 +344,26 @@ mod tests {
             };
             assert_eq!(&**ctx.stem_of(*id), want.as_str());
         }
+    }
+
+    #[test]
+    fn lesk_keys_match_gloss_keys_cold_and_warm() {
+        let words = ["Hosted hosting THE 1,000 inf NaN infinity İstanbul ẞtraße and"];
+        let doc = doc_with(&words);
+        // The first build misses the form cache, the second hits it.
+        for _ in 0..2 {
+            let ctx = DocContext::build(&doc);
+            for id in ctx.view.tokens_of_text(0) {
+                let norm = &*ctx.token(*id).norm;
+                assert_eq!(ctx.lesk_key(*id), lesk_key_of(norm).as_deref(), "{norm}");
+            }
+        }
+        // The key tag sits in the entry's padding: three `Arc<str>`s and
+        // at most one word of small fields.
+        assert!(
+            std::mem::size_of::<CachedForms>()
+                <= 3 * std::mem::size_of::<Arc<str>>() + std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::segment::{LogicalBlock, SegmentConfig};
 use crate::select::blocktext::BlockText;
 use crate::select::disambiguate::{distance_to_nearest, AreaEncoding, Eq2Weights, PageScale};
 use crate::select::index::PatternIndex;
-use crate::select::interest::interest_points;
+use crate::select::interest::{block_densities, interest_points_with};
 use crate::select::learn::{learn_patterns, LearnConfig};
 use crate::select::naive;
 use crate::select::pattern::{PatternMatch, SyntacticPattern};
@@ -254,10 +254,12 @@ impl Vs2Pipeline {
     ///
     /// One [`PatternIndex::block_best_into`] query per block answers for
     /// every entity at once. Block texts come from the context's interned
-    /// token view ([`BlockText::build_in`]; token-only when the model has
-    /// no window pattern) and every embedding goes through the context's
-    /// per-job memo, so nothing is re-tokenised, re-stemmed or
-    /// re-embedded per block. Pinned equal to the executable reference
+    /// token view, built with exactly what the index reads
+    /// ([`BlockText::build_in_with`] over [`PatternIndex::read_set`]), and
+    /// every embedding goes through the context's per-job memo, so
+    /// nothing is re-tokenised, re-stemmed or re-embedded per block. Each
+    /// block's word density and Lesk keys are derived once, not once per
+    /// candidate. Pinned equal to the executable reference
     /// [`candidates_on_blocks_naive`](Self::candidates_on_blocks_naive)
     /// by `tests/arena_equiv.rs` and `tests/select_equiv.rs` in
     /// `vs2-conformance`.
@@ -268,16 +270,18 @@ impl Vs2Pipeline {
     ) -> BTreeMap<String, Vec<Extraction>> {
         let select_span = vs2_obs::span(vs2_obs::stages::SELECT);
         select_span.tag("blocks", blocks.len() as u64);
+        let doc = ctx.doc();
         let embedder = ctx.embedder();
-        let (texts, ip_enc, page) = {
+        let (texts, densities, ip_enc, page) = {
             let _index_span = vs2_obs::span(vs2_obs::stages::SELECT_INDEX);
-            let annotate = self.select_annotates();
+            let read = self.model.index.read_set();
             let texts: Vec<BlockText> = blocks
                 .iter()
-                .map(|b| BlockText::build_in_with(ctx, b, annotate))
+                .map(|b| BlockText::build_in_with(ctx, b, read))
                 .collect();
-            let (ip_enc, page) = self.select_prep(ctx.doc(), blocks, &texts, &embedder);
-            (texts, ip_enc, page)
+            let densities = block_densities(doc, blocks);
+            let (ip_enc, page) = self.select_prep(doc, blocks, &texts, &densities, &embedder);
+            (texts, densities, ip_enc, page)
         };
         let _scan_span = vs2_obs::span(vs2_obs::stages::SELECT_SCAN);
         // One pass over the blocks; the index answers for all entities at
@@ -288,6 +292,7 @@ impl Vs2Pipeline {
         let mut per_entity: Vec<Vec<Extraction>> = vec![Vec::new(); entities.len()];
         let mut scratch = crate::select::ScanScratch::default();
         let mut bests: Vec<Option<crate::select::BlockBest>> = Vec::new();
+        let mut keys: Vec<&str> = Vec::new();
         for (bi, bt) in texts.iter().enumerate() {
             if bt.is_empty() {
                 continue;
@@ -295,13 +300,27 @@ impl Vs2Pipeline {
             self.model
                 .index
                 .block_best_into(bt, &mut scratch, &mut bests);
+            if bests.iter().all(Option::is_none) {
+                continue;
+            }
+            // The block's distinct Lesk keys, as `Lesk::score` would
+            // reduce its content words.
+            keys.clear();
+            keys.extend(bt.features.ids.iter().filter_map(|id| ctx.lesk_key(*id)));
+            keys.sort_unstable();
+            keys.dedup();
+            let row = ScoreRow {
+                density: densities[bi],
+                keys: Some(&keys),
+            };
             for (ei, best) in bests.iter().enumerate() {
                 let Some(b) = *best else { continue };
                 per_entity[ei].push(self.score_candidate(
-                    ctx.doc(),
+                    doc,
                     blocks,
                     bi,
                     bt,
+                    &row,
                     entities[ei],
                     b.m,
                     b.exact,
@@ -328,15 +347,18 @@ impl Vs2Pipeline {
     /// executable reference for the differential equivalence suite and
     /// the select-perf gate. Emits no tracing spans: only the production
     /// path participates in the documented span tree. Always builds fully
-    /// annotated block texts, so the differential battery compares the
-    /// annotation-gated fast path against an ungated specification.
+    /// annotated block texts and scores gloss overlap over each block's
+    /// content words, so the differential battery compares the read-set
+    /// gated fast path and its interned Lesk keys against an ungated
+    /// specification.
     pub fn candidates_on_blocks_naive(
         &self,
         doc: &Document,
         blocks: &[LogicalBlock],
     ) -> BTreeMap<String, Vec<Extraction>> {
         let texts: Vec<BlockText> = blocks.iter().map(|b| BlockText::build(doc, b)).collect();
-        let (ip_enc, page) = self.select_prep(doc, blocks, &texts, &LexiconEmbedding);
+        let densities = block_densities(doc, blocks);
+        let (ip_enc, page) = self.select_prep(doc, blocks, &texts, &densities, &LexiconEmbedding);
         let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
         for (entity, patterns) in self.model.patterns() {
             let mut cands: Vec<Extraction> = Vec::new();
@@ -351,11 +373,16 @@ impl Vs2Pipeline {
                 let Some((m, exact, specificity)) = naive::block_best(patterns, bt) else {
                     continue;
                 };
+                let row = ScoreRow {
+                    density: densities[bi],
+                    keys: None,
+                };
                 cands.push(self.score_candidate(
                     doc,
                     blocks,
                     bi,
                     bt,
+                    &row,
                     entity,
                     m,
                     exact,
@@ -382,34 +409,24 @@ impl Vs2Pipeline {
         blocks.iter().map(|b| BlockText::build_in(ctx, b)).collect()
     }
 
-    /// Whether the select stage's own block texts carry POS, chunks, NER
-    /// and feature tables. Only window patterns read them — the phrase
-    /// scan reads normal forms, scoring reads tokens, content words and
-    /// provenance — so a model whose index has no window pattern (the
-    /// all-descriptor D1 model) gets token-only texts. The one place the
-    /// select stage decides how much of a block to annotate.
-    fn select_annotates(&self) -> bool {
-        self.model.index.window_count() > 0
-    }
-
     /// The interest-point encodings of the multimodal mode and the page
-    /// scale, over already-built block texts.
+    /// scale, over already-built block texts and block word densities.
     fn select_prep<E: Embedder>(
         &self,
         doc: &Document,
         blocks: &[LogicalBlock],
         texts: &[BlockText],
+        densities: &[f64],
         embedder: &E,
     ) -> (Vec<AreaEncoding>, PageScale) {
-        let ip_idx = interest_points(doc, blocks, embedder);
-        let encode_block = |b: &LogicalBlock, bt: &BlockText| AreaEncoding {
-            bbox: b.bbox,
-            embedding: embedder.embed_text(bt.ann.content_words()),
-            density: doc.word_density(&b.bbox),
-        };
+        let ip_idx = interest_points_with(doc, blocks, densities, embedder);
         let ip_enc: Vec<AreaEncoding> = ip_idx
             .iter()
-            .map(|&i| encode_block(&blocks[i], &texts[i]))
+            .map(|&i| AreaEncoding {
+                bbox: blocks[i].bbox,
+                embedding: embedder.embed_text(texts[i].ann.content_words()),
+                density: densities[i],
+            })
             .collect();
         let page = PageScale {
             width: doc.width,
@@ -428,6 +445,7 @@ impl Vs2Pipeline {
         blocks: &[LogicalBlock],
         bi: usize,
         bt: &BlockText,
+        row: &ScoreRow<'_>,
         entity: &str,
         m: PatternMatch,
         exact: bool,
@@ -466,7 +484,7 @@ impl Vs2Pipeline {
                 let enc = AreaEncoding {
                     bbox: span_bbox,
                     embedding: embedder.embed_text(text.split_whitespace()),
-                    density: doc.word_density(&blocks[bi].bbox),
+                    density: row.density,
                 };
                 // Specificity acts as a tie-break: a block where a
                 // more demanding pattern fired is a better-typed
@@ -486,18 +504,14 @@ impl Vs2Pipeline {
                 // Holdout-context gloss overlap (the block's words
                 // vs the entity's fixed-format contexts) — the
                 // cue that separates "Phone …" from "Fax …".
-                let ctx = bt.ann.content_words();
-                score -= 0.15 * self.model.glosses.score(entity, ctx).min(1.0);
+                score -= 0.15 * self.gloss_overlap(entity, bt, row).min(1.0);
                 score
             }
             DisambiguationMode::FirstMatch => {
                 // Reading order: top-to-bottom, left-to-right.
                 blocks[bi].bbox.y * 10_000.0 + blocks[bi].bbox.x
             }
-            DisambiguationMode::Lesk => {
-                let ctx = bt.ann.content_words();
-                -self.model.glosses.score(entity, ctx)
-            }
+            DisambiguationMode::Lesk => -self.gloss_overlap(entity, bt, row),
         };
         Extraction {
             entity: entity.to_string(),
@@ -505,6 +519,16 @@ impl Vs2Pipeline {
             block_bbox: blocks[bi].bbox,
             span_bbox,
             score,
+        }
+    }
+
+    /// Lesk overlap of the entity's gloss with the block: over the row's
+    /// interned keys when it has them, else over the block's content
+    /// words (the reference path).
+    fn gloss_overlap(&self, entity: &str, bt: &BlockText, row: &ScoreRow<'_>) -> f64 {
+        match row.keys {
+            Some(keys) => self.model.glosses.score_keys(entity, keys),
+            None => self.model.glosses.score(entity, bt.ann.content_words()),
         }
     }
 
@@ -578,6 +602,16 @@ impl Vs2Pipeline {
     pub fn extract(&self, doc: &Document) -> Vec<Extraction> {
         self.extract_ctx(doc)
     }
+}
+
+/// What [`Vs2Pipeline::score_candidate`] reads of a block besides its
+/// text: derived once per block, shared by all of its candidates.
+struct ScoreRow<'k> {
+    /// `doc.word_density` of the block's box.
+    density: f64,
+    /// The block's distinct Lesk keys (`DocContext::lesk_key` of its
+    /// tokens), or `None` to score gloss overlap over its content words.
+    keys: Option<&'k [&'k str]>,
 }
 
 /// Greedy joint assignment of candidates to entities: the globally

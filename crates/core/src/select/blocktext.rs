@@ -6,18 +6,19 @@
 //! knows which atomic element produced it, and carries the full NLP
 //! annotation of the block's text.
 //!
-//! The select stage may also build *token-only* texts (tokens and
-//! provenance, no POS, chunks, NER or [`FeatureTable`]) when its compiled
-//! index has no window pattern to read the annotation; those never leave
-//! the crate.
+//! The select stage builds its own texts from its compiled index's
+//! [`ReadSet`]: token-only (tokens, ids and provenance, no POS, chunks,
+//! NER or window reps) when no window pattern reads the annotation, and
+//! otherwise only the windows and window checks the patterns can use.
 
 use std::sync::Arc;
 
 use crate::context::{empty_arc, DocContext};
 use crate::segment::LogicalBlock;
+use crate::select::index::ReadSet;
 use vs2_docmodel::{BBox, Document, ElementRef, TokenId};
 use vs2_nlp::annotate::Annotated;
-use vs2_nlp::chunk::chunk;
+use vs2_nlp::chunk::{chunk, PhraseKind};
 use vs2_nlp::hypernym::{self, Sense};
 use vs2_nlp::ner::recognize;
 use vs2_nlp::pos::tag;
@@ -78,16 +79,20 @@ pub struct FeatureTable {
     /// per-document stem table.
     pub stem: Vec<Arc<str>>,
     /// Interned token id per token, when built from a [`DocContext`]
-    /// (`BlockText::build_in`); empty on the owned path.
+    /// (`BlockText::build_in*`, token-only texts included); empty on the
+    /// owned path.
     pub ids: Vec<TokenId>,
-    /// Window reps aligned index-for-index with `ann.phrases`.
+    /// Window reps aligned index-for-index with `ann.phrases` (a default
+    /// rep for a phrase kind the [`ReadSet`] does not read).
     pub phrase_windows: Vec<WindowRep>,
-    /// Window reps aligned index-for-index with `ann.ner`.
+    /// Window reps aligned index-for-index with `ann.ner` (empty when the
+    /// [`ReadSet`] does not read them).
     pub ner_windows: Vec<WindowRep>,
-    /// The whole-block window `(0, len)`.
+    /// The whole-block window `(0, len)` (default when not read).
     pub block_window: WindowRep,
-    /// Union of every window rep — the sound anchor prefilter: a
-    /// feature absent here is absent from every candidate window.
+    /// Union of every built window rep — the sound anchor prefilter: a
+    /// feature absent here is absent from every window a pattern
+    /// evaluates.
     pub summary: WindowRep,
 }
 
@@ -162,9 +167,16 @@ impl FeatureTable {
     /// noun senses and verb senses come from the per-distinct-token
     /// tables (computed once per document) instead of being re-derived
     /// per token instance. `ids[i]` is the interned id of `ann.tokens[i]`.
-    /// Column-for-column byte-identical to [`FeatureTable::build`] —
-    /// pinned by the interner proptest battery in `vs2-conformance`.
-    fn build_interned(ann: &Annotated, ids: &[TokenId], ctx: &DocContext<'_>) -> Self {
+    /// Only the windows and checks in `read` are built. With
+    /// [`ReadSet::all`] it is column-for-column byte-identical to
+    /// [`FeatureTable::build`] — pinned by the interner proptest battery
+    /// in `vs2-conformance`.
+    fn build_interned(
+        ann: &Annotated,
+        ids: Vec<TokenId>,
+        ctx: &DocContext<'_>,
+        read: &ReadSet,
+    ) -> Self {
         debug_assert_eq!(ann.tokens.len(), ids.len());
         let n = ann.tokens.len();
         let mut t = FeatureTable {
@@ -173,10 +185,10 @@ impl FeatureTable {
             sense: vec![0; n],
             vsense: vec![0; n],
             stem: Vec::with_capacity(n),
-            ids: ids.to_vec(),
+            ids,
             ..FeatureTable::default()
         };
-        for (i, id) in ids.iter().enumerate() {
+        for (i, id) in t.ids.iter().enumerate() {
             let pos = ann.pos[i];
             match pos {
                 vs2_nlp::PosTag::Cd => t.flags[i] |= FLAG_CD,
@@ -200,14 +212,24 @@ impl FeatureTable {
         t.phrase_windows = ann
             .phrases
             .iter()
-            .map(|p| t.window_rep_into(ann, p.start, p.end, &mut scratch))
+            .map(|p| {
+                if read.reads_phrase(p.kind) {
+                    t.window_rep_into(ann, p.start, p.end, Some(p.kind), read, &mut scratch)
+                } else {
+                    WindowRep::default()
+                }
+            })
             .collect();
-        t.ner_windows = ann
-            .ner
-            .iter()
-            .map(|s| t.window_rep_into(ann, s.start, s.end, &mut scratch))
-            .collect();
-        t.block_window = t.window_rep_into(ann, 0, n, &mut scratch);
+        if read.reads_spans() {
+            t.ner_windows = ann
+                .ner
+                .iter()
+                .map(|s| t.window_rep_into(ann, s.start, s.end, None, read, &mut scratch))
+                .collect();
+            t.block_window = t.window_rep_into(ann, 0, n, None, read, &mut scratch);
+        }
+        // Reps that were not built are all-zero, so this is the union of
+        // the built ones.
         let mut summary = WindowRep::default();
         for w in t
             .phrase_windows
@@ -224,13 +246,17 @@ impl FeatureTable {
         t
     }
 
-    /// [`FeatureTable::window_rep`] with a caller-owned span-text buffer,
-    /// so table construction reuses one allocation across windows.
+    /// [`FeatureTable::window_rep`] for a window of `kind` (`None`: an NER
+    /// or whole-block window) with a caller-owned span-text buffer, so
+    /// table construction reuses one allocation across windows. Runs the
+    /// TIMEX3 / geocode checks only where `read` says one can matter.
     fn window_rep_into(
         &self,
         ann: &Annotated,
         start: usize,
         end: usize,
+        kind: Option<PhraseKind>,
+        read: &ReadSet,
         scratch: &mut String,
     ) -> WindowRep {
         let end = end.min(ann.tokens.len());
@@ -245,11 +271,15 @@ impl FeatureTable {
             w.sense |= self.sense[i];
             w.vsense |= self.vsense[i];
         }
+        let (check_timex, check_geo) = read.checks(kind, &w);
+        if !(check_timex || check_geo) {
+            return w;
+        }
         ann.span_text_into(start, end, scratch);
-        if timex::is_valid_timex(scratch) {
+        if check_timex && timex::is_valid_timex(scratch) {
             w.flags |= FLAG_TIMEX;
         }
-        if geocode::is_valid_geocode(scratch) {
+        if check_geo && geocode::is_valid_geocode(scratch) {
             w.flags |= FLAG_GEO;
         }
         w
@@ -349,21 +379,18 @@ impl BlockText {
     /// the double-tokenisation `BlockText::build` pays. Per-instance
     /// annotation (POS, chunking, NER) still runs per block because it
     /// is context-dependent; all string derivation is interned.
-    /// Observationally identical to [`BlockText::build`].
+    /// Observationally identical to [`BlockText::build`] (plus the `ids`
+    /// column).
     pub fn build_in(ctx: &DocContext<'_>, block: &LogicalBlock) -> Self {
-        Self::build_in_with(ctx, block, true)
+        Self::build_in_with(ctx, block, ReadSet::all())
     }
 
-    /// [`BlockText::build_in`], or with `annotate == false` a token-only
-    /// text: tokens and element provenance, empty POS/chunk/NER columns
-    /// and an empty [`FeatureTable`]. That is enough for the exact-phrase
-    /// scan (normal forms) and candidate scoring (tokens, content words,
-    /// provenance).
-    pub(crate) fn build_in_with(
-        ctx: &DocContext<'_>,
-        block: &LogicalBlock,
-        annotate: bool,
-    ) -> Self {
+    /// [`BlockText::build_in`] with only what `read` asks for. An empty
+    /// read set gives a token-only text: tokens, their ids and element
+    /// provenance, empty POS/chunk/NER columns and no window reps. That
+    /// is enough for the exact-phrase scan (normal forms) and candidate
+    /// scoring (tokens, Lesk keys by id, provenance).
+    pub fn build_in_with(ctx: &DocContext<'_>, block: &LogicalBlock, read: &ReadSet) -> Self {
         let doc = ctx.doc();
         let order = doc.reading_order(&block.elements);
         let count: usize = order
@@ -374,19 +401,17 @@ impl BlockText {
             })
             .sum();
         let mut tokens: Vec<Token> = Vec::with_capacity(count);
-        let mut ids: Vec<TokenId> = Vec::with_capacity(if annotate { count } else { 0 });
+        let mut ids: Vec<TokenId> = Vec::with_capacity(count);
         let mut elem_of: Vec<ElementRef> = Vec::with_capacity(count);
         for r in order {
             let ElementRef::Text(i) = r else { continue };
             for id in ctx.view.tokens_of_text(i) {
                 tokens.push(ctx.token(*id).clone());
-                if annotate {
-                    ids.push(*id);
-                }
+                ids.push(*id);
                 elem_of.push(r);
             }
         }
-        if !annotate {
+        if read.is_empty() {
             return BlockText {
                 bbox: block.bbox,
                 ann: Annotated {
@@ -396,7 +421,10 @@ impl BlockText {
                     ner: Vec::new(),
                 },
                 elem_of,
-                features: FeatureTable::default(),
+                features: FeatureTable {
+                    ids,
+                    ..FeatureTable::default()
+                },
             };
         }
         let pos = tag(&tokens);
@@ -408,7 +436,7 @@ impl BlockText {
             phrases,
             ner,
         };
-        let features = FeatureTable::build_interned(&ann, &ids, ctx);
+        let features = FeatureTable::build_interned(&ann, ids, ctx, read);
         BlockText {
             bbox: block.bbox,
             ann,

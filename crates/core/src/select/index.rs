@@ -36,10 +36,12 @@
 //!   [`FeatureTable`] instead of rebuilding `BTreeSet<Feature>`s.
 //!
 //! The phrase scan reads only the tokens' normal forms; only window
-//! patterns read POS, chunks, NER and the [`FeatureTable`]. An index with
-//! no window patterns ([`PatternIndex::window_count`] `== 0`) therefore
-//! accepts token-only block texts, and the pipeline builds annotation
-//! only when a window pattern can read it.
+//! patterns read POS, chunks, NER and the [`FeatureTable`]. The index
+//! records what its window patterns read as a [`ReadSet`]: which windows
+//! they evaluate, and on which of those a TIMEX3 or geocode check can
+//! decide a match. The select stage builds each block text with exactly
+//! that — token-only for an empty read set (a phrase-only model), and
+//! without the window checks no pattern can use.
 //!
 //! Tie-breaking is bit-for-bit the old loop's: longest match wins, ties
 //! go to the lowest pattern rank, then the earliest `(start, end)` span.
@@ -54,6 +56,7 @@ use crate::select::blocktext::{BlockText, WindowRep, FLAG_CD, FLAG_GEO, FLAG_JJ,
 use crate::select::pattern::{ner_code, Feature, SyntacticPattern};
 use crate::select::PatternMatch;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use vs2_nlp::chunk::PhraseKind;
 use vs2_nlp::ner::NerTag;
 
@@ -221,6 +224,116 @@ fn in_bucket(word_len: usize, query_len: usize) -> bool {
     }
 }
 
+/// The window-feature requirements of one pattern that reads TIMEX3 or
+/// geocode validity, minus both of those bits: a window must carry at
+/// least these bits (and be of this kind) before either check can decide
+/// whether the pattern matches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Need {
+    /// `Some(k)`: phrase windows of kind `k`; `None`: the NER windows and
+    /// the whole-block window.
+    kind: Option<PhraseKind>,
+    flags: u8,
+    ner: u8,
+    sense: u16,
+    vsense: u8,
+}
+
+impl Need {
+    fn covered_by(&self, kind: Option<PhraseKind>, rep: &WindowRep) -> bool {
+        self.kind == kind
+            && self.flags & rep.flags == self.flags
+            && self.ner & rep.ner == self.ner
+            && self.sense & rep.sense == self.sense
+            && self.vsense & rep.vsense == self.vsense
+    }
+}
+
+const PHRASE_KINDS: [PhraseKind; 3] = [PhraseKind::Np, PhraseKind::Vp, PhraseKind::Svo];
+
+/// What a compiled [`PatternIndex`]'s window patterns read of a block:
+/// the windows they evaluate and where a TIMEX3 / geocode check can
+/// matter. [`BlockText::build_in_with`] builds a block's annotation and
+/// [`FeatureTable`](crate::select::FeatureTable) from it:
+///
+/// * an empty set (no window pattern) gets a token-only text;
+/// * only evaluated windows get a [`WindowRep`] — a phrase of a kind no
+///   pattern reads keeps a default rep, so `phrase_windows` stays aligned
+///   with `ann.phrases`;
+/// * a window is TIMEX3- (geocode-) validated only when its kind and
+///   its other bits cover some pattern's [`Need`] for that check.
+///
+/// The block summary stays the union of the built reps, so the anchor
+/// prefilter remains sound: every window that could satisfy a pattern
+/// is still built and validated.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadSet {
+    /// Bit `kind as u8`: some pattern evaluates phrases of that kind.
+    phrases: u8,
+    /// Some `kind: None` pattern evaluates the NER windows and the
+    /// whole-block window.
+    spans: bool,
+    timex: Vec<Need>,
+    geo: Vec<Need>,
+}
+
+impl ReadSet {
+    /// Every window, every check: the fully annotated block text that
+    /// [`BlockText::build_in`] and the owned [`BlockText::build`] produce.
+    pub fn all() -> &'static ReadSet {
+        static ALL: OnceLock<ReadSet> = OnceLock::new();
+        ALL.get_or_init(|| {
+            let mut read = ReadSet::default();
+            for kind in PHRASE_KINDS.map(Some).into_iter().chain([None]) {
+                read.add(kind, FLAG_TIMEX | FLAG_GEO, 0, 0, 0);
+            }
+            read
+        })
+    }
+
+    /// Records one window pattern's kind and requirement masks.
+    fn add(&mut self, kind: Option<PhraseKind>, flags: u8, ner: u8, sense: u16, vsense: u8) {
+        match kind {
+            Some(k) => self.phrases |= 1 << k as u8,
+            None => self.spans = true,
+        }
+        let need = Need {
+            kind,
+            flags: flags & !(FLAG_TIMEX | FLAG_GEO),
+            ner,
+            sense,
+            vsense,
+        };
+        for (bit, needs) in [(FLAG_TIMEX, &mut self.timex), (FLAG_GEO, &mut self.geo)] {
+            if flags & bit != 0 && !needs.contains(&need) {
+                needs.push(need);
+            }
+        }
+    }
+
+    /// `true` when no window pattern reads the block's annotation.
+    pub fn is_empty(&self) -> bool {
+        self.phrases == 0 && !self.spans
+    }
+
+    /// `true` when some pattern evaluates phrase windows of `kind`.
+    pub fn reads_phrase(&self, kind: PhraseKind) -> bool {
+        self.phrases & (1 << kind as u8) != 0
+    }
+
+    /// `true` when some pattern evaluates the NER and whole-block windows.
+    pub fn reads_spans(&self) -> bool {
+        self.spans
+    }
+
+    /// Which of the TIMEX3 and geocode checks can decide a pattern on a
+    /// window of `kind` whose unvalidated bits are `rep`'s.
+    pub(crate) fn checks(&self, kind: Option<PhraseKind>, rep: &WindowRep) -> (bool, bool) {
+        let any = |needs: &[Need]| needs.iter().any(|n| n.covered_by(kind, rep));
+        (any(&self.timex), any(&self.geo))
+    }
+}
+
 /// A window pattern compiled to bitmasks.
 #[derive(Debug, Clone)]
 struct CompiledWindow {
@@ -308,6 +421,8 @@ pub struct PatternIndex {
     /// determinism (evaluation order does not affect results — the
     /// accumulator's tie-break key is order-free).
     groups: Vec<(Anchor, Vec<CompiledWindow>)>,
+    /// What the window patterns read of a block.
+    read: ReadSet,
     n_phrases: usize,
     n_windows: usize,
 }
@@ -383,6 +498,8 @@ impl PatternIndex {
                                 Feature::Stem(s) => w.stems.push(s.clone()),
                             }
                         }
+                        idx.read
+                            .add(*kind, w.req_flags, w.req_ner, w.req_sense, w.req_vsense);
                         grouped.entry(Anchor::of(required)).or_default().push(w);
                         idx.n_windows += 1;
                     }
@@ -492,6 +609,12 @@ impl PatternIndex {
     /// Number of compiled window patterns.
     pub fn window_count(&self) -> usize {
         self.n_windows
+    }
+
+    /// What the window patterns read of a block — the select stage builds
+    /// its block texts with exactly this.
+    pub fn read_set(&self) -> &ReadSet {
+        &self.read
     }
 
     /// Scratch for [`PatternIndex::block_best_with`] — kept across

@@ -35,6 +35,16 @@ pub struct Objectives {
 
 /// Computes the three §5.3.1 objectives for a block.
 pub fn objectives<E: Embedder>(doc: &Document, block: &LogicalBlock, embedder: &E) -> Objectives {
+    objectives_at(doc, block, doc.word_density(&block.bbox), embedder)
+}
+
+/// [`objectives`] with the block's word density already computed.
+fn objectives_at<E: Embedder>(
+    doc: &Document,
+    block: &LogicalBlock,
+    density: f64,
+    embedder: &E,
+) -> Objectives {
     let height = block
         .elements
         .iter()
@@ -67,7 +77,7 @@ pub fn objectives<E: Embedder>(doc: &Document, block: &LogicalBlock, embedder: &
     Objectives {
         height,
         coherence,
-        density: doc.word_density(&block.bbox),
+        density,
     }
 }
 
@@ -85,9 +95,27 @@ pub fn interest_points<E: Embedder>(
     blocks: &[LogicalBlock],
     embedder: &E,
 ) -> Vec<usize> {
+    interest_points_with(doc, blocks, &block_densities(doc, blocks), embedder)
+}
+
+/// Word density of every block's box, in block order.
+pub(crate) fn block_densities(doc: &Document, blocks: &[LogicalBlock]) -> Vec<f64> {
+    blocks.iter().map(|b| doc.word_density(&b.bbox)).collect()
+}
+
+/// [`interest_points`] over precomputed [`block_densities`]. The select
+/// stage computes them once per block and reuses them when scoring.
+pub(crate) fn interest_points_with<E: Embedder>(
+    doc: &Document,
+    blocks: &[LogicalBlock],
+    densities: &[f64],
+    embedder: &E,
+) -> Vec<usize> {
+    debug_assert_eq!(blocks.len(), densities.len());
     let objs: Vec<Objectives> = blocks
         .iter()
-        .map(|b| objectives(doc, b, embedder))
+        .zip(densities)
+        .map(|(b, d)| objectives_at(doc, b, *d, embedder))
         .collect();
     (0..blocks.len())
         .filter(|&i| {

@@ -23,7 +23,7 @@ pub mod tables;
 
 pub use blocktext::{BlockText, FeatureTable, WindowRep};
 pub use disambiguate::{distance_to_nearest, eq2_distance, AreaEncoding, Eq2Weights, PageScale};
-pub use index::{BlockBest, PatternIndex, ScanScratch};
+pub use index::{BlockBest, PatternIndex, ReadSet, ScanScratch};
 pub use interest::{dominates, interest_points, objectives, Objectives};
 pub use learn::{learn_patterns, LearnConfig};
 pub use learn_weights::{learn_weights, weight_grid, WeightSearchConfig};

@@ -17,13 +17,16 @@ pub struct Lesk {
     glosses: HashMap<String, HashSet<String>>,
 }
 
+/// The gloss key of one word: its lower-cased stem, or `None` when the
+/// lower-cased word is empty or a stopword. Glosses and contexts are
+/// both reduced to sets of these keys.
+pub fn gloss_key(word: &str) -> Option<String> {
+    let w = word.to_lowercase();
+    (!w.is_empty() && !is_stopword(&w)).then(|| stem(&w))
+}
+
 fn gloss_set<'a, I: IntoIterator<Item = &'a str>>(words: I) -> HashSet<String> {
-    words
-        .into_iter()
-        .map(|w| w.to_lowercase())
-        .filter(|w| !w.is_empty() && !is_stopword(w))
-        .map(|w| stem(&w))
-        .collect()
+    words.into_iter().filter_map(gloss_key).collect()
 }
 
 impl Lesk {
@@ -70,15 +73,23 @@ impl Lesk {
     /// shared stems divided by the context size (0 when either is empty,
     /// or the sense is unknown).
     pub fn score<'a, I: IntoIterator<Item = &'a str>>(&self, sense: &str, context: I) -> f64 {
+        let ctx = gloss_set(context);
+        let keys: Vec<&str> = ctx.iter().map(String::as_str).collect();
+        self.score_keys(sense, &keys)
+    }
+
+    /// [`Lesk::score`] over a context already reduced to its keys:
+    /// `keys` must be the *distinct* [`gloss_key`]s of the context words.
+    /// Equal to `score(sense, words)` whenever `keys` is that set.
+    pub fn score_keys(&self, sense: &str, keys: &[&str]) -> f64 {
         let Some(gloss) = self.glosses.get(sense) else {
             return 0.0;
         };
-        let ctx = gloss_set(context);
-        if ctx.is_empty() || gloss.is_empty() {
+        if keys.is_empty() || gloss.is_empty() {
             return 0.0;
         }
-        let overlap = ctx.iter().filter(|w| gloss.contains(*w)).count();
-        overlap as f64 / ctx.len() as f64
+        let overlap = keys.iter().filter(|k| gloss.contains(**k)).count();
+        overlap as f64 / keys.len() as f64
     }
 
     /// Best-scoring sense for a context; `None` when no sense overlaps at
@@ -112,6 +123,21 @@ mod tests {
         let s = l.score("events", ["concerts", "tonight"]);
         assert!(s > 0.0 && s <= 1.0);
         assert_eq!(l.score("missing", ["concert"]), 0.0);
+    }
+
+    #[test]
+    fn score_keys_equals_score_over_distinct_keys() {
+        let mut l = Lesk::new();
+        l.add_gloss("events", ["concert", "festival", "tickets"]);
+        let words = ["Concerts", "concert", "the", "tonight", ""];
+        let mut keys: Vec<String> = words.iter().filter_map(|w| gloss_key(w)).collect();
+        keys.sort();
+        keys.dedup();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        for sense in ["events", "missing"] {
+            assert_eq!(l.score_keys(sense, &keys), l.score(sense, words));
+        }
+        assert_eq!(l.score_keys("events", &[]), 0.0);
     }
 
     #[test]
