@@ -34,8 +34,8 @@
 //! golden snapshots.
 //!
 //! Suite-wide knobs (see the `proptest` shim): `VS2_PROPTEST_CASES` caps
-//! per-property case counts (CI sets a small value), `VS2_PROPTEST_SEED`
-//! replays one failing case.
+//! per-property case counts (for quick local runs; CI runs uncapped),
+//! `VS2_PROPTEST_SEED` replays one failing case.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,8 +19,8 @@
 //! one warm pass to populate the per-thread token-form and embedding
 //! caches (exactly what a warm serve worker sees), then a metered pass.
 //! The gates only assert in release builds — debug builds of `std` and
-//! the test scaffolding allocate differently — and the CI `arena` job
-//! runs this suite with `--release`.
+//! the test scaffolding allocate differently — and the CI `release-gates`
+//! job runs this suite with `--release`.
 
 use vs2_conformance::alloc::AllocProbe;
 use vs2_core::select::{BlockText, ScanScratch, SyntacticPattern};

@@ -21,8 +21,8 @@
 //!   injection (the serving matrix, `serving_matrix.rs`, crosses these
 //!   with every other serving switch).
 //!
-//! Case counts honour `VS2_PROPTEST_CASES` (the CI `arena` job runs the
-//! full 256); failures print a `VS2_PROPTEST_SEED` repro command.
+//! Case counts honour `VS2_PROPTEST_CASES` (CI runs them uncapped, so
+//! the full 256); failures print a `VS2_PROPTEST_SEED` repro command.
 
 use proptest::prelude::*;
 use serde::Serialize as _;

@@ -181,8 +181,6 @@ fn draining_service_sheds_every_new_submission_with_dwell_zero() {
     for line in out.lines() {
         assert!(line.contains("draining"), "{line}");
     }
-    let snap = svc.admit_snapshot();
-    assert_eq!(snap.shed_draining, 4);
     let stats = svc.shutdown();
     assert_eq!(stats.shed, 4);
     assert_eq!(stats.ok, 4);

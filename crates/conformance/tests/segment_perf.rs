@@ -10,7 +10,7 @@
 //! gates). The ≥3× ratio gate only arms under `--release` — unoptimised
 //! builds distort the two paths differently (bounds checks land almost
 //! entirely on the packed words), so a debug run checks parity only.
-//! CI runs this under `--release` in the `segment-perf` job.
+//! CI runs this under `--release` in the `release-gates` job.
 
 use std::time::{Duration, Instant};
 

@@ -9,7 +9,7 @@
 //! minima compared (the most stable order statistic, same methodology as
 //! the tracing-overhead gate), with a small absolute slack so timer
 //! noise cannot fail a build that is actually at parity. CI runs this
-//! under `--release` in the `select-perf` job; a debug-mode run is valid
+//! under `--release` in the `release-gates` job; a debug-mode run is valid
 //! too, just slower.
 
 use std::time::{Duration, Instant};

@@ -170,9 +170,9 @@ fn decision_is_stable_across_runs_threads_and_the_arena_seam() {
 }
 
 proptest! {
-    // 256 cases so the CI `triage` job's `VS2_PROPTEST_CASES=256` cap
-    // is the count that actually runs; the features are one fingerprint
-    // pass per case, so the battery stays cheap.
+    // 256 cases, all of which an uncapped run (as in CI) executes; the
+    // features are one fingerprint pass per case, so the battery stays
+    // cheap.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Purity on arbitrary documents: repeated scoring and the routed

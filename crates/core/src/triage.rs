@@ -67,8 +67,9 @@ impl TriageDecision {
 /// conformance perf gate pins the trade-off at these values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriageConfig {
-    /// Fingerprint lattice the features are computed on. Must match the
-    /// plan cache's config for the fingerprint-reuse contract to hold.
+    /// Fingerprint lattice the features are computed on. The routed
+    /// driver uses the fingerprint only for its span's `digest` tag; the
+    /// plan cache fingerprints on its own [`PlanConfig`].
     pub fingerprint: FingerprintConfig,
     /// Maximum occupancy-histogram entropy (bits, of the 2-bit cell
     /// bucket distribution; ≤ 2.0) for the cheap path. Regular layouts
@@ -209,7 +210,8 @@ pub fn triage_doc(doc: &Document, seg: &SegmentConfig, cfg: &TriageConfig) -> Tr
 }
 
 /// Lazy decision plus the fingerprint it derived from (shared by
-/// [`triage_doc`] and the routed driver's plan-lookup reuse).
+/// [`triage_doc`] and [`routed_blocks_ctx`], which tags its span with
+/// the fingerprint's digest).
 fn triage_lazy(
     doc: &Document,
     seg: &SegmentConfig,

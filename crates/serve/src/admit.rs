@@ -23,6 +23,11 @@
 //!   deterministic lane fires; production uses real watermarks and
 //!   accepts that *which* job sheds under pressure depends on timing —
 //!   the accounting (exactly one outcome per job) never does.
+//!
+//! The controller decides and counts nothing. The engine's ledger
+//! ([`crate::obs::EngineMetrics`]) records each submission's lane,
+//! every shed and every admission degrade, and each shed result line
+//! names its [`ShedReason`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,30 +200,6 @@ impl AdmitConfig {
     }
 }
 
-/// Counter snapshot of an [`AdmitController`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmitSnapshot {
-    /// Submissions admitted normally.
-    pub accepted: u64,
-    /// Submissions admitted but routed to the degradation fallback.
-    pub degraded: u64,
-    /// Sheds charged to a client's token bucket.
-    pub shed_rate_limited: u64,
-    /// Sheds charged to queue depth.
-    pub shed_queue_depth: u64,
-    /// Sheds charged to the latency EWMA.
-    pub shed_latency_ewma: u64,
-    /// Sheds while draining.
-    pub shed_draining: u64,
-}
-
-impl AdmitSnapshot {
-    /// Total sheds over all reasons.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_rate_limited + self.shed_queue_depth + self.shed_latency_ewma + self.shed_draining
-    }
-}
-
 struct Bucket {
     millitokens: u64,
     last_tick: u64,
@@ -235,12 +216,6 @@ pub struct AdmitController {
     /// Completion-latency EWMA in µs (α = 1/8), fed by the engine on
     /// every non-shed publish.
     ewma_us: AtomicU64,
-    accepted: AtomicU64,
-    degraded: AtomicU64,
-    shed_rate_limited: AtomicU64,
-    shed_queue_depth: AtomicU64,
-    shed_latency_ewma: AtomicU64,
-    shed_draining: AtomicU64,
 }
 
 /// FNV-1a over the client name; `None` hashes as the empty string.
@@ -263,18 +238,7 @@ impl AdmitController {
             tick: AtomicU64::new(0),
             buckets: Mutex::new(HashMap::new()),
             ewma_us: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            shed_rate_limited: AtomicU64::new(0),
-            shed_queue_depth: AtomicU64::new(0),
-            shed_latency_ewma: AtomicU64::new(0),
-            shed_draining: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration the controller was built with.
-    pub fn config(&self) -> AdmitConfig {
-        self.config
     }
 
     /// The current completion-latency EWMA, µs.
@@ -361,12 +325,11 @@ impl AdmitController {
     }
 
     /// Advances the admission tick and charges one job to `client`'s
-    /// token bucket; `true` when the client is over its rate. Counts
-    /// nothing. This is the whole deterministic-lane effect of a
-    /// submission: [`AdmitController::decide`] starts with it, and a
-    /// resumed run calls it alone for each line a predecessor already
-    /// answered, so its buckets and tick clock match an uninterrupted
-    /// run's.
+    /// token bucket; `true` when the client is over its rate. This is
+    /// the whole deterministic-lane effect of a submission:
+    /// [`AdmitController::decide`] starts with it, and a resumed run
+    /// calls it alone for each line a predecessor already answered, so
+    /// its buckets and tick clock match an uninterrupted run's.
     pub fn charge(&self, client: Option<&str>) -> bool {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         match client {
@@ -376,7 +339,8 @@ impl AdmitController {
     }
 
     /// Decides one submission. `backlog` is the queue depth sampled just
-    /// before the would-be enqueue. Bumps the matching counter.
+    /// before the would-be enqueue. Counts nothing: the engine's ledger
+    /// records each submission's lane and outcome.
     pub fn decide(
         &self,
         client: Option<&str>,
@@ -385,7 +349,7 @@ impl AdmitController {
         backlog: usize,
     ) -> AdmitDecision {
         let over_rate = self.charge(client);
-        let decision = if over_rate {
+        if over_rate {
             match lane {
                 // Fairness never outright drops batch work — it just
                 // stops the flooding client from burning full-pipeline
@@ -408,35 +372,6 @@ impl AdmitController {
                     }
                 }
             }
-        };
-        match decision {
-            AdmitDecision::Accept => self.accepted.fetch_add(1, Ordering::Relaxed),
-            AdmitDecision::Degrade(_) => self.degraded.fetch_add(1, Ordering::Relaxed),
-            AdmitDecision::Shed(reason) => self.count_shed(reason),
-        };
-        decision
-    }
-
-    /// Records a shed decided outside [`AdmitController::decide`] (the
-    /// engine's drain gate).
-    pub fn count_shed(&self, reason: ShedReason) -> u64 {
-        match reason {
-            ShedReason::RateLimited => self.shed_rate_limited.fetch_add(1, Ordering::Relaxed),
-            ShedReason::QueueDepth => self.shed_queue_depth.fetch_add(1, Ordering::Relaxed),
-            ShedReason::LatencyEwma => self.shed_latency_ewma.fetch_add(1, Ordering::Relaxed),
-            ShedReason::Draining => self.shed_draining.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn snapshot(&self) -> AdmitSnapshot {
-        AdmitSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            shed_rate_limited: self.shed_rate_limited.load(Ordering::Relaxed),
-            shed_queue_depth: self.shed_queue_depth.load(Ordering::Relaxed),
-            shed_latency_ewma: self.shed_latency_ewma.load(Ordering::Relaxed),
-            shed_draining: self.shed_draining.load(Ordering::Relaxed),
         }
     }
 }
@@ -458,9 +393,6 @@ mod tests {
                 AdmitDecision::Accept
             );
         }
-        let snap = ctl.snapshot();
-        assert_eq!(snap.accepted, 50);
-        assert_eq!(snap.shed_total(), 0);
     }
 
     #[test]
@@ -521,7 +453,7 @@ mod tests {
     #[test]
     fn replayed_submissions_tick_and_charge_without_counting() {
         // Capacity 2, refill 500‰: a bare charge spends a token and a
-        // tick exactly like a decided submission, but counts nothing.
+        // tick exactly like a decided submission.
         let replayed = AdmitController::new(inert().with_buckets(2, 500));
         let decided = AdmitController::new(inert().with_buckets(2, 500));
         assert!(!replayed.charge(Some("a")));
@@ -530,7 +462,6 @@ mod tests {
         decided.decide(Some("a"), Lane::Batch, 0, 0);
         decided.decide(Some("a"), Lane::Batch, 1, 0);
         decided.decide(None, Lane::Batch, 2, 0);
-        assert_eq!(replayed.snapshot(), AdmitSnapshot::default());
         for seq in 3..8 {
             assert_eq!(
                 replayed.decide(Some("a"), Lane::Interactive, seq, 0),
@@ -647,18 +578,22 @@ mod tests {
     fn snapshot_partitions_decisions() {
         let cfg = AdmitConfig::for_queue(8, 7).with_buckets(1, 0);
         let ctl = AdmitController::new(cfg);
-        ctl.decide(Some("a"), Lane::Interactive, 0, 0); // accept
-        ctl.decide(Some("a"), Lane::Interactive, 1, 0); // shed: rate
-        ctl.decide(Some("b"), Lane::Batch, 2, cfg.queue_critical); // degrade
-        ctl.decide(None, Lane::Interactive, 3, cfg.queue_critical); // shed: depth
-        ctl.count_shed(ShedReason::Draining);
-        let snap = ctl.snapshot();
-        assert_eq!(snap.accepted, 1);
-        assert_eq!(snap.degraded, 1);
-        assert_eq!(snap.shed_rate_limited, 1);
-        assert_eq!(snap.shed_queue_depth, 1);
-        assert_eq!(snap.shed_draining, 1);
-        assert_eq!(snap.shed_total(), 3);
+        assert_eq!(
+            ctl.decide(Some("a"), Lane::Interactive, 0, 0),
+            AdmitDecision::Accept
+        );
+        assert_eq!(
+            ctl.decide(Some("a"), Lane::Interactive, 1, 0),
+            AdmitDecision::Shed(ShedReason::RateLimited)
+        );
+        assert_eq!(
+            ctl.decide(Some("b"), Lane::Batch, 2, cfg.queue_critical),
+            AdmitDecision::Degrade(ShedReason::QueueDepth)
+        );
+        assert_eq!(
+            ctl.decide(None, Lane::Interactive, 3, cfg.queue_critical),
+            AdmitDecision::Shed(ShedReason::QueueDepth)
+        );
     }
 
     #[test]

@@ -137,9 +137,6 @@ pub struct BatchRun {
     pub shed: u64,
     /// Input lines skipped because a predecessor already answered them.
     pub skipped: u64,
-    /// Engine sequence number → job id, for correlating engine-side
-    /// artifacts (the quarantine ledger) with the wire.
-    pub job_ids: Vec<String>,
     /// Wire seqs this run answered terminally (every emitted result
     /// line except `shed`), in increasing order — the `completed` list
     /// of a drain/handoff snapshot.
@@ -170,239 +167,234 @@ pub fn run_batch(
     let (fate_tx, fate_rx) = mpsc::channel::<LineFate>();
     let mut invalid = 0u64;
     let mut skipped = 0u64;
-    let (latencies, job_ids, shed, completed_wire_seqs, quarantine_records) =
-        std::thread::scope(|scope| {
-            let emitter = scope.spawn(move || {
-                let mut out = out;
-                let mut lats = Vec::new();
-                let mut ids: Vec<String> = Vec::new();
-                let mut shed = 0u64;
-                let mut completed: Vec<u64> = Vec::new();
-                // With tracing on, each result line is followed by that
-                // job's span records, and the batch ends with a metrics
-                // snapshot. Off (the default), the wire format is untouched.
-                let trace_hub = service.obs().cloned();
-                // Engine seq → (wire seq, job id): the two diverge once an
-                // invalid line consumes a wire seq without entering the
-                // engine, and quarantine records must speak wire seqs.
-                let mut ids_by_seq: std::collections::HashMap<u64, (u64, String)> =
-                    std::collections::HashMap::new();
-                for fate in fate_rx.iter() {
-                    let mut engine_seq = None;
-                    let result = match fate {
-                        LineFate::Submitted {
-                            wire_seq,
-                            job_id,
-                            seq,
-                        } => {
-                            engine_seq = Some(seq);
-                            let done = service.wait_result(seq);
-                            ids.push(job_id.clone());
-                            ids_by_seq.insert(seq, (wire_seq, job_id.clone()));
-                            let (status, extractions, error) = match done.outcome {
-                                JobOutcome::Ok(ex) => (JobStatus::Ok, ex, None),
-                                JobOutcome::Degraded { output, error } => {
-                                    (JobStatus::Degraded, output, Some(error.to_string()))
-                                }
-                                JobOutcome::Failed(error) => {
-                                    (JobStatus::Quarantined, vec![], Some(error.to_string()))
-                                }
-                                JobOutcome::Shed(reason) => (
-                                    JobStatus::Shed,
-                                    vec![],
-                                    Some(ServeError::Overloaded { reason }.to_string()),
-                                ),
-                            };
-                            let is_shed = status == JobStatus::Shed;
-                            if is_shed {
-                                shed += 1;
-                            } else {
-                                lats.push(done.latency);
-                                completed.push(wire_seq);
-                            }
-                            JobResult {
-                                seq: wire_seq,
-                                job_id,
-                                status,
-                                extractions,
-                                error,
-                                latency_us: (include_latency && !is_shed).then(|| {
-                                    u64::try_from(done.latency.as_micros()).unwrap_or(u64::MAX)
-                                }),
-                            }
-                        }
-                        LineFate::Invalid {
-                            wire_seq,
-                            job_id,
-                            error,
-                        } => {
-                            completed.push(wire_seq);
-                            JobResult {
-                                seq: wire_seq,
-                                job_id,
-                                status: JobStatus::Invalid,
-                                extractions: vec![],
-                                error: Some(error),
-                                latency_us: None,
-                            }
-                        }
-                    };
-                    let line = serde_json::to_string(&result).expect("result serialises");
-                    writeln!(out, "{line}").expect("write output");
-                    if let (Some(hub), Some(seq)) = (&trace_hub, engine_seq) {
-                        if let Some(spans) = hub.take_spans(seq) {
-                            for span in &spans {
-                                let line =
-                                    vs2_obs::export::span_json(result.seq, &result.job_id, span);
-                                writeln!(out, "{line}").expect("write output");
-                            }
-                        }
-                    }
-                }
-                // Every submitted job has completed (each Submitted fate
-                // waited on its result), so the quarantine ledger is final
-                // for this batch. Emit this batch's entries in seq order —
-                // the ledger itself is in quarantine-time order, which is
-                // scheduling-dependent, and (being append-only) may carry
-                // entries from earlier batches on the same service.
-                let mut ledger = service.quarantine();
-                ledger.retain(|e| ids_by_seq.contains_key(&e.seq));
-                ledger.sort_by_key(|e| e.seq);
-                let mut records = Vec::with_capacity(ledger.len());
-                for entry in ledger {
-                    let (wire_seq, job_id) = ids_by_seq[&entry.seq].clone();
-                    let record = QuarantineRecord {
-                        seq: wire_seq,
+    let (latencies, shed, completed_wire_seqs, quarantine_records) = std::thread::scope(|scope| {
+        let emitter = scope.spawn(move || {
+            let mut out = out;
+            let mut lats = Vec::new();
+            let mut shed = 0u64;
+            let mut completed: Vec<u64> = Vec::new();
+            // With tracing on, each result line is followed by that
+            // job's span records, and the batch ends with a metrics
+            // snapshot. Off (the default), the wire format is untouched.
+            let trace_hub = service.obs().cloned();
+            // Engine seq → (wire seq, job id): the two diverge once an
+            // invalid line consumes a wire seq without entering the
+            // engine, and quarantine records must speak wire seqs.
+            let mut ids_by_seq: std::collections::HashMap<u64, (u64, String)> =
+                std::collections::HashMap::new();
+            for fate in fate_rx.iter() {
+                let mut engine_seq = None;
+                let result = match fate {
+                    LineFate::Submitted {
+                        wire_seq,
                         job_id,
-                        attempts: entry.attempts,
-                        kind: entry.error.kind().to_string(),
-                        error: entry.error.to_string(),
-                        elapsed_us: include_latency
-                            .then(|| u64::try_from(entry.elapsed.as_micros()).unwrap_or(u64::MAX)),
-                    };
-                    let line = serde_json::to_string(&record).expect("record serialises");
-                    writeln!(out, "{line}").expect("write output");
-                    records.push(record);
-                }
-                if emit_metrics || trace_hub.is_some() {
-                    for line in service.metrics().metrics_lines(&service.cache_snapshot()) {
-                        writeln!(out, "{line}").expect("write output");
-                    }
-                }
-                out.flush().expect("flush output");
-                (lats, ids, shed, completed, records)
-            });
-            let mut wire_seq = 0u64;
-            let mut submissions = 0u64;
-            for line_no in 0.. {
-                let default_id = format!("job-{line_no}");
-                let line = match read_capped_line(&mut reader) {
-                    Ok(Some(l)) => l,
-                    Ok(None) => break,
-                    Err(e) => {
-                        // A broken line must not abort the batch: report it
-                        // in-stream and keep going. `InvalidData` (non-UTF-8
-                        // bytes, an over-long line) consumes exactly the
-                        // offending line, so the stream stays aligned; any
-                        // other I/O error means the source itself failed —
-                        // report, then stop.
-                        invalid += 1;
-                        let recoverable = e.kind() == ErrorKind::InvalidData;
-                        let _ = fate_tx.send(LineFate::Invalid {
-                            wire_seq,
-                            job_id: default_id,
-                            error: format!("input read error at line {line_no}: {e}"),
-                        });
-                        wire_seq += 1;
-                        if recoverable {
-                            continue;
+                        seq,
+                    } => {
+                        engine_seq = Some(seq);
+                        let done = service.wait_result(seq);
+                        ids_by_seq.insert(seq, (wire_seq, job_id.clone()));
+                        let (status, extractions, error) = match done.outcome {
+                            JobOutcome::Ok(ex) => (JobStatus::Ok, ex, None),
+                            JobOutcome::Degraded { output, error } => {
+                                (JobStatus::Degraded, output, Some(error.to_string()))
+                            }
+                            JobOutcome::Failed(error) => {
+                                (JobStatus::Quarantined, vec![], Some(error.to_string()))
+                            }
+                            JobOutcome::Shed(reason) => (
+                                JobStatus::Shed,
+                                vec![],
+                                Some(ServeError::Overloaded { reason }.to_string()),
+                            ),
+                        };
+                        let is_shed = status == JobStatus::Shed;
+                        if is_shed {
+                            shed += 1;
+                        } else {
+                            lats.push(done.latency);
+                            completed.push(wire_seq);
                         }
-                        break;
+                        JobResult {
+                            seq: wire_seq,
+                            job_id,
+                            status,
+                            extractions,
+                            error,
+                            latency_us: (include_latency && !is_shed).then(|| {
+                                u64::try_from(done.latency.as_micros()).unwrap_or(u64::MAX)
+                            }),
+                        }
+                    }
+                    LineFate::Invalid {
+                        wire_seq,
+                        job_id,
+                        error,
+                    } => {
+                        completed.push(wire_seq);
+                        JobResult {
+                            seq: wire_seq,
+                            job_id,
+                            status: JobStatus::Invalid,
+                            extractions: vec![],
+                            error: Some(error),
+                            latency_us: None,
+                        }
                     }
                 };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // Control records steer the service without consuming a
-                // wire seq — they are commands, not jobs, and must not
-                // shift the seqs of surrounding result lines. A job line's
-                // spec is read from the same parsed tree.
-                let value = serde_json::parse(&line);
-                if let Ok(value) = &value {
-                    if let Some(ctl) = value.get("control") {
-                        if matches!(ctl, Value::Str(cmd) if cmd == "drain") {
-                            service.begin_drain();
-                        } else {
-                            invalid += 1;
-                            let _ = fate_tx.send(LineFate::Invalid {
-                                wire_seq,
-                                job_id: default_id,
-                                error: format!("unknown control record at line {line_no}"),
-                            });
-                            wire_seq += 1;
+                let line = serde_json::to_string(&result).expect("result serialises");
+                writeln!(out, "{line}").expect("write output");
+                if let (Some(hub), Some(seq)) = (&trace_hub, engine_seq) {
+                    if let Some(spans) = hub.take_spans(seq) {
+                        for span in &spans {
+                            let line = vs2_obs::export::span_json(result.seq, &result.job_id, span);
+                            writeln!(out, "{line}").expect("write output");
                         }
-                        continue;
-                    }
-                }
-                let parsed = value.and_then(|v| JobSpec::from_value(&v)).map(|mut spec| {
-                    if spec.client.is_none() {
-                        spec.client = opts.default_client.clone();
-                    }
-                    spec
-                });
-                // Warm restart: lines the predecessor already answered
-                // are skipped; a valid skipped spec still replays its
-                // engine seq, admission tick and bucket charge so seq-
-                // and tick-keyed decisions stay aligned with an
-                // uninterrupted run.
-                let resumed = opts.resume_completed.as_ref();
-                if resumed.is_some_and(|done| done.contains(&wire_seq)) {
-                    if let Ok(spec) = &parsed {
-                        service.skip_submission(spec.client.as_deref());
-                    }
-                    skipped += 1;
-                    wire_seq += 1;
-                    continue;
-                }
-                match parsed {
-                    Ok(spec) => {
-                        let job_id = spec.job_id.clone().unwrap_or(default_id);
-                        if opts.drain_after == Some(submissions) {
-                            service.begin_drain();
-                        }
-                        // Backpressure: blocks while the work queue is full
-                        // (shed decisions fire before the queue, so an
-                        // admission-controlled service never blocks here
-                        // under overload).
-                        let seq = service.submit_spec(spec, opts.default_lane);
-                        submissions += 1;
-                        let _ = fate_tx.send(LineFate::Submitted {
-                            wire_seq,
-                            job_id,
-                            seq,
-                        });
-                        wire_seq += 1;
-                    }
-                    Err(e) => {
-                        invalid += 1;
-                        let _ = fate_tx.send(LineFate::Invalid {
-                            wire_seq,
-                            job_id: default_id,
-                            error: format!("invalid job spec at line {line_no}: {e}"),
-                        });
-                        wire_seq += 1;
                     }
                 }
             }
-            drop(fate_tx);
-            emitter.join().expect("emitter thread")
+            // Every submitted job has completed (each Submitted fate
+            // waited on its result), so the quarantine ledger is final
+            // for this batch. Emit this batch's entries in seq order —
+            // the ledger itself is in quarantine-time order, which is
+            // scheduling-dependent, and (being append-only) may carry
+            // entries from earlier batches on the same service.
+            let mut ledger = service.quarantine();
+            ledger.retain(|e| ids_by_seq.contains_key(&e.seq));
+            ledger.sort_by_key(|e| e.seq);
+            let mut records = Vec::with_capacity(ledger.len());
+            for entry in ledger {
+                let (wire_seq, job_id) = ids_by_seq[&entry.seq].clone();
+                let record = QuarantineRecord {
+                    seq: wire_seq,
+                    job_id,
+                    attempts: entry.attempts,
+                    kind: entry.error.kind().to_string(),
+                    error: entry.error.to_string(),
+                    elapsed_us: include_latency
+                        .then(|| u64::try_from(entry.elapsed.as_micros()).unwrap_or(u64::MAX)),
+                };
+                let line = serde_json::to_string(&record).expect("record serialises");
+                writeln!(out, "{line}").expect("write output");
+                records.push(record);
+            }
+            if emit_metrics || trace_hub.is_some() {
+                for line in service.metrics().metrics_lines(&service.cache_snapshot()) {
+                    writeln!(out, "{line}").expect("write output");
+                }
+            }
+            out.flush().expect("flush output");
+            (lats, shed, completed, records)
         });
+        let mut wire_seq = 0u64;
+        let mut submissions = 0u64;
+        for line_no in 0.. {
+            let default_id = format!("job-{line_no}");
+            let line = match read_capped_line(&mut reader) {
+                Ok(Some(l)) => l,
+                Ok(None) => break,
+                Err(e) => {
+                    // A broken line must not abort the batch: report it
+                    // in-stream and keep going. `InvalidData` (non-UTF-8
+                    // bytes, an over-long line) consumes exactly the
+                    // offending line, so the stream stays aligned; any
+                    // other I/O error means the source itself failed —
+                    // report, then stop.
+                    invalid += 1;
+                    let recoverable = e.kind() == ErrorKind::InvalidData;
+                    let _ = fate_tx.send(LineFate::Invalid {
+                        wire_seq,
+                        job_id: default_id,
+                        error: format!("input read error at line {line_no}: {e}"),
+                    });
+                    wire_seq += 1;
+                    if recoverable {
+                        continue;
+                    }
+                    break;
+                }
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            // Control records steer the service without consuming a
+            // wire seq — they are commands, not jobs, and must not
+            // shift the seqs of surrounding result lines. A job line's
+            // spec is read from the same parsed tree.
+            let value = serde_json::parse(&line);
+            if let Ok(value) = &value {
+                if let Some(ctl) = value.get("control") {
+                    if matches!(ctl, Value::Str(cmd) if cmd == "drain") {
+                        service.begin_drain();
+                    } else {
+                        invalid += 1;
+                        let _ = fate_tx.send(LineFate::Invalid {
+                            wire_seq,
+                            job_id: default_id,
+                            error: format!("unknown control record at line {line_no}"),
+                        });
+                        wire_seq += 1;
+                    }
+                    continue;
+                }
+            }
+            let parsed = value.and_then(|v| JobSpec::from_value(&v)).map(|mut spec| {
+                if spec.client.is_none() {
+                    spec.client = opts.default_client.clone();
+                }
+                spec
+            });
+            // Warm restart: lines the predecessor already answered
+            // are skipped; a valid skipped spec still replays its
+            // engine seq, admission tick and bucket charge so seq-
+            // and tick-keyed decisions stay aligned with an
+            // uninterrupted run.
+            let resumed = opts.resume_completed.as_ref();
+            if resumed.is_some_and(|done| done.contains(&wire_seq)) {
+                if let Ok(spec) = &parsed {
+                    service.skip_submission(spec.client.as_deref());
+                }
+                skipped += 1;
+                wire_seq += 1;
+                continue;
+            }
+            match parsed {
+                Ok(spec) => {
+                    let job_id = spec.job_id.clone().unwrap_or(default_id);
+                    if opts.drain_after == Some(submissions) {
+                        service.begin_drain();
+                    }
+                    // Backpressure: blocks while the work queue is full
+                    // (shed decisions fire before the queue, so an
+                    // admission-controlled service never blocks here
+                    // under overload).
+                    let seq = service.submit_spec(spec, opts.default_lane);
+                    submissions += 1;
+                    let _ = fate_tx.send(LineFate::Submitted {
+                        wire_seq,
+                        job_id,
+                        seq,
+                    });
+                    wire_seq += 1;
+                }
+                Err(e) => {
+                    invalid += 1;
+                    let _ = fate_tx.send(LineFate::Invalid {
+                        wire_seq,
+                        job_id: default_id,
+                        error: format!("invalid job spec at line {line_no}: {e}"),
+                    });
+                    wire_seq += 1;
+                }
+            }
+        }
+        drop(fate_tx);
+        emitter.join().expect("emitter thread")
+    });
     BatchRun {
         latencies,
         invalid,
         shed,
         skipped,
-        job_ids,
         completed_wire_seqs,
         quarantine_records,
     }
@@ -460,9 +452,16 @@ mod tests {
         assert_eq!(run.invalid, 2);
         assert_eq!(run.shed, 0);
         assert_eq!(run.skipped, 0);
-        assert_eq!(run.job_ids, vec!["job-0", "named", "job-5"]);
         assert_eq!(run.completed_wire_seqs, vec![0, 1, 2, 3, 4]);
         let results = parse_lines(&out);
+        assert_eq!(
+            results
+                .iter()
+                .filter(|r| r.status != JobStatus::Invalid)
+                .map(|r| r.job_id.as_str())
+                .collect::<Vec<_>>(),
+            vec!["job-0", "named", "job-5"]
+        );
         // 5 non-empty lines → 5 result lines, in input order.
         assert_eq!(results.len(), 5);
         assert_eq!(

@@ -36,9 +36,11 @@
 //!   transient errors and latency at named pipeline sites (see
 //!   [`crate::faults`]); with it unset the check is one branch.
 //! * **One ledger.** Every engine event (submission lane, outcome,
-//!   retry, panic, timeout trip, fault trigger, queue dwell, job
-//!   latency) is counted once, in the engine's [`EngineMetrics`];
-//!   [`BatchEngine::stats`] is read back from it.
+//!   shed, admission degrade, retry, panic, timeout trip, fault trigger,
+//!   queue dwell, job latency) is counted once, in the engine's
+//!   [`EngineMetrics`]; [`BatchEngine::stats`] is read back from it.
+//!   Admission control only decides, and the plan store keeps the plan
+//!   counts.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::admit::{AdmitConfig, AdmitController, AdmitDecision, AdmitSnapshot, Lane, ShedReason};
+use crate::admit::{AdmitConfig, AdmitController, AdmitDecision, Lane, ShedReason};
 use crate::error::{QuarantineEntry, ServeError};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::obs::EngineMetrics;
@@ -404,7 +406,6 @@ pub struct BatchEngine<J: Send + Clone + 'static, O: Send + 'static> {
     watchdog: Option<JoinHandle<()>>,
     next_seq: AtomicU64,
     next_drain: u64,
-    config: EngineConfig,
 }
 
 impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
@@ -474,13 +475,7 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
             watchdog,
             next_seq: AtomicU64::new(0),
             next_drain: 0,
-            config,
         }
-    }
-
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// The engine's ledger: every event it counts, one shard per worker.
@@ -512,9 +507,6 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.shared.metrics.on_lane(seq, lane);
         let decision = if self.shared.draining.load(Ordering::Relaxed) {
-            if let Some(admit) = &self.shared.admit {
-                admit.count_shed(ShedReason::Draining);
-            }
             AdmitDecision::Shed(ShedReason::Draining)
         } else {
             match &self.shared.admit {
@@ -584,12 +576,6 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// `true` once [`BatchEngine::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
         self.shared.draining.load(Ordering::Relaxed)
-    }
-
-    /// Admission-controller counter snapshot; `None` without
-    /// [`EngineConfig::admit`].
-    pub fn admit_snapshot(&self) -> Option<AdmitSnapshot> {
-        self.shared.admit.as_ref().map(|a| a.snapshot())
     }
 
     /// Blocks until job `seq`'s outcome is available and removes it.
@@ -1437,9 +1423,6 @@ mod tests {
             "every job must be accounted exactly once"
         );
         assert!(engine.quarantine().is_empty(), "sheds never hit the ledger");
-        let snap = engine.admit_snapshot().unwrap();
-        assert_eq!(snap.accepted, 2);
-        assert_eq!(snap.shed_rate_limited, 2);
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub mod queue;
 pub mod retry;
 pub mod service;
 
-pub use admit::{
-    AdmitConfig, AdmitController, AdmitDecision, AdmitSnapshot, Lane, PressureLevel, ShedReason,
-};
+pub use admit::{AdmitConfig, AdmitController, AdmitDecision, Lane, PressureLevel, ShedReason};
 pub use batch::{run_batch, BatchOptions, BatchRun};
 pub use cache::{default_config_for, weights_for, CacheSnapshot, ModelCache};
 pub use engine::{BatchEngine, Completed, EngineConfig, EngineStats, JobCtx, JobOutcome};

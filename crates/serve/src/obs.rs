@@ -7,7 +7,10 @@
 //! workers never contend on a metrics lock. Every engine owns one and
 //! always records into it — it is the single source of
 //! [`crate::engine::EngineStats`] and of the `{"record":"metrics",...}`
-//! tail. [`ObsHub`] is the opt-in part: a span store keyed by engine
+//! tail. It holds no second copy of a count another layer keeps: plan
+//! outcomes are counted by the plan store alone, and the tail reads them
+//! from its [`CacheSnapshot`] as `plan_cache_*`. [`ObsHub`] is the
+//! opt-in part: a span store keyed by engine
 //! sequence number that the batch emitter drains to produce
 //! `{"record":"span",...}` JSONL lines.
 
@@ -15,7 +18,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use vs2_core::plan::PlanOutcome;
 use vs2_core::triage::TriageDecision;
 use vs2_obs::export::{counter_json, histogram_json};
 use vs2_obs::{CounterId, HistogramId, MetricsRegistry, MetricsSpec, SpanRecord};
@@ -45,10 +47,6 @@ pub struct EngineMetrics {
     faults_model_build: CounterId,
     faults_segment: CounterId,
     faults_select: CounterId,
-    plan_replayed: CounterId,
-    plan_missed: CounterId,
-    plan_rejected: CounterId,
-    plan_bypassed: CounterId,
     triage_full: CounterId,
     triage_cheap: CounterId,
     triage_replay: CounterId,
@@ -72,10 +70,6 @@ impl EngineMetrics {
         let faults_model_build = spec.counter("faults_model_build");
         let faults_segment = spec.counter("faults_segment");
         let faults_select = spec.counter("faults_select");
-        let plan_replayed = spec.counter("plan_replayed");
-        let plan_missed = spec.counter("plan_missed");
-        let plan_rejected = spec.counter("plan_rejected");
-        let plan_bypassed = spec.counter("plan_bypassed");
         let triage_full = spec.counter("triage_full");
         let triage_cheap = spec.counter("triage_cheap");
         let triage_replay = spec.counter("triage_replay");
@@ -98,10 +92,6 @@ impl EngineMetrics {
             faults_model_build,
             faults_segment,
             faults_select,
-            plan_replayed,
-            plan_missed,
-            plan_rejected,
-            plan_bypassed,
             triage_full,
             triage_cheap,
             triage_replay,
@@ -216,17 +206,6 @@ impl EngineMetrics {
         let id = match lane {
             Lane::Interactive => self.lane_interactive,
             Lane::Batch => self.lane_batch,
-        };
-        self.registry.counter_add(seq as usize, id, 1);
-    }
-
-    /// The plan cache decided how a job's segmentation ran.
-    pub fn on_plan_outcome(&self, seq: u64, outcome: &PlanOutcome) {
-        let id = match outcome {
-            PlanOutcome::Replayed => self.plan_replayed,
-            PlanOutcome::Miss { .. } => self.plan_missed,
-            PlanOutcome::Rejected(_) => self.plan_rejected,
-            PlanOutcome::Bypassed => self.plan_bypassed,
         };
         self.registry.counter_add(seq as usize, id, 1);
     }

@@ -11,7 +11,7 @@ use vs2_core::pipeline::Vs2Config;
 use vs2_core::plan::PlanConfig;
 use vs2_core::Extraction;
 
-use crate::admit::{AdmitSnapshot, Lane};
+use crate::admit::Lane;
 use crate::batch::BatchRun;
 use crate::cache::{default_config_for, CacheSnapshot, ModelCache};
 use crate::engine::{BatchEngine, Completed, EngineConfig, EngineStats};
@@ -137,29 +137,25 @@ impl ExtractService {
                         let plans = options.plan_cache.then(|| {
                             worker_cache.plan_store_for(spec.dataset, model_seed, &config)
                         });
-                        let (blocks, decision, outcome) = vs2_core::routed_blocks_ctx(
+                        let (blocks, decision, _) = vs2_core::routed_blocks_ctx(
                             &dctx,
                             &pipeline.config.segment,
                             &triage_config,
                             plans.as_ref().map(|s| (&plan_config, &**s)),
                         );
                         ctx.metrics().on_triage(ctx.seq, decision);
-                        if let Some(o) = &outcome {
-                            ctx.metrics().on_plan_outcome(ctx.seq, o);
-                        }
                         ctx.checkpoint(FaultSite::Select)?;
                         return Ok(pipeline.extract_on_blocks_ctx(&dctx, &blocks));
                     }
                     let blocks = if options.plan_cache {
                         let plans = worker_cache.plan_store_for(spec.dataset, model_seed, &config);
-                        let (blocks, outcome) = vs2_core::planned_blocks_ctx(
+                        vs2_core::planned_blocks_ctx(
                             &dctx,
                             &pipeline.config.segment,
                             &plan_config,
                             &plans,
-                        );
-                        ctx.metrics().on_plan_outcome(ctx.seq, &outcome);
-                        blocks
+                        )
+                        .0
                     } else {
                         vs2_core::logical_blocks_ctx(&dctx, &pipeline.config.segment)
                     };
@@ -246,11 +242,6 @@ impl ExtractService {
     /// `true` once [`Self::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
         self.engine.is_draining()
-    }
-
-    /// Admission-control counters; zeroes when admission is off.
-    pub fn admit_snapshot(&self) -> AdmitSnapshot {
-        self.engine.admit_snapshot().unwrap_or_default()
     }
 
     /// The drain/handoff snapshot to write after `run`: its answered

@@ -4,7 +4,7 @@
 //! `{"record":"metrics",...}` tail and the result lines all tell the
 //! same story, and that the exit code follows from them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -204,6 +204,38 @@ fn summary_json_metrics_tail_stderr_and_wire_agree() {
             field("triage_replay"),
         ],
         "{stderr}"
+    );
+
+    // One source per plan number: the plan store's counters feed the
+    // summary, the tail and the stderr plan line alike.
+    let plan_line = numbers(stderr_line(&stderr, "plan cache"));
+    for (i, (key, counter)) in [
+        ("plan_cache_hits", "plan_cache_hits"),
+        ("plan_cache_misses", "plan_cache_misses"),
+        ("plan_cache_rejects", "plan_cache_validation_rejects"),
+        ("plan_cache_bypasses", "plan_cache_bypasses"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_eq!(
+            field(key),
+            metric(counter),
+            "summary `{key}` vs `{counter}`"
+        );
+        assert_eq!(field(key), plan_line[i], "summary `{key}` vs {stderr}");
+    }
+    // Under triage every plan replay is a `PlanReplay` decision.
+    assert_eq!(field("triage_replay"), metric("plan_cache_hits"));
+    let names: Vec<String> = stdout
+        .lines()
+        .filter(|l| l.contains("\"record\":\"metrics\""))
+        .map(|l| serde_json::parse(l).unwrap().field("name").unwrap())
+        .collect();
+    assert_eq!(
+        names.len(),
+        names.iter().collect::<BTreeSet<_>>().len(),
+        "a tail name repeats: {names:?}"
     );
 
     // Exit 1 exactly when something was quarantined or invalid.

@@ -13,8 +13,8 @@
 //! case seed together with a one-command repro line. Two environment
 //! variables steer the runner:
 //!
-//! - `VS2_PROPTEST_CASES=N` caps the case count of every property (CI
-//!   uses this to bound suite wall time);
+//! - `VS2_PROPTEST_CASES=N` caps the case count of every property, for
+//!   quick local runs (CI runs uncapped);
 //! - `VS2_PROPTEST_SEED=0x…` re-runs exactly one case with that seed —
 //!   the repro command printed on failure.
 
