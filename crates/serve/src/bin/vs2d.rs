@@ -45,7 +45,8 @@ USAGE: vs2d [OPTIONS]
   --input PATH         job-spec JSONL file, `-` for stdin (default -)
   --workers N          worker threads (default: available parallelism)
   --queue-capacity N   work-queue bound; submission blocks beyond it (default 32)
-  --timeout-ms N       soft per-job deadline; 0 disables (default 0)
+  --timeout-ms N       soft per-job deadline: a job past it is quarantined;
+                       not retried. 0 disables (default 0)
   --max-attempts N     attempt budget for transient failures (default 3)
   --fault-seed N       enable deterministic chaos fault injection with
                        this seed (testing only; accepts 0x-prefixed hex)
@@ -380,7 +381,7 @@ fn main() {
     if opts.plan_cache {
         let p = cache_snapshot.plans;
         eprintln!(
-            "vs2d: plan cache {} hit, {} miss, {} rejected, {} bypassed | {} inserted, {} evicted, {} uncacheable",
+            "vs2d: plan cache {} hit, {} miss, {} validation rejects, {} bypassed | {} inserted, {} evicted, {} uncacheable",
             p.hits, p.misses, p.validation_rejects, p.bypasses, p.inserts, p.evictions, p.uncacheable,
         );
     }
@@ -425,7 +426,7 @@ fn main() {
                 serde::Value::UInt(cache_snapshot.plans.misses),
             ),
             (
-                "plan_cache_rejects".into(),
+                "plan_cache_validation_rejects".into(),
                 serde::Value::UInt(cache_snapshot.plans.validation_rejects),
             ),
             (

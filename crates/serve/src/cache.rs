@@ -246,12 +246,14 @@ impl ModelCache {
         F: FnOnce() -> Arc<Vs2Model>,
     {
         let (slot, _plans) = self.entry(&key);
-        if let Some(model) = slot.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(model);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(slot.get_or_init(build))
+        let mut learned = false;
+        let model = Arc::clone(slot.get_or_init(|| {
+            learned = true;
+            build()
+        }));
+        let counter = if learned { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        model
     }
 
     /// A ready-to-run pipeline over the cached model.
@@ -264,8 +266,10 @@ impl ModelCache {
         Vs2Pipeline::from_model(self.model_for(dataset, model_seed, &config), config)
     }
 
-    /// `(hits, misses)` counters. A miss that lost the learn race still
-    /// counts as a miss — it had to wait for learning.
+    /// `(hits, misses)` counters. A miss is a call whose own builder
+    /// learned the model; a caller that waited on another caller's learn
+    /// counts a hit, so the counts do not depend on scheduling. A call
+    /// whose builder panicked counts neither.
     pub fn counters(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -374,17 +378,25 @@ mod tests {
     #[test]
     fn concurrent_misses_learn_exactly_once() {
         let cache = Arc::new(ModelCache::new());
-        let cfg = default_config_for(DatasetId::D3);
+        let start = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let cache = Arc::clone(&cache);
-                std::thread::spawn(move || cache.model_for(DatasetId::D3, 1, &cfg))
+                let (cache, start) = (Arc::clone(&cache), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    // Slow enough that the other three callers wait on it.
+                    cache.model_with_builder(test_key(1), || {
+                        std::thread::sleep(std::time::Duration::from_millis(100));
+                        tiny_model()
+                    })
+                })
             })
             .collect();
         let models: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for m in &models[1..] {
             assert!(Arc::ptr_eq(&models[0], m));
         }
+        assert_eq!(cache.counters(), (3, 1), "waiters count hits");
     }
 
     fn test_key(tag: u64) -> CacheKey {

@@ -14,13 +14,15 @@
 //!   re-run in place with bounded, seeded decorrelated-jitter backoff
 //!   ([`RetryPolicy`]) — no wall-clock randomness, so retried batches
 //!   are reproducible.
-//! * **Soft timeouts with one free retry.** A watchdog thread scans
-//!   in-flight jobs; a job past its deadline is re-enqueued once
-//!   (the stuck worker cannot be killed — its eventual result is
-//!   discarded via the attempt-epoch guard) and quarantined as
-//!   [`ServeError::Timeout`] on the second trip. A worker that notices
-//!   its own overrun first retries in place; both detectors go through
-//!   one trip handler, so whichever claims the trip decides it.
+//! * **Soft timeouts are final.** A job whose attempt overruns its
+//!   deadline is quarantined as [`ServeError::Timeout`] on that first
+//!   trip. The pipeline is a pure function of the document, so a re-run
+//!   would only repeat the overrun. Two detectors can trip it: a
+//!   watchdog thread that scans in-flight attempts, and the overrunning
+//!   worker itself when its attempt returns. Both go through one trip
+//!   handler. The stuck worker cannot be killed; when its attempt
+//!   returns to find its in-flight entry gone, the watchdog has already
+//!   answered the job and the late result is dropped.
 //! * **Degrade, else quarantine.** Every job left without a primary
 //!   answer — attempts spent, or routed past the primary by admission
 //!   control's degrade lane — ends in one place: the fallback processor
@@ -28,9 +30,13 @@
 //!   and its run time is added to the job's latency. An answer
 //!   completes the job as [`JobOutcome::Degraded`]; otherwise the job is
 //!   recorded in the append-only quarantine ledger and completes as
-//!   [`JobOutcome::Failed`]. Every outcome, shed included, is published
-//!   through one guarded publish, so the batch always gets exactly one
-//!   outcome per sequence number.
+//!   [`JobOutcome::Failed`].
+//! * **One claim per job.** Every answer path — a shed, an `Ok`, a
+//!   failure and a deadline trip — first claims the job's sequence
+//!   number, and only the winner runs the fallback, appends to the
+//!   ledger or publishes. So the batch always gets exactly one outcome
+//!   per sequence number, and every ledger entry has its published
+//!   outcome.
 //! * **Fault injection.** With [`EngineConfig::faults`] set, the
 //!   [`JobCtx`] passed to the processor injects deterministic panics,
 //!   transient errors and latency at named pipeline sites (see
@@ -64,7 +70,8 @@ pub struct EngineConfig {
     /// Work-queue capacity; submitters block (backpressure) beyond it.
     pub queue_capacity: usize,
     /// Soft per-job deadline, measured from the moment a worker picks the
-    /// job up. `None` disables the watchdog.
+    /// job up. A job past it is quarantined, not retried. `None` disables
+    /// the watchdog.
     pub job_timeout: Option<Duration>,
     /// Retry budget and backoff shape.
     pub retry: RetryPolicy,
@@ -199,7 +206,7 @@ impl<O> JobOutcome<O> {
 
 /// One finished job: outcome plus processing latency of the attempt that
 /// decided it (queue wait and earlier attempts excluded; for a timeout,
-/// the elapsed time at the moment the final trip fired), including the
+/// the elapsed time at the moment the trip fired), including the
 /// fallback's run time whenever the fallback ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completed<O> {
@@ -233,11 +240,11 @@ pub struct EngineStats {
     pub degraded: u64,
     /// Jobs that ended in the quarantine ledger with no answer.
     pub quarantined: u64,
-    /// Retry dispatches (transient re-runs plus watchdog re-enqueues).
+    /// Retry dispatches (re-runs after transient failures).
     pub retried: u64,
     /// Panics caught in the primary processor, over all attempts.
     pub panicked: u64,
-    /// Watchdog trips, over all attempts.
+    /// Deadline trips (each one final).
     pub timed_out: u64,
     /// Jobs rejected by admission control (overload or drain).
     pub shed: u64,
@@ -245,13 +252,10 @@ pub struct EngineStats {
     pub queue_stalls: u64,
 }
 
-/// One queue entry: a job plus the attempt number it will run as.
+/// One queue entry.
 struct QueuedJob<J> {
     seq: u64,
-    attempt: u32,
     job: J,
-    /// Queue class — the watchdog re-enqueues on the same lane.
-    lane: Lane,
     /// `Some(reason)` routes the job straight to the degradation
     /// fallback (admission's pressure valve); the primary processor
     /// never runs.
@@ -261,35 +265,19 @@ struct QueuedJob<J> {
     enqueued: Instant,
 }
 
-struct Inflight<J> {
+/// The running attempt of an in-flight job, as the watchdog sees it.
+struct Inflight {
     started: Instant,
     attempt: u32,
-    /// Clone kept so the watchdog can re-enqueue the job on its first
-    /// deadline trip.
-    job: J,
-    /// Lane the job was admitted on (watchdog re-enqueues preserve it).
-    lane: Lane,
 }
 
 struct ResultsState<O> {
     map: BTreeMap<u64, Completed<O>>,
-    /// Every live seq already published — the exactly-once guard. A
-    /// worker's late result must stay discarded even after `wait_result`
-    /// has consumed the final entry for the same seq.
+    /// Every live seq already claimed — the exactly-once guard.
     done: HashSet<u64>,
     /// Seqs below this have been drained; `done` forgets them to stay
-    /// bounded, so publishes this old are discarded by the bound alone.
-    /// A watchdog-timed-out job's worker may still be running when its
-    /// seq is drained — without this check its eventual publish would
-    /// re-enter `done` and double-count the job.
+    /// bounded, so claims this old fail by the bound alone.
     drained_upto: u64,
-    /// Minimum attempt number whose publish is still accepted, per seq.
-    /// Entries exist only for seqs the watchdog (or a worker detecting
-    /// its own deadline overrun) has claimed: bumping the epoch
-    /// invalidates the stuck attempt's eventual result. `u32::MAX` marks
-    /// a terminally claimed seq (final timeout published; every late
-    /// attempt is dead).
-    epochs: HashMap<u64, u32>,
 }
 
 type Process<J, O> = Box<dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync>;
@@ -301,7 +289,7 @@ struct Shared<J, O> {
     queue: LaneQueue<QueuedJob<J>>,
     results: Mutex<ResultsState<O>>,
     results_cv: Condvar,
-    inflight: Mutex<HashMap<u64, Inflight<J>>>,
+    inflight: Mutex<HashMap<u64, Inflight>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
     timeout: Option<Duration>,
     retry: RetryPolicy,
@@ -316,55 +304,25 @@ struct Shared<J, O> {
 }
 
 impl<J, O> Shared<J, O> {
-    /// Atomically claims the right to handle a deadline overrun of
-    /// `(seq, attempt)`. Returns `false` if another party (watchdog or
-    /// worker) already claimed this or a later attempt. On success the
-    /// attempt epoch advances, so the stuck attempt's late result is
-    /// discarded; `terminal` marks the seq dead for every future attempt.
-    fn claim_timeout(&self, seq: u64, attempt: u32, terminal: bool) -> bool {
+    /// Claims the right to answer `seq`: `true` for the first caller
+    /// only, `false` once the seq is claimed or drained. Every answer
+    /// path claims before it runs the fallback, appends to the ledger
+    /// or publishes.
+    fn claim(&self, seq: u64) -> bool {
         let mut results = self.results.lock().unwrap();
-        // A decided or drained seq cannot be re-claimed: the stuck
-        // worker eventually waking with `latency >= timeout` must not
-        // re-quarantine a job whose outcome was already published.
-        if seq < results.drained_upto || results.done.contains(&seq) {
-            return false;
-        }
-        let current = results.epochs.get(&seq).copied().unwrap_or(0);
-        if attempt < current {
-            return false;
-        }
-        results
-            .epochs
-            .insert(seq, if terminal { u32::MAX } else { attempt + 1 });
-        true
+        seq >= results.drained_upto && results.done.insert(seq)
     }
 
-    /// Publishes `outcome` for `seq` unless the seq already completed or
-    /// was drained. `epoch: Some(attempt)` also drops the publish when a
-    /// timeout claim superseded that attempt; `None` is for a timeout
-    /// claimer that owns the seq (its epoch is `u32::MAX`).
+    /// Publishes `outcome` for `seq`, which the caller has claimed.
     fn publish(
         &self,
         seq: u64,
-        epoch: Option<u32>,
         outcome: JobOutcome<O>,
         latency: Duration,
         dwell: Duration,
         attempts: u32,
     ) {
         let mut results = self.results.lock().unwrap();
-        if seq < results.drained_upto {
-            return;
-        }
-        if let Some(attempt) = epoch {
-            if results.epochs.get(&seq).copied().unwrap_or(0) > attempt {
-                return;
-            }
-        }
-        if !results.done.insert(seq) {
-            return;
-        }
-        results.epochs.remove(&seq);
         match &outcome {
             JobOutcome::Ok(_) => self.metrics.on_ok(seq),
             JobOutcome::Degraded { .. } => self.metrics.on_degraded(seq),
@@ -393,6 +351,27 @@ impl<J, O> Shared<J, O> {
         drop(results);
         self.results_cv.notify_all();
     }
+
+    /// Appends `seq` to the quarantine ledger, then publishes it as
+    /// [`JobOutcome::Failed`] — in that order, so any observer of the
+    /// outcome also sees the ledger entry. The caller has claimed `seq`.
+    fn quarantine(
+        &self,
+        seq: u64,
+        error: ServeError,
+        latency: Duration,
+        dwell: Duration,
+        attempts: u32,
+    ) {
+        self.quarantine.lock().unwrap().push(QuarantineEntry {
+            seq,
+            attempts,
+            error: error.clone(),
+            elapsed: latency,
+        });
+        let outcome = JobOutcome::Failed(error);
+        self.publish(seq, outcome, latency, dwell, attempts);
+    }
 }
 
 /// A concurrent, fault-tolerant batch processor: submit jobs, harvest
@@ -400,7 +379,7 @@ impl<J, O> Shared<J, O> {
 /// so tests can inject slow, flaky or panicking processors; the
 /// extraction service plugs a shared-model [`crate::cache::ModelCache`]
 /// processor and an XY-cut degradation fallback in.
-pub struct BatchEngine<J: Send + Clone + 'static, O: Send + 'static> {
+pub struct BatchEngine<J: Send + 'static, O: Send + 'static> {
     shared: Arc<Shared<J, O>>,
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
@@ -408,7 +387,7 @@ pub struct BatchEngine<J: Send + Clone + 'static, O: Send + 'static> {
     next_drain: u64,
 }
 
-impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
+impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// Spawns the worker pool (and, with a timeout configured, the
     /// watchdog). `process` runs on worker threads and must therefore be
     /// `Send + Sync`; shared read-only state (the model cache) goes in
@@ -440,7 +419,6 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
                 map: BTreeMap::new(),
                 done: HashSet::new(),
                 drained_upto: 0,
-                epochs: HashMap::new(),
             }),
             results_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
@@ -516,9 +494,11 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         };
         let degrade = match decision {
             AdmitDecision::Shed(reason) => {
-                let shed = JobOutcome::Shed(reason);
-                self.shared
-                    .publish(seq, Some(0), shed, Duration::ZERO, Duration::ZERO, 0);
+                if self.shared.claim(seq) {
+                    let shed = JobOutcome::Shed(reason);
+                    self.shared
+                        .publish(seq, shed, Duration::ZERO, Duration::ZERO, 0);
+                }
                 return seq;
             }
             AdmitDecision::Degrade(reason) => {
@@ -533,9 +513,7 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
             .push(
                 QueuedJob {
                     seq,
-                    attempt: 0,
                     job,
-                    lane,
                     degrade,
                     enqueued: Instant::now(),
                 },
@@ -603,13 +581,12 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
         }
         self.next_drain = upto;
         // Shrink the exactly-once guard: raise the drained bound (so late
-        // publishes for these seqs are discarded by the bound check) and
-        // forget their `done`/epoch entries — all under one lock
-        // acquisition, so no publish can slip between the steps.
+        // claims for these seqs fail by the bound check) and forget their
+        // `done` entries — under one lock acquisition, so no claim can
+        // slip between the steps.
         let mut results = self.shared.results.lock().unwrap();
         results.drained_upto = upto;
         results.done.retain(|&seq| seq >= upto);
-        results.epochs.retain(|&seq, _| seq >= upto);
         out
     }
 
@@ -646,21 +623,16 @@ impl<J: Send + Clone + 'static, O: Send + 'static> BatchEngine<J, O> {
     }
 }
 
-impl<J: Send + Clone + 'static, O: Send + 'static> Drop for BatchEngine<J, O> {
+impl<J: Send + 'static, O: Send + 'static> Drop for BatchEngine<J, O> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-/// Ends a job that has no primary answer: the fallback gets one shot
-/// (not for timeouts — the document already burnt its deadline windows,
-/// and the quarantine record *is* the answer), its run time added to
+/// Ends a job that has no primary answer, unless another path already
+/// claimed it: the fallback gets one shot, its run time added to
 /// `latency`. An answer publishes [`JobOutcome::Degraded`]; otherwise the
-/// job is quarantined. Ledger append happens before the publish so any
-/// observer of the `Failed` outcome also sees the ledger entry
-/// (quarantine monotonicity). `epoch` is passed through to
-/// [`Shared::publish`].
-#[allow(clippy::too_many_arguments)]
+/// job is quarantined.
 fn finish_failed<J, O>(
     shared: &Shared<J, O>,
     job: &J,
@@ -669,67 +641,48 @@ fn finish_failed<J, O>(
     mut latency: Duration,
     dwell: Duration,
     attempts: u32,
-    epoch: Option<u32>,
 ) {
-    if !matches!(error, ServeError::Timeout { .. }) {
-        let start = Instant::now();
-        let output = catch_unwind(AssertUnwindSafe(|| (shared.fallback)(job)));
-        latency += start.elapsed();
-        if let Ok(Some(output)) = output {
-            let outcome = JobOutcome::Degraded { output, error };
-            shared.publish(seq, epoch, outcome, latency, dwell, attempts);
-            return;
-        }
+    if !shared.claim(seq) {
+        return;
     }
-    shared.quarantine.lock().unwrap().push(QuarantineEntry {
-        seq,
-        attempts,
-        error: error.clone(),
-        elapsed: latency,
-    });
-    shared.publish(
-        seq,
-        epoch,
-        JobOutcome::Failed(error),
-        latency,
-        dwell,
-        attempts,
-    );
+    let start = Instant::now();
+    let output = catch_unwind(AssertUnwindSafe(|| (shared.fallback)(job)));
+    latency += start.elapsed();
+    match output {
+        Ok(Some(output)) => {
+            let outcome = JobOutcome::Degraded { output, error };
+            shared.publish(seq, outcome, latency, dwell, attempts);
+        }
+        _ => shared.quarantine(seq, error, latency, dwell, attempts),
+    }
 }
 
 /// Handles a deadline overrun of `(seq, attempt)` for either detector —
-/// the watchdog or the overrunning worker itself. Claims the trip (a
-/// party that loses the claim does nothing), counts it (and the panic,
-/// when the overrunning attempt also panicked), and on the final trip
-/// quarantines the job as [`ServeError::Timeout`]. Returns `true` when the
-/// caller should run the next attempt.
+/// the watchdog or the overrunning worker itself. The party that claims
+/// the seq counts the trip (and the panic, when the overrunning attempt
+/// also panicked) and quarantines the job as [`ServeError::Timeout`].
+/// The trip is final: no retry, and no fallback — the document already
+/// burnt its deadline, and the quarantine record *is* the answer.
 fn trip_deadline<J, O>(
     shared: &Shared<J, O>,
-    job: &J,
     seq: u64,
     attempt: u32,
     elapsed: Duration,
     dwell: Duration,
     panicked: bool,
-) -> bool {
-    let terminal = attempt + 1 >= shared.retry.max_timeout_trips.max(1);
-    if !shared.claim_timeout(seq, attempt, terminal) {
-        return false;
+) {
+    if !shared.claim(seq) {
+        return;
     }
     shared.metrics.on_timeout(seq);
     if panicked {
         shared.metrics.on_panic(seq);
     }
-    if terminal {
-        let error = ServeError::Timeout { elapsed };
-        finish_failed(shared, job, seq, error, elapsed, dwell, attempt + 1, None);
-        return false;
-    }
-    shared.metrics.on_retry(seq);
-    true
+    let error = ServeError::Timeout { elapsed };
+    shared.quarantine(seq, error, elapsed, dwell, attempt + 1);
 }
 
-fn worker_loop<J: Clone, O>(shared: &Shared<J, O>) {
+fn worker_loop<J, O>(shared: &Shared<J, O>) {
     while let Some(queued) = shared.queue.pop() {
         run_job(shared, queued);
     }
@@ -737,12 +690,10 @@ fn worker_loop<J: Clone, O>(shared: &Shared<J, O>) {
 
 /// Runs one job to a terminal decision, retrying transient failures in
 /// place.
-fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
+fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
     let QueuedJob {
         seq,
-        mut attempt,
         job,
-        lane,
         degrade,
         enqueued,
     } = queued;
@@ -752,20 +703,17 @@ fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
     // at the fallback, no retries, no watchdog registration.
     if let Some(reason) = degrade {
         let error = ServeError::Overloaded { reason };
-        finish_failed(shared, &job, seq, error, Duration::ZERO, dwell, 1, Some(0));
+        finish_failed(shared, &job, seq, error, Duration::ZERO, dwell, 1);
         return;
     }
+    let mut attempt = 0;
     loop {
         let start = Instant::now();
-        shared.inflight.lock().unwrap().insert(
-            seq,
-            Inflight {
-                started: start,
-                attempt,
-                job: job.clone(),
-                lane,
-            },
-        );
+        let entry = Inflight {
+            started: start,
+            attempt,
+        };
+        shared.inflight.lock().unwrap().insert(seq, entry);
         let ctx = JobCtx {
             seq,
             attempt,
@@ -773,32 +721,25 @@ fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
             metrics: Arc::clone(&shared.metrics),
         };
         let result = catch_unwind(AssertUnwindSafe(|| (shared.process)(&job, &ctx)));
-        let latency = start.elapsed();
-        {
-            // Remove the in-flight entry only if it is still this
-            // attempt's — the watchdog may have claimed the seq and a
-            // retry may already be registered by another worker.
-            let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&seq).is_some_and(|e| e.attempt == attempt) {
-                inflight.remove(&seq);
-            }
+        // An entry already gone means the watchdog tripped this attempt
+        // and answered the job: the late result is dropped.
+        if shared.inflight.lock().unwrap().remove(&seq).is_none() {
+            return;
         }
-        // A job past its deadline is handled as a timeout whether or not
-        // the watchdog happened to catch it first — keeps the label
-        // deterministic under scheduling jitter. This worker is free, so
-        // the retry (if any) runs in place instead of being re-enqueued.
+        // Measured after the removal, so an attempt the watchdog could
+        // have tripped reads as overrun here too: the label does not
+        // depend on which detector got there first.
+        let latency = start.elapsed();
         if shared.timeout.is_some_and(|t| latency >= t) {
-            let panicked = result.is_err();
-            if trip_deadline(shared, &job, seq, attempt, latency, dwell, panicked) {
-                attempt += 1;
-                continue;
-            }
+            trip_deadline(shared, seq, attempt, latency, dwell, result.is_err());
             return;
         }
         let error = match result {
             Ok(Ok(output)) => {
-                let outcome = JobOutcome::Ok(output);
-                shared.publish(seq, Some(attempt), outcome, latency, dwell, attempt + 1);
+                if shared.claim(seq) {
+                    let outcome = JobOutcome::Ok(output);
+                    shared.publish(seq, outcome, latency, dwell, attempt + 1);
+                }
                 return;
             }
             Ok(Err(error)) => error,
@@ -807,7 +748,7 @@ fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
                 ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
             }
         };
-        if matches!(error, ServeError::Retryable(_)) && attempt + 1 < shared.retry.max_attempts {
+        if error.is_retryable() && attempt + 1 < shared.retry.max_attempts {
             shared.metrics.on_retry(seq);
             let delay = shared.retry.backoff_delay(seq, attempt);
             if !delay.is_zero() {
@@ -823,80 +764,29 @@ fn run_job<J: Clone, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
             },
             other => other,
         };
-        finish_failed(
-            shared,
-            &job,
-            seq,
-            final_error,
-            latency,
-            dwell,
-            attempt + 1,
-            Some(attempt),
-        );
+        finish_failed(shared, &job, seq, final_error, latency, dwell, attempt + 1);
         return;
     }
 }
 
-fn watchdog_loop<J: Clone, O>(shared: &Shared<J, O>, timeout: Duration) {
+fn watchdog_loop<J, O>(shared: &Shared<J, O>, timeout: Duration) {
     // Wake often enough that a timeout is detected within ~a quarter of
     // the deadline, but never spin faster than once a millisecond.
     let tick = (timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     loop {
         std::thread::sleep(tick);
         let now = Instant::now();
-        let expired: Vec<(u64, Inflight<J>)> = {
-            let mut inflight = shared.inflight.lock().unwrap();
-            let seqs: Vec<u64> = inflight
-                .iter()
-                .filter(|(_, e)| now.duration_since(e.started) >= timeout)
-                .map(|(seq, _)| *seq)
-                .collect();
-            seqs.into_iter()
-                .map(|seq| {
-                    let entry = inflight.remove(&seq).unwrap();
-                    (seq, entry)
-                })
-                .collect()
-        };
-        for (seq, entry) in expired {
-            let elapsed = now.duration_since(entry.started);
-            let attempt = entry.attempt;
-            if !trip_deadline(
-                shared,
-                &entry.job,
-                seq,
-                attempt,
-                elapsed,
-                Duration::ZERO,
-                false,
-            ) {
-                continue;
+        let mut expired = Vec::new();
+        shared.inflight.lock().unwrap().retain(|&seq, e| {
+            let elapsed = now.duration_since(e.started);
+            let overrun = elapsed >= timeout;
+            if overrun {
+                expired.push((seq, e.attempt, elapsed));
             }
-            let lane = entry.lane;
-            let requeued = QueuedJob {
-                seq,
-                attempt: attempt + 1,
-                job: entry.job,
-                lane,
-                degrade: None,
-                enqueued: Instant::now(),
-            };
-            // Bounded backpressure: the watchdog must not block on a
-            // stuffed queue — if no slot opens within a tick, the retry
-            // is abandoned and the job quarantined as a timeout.
-            if let Err(err) = shared.queue.push_timeout(requeued, lane, tick) {
-                let abandoned = err.into_inner();
-                finish_failed(
-                    shared,
-                    &abandoned.job,
-                    seq,
-                    ServeError::Timeout { elapsed },
-                    elapsed,
-                    Duration::ZERO,
-                    abandoned.attempt,
-                    None,
-                );
-            }
+            !overrun
+        });
+        for (seq, attempt, elapsed) in expired {
+            trip_deadline(shared, seq, attempt, elapsed, Duration::ZERO, false);
         }
         if shared.stopping.load(Ordering::Relaxed)
             && shared.queue.is_empty()
@@ -920,12 +810,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, AtomicUsize};
 
     /// An engine whose processor never fails and needs no retry delay.
     fn plain_engine<J, O, F>(workers: usize, queue_capacity: usize, f: F) -> BatchEngine<J, O>
     where
-        J: Send + Clone + 'static,
+        J: Send + 'static,
         O: Send + 'static,
         F: Fn(&J) -> O + Send + Sync + 'static,
     {
@@ -1166,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn slow_job_is_retried_once_then_quarantined_as_timeout() {
+    fn slow_job_is_quarantined_as_timeout_on_the_first_trip() {
         let mut engine: BatchEngine<u64, u64> = BatchEngine::new(
             EngineConfig {
                 workers: 2,
@@ -1188,8 +1078,8 @@ mod tests {
             engine.submit(j);
         }
         let results = engine.drain();
-        // The job tripped the watchdog twice (original + one retry) and
-        // was quarantined well before the sleeping workers woke up.
+        // The job tripped the watchdog once and was quarantined well
+        // before the sleeping worker woke up.
         assert!(t0.elapsed() < Duration::from_millis(350));
         match &results[1].outcome {
             JobOutcome::Failed(ServeError::Timeout { elapsed }) => {
@@ -1204,16 +1094,19 @@ mod tests {
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger[0].seq, 1);
         assert_eq!(ledger[0].error.kind(), "timeout");
+        assert_eq!(ledger[0].attempts, 1);
+        assert_eq!(results[1].attempts, 1);
         let stats = engine.stats();
-        assert_eq!(stats.timed_out, 2, "two watchdog trips");
-        assert_eq!(stats.retried, 1, "one timeout retry");
+        assert_eq!(stats.timed_out, 1, "one watchdog trip");
+        assert_eq!(stats.retried, 0, "a trip is final");
+        assert_eq!(stats.ok, 3);
         assert_eq!(stats.quarantined, 1);
     }
 
     #[test]
-    fn timeout_retry_can_succeed_on_the_second_attempt() {
-        // Slow only on the first attempt: the watchdog's free retry must
-        // rescue the job.
+    fn timed_out_job_runs_exactly_once() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
         let mut engine: BatchEngine<u64, u64> = BatchEngine::new(
             EngineConfig {
                 workers: 2,
@@ -1223,22 +1116,29 @@ mod tests {
                 faults: None,
                 admit: None,
             },
-            |job, ctx| {
-                if ctx.attempt == 0 {
-                    std::thread::sleep(Duration::from_millis(120));
-                }
+            move |job, _ctx| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(150));
                 Ok(*job)
             },
         );
         engine.submit(5);
         let results = engine.drain();
-        assert_eq!(results[0].outcome, JobOutcome::Ok(5));
-        assert_eq!(results[0].attempts, 2);
+        assert!(matches!(
+            results[0].outcome,
+            JobOutcome::Failed(ServeError::Timeout { .. })
+        ));
+        assert_eq!(results[0].attempts, 1);
+        let shared = Arc::clone(&engine.shared);
+        // Shutdown joins the stuck worker: its late result adds nothing.
         let stats = engine.shutdown();
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "the job ran once");
         assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.retried, 1);
-        assert_eq!(stats.ok, 1);
-        assert_eq!(stats.quarantined, 0);
+        assert_eq!(stats.retried, 0);
+        assert_eq!(stats.completed, 1);
+        let ledger = shared.quarantine.lock().unwrap();
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger[0].attempts, 1);
     }
 
     #[test]
@@ -1274,12 +1174,7 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 job_timeout: Some(Duration::from_millis(10)),
-                retry: RetryPolicy {
-                    // One trip quarantines: the single worker is stuck, so
-                    // a re-enqueued retry could only run after it wakes.
-                    max_timeout_trips: 1,
-                    ..RetryPolicy::immediate(3)
-                },
+                retry: RetryPolicy::immediate(3),
                 faults: None,
                 admit: None,
             },

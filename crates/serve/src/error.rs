@@ -24,10 +24,13 @@ pub enum ServeError {
     /// A permanent failure (including worker panics): retrying cannot
     /// help, the job goes straight to degradation/quarantine.
     Fatal(String),
-    /// The job exceeded the soft per-job deadline. Produced by the
-    /// watchdog, never by the processor.
+    /// An attempt overran the soft per-job deadline. Produced by the
+    /// engine (its watchdog, or the overrunning worker), never by the
+    /// processor. Final: the pipeline is deterministic, so a re-run would
+    /// overrun again — the job is quarantined, neither retried nor
+    /// degraded.
     Timeout {
-        /// Elapsed processing time when the (final) trip fired.
+        /// Elapsed processing time when the trip fired.
         elapsed: Duration,
     },
     /// The retry budget was exhausted on transient failures — the job is
@@ -48,10 +51,10 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// `true` for failures the engine may retry ([`ServeError::Retryable`]
-    /// and — via the watchdog's own trip budget — [`ServeError::Timeout`]).
+    /// `true` for the failures the engine retries: [`ServeError::Retryable`]
+    /// only.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, ServeError::Retryable(_) | ServeError::Timeout { .. })
+        matches!(self, ServeError::Retryable(_))
     }
 
     /// Stable taxonomy name, used on the wire (`vs2d` quarantine
@@ -88,7 +91,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// One quarantined job: its primary pipeline failed every attempt (or
-/// tripped the watchdog twice) and no degraded answer could be produced.
+/// overran its deadline) and no degraded answer could be produced.
 ///
 /// The ledger is append-only for the lifetime of the engine — entries
 /// survive [`crate::engine::BatchEngine::drain`] so operators can audit
@@ -113,7 +116,7 @@ mod tests {
     #[test]
     fn retryability_follows_the_taxonomy() {
         assert!(ServeError::Retryable("x".into()).is_retryable());
-        assert!(ServeError::Timeout {
+        assert!(!ServeError::Timeout {
             elapsed: Duration::from_millis(5)
         }
         .is_retryable());

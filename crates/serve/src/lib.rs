@@ -38,7 +38,8 @@
 //! * [`faults::FaultPlan`] — deterministic fault injection at named
 //!   pipeline sites, enabled only through [`engine::EngineConfig`].
 //! * [`engine::BatchEngine`] — generic worker pool with per-job panic
-//!   isolation, retry/backoff, soft timeouts, poison-job quarantine,
+//!   isolation, retry/backoff, final soft timeouts (a job past its
+//!   deadline is quarantined, not retried), poison-job quarantine,
 //!   graceful degradation and submission-ordered results.
 //! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing.
 //! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — the engine's always-on
@@ -77,6 +78,6 @@ pub use job::{
     JobDocCache, JobResult, JobSource, JobSpec, JobStatus, QuarantineRecord, DEFAULT_DOC_SEED,
 };
 pub use obs::{EngineMetrics, ObsHub};
-pub use queue::{LaneQueue, PushError};
+pub use queue::LaneQueue;
 pub use retry::RetryPolicy;
 pub use service::{ExtractService, LatencySummary, ServiceOptions};

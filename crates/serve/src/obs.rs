@@ -158,7 +158,7 @@ impl EngineMetrics {
             .observe(seq as usize, self.job_latency_us, micros(latency));
     }
 
-    /// A retry was dispatched (transient re-run or watchdog re-enqueue).
+    /// A retry was dispatched (a re-run after a transient failure).
     pub fn on_retry(&self, seq: u64) {
         self.registry.counter_add(seq as usize, self.retries, 1);
     }
@@ -168,7 +168,7 @@ impl EngineMetrics {
         self.registry.counter_add(seq as usize, self.panics, 1);
     }
 
-    /// A soft-deadline trip fired.
+    /// A soft-deadline trip fired (it quarantines the job).
     pub fn on_timeout(&self, seq: u64) {
         self.registry.counter_add(seq as usize, self.timeouts, 1);
     }

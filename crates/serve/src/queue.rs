@@ -16,28 +16,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::admit::Lane;
-
-/// Why a [`LaneQueue::push_timeout`] returned the item instead of
-/// enqueuing it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue was closed before space opened up.
-    Closed(T),
-    /// The deadline passed while the queue stayed full.
-    Timeout(T),
-}
-
-impl<T> PushError<T> {
-    /// Recovers the item that could not be enqueued.
-    pub fn into_inner(self) -> T {
-        match self {
-            PushError::Closed(item) | PushError::Timeout(item) => item,
-        }
-    }
-}
 
 struct LaneState<T> {
     interactive: VecDeque<T>,
@@ -91,32 +71,11 @@ impl<T> LaneQueue<T> {
     /// Enqueues `item` on `lane`, blocking while the queue is full.
     /// Returns the item back if the queue was closed first.
     pub fn push(&self, item: T, lane: Lane) -> Result<(), T> {
-        self.push_until(item, lane, None)
-            .map_err(PushError::into_inner)
-    }
-
-    /// Like [`LaneQueue::push`], but gives up once `timeout` elapses
-    /// with the queue still full — bounded backpressure for producers
-    /// that must not block indefinitely (the watchdog's retry
-    /// re-enqueue). A push that waited at all — including one that
-    /// ultimately timed out — counts in [`LaneQueue::stall_count`].
-    pub fn push_timeout(&self, item: T, lane: Lane, timeout: Duration) -> Result<(), PushError<T>> {
-        self.push_until(item, lane, Some(Instant::now() + timeout))
-    }
-
-    /// The one wait loop behind both pushes: waits for space until
-    /// `deadline`, or forever without one.
-    fn push_until(
-        &self,
-        item: T,
-        lane: Lane,
-        deadline: Option<Instant>,
-    ) -> Result<(), PushError<T>> {
         let mut st = self.state.lock().unwrap();
         let mut stalled = false;
         loop {
             if st.closed {
-                return Err(PushError::Closed(item));
+                return Err(item);
             }
             if st.len() < self.capacity {
                 break;
@@ -125,16 +84,7 @@ impl<T> LaneQueue<T> {
                 stalled = true;
                 self.stalls.fetch_add(1, Ordering::Relaxed);
             }
-            match deadline {
-                None => st = self.not_full.wait(st).unwrap(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(PushError::Timeout(item));
-                    }
-                    (st, _) = self.not_full.wait_timeout(st, deadline - now).unwrap();
-                }
-            }
+            st = self.not_full.wait(st).unwrap();
         }
         match lane {
             Lane::Interactive => st.interactive.push_back(item),
@@ -208,6 +158,7 @@ impl<T> LaneQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// The lane of the single-lane tests.
     const L: Lane = Lane::Interactive;
@@ -254,47 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn push_timeout_succeeds_when_space_opens() {
-        let q = Arc::new(LaneQueue::new(1));
-        q.push(0u32, L).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            q2.push_timeout(1, L, Duration::from_secs(5))
-                .expect("space opens within the deadline")
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
-        producer.join().unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.stall_count(), 1, "the waiting push must count a stall");
-    }
-
-    #[test]
-    fn push_timeout_expires_on_a_stuck_queue() {
-        let q = LaneQueue::new(1);
-        q.push(0u32, L).unwrap();
-        let before = std::time::Instant::now();
-        match q.push_timeout(1, L, Duration::from_millis(25)) {
-            Err(PushError::Timeout(item)) => assert_eq!(item, 1),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(before.elapsed() >= Duration::from_millis(25));
-        assert_eq!(q.stall_count(), 1, "a timed-out push is a stall");
-        assert_eq!(q.len(), 1, "the item must not be enqueued");
-    }
-
-    #[test]
-    fn push_timeout_reports_closure() {
-        let q = LaneQueue::new(2);
-        q.close();
-        match q.push_timeout(5u32, L, Duration::from_millis(5)) {
-            Err(PushError::Closed(item)) => assert_eq!(item, 5),
-            other => panic!("expected closed, got {other:?}"),
-        }
-        assert_eq!(PushError::Closed(7u32).into_inner(), 7);
-    }
-
-    #[test]
     fn capacity_floor_is_one() {
         let q = LaneQueue::new(0);
         assert_eq!(q.capacity(), 1);
@@ -303,24 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn push_timeout_wakes_with_closed_while_blocked_on_full_queue() {
-        // Closing must wake a push_timeout that is *already waiting* on a
-        // full queue — well before its deadline — and hand the item back
-        // as Closed, not Timeout.
+    fn push_wakes_with_closed_while_blocked_on_full_queue() {
+        // Closing must wake a push that is *already waiting* on a full
+        // queue and hand the item back.
         let q = Arc::new(LaneQueue::new(1));
         q.push(0u32, L).unwrap();
         let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_timeout(1, L, Duration::from_secs(30)));
+        let producer = std::thread::spawn(move || q2.push(1, L));
         std::thread::sleep(Duration::from_millis(30));
-        let before = std::time::Instant::now();
+        let before = Instant::now();
         q.close();
-        match producer.join().unwrap() {
-            Err(PushError::Closed(item)) => assert_eq!(item, 1),
-            other => panic!("expected closed, got {other:?}"),
-        }
+        assert_eq!(producer.join().unwrap(), Err(1));
         assert!(
             before.elapsed() < Duration::from_secs(5),
-            "close must wake the waiter promptly, not let the deadline run"
+            "close must wake the waiter promptly"
         );
         assert_eq!(q.stall_count(), 1, "the aborted push still counts a stall");
         assert_eq!(q.pop(), Some(0), "pending items stay poppable after close");
@@ -328,10 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn push_timeout_rides_a_concurrently_draining_consumer() {
+    fn push_rides_a_concurrently_draining_consumer() {
         // A consumer draining one item at a time must let a sequence of
-        // deadline-bounded pushes through a capacity-1 queue with no
-        // timeouts and no lost or duplicated items.
+        // blocking pushes through a capacity-1 queue with no lost or
+        // duplicated items.
         let q = Arc::new(LaneQueue::new(1));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
@@ -343,8 +249,8 @@ mod tests {
             seen
         });
         for i in 0..10u32 {
-            q.push_timeout(i, L, Duration::from_secs(10))
-                .expect("the draining consumer frees space within the deadline");
+            q.push(i, L)
+                .expect("the draining consumer frees space for every push");
         }
         q.close();
         let seen = consumer.join().unwrap();
@@ -417,15 +323,17 @@ mod tests {
 
     #[test]
     fn lane_queue_shares_capacity_and_closes_like_bounded() {
-        let q = LaneQueue::new(2);
+        let q = Arc::new(LaneQueue::new(2));
         q.push(1, Lane::Interactive).unwrap();
         q.push(2, Lane::Batch).unwrap();
-        match q.push_timeout(3, Lane::Batch, Duration::from_millis(10)) {
-            Err(PushError::Timeout(item)) => assert_eq!(item, 3),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert_eq!(q.stall_count(), 1);
+        // One item per lane fills the shared capacity: a third blocks.
+        let q2 = Arc::clone(&q);
+        let blocked = std::thread::spawn(move || q2.push(3, Lane::Batch));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(q.len(), 2, "the lanes share one capacity");
         q.close();
+        assert_eq!(blocked.join().unwrap(), Err(3));
+        assert_eq!(q.stall_count(), 1);
         assert_eq!(q.push(4, Lane::Interactive), Err(4));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));

@@ -17,10 +17,6 @@ pub struct RetryPolicy {
     /// ([`crate::error::ServeError::Retryable`]) failures, including the
     /// first (minimum 1).
     pub max_attempts: u32,
-    /// Watchdog trips before a job is quarantined as a timeout (minimum
-    /// 1). The default of 2 means: one free re-run after the first trip,
-    /// quarantine on the second.
-    pub max_timeout_trips: u32,
     /// Lower bound of every backoff delay.
     pub backoff_base: Duration,
     /// Upper bound of every backoff delay.
@@ -33,7 +29,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            max_timeout_trips: 2,
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(50),
             backoff_seed: 0x5EED_BACC,

@@ -137,9 +137,9 @@ fn one_model_learned_per_dataset() {
 }
 
 #[test]
-fn job_soft_timeout_retries_then_quarantines() {
+fn job_soft_timeout_quarantines_on_the_first_trip() {
     // A 1µs deadline is shorter than real extraction, so every attempt
-    // overruns: one free watchdog retry, then timeout quarantine — and
+    // overruns: the first trip quarantines the job as a timeout — and
     // the service must keep running, not wedge or panic.
     let mut service = ExtractService::with_options(
         EngineConfig {
@@ -165,14 +165,14 @@ fn job_soft_timeout_retries_then_quarantines() {
             done.outcome
         );
         assert!(done.latency >= Duration::from_micros(1));
-        assert_eq!(done.attempts, 2, "one free retry before quarantine");
+        assert_eq!(done.attempts, 1, "a trip is final");
     }
     let ledger = service.quarantine();
     assert_eq!(ledger.len(), 2);
     assert!(ledger.iter().all(|e| e.error.kind() == "timeout"));
     let stats = service.shutdown();
-    assert_eq!(stats.timed_out, 4, "two trips per job");
-    assert_eq!(stats.retried, 2);
+    assert_eq!(stats.timed_out, 2, "one trip per job");
+    assert_eq!(stats.retried, 0);
     assert_eq!(stats.ok, 0);
     assert_eq!(stats.quarantined, 2);
     assert_eq!(stats.completed, 2);

@@ -47,10 +47,17 @@ fn batch() -> String {
 /// Runs `vs2d` over `input` with `flags` (plus two workers and the chaos
 /// seed).
 fn vs2d(input: &PathBuf, flags: &[&str]) -> Output {
+    vs2d_with(
+        input,
+        &[&["--workers", "2", "--fault-seed", FAULT_SEED], flags].concat(),
+    )
+}
+
+/// Runs `vs2d` over `input` with `flags` only.
+fn vs2d_with(input: &PathBuf, flags: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vs2d"))
         .arg("--input")
         .arg(input)
-        .args(["--workers", "2", "--fault-seed", FAULT_SEED])
         .args(flags)
         .output()
         .expect("vs2d runs")
@@ -209,22 +216,22 @@ fn summary_json_metrics_tail_stderr_and_wire_agree() {
     // One source per plan number: the plan store's counters feed the
     // summary, the tail and the stderr plan line alike.
     let plan_line = numbers(stderr_line(&stderr, "plan cache"));
-    for (i, (key, counter)) in [
-        ("plan_cache_hits", "plan_cache_hits"),
-        ("plan_cache_misses", "plan_cache_misses"),
-        ("plan_cache_rejects", "plan_cache_validation_rejects"),
-        ("plan_cache_bypasses", "plan_cache_bypasses"),
+    for (i, key) in [
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "plan_cache_validation_rejects",
+        "plan_cache_bypasses",
     ]
     .into_iter()
     .enumerate()
     {
-        assert_eq!(
-            field(key),
-            metric(counter),
-            "summary `{key}` vs `{counter}`"
-        );
+        assert_eq!(field(key), metric(key), "summary `{key}` vs the tail");
         assert_eq!(field(key), plan_line[i], "summary `{key}` vs {stderr}");
     }
+    assert!(
+        stderr_line(&stderr, "plan cache").contains(" validation rejects, "),
+        "{stderr}"
+    );
     // Under triage every plan replay is a `PlanReplay` decision.
     assert_eq!(field("triage_replay"), metric("plan_cache_hits"));
     let names: Vec<String> = stdout
@@ -375,4 +382,55 @@ fn restart_chain_answers_every_line_once_like_an_uninterrupted_run() {
     for path in [s1, s2] {
         assert!(!snapshot(path).plans.is_empty(), "{path} carries no plans");
     }
+}
+
+#[test]
+fn counter_lines_do_not_depend_on_the_worker_count() {
+    // Twenty synthetic jobs over five datasets: at four workers several
+    // jobs wait on one model learn, which must count as a cache hit.
+    let input = scratch("workers.jsonl");
+    let lines: String = (0..20)
+        .map(|i| {
+            let dataset = ["D1", "D2", "D3", "D4", "Templated"][i % 5];
+            format!("{{\"dataset\":\"{dataset}\",\"doc_index\":{}}}\n", i / 5)
+        })
+        .collect();
+    std::fs::write(&input, lines).unwrap();
+    let counters = |workers: &str| {
+        let out = vs2d_with(&input, &["--workers", workers, "--metrics"]);
+        assert_eq!(out.status.code(), Some(0));
+        metric_counters(&String::from_utf8(out.stdout).unwrap())
+    };
+    let one = counters("1");
+    assert_eq!(one["model_cache_misses"], 5, "one learn per dataset");
+    assert_eq!(one, counters("4"));
+}
+
+#[test]
+fn a_deadline_trip_is_final() {
+    // Each job learns its own model, so neither can meet a 1 ms deadline.
+    let input = scratch("timeout.jsonl");
+    std::fs::write(
+        &input,
+        "{\"dataset\":\"D2\",\"doc_index\":0}\n{\"dataset\":\"D3\",\"doc_index\":0}\n",
+    )
+    .unwrap();
+    let out = vs2d_with(&input, &["--workers", "2", "--timeout-ms", "1"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let statuses: Vec<JobStatus> = results(&stdout).iter().map(|r| r.status).collect();
+    assert_eq!(statuses, [JobStatus::Quarantined; 2], "{stdout}");
+    let quarantine: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("\"record\":\"quarantine\""))
+        .collect();
+    assert_eq!(quarantine.len(), 2, "{stdout}");
+    for record in quarantine {
+        assert!(record.contains("\"kind\":\"timeout\""), "{record}");
+        assert!(record.contains("\"attempts\":1,"), "{record}");
+    }
+    let fault_line = stderr_line(&stderr, " retries, ");
+    assert!(fault_line.contains(" 0 retries,"), "{stderr}");
+    assert!(fault_line.contains(" 2 timeout trips "), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "quarantines fail the run");
 }
