@@ -119,7 +119,7 @@ fn saturation_arm(multiplier: f64, capacity_per_s: f64, n_docs: usize) -> Satura
             // Watermarks sit below the queue bound, so the open-loop
             // submitter sheds instead of blocking — offered load stays
             // on schedule even past saturation.
-            admit: Some(AdmitConfig::for_queue(QUEUE, SEED)),
+            admit: Some(AdmitConfig::for_queue(QUEUE)),
             ..EngineConfig::default()
         },
         SEED,

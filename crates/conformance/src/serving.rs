@@ -23,7 +23,7 @@ use vs2_docmodel::Document;
 use vs2_serve::{
     default_config_for, run_batch, AdmitConfig, BatchOptions, BatchRun, EngineConfig, EngineStats,
     ExtractService, FaultPlan, HandoffSnapshot, JobResult, JobSource, JobSpec, JobStatus, Lane,
-    ModelCache, RetryPolicy, ServiceOptions, DEFAULT_DOC_SEED,
+    ModelCache, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::{adversarial, invoices, templated, DatasetId};
 
@@ -31,8 +31,6 @@ use crate::golden::{dataset_name, N_GOLDEN_DOCS};
 
 /// Fault seed of the chaos axis ([`FaultPlan::chaos`]).
 pub const FAULT_SEED: u64 = 0xC4A0_5EED;
-/// Shed-draw seed of every admission config built here.
-pub const SHED_SEED: u64 = 0x0BAD_10AD;
 /// Default work-queue bound. Small, so submission backpressure engages
 /// at 4 workers.
 const QUEUE_CAPACITY: usize = 4;
@@ -190,7 +188,7 @@ pub fn bucket_admission() -> AdmitConfig {
 /// An admission controller that can never fire: no buckets, inert
 /// pressure watermarks.
 pub fn inert_admission() -> AdmitConfig {
-    AdmitConfig::for_queue(QUEUE_CAPACITY, SHED_SEED).inert_pressure()
+    AdmitConfig::for_queue(QUEUE_CAPACITY).inert_pressure()
 }
 
 /// One setting of every serving switch.
@@ -230,7 +228,7 @@ impl Mode {
             workers: self.workers,
             queue_capacity: self.queue_capacity,
             job_timeout: None,
-            retry: RetryPolicy::immediate(3),
+            max_attempts: 3,
             faults: self.faults,
             admit: self.admit,
         }

@@ -163,7 +163,7 @@ fn draining_service_sheds_every_new_submission_with_dwell_zero() {
     // An (inert) admission controller is wired in so drain sheds are
     // visible in the admission snapshot as well as the engine stats.
     let svc = Mode {
-        admit: Some(vs2_serve::AdmitConfig::for_queue(8, 7).inert_pressure()),
+        admit: Some(vs2_serve::AdmitConfig::for_queue(8).inert_pressure()),
         ..Mode::plain(2)
     }
     .service();

@@ -17,12 +17,13 @@
 //!   typed, in-order outcomes and never run.
 //! * **Exactly-once accounting under real pressure** — pressure-watermark
 //!   shedding (backlog depth / latency EWMA) is wall-clock-coupled, so
-//!   it is pinned only up to accounting, plus the seeded shed draw.
+//!   it is pinned only up to accounting, plus the all-shed rule at
+//!   saturation.
 
-use vs2_conformance::serving::{self, Mode, FAULT_SEED, SHED_SEED};
+use vs2_conformance::serving::{self, Mode, FAULT_SEED};
 use vs2_serve::{
     AdmitConfig, BatchEngine, EngineConfig, FaultPlan, JobOutcome, JobSpec, JobStatus, Lane,
-    RetryPolicy,
+    ShedReason,
 };
 use vs2_synth::DatasetId;
 
@@ -146,10 +147,7 @@ fn interactive_overflow_sheds_with_typed_outcomes() {
             assert!(done.outcome.is_ok(), "job {i} within budget must run");
         } else {
             assert!(
-                matches!(
-                    done.outcome,
-                    JobOutcome::Shed(vs2_serve::ShedReason::RateLimited)
-                ),
+                matches!(done.outcome, JobOutcome::Shed(ShedReason::RateLimited)),
                 "job {i} past budget must shed as rate_limited"
             );
             assert_eq!(done.attempts, 0, "shed jobs must never run");
@@ -168,9 +166,9 @@ fn pressure_shedding_keeps_exactly_once_accounting() {
             workers: 2,
             queue_capacity: 4,
             job_timeout: None,
-            retry: RetryPolicy::immediate(1),
+            max_attempts: 1,
             faults: None,
-            admit: Some(AdmitConfig::for_queue(4, SHED_SEED)),
+            admit: Some(AdmitConfig::for_queue(4)),
         },
         |job, _ctx| {
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -203,28 +201,24 @@ fn pressure_shedding_keeps_exactly_once_accounting() {
     assert_eq!(stats.queue_stalls, 0, "shedding must fire before blocking");
 }
 
-/// The seeded shed draw is a pure function of (seed, client, seq):
-/// replaying the same submission stream yields the same shed set, and
-/// changing the seed changes it.
+/// Saturation sheds every interactive submission: with the latency
+/// EWMA pinned past critical by the warm-up job (queue watermarks
+/// inert), all 100 interactive jobs shed as `latency_ewma`, never run,
+/// and a replay of the same stream agrees.
 #[test]
-fn saturation_shed_draw_is_seeded_and_reproducible() {
-    let run = |seed: u64| -> Vec<bool> {
+fn saturated_interactive_jobs_all_shed() {
+    let run = || -> Vec<Option<ShedReason>> {
         let engine: BatchEngine<u64, u64> = BatchEngine::new(
             EngineConfig {
                 workers: 1,
                 queue_capacity: 64,
                 job_timeout: None,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 faults: None,
-                // Partial shed: queue watermarks stay inert and only the
-                // latency EWMA (pinned past critical by the warm-up job)
-                // saturates the controller, so 300‰ of interactive jobs
-                // go to the seeded draw.
                 admit: Some(AdmitConfig {
-                    shed_per_mille: 300,
                     latency_high_us: 1,
                     latency_critical_us: 1,
-                    ..AdmitConfig::for_queue(64, seed).inert_pressure()
+                    ..AdmitConfig::for_queue(64).inert_pressure()
                 }),
             },
             |job, _ctx| {
@@ -237,21 +231,21 @@ fn saturation_shed_draw_is_seeded_and_reproducible() {
         let warm = engine.submit(0);
         engine.wait_result(warm);
         let seqs: Vec<u64> = (1..101).map(|j| engine.submit(j)).collect();
-        let outcomes: Vec<bool> = seqs
+        let outcomes = seqs
             .iter()
-            .map(|&s| engine.wait_result(s).outcome.is_shed())
+            .map(|&s| {
+                let done = engine.wait_result(s);
+                assert_eq!(done.attempts, 0, "shed jobs must never run");
+                match done.outcome {
+                    JobOutcome::Shed(reason) => Some(reason),
+                    _ => None,
+                }
+            })
             .collect();
         engine.shutdown();
         outcomes
     };
-    let a = run(1);
-    let b = run(1);
-    assert_eq!(a, b, "same seed, same stream → same shed set");
-    let shed_count = a.iter().filter(|&&s| s).count();
-    assert!(
-        (10..=60).contains(&shed_count),
-        "300‰ draw over 100 jobs should shed roughly 30, got {shed_count}"
-    );
-    let c = run(2);
-    assert_ne!(a, c, "a different shed seed must reshuffle the draw");
+    let a = run();
+    assert_eq!(a, vec![Some(ShedReason::LatencyEwma); 100]);
+    assert_eq!(a, run(), "same stream, same sheds");
 }

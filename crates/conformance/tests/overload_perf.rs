@@ -12,13 +12,12 @@
 
 use std::time::{Duration, Instant};
 
-use vs2_serve::{AdmitConfig, BatchEngine, EngineConfig, JobOutcome, RetryPolicy};
+use vs2_serve::{AdmitConfig, BatchEngine, EngineConfig, JobOutcome};
 
 const WORKERS: usize = 4;
 const QUEUE: usize = 16;
 const JOB_MS: u64 = 2;
 const JOBS_PER_ARM: u64 = 300;
-const SHED_SEED: u64 = 0x0BAD_10AD;
 
 struct Arm {
     multiplier: f64,
@@ -36,14 +35,14 @@ fn arm(multiplier: f64) -> Arm {
     let admit = AdmitConfig {
         queue_high: 2,
         queue_critical: 4,
-        ..AdmitConfig::for_queue(QUEUE, SHED_SEED)
+        ..AdmitConfig::for_queue(QUEUE)
     };
     let engine: BatchEngine<u64, u64> = BatchEngine::new(
         EngineConfig {
             workers: WORKERS,
             queue_capacity: QUEUE,
             job_timeout: None,
-            retry: RetryPolicy::immediate(1),
+            max_attempts: 1,
             faults: None,
             admit: Some(admit),
         },

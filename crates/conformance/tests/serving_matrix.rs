@@ -202,11 +202,7 @@ fn bucket_admission_degrades_only_the_flood_client() {
     let decisions: Vec<AdmitDecision> = m
         .specs
         .iter()
-        .enumerate()
-        .map(|(seq, s)| {
-            let lane = s.lane.unwrap_or_default();
-            controller.decide(s.client.as_deref(), lane, seq as u64, 0)
-        })
+        .map(|s| controller.decide(s.client.as_deref(), s.lane.unwrap_or_default(), 0))
         .collect();
     let over_budget =
         |seq: usize| decisions[seq] == AdmitDecision::Degrade(ShedReason::RateLimited);

@@ -1,5 +1,5 @@
-//! Admission control for the serving tier: deterministic load shedding,
-//! per-client fairness and priority lanes.
+//! Admission control for the serving tier: load shedding, per-client
+//! fairness and priority lanes.
 //!
 //! The controller sits in front of the work queue and decides, per
 //! submission, whether a job is **accepted**, **degraded** (admitted but
@@ -13,12 +13,12 @@
 //!   *admission tick* counter — one tick per submission — not by wall
 //!   clock. Submissions arrive from a single reader thread, so the tick
 //!   stream (and with it every bucket decision) is a pure function of
-//!   the input order, identical at 1 worker and at 16. The residual
-//!   shed draw reuses the seeded-decision idiom of [`crate::faults`]:
-//!   a pure function of `(shed_seed, client, seq)`.
+//!   the input order, identical at 1 worker and at 16.
 //! * **Pressure lane.** Backlog depth and the completion-latency EWMA
 //!   are scheduling-dependent by nature; they gate the watermark levels
-//!   ([`PressureLevel`]). Tests that need whole-run byte determinism use
+//!   ([`PressureLevel`]). At saturation every interactive submission is
+//!   shed and every batch one degraded; there is no draw to thin the
+//!   sheds. Tests that need whole-run byte determinism use
 //!   [`AdmitConfig::inert_pressure`] watermarks so only the
 //!   deterministic lane fires; production uses real watermarks and
 //!   accepts that *which* job sheds under pressure depends on timing —
@@ -33,8 +33,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Queue class of a job. Interactive jobs are preferred by the workers'
 /// weighted-pick loop and are only ever shed (never silently delayed
@@ -145,17 +143,11 @@ pub struct AdmitConfig {
     pub latency_high_us: u64,
     /// Completion-latency EWMA (µs) for [`PressureLevel::Saturated`].
     pub latency_critical_us: u64,
-    /// Seed of the interactive shed draw — decisions are a pure function
-    /// of `(shed_seed, client, seq)`, mirroring [`crate::faults::FaultPlan`].
-    pub shed_seed: u64,
-    /// Probability (permille) that a saturated interactive submission is
-    /// shed. `1000` sheds every saturated interactive job.
-    pub shed_per_mille: u32,
 }
 
 impl Default for AdmitConfig {
     fn default() -> Self {
-        Self::for_queue(32, 0x5EED)
+        Self::for_queue(32)
     }
 }
 
@@ -164,7 +156,7 @@ impl AdmitConfig {
     /// at 7/8 (strictly below capacity, so shedding always fires before
     /// backpressure blocks a submitter). Fairness buckets start
     /// disabled; latency watermarks default to 50ms / 250ms EWMA.
-    pub fn for_queue(queue_capacity: usize, shed_seed: u64) -> Self {
+    pub fn for_queue(queue_capacity: usize) -> Self {
         let cap = queue_capacity.max(2);
         let high = (cap * 3 / 4).max(1);
         let critical = (cap * 7 / 8).clamp(high, cap - 1);
@@ -175,8 +167,6 @@ impl AdmitConfig {
             queue_critical: critical,
             latency_high_us: 50_000,
             latency_critical_us: 250_000,
-            shed_seed,
-            shed_per_mille: 1000,
         }
     }
 
@@ -205,8 +195,8 @@ struct Bucket {
     last_tick: u64,
 }
 
-/// The admission controller: token buckets, pressure watermarks and the
-/// seeded shed draw. One per engine; consulted on every submission.
+/// The admission controller: token buckets and pressure watermarks. One
+/// per engine; consulted on every submission.
 pub struct AdmitController {
     config: AdmitConfig,
     /// Admission tick: one per decision, the deterministic clock that
@@ -216,18 +206,6 @@ pub struct AdmitController {
     /// Completion-latency EWMA in µs (α = 1/8), fed by the engine on
     /// every non-shed publish.
     ewma_us: AtomicU64,
-}
-
-/// FNV-1a over the client name; `None` hashes as the empty string.
-/// A fixed, portable hash — `HashMap`'s default hasher is randomly
-/// keyed per process, which would break cross-run reproducibility.
-fn client_hash(client: Option<&str>) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in client.unwrap_or("").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 impl AdmitController {
@@ -281,26 +259,6 @@ impl AdmitController {
         }
     }
 
-    /// The seeded interactive shed draw: a pure function of
-    /// `(shed_seed, client, seq)` — same coordinate-mixing idiom as
-    /// [`crate::faults::FaultPlan::decide`], so chaos runs reproduce.
-    pub fn shed_draw(&self, client: Option<&str>, seq: u64) -> bool {
-        let c = &self.config;
-        if c.shed_per_mille >= 1000 {
-            return true;
-        }
-        if c.shed_per_mille == 0 {
-            return false;
-        }
-        let mixed = c
-            .shed_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(client_hash(client).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(seq.wrapping_mul(0x94D0_49BB_1331_11EB));
-        let mut rng = StdRng::seed_from_u64(mixed);
-        rng.gen_range(0u64..1000) < c.shed_per_mille as u64
-    }
-
     /// Charges one job to `client`'s token bucket at `tick`. Returns
     /// `false` when the bucket is empty (the client is over its rate).
     fn take_token(&self, client: &str, tick: u64) -> bool {
@@ -341,13 +299,7 @@ impl AdmitController {
     /// Decides one submission. `backlog` is the queue depth sampled just
     /// before the would-be enqueue. Counts nothing: the engine's ledger
     /// records each submission's lane and outcome.
-    pub fn decide(
-        &self,
-        client: Option<&str>,
-        lane: Lane,
-        seq: u64,
-        backlog: usize,
-    ) -> AdmitDecision {
+    pub fn decide(&self, client: Option<&str>, lane: Lane, backlog: usize) -> AdmitDecision {
         let over_rate = self.charge(client);
         if over_rate {
             match lane {
@@ -365,11 +317,7 @@ impl AdmitController {
                 }
                 ((PressureLevel::Elevated, _), Lane::Interactive) => AdmitDecision::Accept,
                 ((PressureLevel::Saturated, reason), Lane::Interactive) => {
-                    if self.shed_draw(client, seq) {
-                        AdmitDecision::Shed(reason)
-                    } else {
-                        AdmitDecision::Accept
-                    }
+                    AdmitDecision::Shed(reason)
                 }
             }
         }
@@ -381,15 +329,15 @@ mod tests {
     use super::*;
 
     fn inert() -> AdmitConfig {
-        AdmitConfig::for_queue(32, 7).inert_pressure()
+        AdmitConfig::for_queue(32).inert_pressure()
     }
 
     #[test]
     fn nominal_traffic_is_accepted() {
         let ctl = AdmitController::new(inert());
-        for seq in 0..50 {
+        for _ in 0..50 {
             assert_eq!(
-                ctl.decide(Some("a"), Lane::Interactive, seq, 0),
+                ctl.decide(Some("a"), Lane::Interactive, 0),
                 AdmitDecision::Accept
             );
         }
@@ -401,28 +349,28 @@ mod tests {
         // the bucket.
         let cfg = inert().with_buckets(3, 0);
         let ctl = AdmitController::new(cfg);
-        for seq in 0..3 {
+        for _ in 0..3 {
             assert_eq!(
-                ctl.decide(Some("flood"), Lane::Interactive, seq, 0),
+                ctl.decide(Some("flood"), Lane::Interactive, 0),
                 AdmitDecision::Accept
             );
         }
         assert_eq!(
-            ctl.decide(Some("flood"), Lane::Interactive, 3, 0),
+            ctl.decide(Some("flood"), Lane::Interactive, 0),
             AdmitDecision::Shed(ShedReason::RateLimited)
         );
         assert_eq!(
-            ctl.decide(Some("flood"), Lane::Batch, 4, 0),
+            ctl.decide(Some("flood"), Lane::Batch, 0),
             AdmitDecision::Degrade(ShedReason::RateLimited)
         );
         // A different client has its own bucket.
         assert_eq!(
-            ctl.decide(Some("other"), Lane::Interactive, 5, 0),
+            ctl.decide(Some("other"), Lane::Interactive, 0),
             AdmitDecision::Accept
         );
         // Jobs with no client are never rate limited.
         assert_eq!(
-            ctl.decide(None, Lane::Interactive, 6, 0),
+            ctl.decide(None, Lane::Interactive, 0),
             AdmitDecision::Accept
         );
     }
@@ -434,17 +382,17 @@ mod tests {
         let cfg = inert().with_buckets(1, 500);
         let ctl = AdmitController::new(cfg);
         assert_eq!(
-            ctl.decide(Some("a"), Lane::Interactive, 0, 0),
+            ctl.decide(Some("a"), Lane::Interactive, 0),
             AdmitDecision::Accept
         );
         assert_eq!(
-            ctl.decide(Some("a"), Lane::Interactive, 1, 0),
+            ctl.decide(Some("a"), Lane::Interactive, 0),
             AdmitDecision::Shed(ShedReason::RateLimited)
         );
         // Two ticks elapse while another client submits.
-        ctl.decide(Some("b"), Lane::Interactive, 2, 0);
+        ctl.decide(Some("b"), Lane::Interactive, 0);
         assert_eq!(
-            ctl.decide(Some("a"), Lane::Interactive, 3, 0),
+            ctl.decide(Some("a"), Lane::Interactive, 0),
             AdmitDecision::Accept,
             "two ticks at 500 millitokens each refill a whole token"
         );
@@ -459,13 +407,13 @@ mod tests {
         assert!(!replayed.charge(Some("a")));
         assert!(!replayed.charge(Some("a")));
         assert!(!replayed.charge(None));
-        decided.decide(Some("a"), Lane::Batch, 0, 0);
-        decided.decide(Some("a"), Lane::Batch, 1, 0);
-        decided.decide(None, Lane::Batch, 2, 0);
+        decided.decide(Some("a"), Lane::Batch, 0);
+        decided.decide(Some("a"), Lane::Batch, 0);
+        decided.decide(None, Lane::Batch, 0);
         for seq in 3..8 {
             assert_eq!(
-                replayed.decide(Some("a"), Lane::Interactive, seq, 0),
-                decided.decide(Some("a"), Lane::Interactive, seq, 0),
+                replayed.decide(Some("a"), Lane::Interactive, 0),
+                decided.decide(Some("a"), Lane::Interactive, 0),
                 "seq {seq}"
             );
         }
@@ -478,7 +426,7 @@ mod tests {
             (0..40u64)
                 .map(|seq| {
                     let client = if seq % 5 == 0 { "ui" } else { "flood" };
-                    format!("{:?}", ctl.decide(Some(client), Lane::Batch, seq, 0))
+                    format!("{:?}", ctl.decide(Some(client), Lane::Batch, 0))
                 })
                 .collect::<Vec<_>>()
         };
@@ -487,7 +435,7 @@ mod tests {
 
     #[test]
     fn queue_watermarks_gate_the_pressure_level() {
-        let cfg = AdmitConfig::for_queue(32, 7);
+        let cfg = AdmitConfig::for_queue(32);
         assert_eq!(cfg.queue_high, 24);
         assert_eq!(cfg.queue_critical, 28);
         let ctl = AdmitController::new(cfg);
@@ -502,7 +450,7 @@ mod tests {
 
     #[test]
     fn latency_ewma_gates_the_pressure_level() {
-        let ctl = AdmitController::new(AdmitConfig::for_queue(32, 7));
+        let ctl = AdmitController::new(AdmitConfig::for_queue(32));
         assert_eq!(ctl.ewma_us(), 0);
         // Drive the EWMA past the critical watermark (250ms).
         for _ in 0..64 {
@@ -522,76 +470,46 @@ mod tests {
 
     #[test]
     fn saturation_degrades_batch_and_sheds_interactive() {
-        let mut cfg = AdmitConfig::for_queue(8, 7);
-        cfg.shed_per_mille = 1000;
+        let cfg = AdmitConfig::for_queue(8);
         let ctl = AdmitController::new(cfg);
         let deep = cfg.queue_critical;
         assert_eq!(
-            ctl.decide(None, Lane::Batch, 0, deep),
+            ctl.decide(None, Lane::Batch, deep),
             AdmitDecision::Degrade(ShedReason::QueueDepth)
         );
         assert_eq!(
-            ctl.decide(None, Lane::Interactive, 1, deep),
+            ctl.decide(None, Lane::Interactive, deep),
             AdmitDecision::Shed(ShedReason::QueueDepth)
         );
         // Elevated (but not saturated) still admits interactive work.
         assert_eq!(
-            ctl.decide(None, Lane::Interactive, 2, cfg.queue_high),
+            ctl.decide(None, Lane::Interactive, cfg.queue_high),
             AdmitDecision::Accept
         );
         assert_eq!(
-            ctl.decide(None, Lane::Batch, 3, cfg.queue_high),
+            ctl.decide(None, Lane::Batch, cfg.queue_high),
             AdmitDecision::Degrade(ShedReason::QueueDepth)
         );
-    }
-
-    #[test]
-    fn shed_draw_is_pure_and_seed_sensitive() {
-        let mut cfg = AdmitConfig::for_queue(8, 42);
-        cfg.shed_per_mille = 300;
-        let a = AdmitController::new(cfg);
-        let b = AdmitController::new(cfg);
-        for seq in 0..200 {
-            assert_eq!(
-                a.shed_draw(Some("c"), seq),
-                b.shed_draw(Some("c"), seq),
-                "the draw must be a pure function of (seed, client, seq)"
-            );
-        }
-        let mut other = cfg;
-        other.shed_seed = 43;
-        let c = AdmitController::new(other);
-        assert!(
-            (0..200).any(|seq| a.shed_draw(Some("c"), seq) != c.shed_draw(Some("c"), seq)),
-            "different seeds must differ somewhere"
-        );
-        assert!(
-            (0..200).any(|seq| a.shed_draw(Some("c"), seq) != a.shed_draw(Some("d"), seq)),
-            "different clients must differ somewhere"
-        );
-        let fired = (0..1000).filter(|&s| a.shed_draw(Some("c"), s)).count();
-        let frac = fired as f64 / 1000.0;
-        assert!((0.2..0.4).contains(&frac), "shed rate off: {frac}");
     }
 
     #[test]
     fn snapshot_partitions_decisions() {
-        let cfg = AdmitConfig::for_queue(8, 7).with_buckets(1, 0);
+        let cfg = AdmitConfig::for_queue(8).with_buckets(1, 0);
         let ctl = AdmitController::new(cfg);
         assert_eq!(
-            ctl.decide(Some("a"), Lane::Interactive, 0, 0),
+            ctl.decide(Some("a"), Lane::Interactive, 0),
             AdmitDecision::Accept
         );
         assert_eq!(
-            ctl.decide(Some("a"), Lane::Interactive, 1, 0),
+            ctl.decide(Some("a"), Lane::Interactive, 0),
             AdmitDecision::Shed(ShedReason::RateLimited)
         );
         assert_eq!(
-            ctl.decide(Some("b"), Lane::Batch, 2, cfg.queue_critical),
+            ctl.decide(Some("b"), Lane::Batch, cfg.queue_critical),
             AdmitDecision::Degrade(ShedReason::QueueDepth)
         );
         assert_eq!(
-            ctl.decide(None, Lane::Interactive, 3, cfg.queue_critical),
+            ctl.decide(None, Lane::Interactive, cfg.queue_critical),
             AdmitDecision::Shed(ShedReason::QueueDepth)
         );
     }

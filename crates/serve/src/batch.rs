@@ -25,8 +25,8 @@
 //! predecessor already answered are skipped; each skipped *valid* spec
 //! replays its submission's deterministic side effects — one engine
 //! sequence number, one admission tick and its client's bucket token —
-//! so seq-keyed decisions (fault plans, retry backoff, shed draws) and
-//! token-bucket decisions line up with an uninterrupted run.
+//! so the seq-keyed fault plan and the token buckets line up with an
+//! uninterrupted run.
 
 use std::collections::HashSet;
 use std::io::{self, BufRead, ErrorKind, Read, Write};
@@ -654,7 +654,7 @@ mod tests {
                 workers,
                 queue_capacity: 8,
                 admit: Some(
-                    AdmitConfig::for_queue(8, 0x5EED)
+                    AdmitConfig::for_queue(8)
                         .inert_pressure()
                         .with_buckets(bucket_capacity, 0),
                 ),

@@ -32,11 +32,8 @@ use vs2_core::pipeline::Vs2Config;
 use vs2_core::triage::TriageDecision;
 use vs2_serve::{
     run_batch, AdmitConfig, BatchOptions, EngineConfig, ExtractService, FaultPlan, HandoffSnapshot,
-    Lane, RetryPolicy, DEFAULT_DOC_SEED,
+    Lane, DEFAULT_DOC_SEED,
 };
-
-/// Default shed seed when admission is enabled without `--shed-seed`.
-const DEFAULT_SHED_SEED: u64 = 0x5EED;
 
 const USAGE: &str = "\
 vs2d — VS2 batch document-extraction service
@@ -47,7 +44,8 @@ USAGE: vs2d [OPTIONS]
   --queue-capacity N   work-queue bound; submission blocks beyond it (default 32)
   --timeout-ms N       soft per-job deadline: a job past it is quarantined;
                        not retried. 0 disables (default 0)
-  --max-attempts N     attempt budget for transient failures (default 3)
+  --max-attempts N     attempt budget for transient failures; retries run
+                       at once, without backoff (default 3)
   --fault-seed N       enable deterministic chaos fault injection with
                        this seed (testing only; accepts 0x-prefixed hex)
   --model-seed N       holdout-corpus seed for model learning (default 0xC0FFEE)
@@ -72,8 +70,6 @@ USAGE: vs2d [OPTIONS]
                        from --queue-capacity; overload answers jobs with
                        in-stream {\"status\":\"shed\",...} lines instead of
                        blocking (see README `Overload protection & drain`)
-  --shed-seed N        seed of the deterministic shed draw under saturation
-                       (implies --admit; accepts 0x-prefixed hex)
   --bucket-capacity N  per-client fairness token buckets of N tokens
                        (implies --admit; 0 disables, the default)
   --client NAME        client identity for specs that carry no `client`
@@ -106,7 +102,6 @@ struct Options {
     triage: bool,
     summary_json: Option<String>,
     admit: bool,
-    shed_seed: Option<u64>,
     bucket_capacity: Option<u32>,
     client: Option<String>,
     lane: Lane,
@@ -122,7 +117,7 @@ impl Default for Options {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 32,
             timeout_ms: 0,
-            max_attempts: RetryPolicy::default().max_attempts,
+            max_attempts: EngineConfig::default().max_attempts,
             fault_seed: None,
             model_seed: DEFAULT_DOC_SEED,
             config_path: None,
@@ -133,7 +128,6 @@ impl Default for Options {
             triage: false,
             summary_json: None,
             admit: false,
-            shed_seed: None,
             bucket_capacity: None,
             client: None,
             lane: Lane::Interactive,
@@ -202,10 +196,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
             "--triage" => opts.triage = true,
             "--summary-json" => opts.summary_json = Some(value("--summary-json")?),
             "--admit" => opts.admit = true,
-            "--shed-seed" => {
-                let raw = value("--shed-seed")?;
-                opts.shed_seed = Some(parse_seed(&raw).map_err(|e| format!("--shed-seed: {e}"))?);
-            }
             "--bucket-capacity" => {
                 opts.bucket_capacity = Some(
                     value("--bucket-capacity")?
@@ -273,23 +263,15 @@ fn main() {
         workers: opts.workers,
         queue_capacity: opts.queue_capacity,
         job_timeout: (opts.timeout_ms > 0).then(|| Duration::from_millis(opts.timeout_ms)),
-        retry: RetryPolicy {
-            max_attempts: opts.max_attempts,
-            ..RetryPolicy::default()
-        },
+        max_attempts: opts.max_attempts,
         faults: opts.fault_seed.map(FaultPlan::chaos),
-        admit: (opts.admit || opts.shed_seed.is_some() || opts.bucket_capacity.is_some()).then(
-            || {
-                let cfg = AdmitConfig::for_queue(
-                    opts.queue_capacity,
-                    opts.shed_seed.unwrap_or(DEFAULT_SHED_SEED),
-                );
-                match opts.bucket_capacity {
-                    Some(cap) => cfg.with_buckets(cap, cfg.refill_per_mille),
-                    None => cfg,
-                }
-            },
-        ),
+        admit: (opts.admit || opts.bucket_capacity.is_some()).then(|| {
+            let cfg = AdmitConfig::for_queue(opts.queue_capacity);
+            match opts.bucket_capacity {
+                Some(cap) => cfg.with_buckets(cap, cfg.refill_per_mille),
+                None => cfg,
+            }
+        }),
     };
     let options = vs2_serve::ServiceOptions {
         plan_cache: opts.plan_cache,
@@ -322,7 +304,6 @@ fn main() {
                 .map(|s| s.completed.iter().copied().collect()),
         },
     );
-    let wall = started.elapsed();
 
     if let Some(path) = &opts.handoff {
         let snapshot = service.handoff_snapshot(&run, resume.as_ref());
@@ -341,6 +322,9 @@ fn main() {
     ]
     .map(|decision| service.metrics().triage_count(decision));
     service.shutdown();
+    // Read after shutdown: it joins any worker still stuck in an attempt
+    // the watchdog already tripped, and the process cannot exit sooner.
+    let wall = started.elapsed();
 
     let lat = vs2_serve::LatencySummary::from_latencies(&run.latencies);
     let jobs = stats.submitted + run.invalid;

@@ -11,9 +11,10 @@
 //! * **Error taxonomy.** Processors return `Result<O, ServeError>`; a
 //!   panic is caught per attempt (`catch_unwind`) and folded into
 //!   [`ServeError::Fatal`]. [`ServeError::Retryable`] failures are
-//!   re-run in place with bounded, seeded decorrelated-jitter backoff
-//!   ([`RetryPolicy`]) — no wall-clock randomness, so retried batches
-//!   are reproducible.
+//!   re-run in place at once, up to [`EngineConfig::max_attempts`]
+//!   attempts. Only injected faults are transient — the pipeline runs
+//!   in-process, with nothing outside it to wait out — so a backoff
+//!   sleep would only add latency.
 //! * **Soft timeouts are final.** A job whose attempt overruns its
 //!   deadline is quarantined as [`ServeError::Timeout`] on that first
 //!   trip. The pipeline is a pure function of the document, so a re-run
@@ -60,7 +61,6 @@ use crate::error::{QuarantineEntry, ServeError};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::obs::EngineMetrics;
 use crate::queue::LaneQueue;
-use crate::retry::RetryPolicy;
 
 /// Worker-pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +73,10 @@ pub struct EngineConfig {
     /// job up. A job past it is quarantined, not retried. `None` disables
     /// the watchdog.
     pub job_timeout: Option<Duration>,
-    /// Retry budget and backoff shape.
-    pub retry: RetryPolicy,
+    /// Total attempts per job for transient
+    /// ([`ServeError::Retryable`]) failures, including the first
+    /// (minimum 1). Retries run at once, with no backoff.
+    pub max_attempts: u32,
     /// Deterministic fault injection; `None` (production) costs one
     /// branch per site checkpoint.
     pub faults: Option<FaultPlan>,
@@ -90,7 +92,7 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 32,
             job_timeout: None,
-            retry: RetryPolicy::default(),
+            max_attempts: 3,
             faults: None,
             admit: None,
         }
@@ -292,7 +294,7 @@ struct Shared<J, O> {
     inflight: Mutex<HashMap<u64, Inflight>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
     timeout: Option<Duration>,
-    retry: RetryPolicy,
+    max_attempts: u32,
     faults: Option<FaultPlan>,
     metrics: Arc<EngineMetrics>,
     admit: Option<AdmitController>,
@@ -424,7 +426,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
             inflight: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
             timeout: config.job_timeout,
-            retry: config.retry,
+            max_attempts: config.max_attempts,
             faults: config.faults,
             metrics: Arc::new(EngineMetrics::new(config.workers.max(1))),
             admit: config.admit.map(AdmitController::new),
@@ -488,7 +490,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
             AdmitDecision::Shed(ShedReason::Draining)
         } else {
             match &self.shared.admit {
-                Some(admit) => admit.decide(client, lane, seq, self.shared.queue.len()),
+                Some(admit) => admit.decide(client, lane, self.shared.queue.len()),
                 None => AdmitDecision::Accept,
             }
         };
@@ -531,11 +533,10 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// burns the sequence number and (with admission control) the
     /// admission tick and bucket token the submission used. Warm-restart
     /// alignment: a successor skipping already-completed wire lines still
-    /// consumes the seqs and tokens those lines would have used, so
-    /// seq-keyed decisions (fault plan, retry backoff, shed draw) and
-    /// tick-keyed ones (token buckets) stay aligned with an
-    /// uninterrupted run. No counter moves. Incompatible with
-    /// [`BatchEngine::drain`] (which would block forever on the hole) —
+    /// consumes the seqs and tokens those lines would have used, so the
+    /// seq-keyed fault plan and the tick-keyed token buckets stay
+    /// aligned with an uninterrupted run. No counter moves. Incompatible
+    /// with [`BatchEngine::drain`] (which would block forever on the hole) —
     /// use [`BatchEngine::wait_result`] per submitted seq instead.
     pub fn skip_submission(&self, client: Option<&str>) -> u64 {
         if let Some(admit) = &self.shared.admit {
@@ -748,12 +749,8 @@ fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
                 ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
             }
         };
-        if error.is_retryable() && attempt + 1 < shared.retry.max_attempts {
+        if error.is_retryable() && attempt + 1 < shared.max_attempts {
             shared.metrics.on_retry(seq);
-            let delay = shared.retry.backoff_delay(seq, attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
             attempt += 1;
             continue;
         }
@@ -812,7 +809,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicUsize};
 
-    /// An engine whose processor never fails and needs no retry delay.
+    /// An engine whose processor never fails.
     fn plain_engine<J, O, F>(workers: usize, queue_capacity: usize, f: F) -> BatchEngine<J, O>
     where
         J: Send + 'static,
@@ -824,7 +821,7 @@ mod tests {
                 workers,
                 queue_capacity,
                 job_timeout: None,
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -909,7 +906,7 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 ..EngineConfig::default()
             },
             move |job, ctx| {
@@ -938,7 +935,7 @@ mod tests {
             EngineConfig {
                 workers: 2,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Retryable("always flaky".into())),
@@ -976,7 +973,7 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
@@ -1003,7 +1000,7 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(5),
+                max_attempts: 5,
                 ..EngineConfig::default()
             },
             move |_job, _ctx| {
@@ -1029,7 +1026,7 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
@@ -1062,7 +1059,7 @@ mod tests {
                 workers: 2,
                 queue_capacity: 8,
                 job_timeout: Some(Duration::from_millis(40)),
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1112,7 +1109,7 @@ mod tests {
                 workers: 2,
                 queue_capacity: 8,
                 job_timeout: Some(Duration::from_millis(30)),
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1174,7 +1171,7 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 job_timeout: Some(Duration::from_millis(10)),
-                retry: RetryPolicy::immediate(3),
+                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1234,7 +1231,7 @@ mod tests {
                 EngineConfig {
                     workers: 2,
                     queue_capacity: 4,
-                    retry: RetryPolicy::immediate(2),
+                    max_attempts: 2,
                     faults: Some(plan),
                     ..EngineConfig::default()
                 },
@@ -1276,14 +1273,14 @@ mod tests {
         // Bucket of 2, zero refill: the third "flood" job on the
         // interactive lane must shed, with an outcome published
         // immediately (never silently dropped).
-        let admit = AdmitConfig::for_queue(8, 7)
+        let admit = AdmitConfig::for_queue(8)
             .inert_pressure()
             .with_buckets(2, 0);
         let mut engine: BatchEngine<u32, u32> = BatchEngine::new(
             EngineConfig {
                 workers: 1,
                 queue_capacity: 8,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },
@@ -1322,14 +1319,14 @@ mod tests {
 
     #[test]
     fn rate_limited_batch_jobs_degrade_through_the_fallback() {
-        let admit = AdmitConfig::for_queue(8, 7)
+        let admit = AdmitConfig::for_queue(8)
             .inert_pressure()
             .with_buckets(1, 0);
         let mut engine: BatchEngine<u32, u32> = BatchEngine::with_fallback(
             EngineConfig {
                 workers: 2,
                 queue_capacity: 8,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },
@@ -1361,14 +1358,14 @@ mod tests {
 
     #[test]
     fn degrade_without_fallback_quarantines_as_overloaded() {
-        let admit = AdmitConfig::for_queue(8, 7)
+        let admit = AdmitConfig::for_queue(8)
             .inert_pressure()
             .with_buckets(1, 0);
         let mut engine: BatchEngine<u32, u32> = BatchEngine::new(
             EngineConfig {
                 workers: 1,
                 queue_capacity: 8,
-                retry: RetryPolicy::immediate(1),
+                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },

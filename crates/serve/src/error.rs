@@ -2,7 +2,7 @@
 //!
 //! Workers report failures as structured [`ServeError`]s instead of
 //! stringly panic payloads, so the engine can decide *mechanically* what
-//! to do next: retry with backoff ([`ServeError::is_retryable`]), fail
+//! to do next: retry at once ([`ServeError::is_retryable`]), fail
 //! fast, or quarantine. Jobs whose primary pipeline finally fails with
 //! no degraded answer land in the quarantine ledger as
 //! [`QuarantineEntry`]s, surfaced through
@@ -17,9 +17,10 @@ use crate::admit::ShedReason;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// A transient failure: the same attempt may succeed if re-run.
-    /// The engine retries these with decorrelated-jitter backoff until
-    /// the attempt budget ([`crate::retry::RetryPolicy::max_attempts`])
-    /// is spent.
+    /// The engine re-runs these at once until the attempt budget
+    /// ([`crate::engine::EngineConfig::max_attempts`]) is spent. Only
+    /// injected faults ([`crate::faults::FaultPlan`]) produce one: the
+    /// pipeline is in-process, so nothing it calls recovers with time.
     Retryable(String),
     /// A permanent failure (including worker panics): retrying cannot
     /// help, the job goes straight to degradation/quarantine.

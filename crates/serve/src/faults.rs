@@ -58,7 +58,7 @@ pub enum FaultKind {
     /// Panic at the site (exercises `catch_unwind` isolation and the
     /// fatal path).
     Panic,
-    /// Return a [`ServeError::Retryable`] (exercises retry/backoff and,
+    /// Return a [`ServeError::Retryable`] (exercises the retry budget and,
     /// once the budget is spent, poison quarantine/degradation).
     Transient,
     /// Sleep for the plan's injected latency, then continue normally

@@ -30,15 +30,13 @@
 //!   priority split.
 //! * [`admit::AdmitController`] — admission control: deterministic
 //!   per-client token buckets, backlog/latency pressure watermarks,
-//!   seeded load shedding and degrade routing.
+//!   load shedding and degrade routing.
 //! * [`error::ServeError`] — the structured failure taxonomy (retryable /
 //!   fatal / timeout / poison) every layer above speaks.
-//! * [`retry::RetryPolicy`] — bounded attempts with seeded
-//!   decorrelated-jitter backoff (no wall-clock randomness).
 //! * [`faults::FaultPlan`] — deterministic fault injection at named
 //!   pipeline sites, enabled only through [`engine::EngineConfig`].
 //! * [`engine::BatchEngine`] — generic worker pool with per-job panic
-//!   isolation, retry/backoff, final soft timeouts (a job past its
+//!   isolation, bounded immediate retries, final soft timeouts (a job past its
 //!   deadline is quarantined, not retried), poison-job quarantine,
 //!   graceful degradation and submission-ordered results.
 //! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing.
@@ -64,7 +62,6 @@ pub mod handoff;
 pub mod job;
 pub mod obs;
 pub mod queue;
-pub mod retry;
 pub mod service;
 
 pub use admit::{AdmitConfig, AdmitController, AdmitDecision, Lane, PressureLevel, ShedReason};
@@ -79,5 +76,4 @@ pub use job::{
 };
 pub use obs::{EngineMetrics, ObsHub};
 pub use queue::LaneQueue;
-pub use retry::RetryPolicy;
 pub use service::{ExtractService, LatencySummary, ServiceOptions};

@@ -61,7 +61,7 @@ pub struct ServiceOptions {
 ///
 /// Fault tolerance: the processor is split across the three
 /// [`FaultSite`]s (model build → segment → select), transient failures
-/// are retried per the engine's [`crate::retry::RetryPolicy`], and a job
+/// are re-run at once up to [`EngineConfig::max_attempts`] times, and a job
 /// whose primary attempts are all spent degrades to XY-cut segmentation
 /// — the extraction still runs, only the segmentation is the cheap
 /// geometric one, exactly as on the triage cheap path. Jobs the
@@ -112,24 +112,21 @@ impl ExtractService {
                     let pipeline = worker_cache.pipeline_for(spec.dataset, model_seed, config);
                     let doc = spec.document_arc();
                     ctx.checkpoint(FaultSite::Segment)?;
+                    // Zero-copy path: one DocContext per job carries the
+                    // interned tokens, stem/sense tables and memoised
+                    // embeddings through segment → select → assign.
+                    let dctx = vs2_core::DocContext::build(&doc);
                     // The plan path sits strictly between the Segment and
                     // Select fault sites: a fault before it leaves the
                     // plan store untouched, and a fault after it can only
                     // follow a successful, self-validated capture — so
                     // degraded/quarantined jobs never poison cached plans
                     // (the XY-cut fallback below never touches them).
-                    if options.naive_segment {
+                    let blocks = if options.naive_segment {
                         // Executable-specification escape hatch: the
                         // naive segmenter over the owned document.
-                        let blocks = vs2_core::logical_blocks_naive(&doc, &pipeline.config.segment);
-                        ctx.checkpoint(FaultSite::Select)?;
-                        return Ok(pipeline.extract_on_blocks(&doc, &blocks));
-                    }
-                    // Zero-copy path: one DocContext per job carries the
-                    // interned tokens, stem/sense tables and memoised
-                    // embeddings through segment → select → assign.
-                    let dctx = vs2_core::DocContext::build(&doc);
-                    if options.triage {
+                        vs2_core::logical_blocks_naive(&doc, &pipeline.config.segment)
+                    } else if options.triage {
                         // Triage routing: score first, then cheap path
                         // or full segmentation. The plan store only
                         // participates (on the full path) when the plan
@@ -144,10 +141,8 @@ impl ExtractService {
                             plans.as_ref().map(|s| (&plan_config, &**s)),
                         );
                         ctx.metrics().on_triage(ctx.seq, decision);
-                        ctx.checkpoint(FaultSite::Select)?;
-                        return Ok(pipeline.extract_on_blocks_ctx(&dctx, &blocks));
-                    }
-                    let blocks = if options.plan_cache {
+                        blocks
+                    } else if options.plan_cache {
                         let plans = worker_cache.plan_store_for(spec.dataset, model_seed, &config);
                         vs2_core::planned_blocks_ctx(
                             &dctx,

@@ -4,8 +4,8 @@ use std::time::Duration;
 
 use serde::Serialize;
 use vs2_serve::{
-    Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec,
-    RetryPolicy, ServeError, ServiceOptions, DEFAULT_DOC_SEED,
+    Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec, ServeError,
+    ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
@@ -223,7 +223,7 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
             EngineConfig {
                 workers,
                 queue_capacity: 4,
-                retry: RetryPolicy::immediate(2),
+                max_attempts: 2,
                 faults: Some(plan),
                 ..EngineConfig::default()
             },

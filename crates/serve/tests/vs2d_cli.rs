@@ -7,8 +7,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::Instant;
 
 use serde::{Serialize, Value};
+use vs2_docmodel::{BBox, Document, TextElement};
 use vs2_serve::{JobResult, JobStatus, DEFAULT_DOC_SEED};
 use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
@@ -433,4 +435,59 @@ fn a_deadline_trip_is_final() {
     assert!(fault_line.contains(" 0 retries,"), "{stderr}");
     assert!(fault_line.contains(" 2 timeout trips "), "{stderr}");
     assert_eq!(out.status.code(), Some(1), "quarantines fail the run");
+}
+
+#[test]
+fn summary_time_covers_shutdown() {
+    // A word grid far past a 50 ms deadline: the watchdog answers it at
+    // once, but its worker grinds on until the attempt returns, and
+    // shutdown joins that worker before the process can exit.
+    let mut grid = Document::new("grid", 40.0 * 100.0 + 20.0, 20.0 * 40.0 + 20.0);
+    for row in 0..40 {
+        for col in 0..100 {
+            grid.push_text(TextElement::word(
+                format!("w{row}x{col}"),
+                BBox::new(
+                    10.0 + 40.0 * col as f64,
+                    10.0 + 20.0 * row as f64,
+                    35.0,
+                    10.0,
+                ),
+            ));
+        }
+    }
+    let grid_line = Value::Object(vec![
+        ("dataset".to_string(), DatasetId::D2.to_value()),
+        ("doc".to_string(), grid.to_value()),
+    ]);
+    let input = scratch("shutdown.jsonl");
+    std::fs::write(
+        &input,
+        format!(
+            "{}\n{{\"dataset\":\"D1\",\"doc_index\":0}}\n",
+            serde_json::to_string(&grid_line).unwrap()
+        ),
+    )
+    .unwrap();
+    let summary = scratch("shutdown-summary.json");
+    let spawned = Instant::now();
+    let out = vs2d_with(
+        &input,
+        &[
+            "--workers",
+            "2",
+            "--timeout-ms",
+            "50",
+            "--summary-json",
+            summary.to_str().unwrap(),
+        ],
+    );
+    let lifetime = spawned.elapsed().as_secs_f64();
+    assert_eq!(out.status.code(), Some(1), "the grid is quarantined");
+    let summary = serde_json::parse(&std::fs::read_to_string(&summary).unwrap()).unwrap();
+    let wall_s: f64 = summary.field("wall_s").unwrap();
+    assert!(
+        wall_s >= 0.8 * lifetime,
+        "summary says {wall_s:.2}s, the process ran {lifetime:.2}s"
+    );
 }
