@@ -5,6 +5,10 @@
 //!   checked-in fixture; exits non-zero on drift or a missing fixture.
 //! * `cargo run -p vs2-conformance --bin golden -- --bless` —
 //!   regenerates every fixture in place.
+//! * `cargo run --release -p vs2-conformance --bin golden -- --dump-blocks N`
+//!   — prints the `logical_blocks` of documents `0..N` of D1–D4 and
+//!   Templated, one `Debug` line per document, for a before/after `cmp`
+//!   of a segmentation change (every float prints in round-trip form).
 
 use std::process::ExitCode;
 
@@ -12,7 +16,9 @@ use vs2_conformance::golden::{
     check_golden, check_tree_golden, dataset_name, golden_path, golden_snapshot, tree_golden_path,
     tree_snapshot,
 };
-use vs2_synth::DatasetId;
+use vs2_core::segment::logical_blocks;
+use vs2_serve::{default_config_for, DEFAULT_DOC_SEED};
+use vs2_synth::{generate_one, DatasetConfig, DatasetId};
 
 fn bless_file(path: &std::path::Path, snapshot: &str) -> Result<(), ExitCode> {
     if let Some(dir) = path.parent() {
@@ -29,13 +35,38 @@ fn bless_file(path: &std::path::Path, snapshot: &str) -> Result<(), ExitCode> {
     Ok(())
 }
 
+/// Prints the logical blocks of the first `n` documents of every corpus.
+fn dump_blocks(n: usize) {
+    for dataset in DatasetId::EXTENDED
+        .into_iter()
+        .chain([DatasetId::Templated])
+    {
+        let segment = default_config_for(dataset).segment;
+        for i in 0..n {
+            let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+            let blocks = logical_blocks(&doc, &segment);
+            println!("{} {i} {blocks:?}", dataset_name(dataset));
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bless = match args.as_slice() {
         [] => false,
         [flag] if flag == "--bless" => true,
+        [flag, n] if flag == "--dump-blocks" => match n.parse() {
+            Ok(n) => {
+                dump_blocks(n);
+                return ExitCode::SUCCESS;
+            }
+            Err(e) => {
+                eprintln!("--dump-blocks: `{n}` is not a document count: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
         other => {
-            eprintln!("usage: golden [--bless] (got {other:?})");
+            eprintln!("usage: golden [--bless | --dump-blocks N] (got {other:?})");
             return ExitCode::FAILURE;
         }
     };

@@ -68,36 +68,37 @@ struct CtxCeiling {
 }
 
 const CTX_CEILINGS: [CtxCeiling; 4] = [
-    // D1 (measured: segment 697, select 293, extract 1072 — select
+    // D1 (measured: segment 613, select 293, extract 987 — select
     // builds token-only block texts for the all-descriptor D1 model and
-    // scores gloss overlap over interned Lesk keys)
+    // scores gloss overlap over interned Lesk keys; segment reuses one
+    // packed raster across the area recursion)
     CtxCeiling {
         dataset: DatasetId::D1,
-        segment: 765,
+        segment: 674,
         select: 322,
-        extract: 1179,
+        extract: 1086,
     },
-    // D2 (measured: segment 256, select 293, extract 568)
+    // D2 (measured: segment 233, select 293, extract 545)
     CtxCeiling {
         dataset: DatasetId::D2,
-        segment: 280,
+        segment: 256,
         select: 322,
-        extract: 625,
+        extract: 600,
     },
-    // D3 (measured: segment 193, select 286, extract 501)
+    // D3 (measured: segment 173, select 286, extract 481)
     CtxCeiling {
         dataset: DatasetId::D3,
-        segment: 211,
+        segment: 190,
         select: 315,
-        extract: 551,
+        extract: 529,
     },
-    // D4 (measured: segment 270, select 386, extract 672). No
+    // D4 (measured: segment 227, select 386, extract 629). No
     // pre-refactor history, so no ⅓ gate.
     CtxCeiling {
         dataset: DatasetId::D4,
-        segment: 297,
+        segment: 250,
         select: 425,
-        extract: 739,
+        extract: 692,
     },
 ];
 

@@ -145,40 +145,41 @@ pub fn score_runs_geom_into(
     out.extend(runs.iter().map(|run| {
         let strip = run_strip_geom(run, origin, cell, area);
         // Neighbouring bounding box: minimum distance from the strip.
-        let neighbor_height = text_boxes
-            .iter()
-            .min_by(|a, b| strip.distance(a).total_cmp(&strip.distance(b)))
-            .map(|b| b.h)
-            .unwrap_or(max_h);
+        // One distance per box; a later box wins only on a strictly
+        // smaller distance, so this is the first minimum `min_by` keeps.
+        let mut nearest: Option<(f64, f64)> = None;
+        for b in text_boxes {
+            let d = strip.distance(b);
+            if nearest.is_none_or(|(best, _)| d.total_cmp(&best).is_lt()) {
+                nearest = Some((d, b.h));
+            }
+        }
+        let neighbor_height = nearest.map_or(max_h, |(_, h)| h);
         // True gap: distance between the closest content on either
-        // side of the strip centre. Falls back to the run extent for
-        // offset layouts where the sides overlap.
+        // side of the strip centre, both sides folded in one pass (each
+        // side's fold keeps its order). Falls back to the run extent
+        // for offset layouts where the sides overlap.
         let center = strip.centroid();
-        let gap = if run.horizontal {
-            let above = all_boxes
-                .iter()
-                .filter(|b| b.centroid().y < center.y)
-                .map(|b| b.bottom())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let below = all_boxes
-                .iter()
-                .filter(|b| b.centroid().y > center.y)
-                .map(|b| b.y)
-                .fold(f64::INFINITY, f64::min);
-            below - above
-        } else {
-            let left = all_boxes
-                .iter()
-                .filter(|b| b.centroid().x < center.x)
-                .map(|b| b.right())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let right = all_boxes
-                .iter()
-                .filter(|b| b.centroid().x > center.x)
-                .map(|b| b.x)
-                .fold(f64::INFINITY, f64::min);
-            right - left
-        };
+        let (mut before, mut after) = (f64::NEG_INFINITY, f64::INFINITY);
+        for b in all_boxes {
+            let c = b.centroid();
+            if run.horizontal {
+                if c.y < center.y {
+                    before = before.max(b.bottom());
+                }
+                if c.y > center.y {
+                    after = after.min(b.y);
+                }
+            } else {
+                if c.x < center.x {
+                    before = before.max(b.right());
+                }
+                if c.x > center.x {
+                    after = after.min(b.x);
+                }
+            }
+        }
+        let gap = after - before;
         let gap = if gap.is_finite() && gap > 0.0 {
             gap
         } else {

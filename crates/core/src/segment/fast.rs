@@ -258,15 +258,16 @@ pub(crate) fn segment_body_fast_with<E: Embedder>(
     let mut scratch = SweepScratch::default();
     // Per-pop working buffers, reused across the whole recursion: the
     // node's element list (copied out so the tree stays mutable), sweep
-    // origins, cut runs, scored runs and the two delimiter-selection
-    // buffers. Only the child element lists are allocated per node — the
-    // tree owns those.
+    // origins, cut runs, scored runs, the two delimiter-selection
+    // buffers and the packed raster's words. Only the child element
+    // lists are allocated per node — the tree owns those.
     let mut elements: Vec<ElementRef> = Vec::new();
     let mut origins: Vec<usize> = Vec::new();
     let mut runs: Vec<CutRun> = Vec::new();
     let mut scored: Vec<ScoredRun> = Vec::new();
     let mut ranked: Vec<ScoredRun> = Vec::new();
     let mut delims: Vec<ScoredRun> = Vec::new();
+    let mut grid = PackedGrid::default();
 
     while let Some((node, depth)) = queue.pop() {
         if depth >= config.max_depth {
@@ -301,10 +302,10 @@ pub(crate) fn segment_body_fast_with<E: Embedder>(
         } else {
             &text_boxes
         };
-        let grid = {
+        {
             let _grid_span = vs2_obs::span(vs2_obs::stages::GRID);
-            PackedGrid::rasterize(&area, &boxes, cell)
-        };
+            grid.rasterize_into(&area, &boxes, cell);
+        }
 
         // Phase 1: explicit delimiters, over the packed sweep.
         {

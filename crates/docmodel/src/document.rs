@@ -174,7 +174,117 @@ impl Document {
             .count();
         n as f64 * 1e4 / area.area()
     }
+
+    /// Checks that the geometry can be segmented: a finite, positive page
+    /// size, and element boxes with finite coordinates and finite,
+    /// non-negative sizes. Returns the first offending field, page size
+    /// first, then texts, then images, each in order. Placement on the
+    /// page is not checked.
+    pub fn validate_geometry(&self) -> Result<(), GeometryError> {
+        for (field, value) in [("width", self.width), ("height", self.height)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(GeometryError::PageSize { field, value });
+            }
+        }
+        let boxes = self
+            .texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (ElementRef::Text(i), t.bbox));
+        let images = self.images.iter().enumerate();
+        for (element, b) in boxes.chain(images.map(|(i, im)| (ElementRef::Image(i), im.bbox))) {
+            for (field, value) in [("x", b.x), ("y", b.y)] {
+                if !value.is_finite() {
+                    return Err(GeometryError::BoxCoordinate {
+                        element,
+                        field,
+                        value,
+                    });
+                }
+            }
+            for (field, value) in [("w", b.w), ("h", b.h)] {
+                if !(value.is_finite() && value >= 0.0) {
+                    return Err(GeometryError::BoxSize {
+                        element,
+                        field,
+                        value,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
+
+/// A document geometry field that cannot be segmented (see
+/// [`Document::validate_geometry`]). `Display` names the field by its
+/// path in the serialized document, e.g. `texts[3].bbox.w`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum GeometryError {
+    /// The page `width` or `height` is not finite and positive.
+    PageSize {
+        /// `"width"` or `"height"`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A box corner coordinate is not finite.
+    BoxCoordinate {
+        /// The element whose box it is.
+        element: ElementRef,
+        /// `"x"` or `"y"`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A box width or height is not finite and non-negative.
+    BoxSize {
+        /// The element whose box it is.
+        element: ElementRef,
+        /// `"w"` or `"h"`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let element_path = |f: &mut std::fmt::Formatter<'_>, element: &ElementRef| match element {
+            ElementRef::Text(i) => write!(f, "texts[{i}]"),
+            ElementRef::Image(i) => write!(f, "images[{i}]"),
+        };
+        match self {
+            GeometryError::PageSize { field, value } => {
+                write!(
+                    f,
+                    "{field} = {value}: page size must be finite and positive"
+                )
+            }
+            GeometryError::BoxCoordinate {
+                element,
+                field,
+                value,
+            } => {
+                element_path(f, element)?;
+                write!(f, ".bbox.{field} = {value}: box coordinate must be finite")
+            }
+            GeometryError::BoxSize {
+                element,
+                field,
+                value,
+            } => {
+                element_path(f, element)?;
+                write!(
+                    f,
+                    ".bbox.{field} = {value}: box size must be finite and non-negative"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for GeometryError {}
 
 /// A ground-truth named-entity annotation: the smallest bounding box that
 /// contains the entity and the expected text (§6.2's annotation protocol).
@@ -236,6 +346,51 @@ mod tests {
             d.push_text(TextElement::word(*w, BBox::new(*x, *y, *ww, *h)));
         }
         d
+    }
+
+    #[test]
+    fn geometry_validation_names_the_first_bad_field() {
+        let ok = doc_with_words(&[("a", 0.0, 0.0, 0.0, 0.0), ("b", -5.0, 300.0, 10.0, 10.0)]);
+        assert_eq!(
+            ok.validate_geometry(),
+            Ok(()),
+            "zero size and off-page are fine"
+        );
+        let mut page = ok.clone();
+        page.height = 0.0;
+        assert_eq!(
+            page.validate_geometry().unwrap_err().to_string(),
+            "height = 0: page size must be finite and positive"
+        );
+        page.width = f64::NAN;
+        assert!(page
+            .validate_geometry()
+            .unwrap_err()
+            .to_string()
+            .starts_with("width = NaN"));
+        let mut coord = ok.clone();
+        coord.texts[1].bbox.y = f64::INFINITY;
+        assert_eq!(
+            coord.validate_geometry().unwrap_err().to_string(),
+            "texts[1].bbox.y = inf: box coordinate must be finite"
+        );
+        let mut size = ok.clone();
+        size.push_image(ImageElement::new(7, BBox::default(), Default::default()));
+        size.images[0].bbox.h = -2.0;
+        assert_eq!(
+            size.validate_geometry(),
+            Err(GeometryError::BoxSize {
+                element: ElementRef::Image(0),
+                field: "h",
+                value: -2.0,
+            })
+        );
+        size.images[0].bbox.h = 2.0;
+        size.images[0].bbox.w = f64::INFINITY;
+        assert_eq!(
+            size.validate_geometry().unwrap_err().to_string(),
+            "images[0].bbox.w = inf: box size must be finite and non-negative"
+        );
     }
 
     #[test]

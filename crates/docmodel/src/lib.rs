@@ -39,7 +39,7 @@ pub mod svg;
 
 pub use arena::{DocView, TokenId, TokenInterner};
 pub use color::{Lab, Rgb};
-pub use document::{AnnotatedDocument, Document, EntityAnnotation};
+pub use document::{AnnotatedDocument, Document, EntityAnnotation, GeometryError};
 pub use element::{ElementRef, ImageElement, MarkupClass, TextElement};
 pub use geometry::{BBox, Point};
 pub use grid::OccupancyGrid;

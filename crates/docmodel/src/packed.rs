@@ -17,7 +17,8 @@
 use crate::geometry::{BBox, Point};
 
 /// Dual-orientation packed whitespace raster of a visual area.
-#[derive(Debug, Clone, PartialEq)]
+/// `Default` is the empty raster, a buffer to [`rasterize_into`](Self::rasterize_into).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedGrid {
     origin: Point,
     cell: f64,
@@ -77,6 +78,15 @@ impl PackedGrid {
     /// boundary epsilon so boxes ending on a cell edge do not claim the
     /// next cell.
     pub fn rasterize(area: &BBox, boxes: &[BBox], cell: f64) -> Self {
+        let mut grid = Self::default();
+        grid.rasterize_into(area, boxes, cell);
+        grid
+    }
+
+    /// [`rasterize`](Self::rasterize) into this grid, reusing its word
+    /// buffers: a recursion that rasterises area after area allocates
+    /// only when an area needs more words than any before it.
+    pub fn rasterize_into(&mut self, area: &BBox, boxes: &[BBox], cell: f64) {
         assert!(cell > 0.0, "cell size must be positive");
         let cells_along = |extent: f64| -> usize {
             let n = (extent / cell).ceil();
@@ -95,8 +105,12 @@ impl PackedGrid {
         };
         let words_per_col = rows.div_ceil(64);
         let words_per_row = cols.div_ceil(64);
-        let mut col_ws = vec![0u64; cols * words_per_col];
-        let mut row_ws = vec![0u64; rows * words_per_row];
+        let col_ws = &mut self.col_ws;
+        let row_ws = &mut self.row_ws;
+        col_ws.clear();
+        col_ws.resize(cols * words_per_col, 0);
+        row_ws.clear();
+        row_ws.resize(rows * words_per_row, 0);
         for c in 0..cols {
             ones(
                 &mut col_ws[c * words_per_col..(c + 1) * words_per_col],
@@ -132,16 +146,12 @@ impl PackedGrid {
                 );
             }
         }
-        Self {
-            origin: Point::new(area.x, area.y),
-            cell,
-            cols,
-            rows,
-            words_per_col,
-            words_per_row,
-            col_ws,
-            row_ws,
-        }
+        self.origin = Point::new(area.x, area.y);
+        self.cell = cell;
+        self.cols = cols;
+        self.rows = rows;
+        self.words_per_col = words_per_col;
+        self.words_per_row = words_per_row;
     }
 
     /// Number of columns.
@@ -236,6 +246,32 @@ mod tests {
             &[BBox::new(0.0, 0.0, 5.0, 5.0)],
             1.0,
         );
+    }
+
+    #[test]
+    fn reused_grid_equals_a_fresh_one() {
+        // Larger, smaller and empty areas through one buffer: stale words
+        // from an earlier area must never leak into a later raster.
+        let layouts = [
+            (
+                BBox::new(0.0, 0.0, 130.0, 70.0),
+                vec![BBox::new(5.0, 5.0, 100.0, 9.0)],
+            ),
+            (
+                BBox::new(3.0, 4.0, 20.0, 10.0),
+                vec![BBox::new(4.0, 5.0, 2.0, 2.0)],
+            ),
+            (BBox::new(0.0, 0.0, 0.0, 10.0), vec![]),
+            (
+                BBox::new(0.0, 0.0, 65.0, 129.0),
+                vec![BBox::new(0.0, 64.0, 65.0, 1.0)],
+            ),
+        ];
+        let mut reused = PackedGrid::default();
+        for (area, boxes) in &layouts {
+            reused.rasterize_into(area, boxes, 1.0);
+            assert_eq!(reused, PackedGrid::rasterize(area, boxes, 1.0));
+        }
     }
 
     #[test]

@@ -169,7 +169,12 @@ impl Deserialize for JobSpec {
             if v.get("doc_index").is_some() {
                 return Err(Error::new("job has both `doc` and `doc_index`"));
             }
-            JobSource::Inline(Arc::new(Document::from_value(doc)?))
+            let doc = Document::from_value(doc)?;
+            // Geometry the segmenter cannot work with is a bad spec,
+            // answered `invalid` with the field named, never `ok`.
+            doc.validate_geometry()
+                .map_err(|e| Error::new(format!("doc.{e}")))?;
+            JobSource::Inline(Arc::new(doc))
         } else {
             JobSource::Synthetic {
                 doc_index: v
@@ -393,6 +398,47 @@ mod tests {
         let back: JobSpec = serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.document(), doc);
+    }
+
+    #[test]
+    fn generated_corpora_pass_geometry_validation() {
+        // Every corpus vs2d and the benchmark send inline must stay
+        // `ok`: the generators' geometry is always valid.
+        let datasets = DatasetId::EXTENDED
+            .into_iter()
+            .chain([DatasetId::Templated]);
+        for dataset in datasets {
+            for seed in [1, 1001, DEFAULT_DOC_SEED] {
+                for i in 0..60 {
+                    let doc = generate_one(dataset, i, DatasetConfig::new(1, seed)).doc;
+                    assert_eq!(
+                        doc.validate_geometry(),
+                        Ok(()),
+                        "{dataset:?} {i} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_geometry_is_validated_at_parse_time() {
+        let doc = generate_one(DatasetId::D4, 0, DatasetConfig::new(1, 5)).doc;
+        let line = |doc: &Document| {
+            let spec = Value::Object(vec![
+                ("dataset".to_string(), Value::Str("D4".to_string())),
+                ("doc".to_string(), doc.to_value()),
+            ]);
+            serde_json::to_string(&spec).unwrap()
+        };
+        assert!(serde_json::from_str::<JobSpec>(&line(&doc)).is_ok());
+        let mut bad = doc.clone();
+        bad.texts[2].bbox.w = -1.0;
+        let err = serde_json::from_str::<JobSpec>(&line(&bad)).unwrap_err();
+        assert!(
+            err.to_string().contains("doc.texts[2].bbox.w = -1"),
+            "{err}"
+        );
     }
 
     #[test]

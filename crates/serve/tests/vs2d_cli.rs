@@ -491,3 +491,68 @@ fn summary_time_covers_shutdown() {
         "summary says {wall_s:.2}s, the process ran {lifetime:.2}s"
     );
 }
+
+#[test]
+fn inline_geometry_that_cannot_be_segmented_is_invalid() {
+    // A small valid inline page; each bad line bends one field of it.
+    // `1e999` parses to infinity (JSON has no literal for it).
+    let mut page = Document::new("page", 300.0, 200.0);
+    page.push_text(TextElement::word(
+        "Total",
+        BBox::new(10.0, 10.0, 40.0, 12.0),
+    ));
+    page.push_text(TextElement::word(
+        "12.50",
+        BBox::new(60.0, 10.0, 40.0, 12.0),
+    ));
+    page.push_image(vs2_docmodel::ImageElement::new(
+        1,
+        BBox::new(10.0, 50.0, 80.0, 40.0),
+        Default::default(),
+    ));
+    let line = |doc: &Document| {
+        serde_json::to_string(&Value::Object(vec![
+            ("dataset".to_string(), DatasetId::D4.to_value()),
+            ("doc".to_string(), doc.to_value()),
+        ]))
+        .unwrap()
+    };
+    let bent = |bend: &dyn Fn(&mut Document)| {
+        let mut doc = page.clone();
+        bend(&mut doc);
+        line(&doc)
+    };
+    let lines = [
+        "{\"dataset\":\"D4\",\"doc_index\":0}".to_string(),
+        bent(&|d| d.height = -10.0),
+        bent(&|d| d.width = 0.0),
+        line(&page).replacen("300.0", "1e999", 1),
+        bent(&|d| d.texts[1].bbox.x = 777.25).replacen("777.25", "-1e999", 1),
+        bent(&|d| d.images[0].bbox.h = -3.0),
+        line(&page),
+    ];
+    let input = scratch("geometry.jsonl");
+    std::fs::write(&input, lines.join("\n") + "\n").unwrap();
+    let out = vs2d_with(&input, &["--workers", "2"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let results = results(&stdout);
+    let statuses: Vec<JobStatus> = results.iter().map(|r| r.status).collect();
+    use JobStatus::{Invalid, Ok};
+    assert_eq!(
+        statuses,
+        [Ok, Invalid, Invalid, Invalid, Invalid, Invalid, Ok],
+        "{stdout}"
+    );
+    let fields = [
+        "doc.height = -10: page size",
+        "doc.width = 0: page size",
+        "doc.width = inf: page size",
+        "doc.texts[1].bbox.x = -inf: box coordinate",
+        "doc.images[0].bbox.h = -3: box size",
+    ];
+    for (result, field) in results[1..6].iter().zip(fields) {
+        let error = result.error.as_deref().unwrap_or_default();
+        assert!(error.contains(field), "`{error}` does not name `{field}`");
+    }
+    assert_eq!(out.status.code(), Some(1), "invalid lines fail the run");
+}
