@@ -577,7 +577,7 @@ fn finish(service: ExtractService, stdout: String, batch: BatchRun) -> Run {
         .map(|l| serde_json::from_str::<JobResult>(l).expect("result line parses"))
         .collect();
     let quarantine = quarantine.into_iter().map(str::to_string).collect();
-    let counters = service.metrics().registry().counters().collect();
+    let counters = service.metrics().counters().collect();
     let plans = service.cache_snapshot().plans;
     let stats = service.shutdown();
     Run {

@@ -1,8 +1,8 @@
 //! # vs2-obs
 //!
 //! Zero-external-dependency observability for the VS2 stack: lightweight
-//! thread-local tracing spans around every pipeline stage, and a sharded
-//! [`MetricsRegistry`] that is lock-free on the hot path.
+//! thread-local tracing spans around every pipeline stage, and an atomic
+//! [`Histogram`] that is lock-free on the hot path.
 //!
 //! Design constraints, in order:
 //!
@@ -10,8 +10,8 @@
 //!    thread-local flag and returns an inert guard. The serving layer's
 //!    default output must stay byte-identical with instrumentation
 //!    compiled in (the conformance overhead suite enforces this).
-//! 2. **Lock-free recording.** Metrics writers touch only their own
-//!    shard with relaxed atomics; merging happens on scrape.
+//! 2. **Lock-free recording.** Metrics writers record with relaxed
+//!    atomic adds; a scrape reads the atomics into a snapshot.
 //! 3. **Deterministic export.** Spans and metrics render to stable JSONL
 //!    (`{"record":"span",...}` / `{"record":"metrics",...}`) via
 //!    [`export`].
@@ -27,10 +27,7 @@ pub mod export;
 pub mod metrics;
 pub mod span;
 
-pub use metrics::{
-    bucket_lower_bound, bucket_of, CounterId, HistogramId, HistogramSnapshot, MetricsRegistry,
-    MetricsSpec, BUCKET_COUNT,
-};
+pub use metrics::{bucket_lower_bound, bucket_of, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use span::{enabled, span, SpanGuard, SpanRecord, Trace};
 
 /// Canonical stage names for VS2 pipeline spans.

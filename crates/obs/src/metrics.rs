@@ -1,25 +1,21 @@
-//! Sharded counters and histograms, lock-free on the hot path.
+//! Atomic histograms for the serving ledger.
 //!
-//! A [`MetricsRegistry`] is built once from a fixed [`MetricsSpec`]; the
-//! spec hands out dense [`CounterId`]/[`HistogramId`] indices so the hot
-//! path is a single relaxed atomic add into the caller's shard — no
-//! locks, no hashing, no allocation. Scraping merges the shards.
+//! A [`Histogram`] is a fixed array of relaxed atomics: recording an
+//! observation is three atomic adds — no lock, no hashing, no
+//! allocation — and [`Histogram::snapshot`] reads it back as a
+//! [`HistogramSnapshot`], the form the `{"record":"metrics",...}` tail
+//! renders.
 //!
 //! Histograms use power-of-two buckets: value 0 lands in bucket 0 and a
 //! value `v ≥ 1` in bucket `64 - v.leading_zeros()`, i.e. bucket `b`
-//! covers `[2^(b-1), 2^b)`. Merging histograms is bucket-wise addition,
-//! which makes the merge associative and commutative — the property the
-//! vs2-obs test suite pins down — and percentiles are nearest-rank over
-//! the merged buckets, reported as the bucket's lower bound.
+//! covers `[2^(b-1), 2^b)`. Percentiles are nearest-rank over the
+//! buckets, reported as the holding bucket's lower bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: bucket 0 for value 0, buckets 1..=64 for
 /// each power-of-two magnitude.
 pub const BUCKET_COUNT: usize = 65;
-
-/// Per-histogram atomic slots in a shard: the buckets plus count and sum.
-const HIST_SLOTS: usize = BUCKET_COUNT + 2;
 
 /// The bucket index of a value.
 #[inline]
@@ -37,165 +33,45 @@ pub fn bucket_lower_bound(bucket: usize) -> u64 {
     }
 }
 
-/// Dense handle to a counter declared in a [`MetricsSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Dense handle to a histogram declared in a [`MetricsSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// The fixed set of instruments a registry is built from. Declare every
-/// counter and histogram up front; the returned ids index the shards.
-#[derive(Debug, Default, Clone)]
-pub struct MetricsSpec {
-    counters: Vec<&'static str>,
-    histograms: Vec<&'static str>,
+/// A histogram that many threads record into at once: per-bucket
+/// counts plus count and sum, each one relaxed atomic.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; BUCKET_COUNT],
+    count: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl MetricsSpec {
-    /// An empty spec.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares a counter; the id is stable for the registry's lifetime.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.counters.push(name);
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Declares a histogram; the id is stable for the registry's
-    /// lifetime.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        self.histograms.push(name);
-        HistogramId(self.histograms.len() - 1)
-    }
-
-    /// Declared counter names, in declaration order.
-    pub fn counter_names(&self) -> &[&'static str] {
-        &self.counters
-    }
-
-    /// Declared histogram names, in declaration order.
-    pub fn histogram_names(&self) -> &[&'static str] {
-        &self.histograms
-    }
-}
-
-struct Shard {
-    counters: Box<[AtomicU64]>,
-    hists: Box<[AtomicU64]>,
-}
-
-impl Shard {
-    fn new(n_counters: usize, n_hists: usize) -> Self {
-        let zeroed = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
+impl Default for Histogram {
+    fn default() -> Self {
         Self {
-            counters: zeroed(n_counters),
-            hists: zeroed(n_hists * HIST_SLOTS),
+            buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
 }
 
-/// Sharded metrics storage: each writer picks a shard (any stable index —
-/// worker id, job sequence — reduced modulo the shard count) and updates
-/// it with relaxed atomics; readers merge all shards on scrape.
-pub struct MetricsRegistry {
-    spec: MetricsSpec,
-    shards: Vec<Shard>,
-}
-
-impl MetricsRegistry {
-    /// Builds a registry with `shards` independent shards (at least 1).
-    pub fn new(spec: MetricsSpec, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let built = (0..shards)
-            .map(|_| Shard::new(spec.counters.len(), spec.histograms.len()))
-            .collect();
-        Self {
-            spec,
-            shards: built,
-        }
-    }
-
-    /// The spec the registry was built from.
-    pub fn spec(&self) -> &MetricsSpec {
-        &self.spec
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Adds `n` to a counter in the given shard (reduced modulo the
-    /// shard count).
+impl Histogram {
+    /// Records one observation.
     #[inline]
-    pub fn counter_add(&self, shard: usize, id: CounterId, n: u64) {
-        self.shards[shard % self.shards.len()].counters[id.0].fetch_add(n, Ordering::Relaxed);
+    pub fn observe(&self, value: u64) {
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records one observation into a histogram in the given shard
-    /// (reduced modulo the shard count).
-    #[inline]
-    pub fn observe(&self, shard: usize, id: HistogramId, value: u64) {
-        let shard = &self.shards[shard % self.shards.len()];
-        let base = id.0 * HIST_SLOTS;
-        shard.hists[base + bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        shard.hists[base + BUCKET_COUNT].fetch_add(1, Ordering::Relaxed);
-        shard.hists[base + BUCKET_COUNT + 1].fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// The counter's value in one shard.
-    pub fn shard_counter(&self, shard: usize, id: CounterId) -> u64 {
-        self.shards[shard % self.shards.len()].counters[id.0].load(Ordering::Relaxed)
-    }
-
-    /// The counter's total across all shards.
-    pub fn counter_total(&self, id: CounterId) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.counters[id.0].load(Ordering::Relaxed))
-            .fold(0u64, u64::saturating_add)
-    }
-
-    /// A snapshot of one shard's histogram.
-    pub fn shard_histogram(&self, shard: usize, id: HistogramId) -> HistogramSnapshot {
-        let shard = &self.shards[shard % self.shards.len()];
-        let base = id.0 * HIST_SLOTS;
-        let mut snap = HistogramSnapshot::empty();
-        for (b, slot) in snap.buckets.iter_mut().enumerate() {
-            *slot = shard.hists[base + b].load(Ordering::Relaxed);
+    /// The observations recorded so far.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
         }
-        snap.count = shard.hists[base + BUCKET_COUNT].load(Ordering::Relaxed);
-        snap.sum = shard.hists[base + BUCKET_COUNT + 1].load(Ordering::Relaxed);
-        snap
-    }
-
-    /// The histogram merged across all shards.
-    pub fn histogram(&self, id: HistogramId) -> HistogramSnapshot {
-        (0..self.shards.len())
-            .map(|s| self.shard_histogram(s, id))
-            .fold(HistogramSnapshot::empty(), |acc, s| acc.merge(&s))
-    }
-
-    /// Every counter with its cross-shard total, in declaration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.spec
-            .counters
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (*name, self.counter_total(CounterId(i))))
-    }
-
-    /// Every histogram with its merged snapshot, in declaration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, HistogramSnapshot)> + '_ {
-        self.spec
-            .histograms
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (*name, self.histogram(HistogramId(i))))
     }
 }
 
@@ -226,20 +102,6 @@ impl HistogramSnapshot {
         self.buckets[bucket_of(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Bucket-wise merge: associative and commutative.
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a.saturating_add(*b))
-                .collect(),
-            count: self.count.saturating_add(other.count),
-            sum: self.sum.saturating_add(other.sum),
-        }
     }
 
     /// Nearest-rank percentile over the buckets (`p` in `(0, 100]`),
@@ -289,31 +151,22 @@ mod tests {
     }
 
     #[test]
-    fn counters_sum_across_shards() {
-        let mut spec = MetricsSpec::new();
-        let hits = spec.counter("hits");
-        let misses = spec.counter("misses");
-        let reg = MetricsRegistry::new(spec, 4);
-        for shard in 0..4 {
-            reg.counter_add(shard, hits, (shard + 1) as u64);
-        }
-        reg.counter_add(9, misses, 5); // shard index wraps modulo 4
-        assert_eq!(reg.counter_total(hits), 1 + 2 + 3 + 4);
-        assert_eq!(reg.counter_total(misses), 5);
-        assert_eq!(reg.shard_counter(1, misses), 5);
-    }
-
-    #[test]
     fn merged_histogram_equals_single_shard_reference() {
-        let mut spec = MetricsSpec::new();
-        let h = spec.histogram("lat");
-        let reg = MetricsRegistry::new(spec, 3);
+        // Observations from several threads land in one histogram; its
+        // snapshot equals a single-threaded reference of the same values.
+        let values = [0u64, 1, 1, 7, 100, 5_000, 123_456];
+        let hist = Histogram::default();
+        std::thread::scope(|s| {
+            for chunk in values.chunks(3) {
+                let hist = &hist;
+                s.spawn(move || chunk.iter().for_each(|&v| hist.observe(v)));
+            }
+        });
         let mut reference = HistogramSnapshot::empty();
-        for (i, v) in [0u64, 1, 1, 7, 100, 5_000, 123_456].iter().enumerate() {
-            reg.observe(i, h, *v);
-            reference.record(*v);
+        for v in values {
+            reference.record(v);
         }
-        assert_eq!(reg.histogram(h), reference);
+        assert_eq!(hist.snapshot(), reference);
     }
 
     #[test]
@@ -333,25 +186,15 @@ mod tests {
 
     #[test]
     fn concurrent_observations_are_not_lost() {
-        let mut spec = MetricsSpec::new();
-        let c = spec.counter("ops");
-        let h = spec.histogram("vals");
-        let reg = std::sync::Arc::new(MetricsRegistry::new(spec, 4));
-        let handles: Vec<_> = (0..4)
-            .map(|shard| {
-                let reg = std::sync::Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        reg.counter_add(shard, c, 1);
-                        reg.observe(shard, h, i);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(reg.counter_total(c), 4000);
-        assert_eq!(reg.histogram(h).count, 4000);
+        let hist = Histogram::default();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..1000u64).for_each(|i| hist.observe(i)));
+            }
+        });
+        let snap = hist.snapshot();
+        assert_eq!(snap.count, 4000);
+        assert_eq!(snap.buckets.iter().sum::<u64>(), 4000);
+        assert_eq!(snap.sum, 4 * (0..1000u64).sum::<u64>());
     }
 }

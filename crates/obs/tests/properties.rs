@@ -1,18 +1,10 @@
-//! Property tests for the sharded `MetricsRegistry`: merging histograms
-//! across worker shards must be associative and commutative, counter
-//! totals must equal the sum of shard increments, and percentiles of a
-//! merged histogram must agree with a single-shard reference.
+//! Property tests for the atomic `Histogram`: what it records must equal
+//! the single-threaded `HistogramSnapshot::record` reference, and its
+//! percentiles must agree with the exact nearest-rank sample percentile
+//! to within one bucket.
 
 use proptest::prelude::*;
-use vs2_obs::{bucket_of, HistogramSnapshot, MetricsRegistry, MetricsSpec};
-
-fn snapshot_of(values: &[u64]) -> HistogramSnapshot {
-    let mut snap = HistogramSnapshot::empty();
-    for &v in values {
-        snap.record(v);
-    }
-    snap
-}
+use vs2_obs::{bucket_of, Histogram, HistogramSnapshot};
 
 /// The nearest-rank percentile computed directly over the raw samples.
 fn exact_percentile(values: &[u64], p: f64) -> u64 {
@@ -26,66 +18,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn histogram_merge_is_associative_and_commutative(
-        a in proptest::collection::vec(0u64..1 << 40, 0..60),
-        b in proptest::collection::vec(0u64..1 << 40, 0..60),
-        c in proptest::collection::vec(0u64..1 << 40, 0..60),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-        prop_assert_eq!(sa.merge(&sb), sb.merge(&sa));
-        prop_assert_eq!(sa.merge(&sb).merge(&sc), sa.merge(&sb.merge(&sc)));
-        // Merging preserves mass exactly.
-        let merged = sa.merge(&sb).merge(&sc);
-        prop_assert_eq!(merged.count, (a.len() + b.len() + c.len()) as u64);
-        prop_assert_eq!(
-            merged.sum,
-            a.iter().chain(&b).chain(&c).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn counter_total_is_the_sum_of_shard_increments(
-        shards in 1usize..8,
-        increments in proptest::collection::vec((0usize..16, 0u64..1 << 32), 0..80),
-    ) {
-        let mut spec = MetricsSpec::new();
-        let id = spec.counter("ops");
-        let reg = MetricsRegistry::new(spec, shards);
-        let mut expected = 0u64;
-        let mut per_shard = vec![0u64; reg.num_shards()];
-        for &(shard, n) in &increments {
-            reg.counter_add(shard, id, n);
-            expected += n;
-            per_shard[shard % reg.num_shards()] += n;
-        }
-        prop_assert_eq!(reg.counter_total(id), expected);
-        for (shard, &want) in per_shard.iter().enumerate() {
-            prop_assert_eq!(reg.shard_counter(shard, id), want);
-        }
-    }
-
-    #[test]
     fn merged_percentiles_match_single_shard_reference(
-        shards in 2usize..8,
         values in proptest::collection::vec(0u64..1 << 40, 1..120),
     ) {
-        let mut spec = MetricsSpec::new();
-        let id = spec.histogram("lat");
-        let reg = MetricsRegistry::new(spec, shards);
-        // Scatter observations across shards round-robin; the reference
-        // records every observation into one snapshot.
-        for (i, &v) in values.iter().enumerate() {
-            reg.observe(i, id, v);
+        let hist = Histogram::default();
+        let mut reference = HistogramSnapshot::empty();
+        for &v in &values {
+            hist.observe(v);
+            reference.record(v);
         }
-        let merged = reg.histogram(id);
-        let reference = snapshot_of(&values);
-        prop_assert_eq!(&merged, &reference);
+        let snap = hist.snapshot();
+        prop_assert_eq!(&snap, &reference);
         for p in [50.0, 95.0, 99.0] {
             // Same bucketed value as the reference, and within one
             // bucket of the exact nearest-rank sample percentile.
-            prop_assert_eq!(merged.percentile(p), reference.percentile(p));
+            prop_assert_eq!(snap.percentile(p), reference.percentile(p));
             let exact = exact_percentile(&values, p);
-            prop_assert_eq!(bucket_of(merged.percentile(p)), bucket_of(exact));
+            prop_assert_eq!(bucket_of(snap.percentile(p)), bucket_of(exact));
         }
     }
 }

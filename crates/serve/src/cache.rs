@@ -22,13 +22,12 @@
 //! model slot; the inner level is each slot's [`PlanStore`] — the
 //! segmentation-plan cache of `vs2_core::plan`, namespaced per model so
 //! plans learned while serving one dataset/configuration can never be
-//! replayed under another. The outer level is bounded: at most
-//! [`ModelCache::capacity`] slots live at once, and the least recently
-//! used slot is evicted on overflow, dropping its plan namespace with
-//! it (plans are derived state and are simply re-captured on demand).
+//! replayed under another. The outer level is unbounded and never
+//! evicts: a service fixes its model seed and configuration, so its jobs
+//! address at most one slot per [`DatasetId`].
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use vs2_core::pipeline::{Vs2Config, Vs2Pipeline};
 use vs2_core::plan::{PlanCounters, PlanStore};
@@ -37,11 +36,6 @@ use vs2_core::Vs2Model;
 use vs2_synth::dataset::{holdout_corpus, DatasetId};
 
 use crate::handoff::{PlanEntry, PlanNamespace};
-
-/// Default bound on live model slots. Model keys are coarse (dataset ×
-/// seed × learn config) and models are large, so a small bound covers
-/// realistic serving mixes while capping memory.
-pub const DEFAULT_MODEL_CAPACITY: usize = 8;
 
 /// Per-dataset Eq. 2 weights, following §5.3.2: visually ornate posters
 /// weight the visual modality up.
@@ -74,12 +68,6 @@ struct CacheKey {
 struct Entry {
     model: Arc<OnceLock<Arc<Vs2Model>>>,
     plans: Arc<PlanStore>,
-    last_used: u64,
-}
-
-struct Inner {
-    entries: HashMap<CacheKey, Entry>,
-    clock: u64,
 }
 
 /// Counter snapshot of the full two-level cache, for summaries and the
@@ -88,104 +76,41 @@ struct Inner {
 pub struct CacheSnapshot {
     /// Model lookups served from a warm slot.
     pub model_hits: u64,
-    /// Model lookups that had to learn (or wait on a learner).
+    /// Model lookups whose own builder learned the model.
     pub model_misses: u64,
-    /// Model slots evicted by the LRU bound.
-    pub model_evictions: u64,
-    /// Aggregated plan counters over all *live* slots. Evicted slots
-    /// take their counters with them, so these are a floor, not a
-    /// lifetime total.
+    /// Plan counters aggregated over every slot.
     pub plans: PlanCounters,
 }
 
 /// Learn-once, extract-many cache of [`Vs2Model`]s keyed by
-/// `(dataset, model seed, learn config)`, bounded by an LRU policy,
-/// with a [`PlanStore`] namespace per slot.
+/// `(dataset, model seed, learn config)`, with a [`PlanStore`]
+/// namespace per slot.
+#[derive(Default)]
 pub struct ModelCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
+    entries: Mutex<HashMap<CacheKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for ModelCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_MODEL_CAPACITY)
-    }
 }
 
 impl ModelCache {
-    /// An empty cache with the default slot bound.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache bounded to `capacity` model slots (clamped to at
-    /// least 1 — a model cache that cannot hold a model cannot serve).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    fn slots(&self) -> MutexGuard<'_, HashMap<CacheKey, Entry>> {
+        // Learning runs outside the lock, so no panic can poison it.
+        self.entries.lock().expect("slot table lock poisoned")
     }
 
-    /// The slot bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of live model slots.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
-    }
-
-    /// `true` when no slots are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resolves the slot for `key`, refreshing its LRU stamp; creates it
-    /// (evicting the least recently used slot on overflow) when absent.
-    /// Eviction drops the victim's plan namespace along with its model —
-    /// both are derived state and rebuild on demand. A learner holding
-    /// the evicted `OnceLock` finishes unharmed; the cache just no
-    /// longer remembers the result.
-    fn entry(&self, key: &CacheKey) -> (Arc<OnceLock<Arc<Vs2Model>>>, Arc<PlanStore>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(e) = inner.entries.get_mut(key) {
-            e.last_used = now;
-            return (Arc::clone(&e.model), Arc::clone(&e.plans));
-        }
-        if inner.entries.len() >= self.capacity {
-            // O(n) victim scan: the bound is small and slot creation is
-            // rare (once per dataset × seed × config).
-            if let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let entry = Entry {
+    /// Resolves the slot for `key`, creating it when absent.
+    fn entry(&self, key: CacheKey) -> (Arc<OnceLock<Arc<Vs2Model>>>, Arc<PlanStore>) {
+        let mut entries = self.slots();
+        let e = entries.entry(key).or_insert_with(|| Entry {
             model: Arc::default(),
-            plans: Arc::new(PlanStore::default()),
-            last_used: now,
-        };
-        let out = (Arc::clone(&entry.model), Arc::clone(&entry.plans));
-        inner.entries.insert(key.clone(), entry);
-        out
+            plans: Arc::default(),
+        });
+        (Arc::clone(&e.model), Arc::clone(&e.plans))
     }
 
     /// Returns the learned model for `(dataset, model_seed)`, learning it
@@ -218,14 +143,14 @@ impl ModelCache {
     /// The plan namespace of `(dataset, model_seed, config)`'s slot —
     /// the second cache level. Creating the slot does *not* learn the
     /// model; the namespace is shared with [`ModelCache::model_for`]'s
-    /// slot for the same key and dies with it on eviction.
+    /// slot for the same key.
     pub fn plan_store_for(
         &self,
         dataset: DatasetId,
         model_seed: u64,
         config: &Vs2Config,
     ) -> Arc<PlanStore> {
-        self.entry(&Self::key(dataset, model_seed, config)).1
+        self.entry(Self::key(dataset, model_seed, config)).1
     }
 
     fn key(dataset: DatasetId, model_seed: u64, config: &Vs2Config) -> CacheKey {
@@ -245,7 +170,7 @@ impl ModelCache {
     where
         F: FnOnce() -> Arc<Vs2Model>,
     {
-        let (slot, _plans) = self.entry(&key);
+        let (slot, _plans) = self.entry(key);
         let mut learned = false;
         let model = Arc::clone(slot.get_or_init(|| {
             learned = true;
@@ -277,17 +202,11 @@ impl ModelCache {
         )
     }
 
-    /// Model slots evicted so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Plan counters aggregated over all live slots (evicted slots drop
-    /// their counters).
+    /// Plan counters aggregated over every slot.
     pub fn plan_counters(&self) -> PlanCounters {
-        let inner = self.inner.lock().unwrap();
+        let entries = self.slots();
         let mut total = PlanCounters::default();
-        for e in inner.entries.values() {
+        for e in entries.values() {
             total.add(&e.plans.counters());
         }
         total
@@ -297,9 +216,8 @@ impl ModelCache {
     /// snapshot, sorted by `(dataset name, model seed, learn config)` so
     /// the serialized order is stable.
     pub fn export_plan_namespaces(&self) -> Vec<PlanNamespace> {
-        let inner = self.inner.lock().unwrap();
-        let mut out: Vec<PlanNamespace> = inner
-            .entries
+        let entries = self.slots();
+        let mut out: Vec<PlanNamespace> = entries
             .iter()
             .filter(|(_, e)| !e.plans.is_empty())
             .map(|(key, e)| PlanNamespace {
@@ -328,17 +246,24 @@ impl ModelCache {
     }
 
     /// Preloads an exported namespace's plans into the namespace of the
-    /// same slot — the warm-start half of [`Self::export_plan_namespaces`].
+    /// same slot — the warm-start half of [`Self::export_plan_namespaces`]
+    /// — when that slot is the one `(namespace.dataset, model_seed,
+    /// config)` addresses. Any other namespace admits nothing and creates
+    /// no slot: no lookup under this seed and config could reach it.
     /// Creates the slot (without learning its model) when absent; the
     /// plan store's own first-plan-wins and capacity rules apply.
     /// Returns the number of plans admitted.
-    pub fn preload_plan_namespace(&self, namespace: &PlanNamespace) -> usize {
-        let key = CacheKey {
-            dataset: namespace.dataset,
-            model_seed: namespace.model_seed,
-            learn: namespace.learn.clone(),
-        };
-        let (_model, plans) = self.entry(&key);
+    pub fn preload_plan_namespace(
+        &self,
+        namespace: &PlanNamespace,
+        model_seed: u64,
+        config: &Vs2Config,
+    ) -> usize {
+        let key = Self::key(namespace.dataset, model_seed, config);
+        if (namespace.model_seed, &namespace.learn) != (key.model_seed, &key.learn) {
+            return 0;
+        }
+        let (_model, plans) = self.entry(key);
         plans.preload(
             namespace
                 .entries
@@ -352,7 +277,6 @@ impl ModelCache {
         CacheSnapshot {
             model_hits: self.hits.load(Ordering::Relaxed),
             model_misses: self.misses.load(Ordering::Relaxed),
-            model_evictions: self.evictions.load(Ordering::Relaxed),
             plans: self.plan_counters(),
         }
     }
@@ -464,62 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_order_is_pinned() {
-        let cache = ModelCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        cache.model_with_builder(test_key(1), tiny_model);
-        cache.model_with_builder(test_key(2), tiny_model);
-        // Refresh key 1: key 2 becomes the LRU victim.
-        cache.model_with_builder(test_key(1), || panic!("key 1 must be warm"));
-        cache.model_with_builder(test_key(3), tiny_model);
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-        // Keys 1 and 3 survived; key 2 must re-learn.
-        cache.model_with_builder(test_key(1), || panic!("key 1 was evicted"));
-        cache.model_with_builder(test_key(3), || panic!("key 3 was evicted"));
-        let relearned = std::sync::atomic::AtomicBool::new(false);
-        cache.model_with_builder(test_key(2), || {
-            relearned.store(true, Ordering::Relaxed);
-            tiny_model()
-        });
-        assert!(
-            relearned.load(Ordering::Relaxed),
-            "key 2 must have been evicted"
-        );
-        assert_eq!(
-            cache.evictions(),
-            2,
-            "re-admitting key 2 evicts another slot"
-        );
-    }
-
-    #[test]
-    fn capacity_is_clamped_to_one() {
-        let cache = ModelCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1);
-        cache.model_with_builder(test_key(1), tiny_model);
-        cache.model_with_builder(test_key(1), || panic!("single slot must hold"));
-    }
-
-    #[test]
-    fn eviction_drops_the_plan_namespace() {
-        let cache = ModelCache::with_capacity(1);
-        let cfg = default_config_for(DatasetId::D1);
-        let plans_a = cache.plan_store_for(DatasetId::D1, 1, &cfg);
-        let again = cache.plan_store_for(DatasetId::D1, 1, &cfg);
-        assert!(Arc::ptr_eq(&plans_a, &again), "same slot, same namespace");
-        // A second key evicts the first slot and its namespace.
-        let _plans_b = cache.plan_store_for(DatasetId::D1, 2, &cfg);
-        assert_eq!(cache.evictions(), 1);
-        let fresh = cache.plan_store_for(DatasetId::D1, 1, &cfg);
-        assert!(
-            !Arc::ptr_eq(&plans_a, &fresh),
-            "an evicted namespace must not resurrect"
-        );
-        assert!(fresh.is_empty());
-    }
-
-    #[test]
     fn snapshot_aggregates_live_plan_counters() {
         let cache = ModelCache::new();
         let cfg = default_config_for(DatasetId::D1);
@@ -541,7 +409,6 @@ mod tests {
         let snap = cache.snapshot();
         assert_eq!(snap.plans.misses, 1);
         assert_eq!(snap.plans.inserts, 1);
-        assert_eq!(snap.model_evictions, 0);
     }
 
     #[test]
@@ -573,7 +440,7 @@ mod tests {
         // Warm-start a second cache from the export: the repeat document
         // replays with zero misses.
         let successor = ModelCache::new();
-        assert_eq!(successor.preload_plan_namespace(&exported[0]), 1);
+        assert_eq!(successor.preload_plan_namespace(&exported[0], 1, &cfg), 1);
         let warm = successor.plan_store_for(DatasetId::D1, 1, &cfg);
         let (_, outcome) = vs2_core::plan::planned_blocks(
             &doc,
@@ -583,6 +450,28 @@ mod tests {
         );
         assert_eq!(outcome, vs2_core::plan::PlanOutcome::Replayed);
         assert_eq!(successor.snapshot().plans.misses, 0);
+    }
+
+    #[test]
+    fn foreign_namespace_preloads_nothing_and_creates_no_slot() {
+        let cfg = default_config_for(DatasetId::D1);
+        let mut other = cfg;
+        other.learn.max_patterns += 1;
+        let cache = ModelCache::new();
+        let namespace = |model_seed: u64, config: &Vs2Config| PlanNamespace {
+            dataset: DatasetId::D1,
+            model_seed,
+            learn: ModelCache::key(DatasetId::D1, model_seed, config).learn,
+            entries: Vec::new(),
+        };
+        assert_eq!(
+            cache.preload_plan_namespace(&namespace(2, &cfg), 1, &cfg),
+            0
+        );
+        cache.preload_plan_namespace(&namespace(1, &other), 1, &cfg);
+        assert!(cache.slots().is_empty());
+        cache.preload_plan_namespace(&namespace(1, &cfg), 1, &cfg);
+        assert_eq!(cache.slots().len(), 1);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   and its run time is added to the job's latency. An answer
 //!   completes the job as [`JobOutcome::Degraded`]; otherwise the job is
 //!   recorded in the append-only quarantine ledger and completes as
-//!   [`JobOutcome::Failed`].
+//!   [`JobOutcome::Failed`], with the error the fallback returned (or,
+//!   when it panicked, the error that sent the job there).
 //! * **One claim per job.** Every answer path — a shed, an `Ok`, a
 //!   failure and a deadline trip — first claims the job's sequence
 //!   number, and only the winner runs the fallback, appends to the
@@ -130,7 +131,7 @@ impl JobCtx {
             seq,
             attempt,
             faults,
-            metrics: Arc::new(EngineMetrics::new(1)),
+            metrics: Arc::new(EngineMetrics::new()),
         }
     }
 
@@ -150,7 +151,7 @@ impl JobCtx {
             return Ok(());
         };
         if plan.decide(site, self.seq, self.attempt).is_some() {
-            self.metrics.on_fault(site, self.seq);
+            self.metrics.on_fault(site);
         }
         plan.apply(site, self.seq, self.attempt)
     }
@@ -283,7 +284,7 @@ struct ResultsState<O> {
 }
 
 type Process<J, O> = Box<dyn Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync>;
-type Fallback<J, O> = Box<dyn Fn(&J) -> Option<O> + Send + Sync>;
+type Fallback<J, O> = Box<dyn Fn(&J, &ServeError) -> Result<O, ServeError> + Send + Sync>;
 
 struct Shared<J, O> {
     process: Process<J, O>,
@@ -326,16 +327,16 @@ impl<J, O> Shared<J, O> {
     ) {
         let mut results = self.results.lock().unwrap();
         match &outcome {
-            JobOutcome::Ok(_) => self.metrics.on_ok(seq),
-            JobOutcome::Degraded { .. } => self.metrics.on_degraded(seq),
-            JobOutcome::Failed(_) => self.metrics.on_quarantined(seq),
-            JobOutcome::Shed(_) => self.metrics.on_shed(seq),
+            JobOutcome::Ok(_) => self.metrics.on_ok(),
+            JobOutcome::Degraded { .. } => self.metrics.on_degraded(),
+            JobOutcome::Failed(_) => self.metrics.on_quarantined(),
+            JobOutcome::Shed(_) => self.metrics.on_shed(),
         }
         // Shed jobs did no work: no latency sample, and no step of the
         // admission controller's latency EWMA (engine progress, not wall
         // clock, advances it), which they would only drag toward zero.
         if !outcome.is_shed() {
-            self.metrics.on_job_latency(seq, latency);
+            self.metrics.on_job_latency(latency);
             if let Some(admit) = &self.admit {
                 admit.on_completion(latency);
             }
@@ -399,19 +400,21 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
     {
-        Self::with_fallback(config, process, |_| None)
+        Self::with_fallback(config, process, |_, error| Err(error.clone()))
     }
 
     /// Like [`BatchEngine::new`], plus a degradation fallback: when a
     /// job's primary attempts are all spent (other than by timeout), or
     /// admission control routes it to the degrade lane, `fallback` gets
-    /// one shot at producing a cheaper answer. A `Some` return completes
-    /// the job as [`JobOutcome::Degraded`]; `None` or a panic sends it
-    /// to quarantine.
+    /// one shot at producing a cheaper answer, given the error that sent
+    /// the job there. An `Ok` completes the job as
+    /// [`JobOutcome::Degraded`]; an `Err` quarantines it with that error
+    /// (return the given error to decline), and a panic quarantines it
+    /// with the given error.
     pub fn with_fallback<F, G>(config: EngineConfig, process: F, fallback: G) -> Self
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
-        G: Fn(&J) -> Option<O> + Send + Sync + 'static,
+        G: Fn(&J, &ServeError) -> Result<O, ServeError> + Send + Sync + 'static,
     {
         let shared = Arc::new(Shared {
             process: Box::new(process),
@@ -428,7 +431,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
             timeout: config.job_timeout,
             max_attempts: config.max_attempts,
             faults: config.faults,
-            metrics: Arc::new(EngineMetrics::new(config.workers.max(1))),
+            metrics: Arc::new(EngineMetrics::new()),
             admit: config.admit.map(AdmitController::new),
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
@@ -458,7 +461,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
         }
     }
 
-    /// The engine's ledger: every event it counts, one shard per worker.
+    /// The engine's ledger: every event it counts.
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         &self.shared.metrics
     }
@@ -485,7 +488,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// closed).
     pub fn submit_with(&self, job: J, client: Option<&str>, lane: Lane) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.metrics.on_lane(seq, lane);
+        self.shared.metrics.on_lane(lane);
         let decision = if self.shared.draining.load(Ordering::Relaxed) {
             AdmitDecision::Shed(ShedReason::Draining)
         } else {
@@ -504,7 +507,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
                 return seq;
             }
             AdmitDecision::Degrade(reason) => {
-                self.shared.metrics.on_admit_degrade(seq);
+                self.shared.metrics.on_admit_degrade();
                 Some(reason)
             }
             AdmitDecision::Accept => None,
@@ -633,7 +636,8 @@ impl<J: Send + 'static, O: Send + 'static> Drop for BatchEngine<J, O> {
 /// Ends a job that has no primary answer, unless another path already
 /// claimed it: the fallback gets one shot, its run time added to
 /// `latency`. An answer publishes [`JobOutcome::Degraded`]; otherwise the
-/// job is quarantined.
+/// job is quarantined with the fallback's error, or with `error` when
+/// the fallback panicked.
 fn finish_failed<J, O>(
     shared: &Shared<J, O>,
     job: &J,
@@ -647,14 +651,15 @@ fn finish_failed<J, O>(
         return;
     }
     let start = Instant::now();
-    let output = catch_unwind(AssertUnwindSafe(|| (shared.fallback)(job)));
+    let output = catch_unwind(AssertUnwindSafe(|| (shared.fallback)(job, &error)));
     latency += start.elapsed();
     match output {
-        Ok(Some(output)) => {
+        Ok(Ok(output)) => {
             let outcome = JobOutcome::Degraded { output, error };
             shared.publish(seq, outcome, latency, dwell, attempts);
         }
-        _ => shared.quarantine(seq, error, latency, dwell, attempts),
+        Ok(Err(own)) => shared.quarantine(seq, own, latency, dwell, attempts),
+        Err(_) => shared.quarantine(seq, error, latency, dwell, attempts),
     }
 }
 
@@ -675,9 +680,9 @@ fn trip_deadline<J, O>(
     if !shared.claim(seq) {
         return;
     }
-    shared.metrics.on_timeout(seq);
+    shared.metrics.on_timeout();
     if panicked {
-        shared.metrics.on_panic(seq);
+        shared.metrics.on_panic();
     }
     let error = ServeError::Timeout { elapsed };
     shared.quarantine(seq, error, elapsed, dwell, attempt + 1);
@@ -699,7 +704,7 @@ fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
         enqueued,
     } = queued;
     let dwell = enqueued.elapsed();
-    shared.metrics.on_dwell(seq, dwell);
+    shared.metrics.on_dwell(dwell);
     // Degrade-routed jobs skip the primary pipeline entirely: one shot
     // at the fallback, no retries, no watchdog registration.
     if let Some(reason) = degrade {
@@ -745,12 +750,12 @@ fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
             }
             Ok(Err(error)) => error,
             Err(payload) => {
-                shared.metrics.on_panic(seq);
+                shared.metrics.on_panic();
                 ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
             }
         };
         if error.is_retryable() && attempt + 1 < shared.max_attempts {
-            shared.metrics.on_retry(seq);
+            shared.metrics.on_retry();
             attempt += 1;
             continue;
         }
@@ -939,7 +944,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Retryable("always flaky".into())),
-            |job| Some(job + 100),
+            |job, _| Ok(job + 100),
         );
         engine.submit(1);
         engine.submit(2);
@@ -977,9 +982,9 @@ mod tests {
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
-            |job| {
+            |job, _| {
                 std::thread::sleep(Duration::from_millis(20));
-                Some(*job)
+                Ok(*job)
             },
         );
         engine.submit(3);
@@ -1030,11 +1035,11 @@ mod tests {
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
-            |job| {
+            |job, error| {
                 if *job == 0 {
                     panic!("fallback panics too");
                 }
-                None // fallback declines
+                Err(error.clone()) // fallback declines
             },
         );
         engine.submit(0);
@@ -1331,7 +1336,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             |job, _ctx| Ok(*job),
-            |job| Some(job + 100),
+            |job, _| Ok(job + 100),
         );
         engine.submit_with(1, Some("flood"), Lane::Batch);
         engine.submit_with(2, Some("flood"), Lane::Batch);

@@ -23,6 +23,7 @@ use vs2_docmodel::Document;
 use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
 use crate::admit::Lane;
+use crate::error::ServeError;
 
 /// Generation seed used when a synthetic job spec omits `seed`; the
 /// bench harness's `RunConfig` defaults to it too.
@@ -115,6 +116,20 @@ impl JobSpec {
             }
             JobSource::Inline(doc) => Arc::clone(doc),
         }))
+    }
+
+    /// Checks an inline document's geometry
+    /// ([`Document::validate_geometry`]): geometry the segmenter cannot
+    /// work with fails [`ServeError::Fatal`], naming the field as the
+    /// wire's `invalid` answer does (`doc.texts[3].bbox.w = -2: ...`).
+    /// Synthetic documents are generated valid.
+    pub fn validate_geometry(&self) -> Result<(), ServeError> {
+        match &self.source {
+            JobSource::Inline(doc) => doc
+                .validate_geometry()
+                .map_err(|e| ServeError::Fatal(format!("doc.{e}"))),
+            JobSource::Synthetic { .. } => Ok(()),
+        }
     }
 }
 

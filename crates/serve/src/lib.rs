@@ -39,10 +39,11 @@
 //!   isolation, bounded immediate retries, final soft timeouts (a job past its
 //!   deadline is quarantined, not retried), poison-job quarantine,
 //!   graceful degradation and submission-ordered results.
-//! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing.
+//! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing,
+//!   one slot per `(dataset, seed, learn config)` key.
 //! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — the engine's always-on
-//!   ledger (sharded lock-free registry) and opt-in per-job span capture
-//!   for `--trace`.
+//!   ledger (one table of atomic counters and two atomic histograms) and
+//!   opt-in per-job span capture for `--trace`.
 //! * [`service::ExtractService`] — the layers wired together over
 //!   [`job::JobSpec`]s, degrading to XY-cut segmentation
 //!   ([`vs2_core::cheap_blocks`]) when the learned pipeline fails a job.

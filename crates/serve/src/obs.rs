@@ -1,10 +1,9 @@
-//! Serving-layer observability: the engine's ledger over a sharded
-//! [`MetricsRegistry`], and per-job span capture for `--trace` output.
+//! Serving-layer observability: the engine's ledger, and per-job span
+//! capture for `--trace` output.
 //!
-//! [`EngineMetrics`] declares the serving metric set once and hands the
-//! engine dense counter/histogram ids; the hot path is one relaxed
-//! atomic add into the shard addressed by the job's sequence number, so
-//! workers never contend on a metrics lock. Every engine owns one and
+//! [`EngineMetrics`] is one table of relaxed atomic counters plus two
+//! atomic [`Histogram`]s; recording an event is one atomic add (three
+//! for a histogram sample), with no lock. Every engine owns one and
 //! always records into it — it is the single source of
 //! [`crate::engine::EngineStats`] and of the `{"record":"metrics",...}`
 //! tail. It holds no second copy of a count another layer keeps: plan
@@ -15,12 +14,13 @@
 //! `{"record":"span",...}` JSONL lines.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use vs2_core::triage::TriageDecision;
 use vs2_obs::export::{counter_json, histogram_json};
-use vs2_obs::{CounterId, HistogramId, MetricsRegistry, MetricsSpec, SpanRecord};
+use vs2_obs::{Histogram, SpanRecord};
 
 use crate::admit::Lane;
 use crate::cache::CacheSnapshot;
@@ -32,102 +32,94 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// The ledger's counters; each indexes [`COUNTER_NAMES`].
+#[derive(Clone, Copy)]
+enum Counter {
+    JobsOk,
+    JobsDegraded,
+    JobsQuarantined,
+    Retries,
+    Panics,
+    Timeouts,
+    FaultsModelBuild,
+    FaultsSegment,
+    FaultsSelect,
+    TriageFull,
+    TriageCheap,
+    TriageReplay,
+    JobsShed,
+    AdmitDegrades,
+    LaneInteractive,
+    LaneBatch,
+}
+
+/// Counter names in [`Counter`] order, which is the tail order.
+const COUNTER_NAMES: [&str; 16] = [
+    "jobs_ok",
+    "jobs_degraded",
+    "jobs_quarantined",
+    "retries",
+    "panics",
+    "timeouts",
+    "faults_model_build",
+    "faults_segment",
+    "faults_select",
+    "triage_full",
+    "triage_cheap",
+    "triage_replay",
+    "jobs_shed",
+    "admit_degrades",
+    "lane_interactive",
+    "lane_batch",
+];
+
 /// The serving-layer metric set: queue dwell and job latency histograms,
 /// outcome/retry/panic/timeout counters, and per-site fault triggers.
+#[derive(Default)]
 pub struct EngineMetrics {
-    registry: MetricsRegistry,
-    queue_dwell_us: HistogramId,
-    job_latency_us: HistogramId,
-    jobs_ok: CounterId,
-    jobs_degraded: CounterId,
-    jobs_quarantined: CounterId,
-    retries: CounterId,
-    panics: CounterId,
-    timeouts: CounterId,
-    faults_model_build: CounterId,
-    faults_segment: CounterId,
-    faults_select: CounterId,
-    triage_full: CounterId,
-    triage_cheap: CounterId,
-    triage_replay: CounterId,
-    jobs_shed: CounterId,
-    admit_degrades: CounterId,
-    lane_interactive: CounterId,
-    lane_batch: CounterId,
+    counters: [AtomicU64; COUNTER_NAMES.len()],
+    queue_dwell_us: Histogram,
+    job_latency_us: Histogram,
 }
 
 impl EngineMetrics {
-    /// Builds the metric set over `shards` registry shards (use the
-    /// worker count; any stable per-job index works as the shard key).
-    pub fn new(shards: usize) -> Self {
-        let mut spec = MetricsSpec::new();
-        let jobs_ok = spec.counter("jobs_ok");
-        let jobs_degraded = spec.counter("jobs_degraded");
-        let jobs_quarantined = spec.counter("jobs_quarantined");
-        let retries = spec.counter("retries");
-        let panics = spec.counter("panics");
-        let timeouts = spec.counter("timeouts");
-        let faults_model_build = spec.counter("faults_model_build");
-        let faults_segment = spec.counter("faults_segment");
-        let faults_select = spec.counter("faults_select");
-        let triage_full = spec.counter("triage_full");
-        let triage_cheap = spec.counter("triage_cheap");
-        let triage_replay = spec.counter("triage_replay");
-        let jobs_shed = spec.counter("jobs_shed");
-        let admit_degrades = spec.counter("admit_degrades");
-        let lane_interactive = spec.counter("lane_interactive");
-        let lane_batch = spec.counter("lane_batch");
-        let queue_dwell_us = spec.histogram("queue_dwell_us");
-        let job_latency_us = spec.histogram("job_latency_us");
-        Self {
-            registry: MetricsRegistry::new(spec, shards),
-            queue_dwell_us,
-            job_latency_us,
-            jobs_ok,
-            jobs_degraded,
-            jobs_quarantined,
-            retries,
-            panics,
-            timeouts,
-            faults_model_build,
-            faults_segment,
-            faults_select,
-            triage_full,
-            triage_cheap,
-            triage_replay,
-            jobs_shed,
-            admit_degrades,
-            lane_interactive,
-            lane_batch,
-        }
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The backing registry (for scraping and tests).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// Every counter with its total, in tail order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTER_NAMES
+            .into_iter()
+            .zip(self.counters.iter().map(|c| c.load(Ordering::Relaxed)))
     }
 
-    fn total(&self, id: CounterId) -> u64 {
-        self.registry.counter_total(id)
+    fn add(&self, counter: Counter) {
+        self.counters[counter as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn total(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     /// The engine counters: submissions are the two lane counts, and
     /// `completed` is `ok + degraded + quarantined + shed`. The queue
     /// keeps its own stall count.
     pub fn engine_stats(&self, queue_stalls: u64) -> EngineStats {
-        let ok = self.total(self.jobs_ok);
-        let degraded = self.total(self.jobs_degraded);
-        let quarantined = self.total(self.jobs_quarantined);
-        let shed = self.total(self.jobs_shed);
+        let ok = self.total(Counter::JobsOk);
+        let degraded = self.total(Counter::JobsDegraded);
+        let quarantined = self.total(Counter::JobsQuarantined);
+        let shed = self.total(Counter::JobsShed);
         EngineStats {
-            submitted: self.total(self.lane_interactive) + self.total(self.lane_batch),
+            submitted: self.total(Counter::LaneInteractive) + self.total(Counter::LaneBatch),
             completed: ok + degraded + quarantined + shed,
             ok,
             degraded,
             quarantined,
-            retried: self.total(self.retries),
-            panicked: self.total(self.panics),
-            timed_out: self.total(self.timeouts),
+            retried: self.total(Counter::Retries),
+            panicked: self.total(Counter::Panics),
+            timed_out: self.total(Counter::Timeouts),
             shed,
             queue_stalls,
         }
@@ -135,109 +127,91 @@ impl EngineMetrics {
 
     /// How many times the triage router took `decision`.
     pub fn triage_count(&self, decision: TriageDecision) -> u64 {
-        self.total(self.triage_id(decision))
-    }
-
-    fn triage_id(&self, decision: TriageDecision) -> CounterId {
-        match decision {
-            TriageDecision::FullVs2 => self.triage_full,
-            TriageDecision::CheapPath => self.triage_cheap,
-            TriageDecision::PlanReplay => self.triage_replay,
-        }
+        self.total(triage_counter(decision))
     }
 
     /// Time a job spent queued before a worker picked it up.
-    pub fn on_dwell(&self, seq: u64, dwell: Duration) {
-        self.registry
-            .observe(seq as usize, self.queue_dwell_us, micros(dwell));
+    pub fn on_dwell(&self, dwell: Duration) {
+        self.queue_dwell_us.observe(micros(dwell));
     }
 
     /// Processing latency of a job's deciding attempt.
-    pub fn on_job_latency(&self, seq: u64, latency: Duration) {
-        self.registry
-            .observe(seq as usize, self.job_latency_us, micros(latency));
+    pub fn on_job_latency(&self, latency: Duration) {
+        self.job_latency_us.observe(micros(latency));
     }
 
     /// A retry was dispatched (a re-run after a transient failure).
-    pub fn on_retry(&self, seq: u64) {
-        self.registry.counter_add(seq as usize, self.retries, 1);
+    pub fn on_retry(&self) {
+        self.add(Counter::Retries);
     }
 
     /// A processor panic was caught.
-    pub fn on_panic(&self, seq: u64) {
-        self.registry.counter_add(seq as usize, self.panics, 1);
+    pub fn on_panic(&self) {
+        self.add(Counter::Panics);
     }
 
     /// A soft-deadline trip fired (it quarantines the job).
-    pub fn on_timeout(&self, seq: u64) {
-        self.registry.counter_add(seq as usize, self.timeouts, 1);
+    pub fn on_timeout(&self) {
+        self.add(Counter::Timeouts);
     }
 
     /// A job completed on the primary path.
-    pub fn on_ok(&self, seq: u64) {
-        self.registry.counter_add(seq as usize, self.jobs_ok, 1);
+    pub fn on_ok(&self) {
+        self.add(Counter::JobsOk);
     }
 
     /// A job completed via the degradation fallback.
-    pub fn on_degraded(&self, seq: u64) {
-        self.registry
-            .counter_add(seq as usize, self.jobs_degraded, 1);
+    pub fn on_degraded(&self) {
+        self.add(Counter::JobsDegraded);
     }
 
     /// A job was quarantined with no answer.
-    pub fn on_quarantined(&self, seq: u64) {
-        self.registry
-            .counter_add(seq as usize, self.jobs_quarantined, 1);
+    pub fn on_quarantined(&self) {
+        self.add(Counter::JobsQuarantined);
     }
 
     /// A job was shed by admission control.
-    pub fn on_shed(&self, seq: u64) {
-        self.registry.counter_add(seq as usize, self.jobs_shed, 1);
+    pub fn on_shed(&self) {
+        self.add(Counter::JobsShed);
     }
 
     /// Admission routed a job straight to the degradation fallback.
-    pub fn on_admit_degrade(&self, seq: u64) {
-        self.registry
-            .counter_add(seq as usize, self.admit_degrades, 1);
+    pub fn on_admit_degrade(&self) {
+        self.add(Counter::AdmitDegrades);
     }
 
     /// A job was submitted on `lane`.
-    pub fn on_lane(&self, seq: u64, lane: Lane) {
-        let id = match lane {
-            Lane::Interactive => self.lane_interactive,
-            Lane::Batch => self.lane_batch,
-        };
-        self.registry.counter_add(seq as usize, id, 1);
+    pub fn on_lane(&self, lane: Lane) {
+        self.add(match lane {
+            Lane::Interactive => Counter::LaneInteractive,
+            Lane::Batch => Counter::LaneBatch,
+        });
     }
 
     /// The triage router decided how a job's segmentation ran.
-    pub fn on_triage(&self, seq: u64, decision: TriageDecision) {
-        self.registry
-            .counter_add(seq as usize, self.triage_id(decision), 1);
+    pub fn on_triage(&self, decision: TriageDecision) {
+        self.add(triage_counter(decision));
     }
 
     /// An injected fault fired at `site`.
-    pub fn on_fault(&self, site: FaultSite, seq: u64) {
-        let id = match site {
-            FaultSite::ModelBuild => self.faults_model_build,
-            FaultSite::Segment => self.faults_segment,
-            FaultSite::Select => self.faults_select,
-        };
-        self.registry.counter_add(seq as usize, id, 1);
+    pub fn on_fault(&self, site: FaultSite) {
+        self.add(match site {
+            FaultSite::ModelBuild => Counter::FaultsModelBuild,
+            FaultSite::Segment => Counter::FaultsSegment,
+            FaultSite::Select => Counter::FaultsSelect,
+        });
     }
 
     /// Renders the ledger as `{"record":"metrics",...}` JSONL lines:
-    /// every declared counter and histogram in declaration order, plus
-    /// both levels of the model + plan cache's counters.
+    /// every counter in tail order, both levels of the model + plan
+    /// cache's counters, then the two histograms.
     pub fn metrics_lines(&self, cache: &CacheSnapshot) -> Vec<String> {
-        let reg = &self.registry;
-        let mut lines = Vec::new();
-        for (name, total) in reg.counters() {
-            lines.push(counter_json(name, total));
-        }
+        let mut lines: Vec<String> = self
+            .counters()
+            .map(|(name, total)| counter_json(name, total))
+            .collect();
         lines.push(counter_json("model_cache_hits", cache.model_hits));
         lines.push(counter_json("model_cache_misses", cache.model_misses));
-        lines.push(counter_json("model_cache_evictions", cache.model_evictions));
         let p = &cache.plans;
         lines.push(counter_json("plan_cache_hits", p.hits));
         lines.push(counter_json("plan_cache_misses", p.misses));
@@ -249,10 +223,23 @@ impl EngineMetrics {
         lines.push(counter_json("plan_cache_evictions", p.evictions));
         lines.push(counter_json("plan_cache_bypasses", p.bypasses));
         lines.push(counter_json("plan_cache_uncacheable", p.uncacheable));
-        for (name, snap) in reg.histograms() {
-            lines.push(histogram_json(name, &snap));
-        }
+        lines.push(histogram_json(
+            "queue_dwell_us",
+            &self.queue_dwell_us.snapshot(),
+        ));
+        lines.push(histogram_json(
+            "job_latency_us",
+            &self.job_latency_us.snapshot(),
+        ));
         lines
+    }
+}
+
+fn triage_counter(decision: TriageDecision) -> Counter {
+    match decision {
+        TriageDecision::FullVs2 => Counter::TriageFull,
+        TriageDecision::CheapPath => Counter::TriageCheap,
+        TriageDecision::PlanReplay => Counter::TriageReplay,
     }
 }
 
@@ -281,5 +268,58 @@ impl ObsHub {
     /// Removes and returns the spans stored for `seq`.
     pub fn take_spans(&self, seq: u64) -> Option<Vec<SpanRecord>> {
         self.spans.lock().unwrap().remove(&seq)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A counter name and an event that must move only that counter.
+    type Event = (&'static str, fn(&EngineMetrics));
+
+    #[test]
+    fn each_event_moves_its_named_counter() {
+        let events: [Event; 16] = [
+            ("jobs_ok", |m| m.on_ok()),
+            ("jobs_degraded", |m| m.on_degraded()),
+            ("jobs_quarantined", |m| m.on_quarantined()),
+            ("retries", |m| m.on_retry()),
+            ("panics", |m| m.on_panic()),
+            ("timeouts", |m| m.on_timeout()),
+            ("faults_model_build", |m| m.on_fault(FaultSite::ModelBuild)),
+            ("faults_segment", |m| m.on_fault(FaultSite::Segment)),
+            ("faults_select", |m| m.on_fault(FaultSite::Select)),
+            ("triage_full", |m| m.on_triage(TriageDecision::FullVs2)),
+            ("triage_cheap", |m| m.on_triage(TriageDecision::CheapPath)),
+            ("triage_replay", |m| m.on_triage(TriageDecision::PlanReplay)),
+            ("jobs_shed", |m| m.on_shed()),
+            ("admit_degrades", |m| m.on_admit_degrade()),
+            ("lane_interactive", |m| m.on_lane(Lane::Interactive)),
+            ("lane_batch", |m| m.on_lane(Lane::Batch)),
+        ];
+        for (name, event) in events {
+            let metrics = EngineMetrics::new();
+            event(&metrics);
+            let moved: Vec<_> = metrics.counters().filter(|&(_, v)| v > 0).collect();
+            assert_eq!(moved, [(name, 1)]);
+        }
+    }
+
+    #[test]
+    fn concurrent_events_are_not_lost() {
+        let metrics = EngineMetrics::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for i in 0..1000 {
+                        metrics.on_ok();
+                        metrics.on_job_latency(Duration::from_micros(i));
+                    }
+                });
+            }
+        });
+        assert_eq!(metrics.engine_stats(0).ok, 4000);
+        assert_eq!(metrics.job_latency_us.snapshot().count, 4000);
     }
 }

@@ -71,6 +71,8 @@ pub struct ExtractService {
     engine: BatchEngine<JobSpec, Vec<Extraction>>,
     cache: Arc<ModelCache>,
     obs: Option<Arc<ObsHub>>,
+    model_seed: u64,
+    config: Option<Vs2Config>,
 }
 
 impl ExtractService {
@@ -104,6 +106,11 @@ impl ExtractService {
         let process = move |spec: &JobSpec, ctx: &crate::engine::JobCtx| {
             let run =
                 |ctx: &crate::engine::JobCtx| -> Result<Vec<Extraction>, crate::error::ServeError> {
+                    // Checked once per job: bad geometry is fatal, so a
+                    // retry only follows a first attempt that passed.
+                    if ctx.attempt == 0 {
+                        spec.validate_geometry()?;
+                    }
                     // Root span for the serving path; the pipeline stages
                     // (segment / select / assign) nest under it.
                     let _extract_span = vs2_obs::span(vs2_obs::stages::EXTRACT);
@@ -140,7 +147,7 @@ impl ExtractService {
                             &triage_config,
                             plans.as_ref().map(|s| (&plan_config, &**s)),
                         );
-                        ctx.metrics().on_triage(ctx.seq, decision);
+                        ctx.metrics().on_triage(decision);
                         blocks
                     } else if options.plan_cache {
                         let plans = worker_cache.plan_store_for(spec.dataset, model_seed, &config);
@@ -172,25 +179,29 @@ impl ExtractService {
                 None => run(ctx),
             }
         };
-        let fallback = move |spec: &JobSpec| {
+        let fallback = move |spec: &JobSpec, _: &crate::error::ServeError| {
             // Degradation path (also the admission degrade lane): same
             // learned pattern inventory and select stage, but
             // segmentation is the triage cheap path's XY-cut, so a
             // degraded answer equals a triage-cheap one. No fault
             // checkpoints here — the fallback must stay reliable under
-            // the same plan that broke the primary path.
+            // the same plan that broke the primary path. The degrade
+            // lane runs only this, so it checks the geometry too.
+            spec.validate_geometry()?;
             let config = config.unwrap_or_else(|| default_config_for(spec.dataset));
             let pipeline = fallback_cache.pipeline_for(spec.dataset, model_seed, config);
             // Reuses the Arc the primary attempt already materialised.
             let doc = spec.document_arc();
             let blocks = vs2_core::cheap_blocks(&doc, &triage_config.cheap);
-            Some(pipeline.extract_on_blocks(&doc, &blocks))
+            Ok(pipeline.extract_on_blocks(&doc, &blocks))
         };
         let engine = BatchEngine::with_fallback(engine_config, process, fallback);
         Self {
             engine,
             cache,
             obs: hub,
+            model_seed,
+            config,
         }
     }
 
@@ -267,12 +278,20 @@ impl ExtractService {
 
     /// Warm-starts the plan cache from a handoff snapshot's namespaces
     /// ([`ModelCache::preload_plan_namespace`]); returns the number of
-    /// plans admitted.
+    /// plans admitted. Only namespaces whose model seed and learn
+    /// configuration match the ones this service's jobs look up are
+    /// admitted; any other namespace is skipped and creates no slot.
     pub fn warm_start(&self, snapshot: &HandoffSnapshot) -> usize {
         snapshot
             .plans
             .iter()
-            .map(|ns| self.cache.preload_plan_namespace(ns))
+            .map(|ns| {
+                let config = self
+                    .config
+                    .unwrap_or_else(|| default_config_for(ns.dataset));
+                self.cache
+                    .preload_plan_namespace(ns, self.model_seed, &config)
+            })
             .sum()
     }
 

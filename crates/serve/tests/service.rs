@@ -3,9 +3,11 @@
 use std::time::Duration;
 
 use serde::Serialize;
+use std::sync::Arc;
+
 use vs2_serve::{
-    Completed, EngineConfig, ExtractService, FaultPlan, JobOutcome, JobSource, JobSpec, ServeError,
-    ServiceOptions, DEFAULT_DOC_SEED,
+    AdmitConfig, BatchOptions, BatchRun, Completed, EngineConfig, ExtractService, FaultPlan,
+    JobOutcome, JobSource, JobSpec, Lane, ServeError, ServiceOptions, DEFAULT_DOC_SEED,
 };
 use vs2_synth::dataset::{generate_one, DatasetConfig, DatasetId};
 
@@ -300,4 +302,114 @@ fn inert_fault_plan_changes_nothing() {
         })
         .collect();
     assert_eq!(with_inert, baseline);
+}
+
+#[test]
+fn inline_geometry_is_checked_on_the_in_process_path() {
+    // A hand-built inline spec skips the wire parser's check; the service
+    // must still refuse it: quarantined as fatal with the field named,
+    // on the primary path and on the admission degrade lane alike.
+    let bad_job = |edit: fn(&mut vs2_docmodel::Document)| {
+        let mut doc = generate_one(DatasetId::D4, 0, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+        edit(&mut doc);
+        JobSpec {
+            client: Some("flood".into()),
+            source: JobSource::Inline(Arc::new(doc)),
+            ..job(DatasetId::D4, 0)
+        }
+    };
+    // One bucket token and no refill: the first job runs the primary
+    // path, the second is routed straight to the fallback.
+    let admit = AdmitConfig::for_queue(4)
+        .inert_pressure()
+        .with_buckets(1, 0);
+    let mut service = ExtractService::with_options(
+        EngineConfig {
+            workers: 1,
+            queue_capacity: 4,
+            admit: Some(admit),
+            ..EngineConfig::default()
+        },
+        DEFAULT_DOC_SEED,
+        None,
+        ServiceOptions::default(),
+        None,
+    );
+    service.submit_spec(bad_job(|d| d.texts[0].bbox.w = -2.0), Lane::Batch);
+    service.submit_spec(bad_job(|d| d.width = f64::NAN), Lane::Batch);
+    let results = service.drain();
+    let fields = ["doc.texts[0].bbox.w = -2: ", "doc.width = NaN: "];
+    for (done, field) in results.iter().zip(fields) {
+        match &done.outcome {
+            JobOutcome::Failed(ServeError::Fatal(msg)) => {
+                assert!(msg.starts_with(field), "seq {}: {msg}", done.seq)
+            }
+            other => panic!("seq {}: expected a fatal failure, got {other:?}", done.seq),
+        }
+    }
+    assert_eq!(service.quarantine().len(), 2);
+    let stats = service.shutdown();
+    assert_eq!((stats.ok, stats.degraded, stats.quarantined), (0, 0, 2));
+}
+
+fn plan_cache_service(model_seed: u64) -> ExtractService {
+    ExtractService::with_options(
+        EngineConfig {
+            workers: 2,
+            queue_capacity: 4,
+            ..EngineConfig::default()
+        },
+        model_seed,
+        None,
+        ServiceOptions {
+            plan_cache: true,
+            ..ServiceOptions::default()
+        },
+        None,
+    )
+}
+
+fn serve_lines(service: &ExtractService, input: &str) -> BatchRun {
+    let opts = BatchOptions::default();
+    vs2_serve::run_batch(service, std::io::Cursor::new(input), std::io::sink(), &opts)
+}
+
+#[test]
+fn warm_start_admits_only_namespaces_the_service_looks_up() {
+    // Three documents per family, so the exporting run learns plans.
+    let input: String = (0..3 * vs2_synth::templated::FAMILIES)
+        .map(|i| format!("{{\"dataset\":\"Templated\",\"doc_index\":{i}}}\n"))
+        .collect();
+    let snapshot_under = |model_seed: u64| {
+        let service = plan_cache_service(model_seed);
+        let run = serve_lines(&service, &input);
+        let snapshot = service.handoff_snapshot(&run, None);
+        service.shutdown();
+        assert!(
+            !snapshot.plans.is_empty(),
+            "seed {model_seed} learned no plans"
+        );
+        snapshot
+    };
+
+    // Plans learned under another model seed live in a namespace no job
+    // of this service can address: nothing is admitted or carried on.
+    let foreign = snapshot_under(1);
+    let successor = plan_cache_service(DEFAULT_DOC_SEED);
+    assert_eq!(successor.warm_start(&foreign), 0);
+    let idle = serve_lines(&successor, "");
+    assert!(successor.handoff_snapshot(&idle, None).plans.is_empty());
+    successor.shutdown();
+
+    // A same-seed snapshot admits every plan, and the repeat traffic
+    // replays them without a miss.
+    let same = snapshot_under(DEFAULT_DOC_SEED);
+    let exported: usize = same.plans.iter().map(|ns| ns.entries.len()).sum();
+    let successor = plan_cache_service(DEFAULT_DOC_SEED);
+    assert_eq!(successor.warm_start(&same), exported);
+    serve_lines(&successor, &input);
+    let plans = successor.cache_snapshot().plans;
+    assert_eq!(plans.misses, 0, "{plans:?}");
+    assert!(plans.hits > 0, "{plans:?}");
+    successor.shutdown();
 }

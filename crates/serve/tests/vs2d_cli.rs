@@ -409,6 +409,58 @@ fn counter_lines_do_not_depend_on_the_worker_count() {
 }
 
 #[test]
+fn metrics_tail_names_are_pinned_in_order() {
+    let input = scratch("names.jsonl");
+    std::fs::write(&input, "{\"dataset\":\"D4\",\"doc_index\":1}\n").unwrap();
+    let out = vs2d_with(&input, &["--workers", "1", "--metrics"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let names: Vec<(String, String)> = stdout
+        .lines()
+        .filter(|l| l.contains("\"record\":\"metrics\""))
+        .map(|l| {
+            let v = serde_json::parse(l).unwrap();
+            (v.field("kind").unwrap(), v.field("name").unwrap())
+        })
+        .collect();
+    let counters = [
+        "jobs_ok",
+        "jobs_degraded",
+        "jobs_quarantined",
+        "retries",
+        "panics",
+        "timeouts",
+        "faults_model_build",
+        "faults_segment",
+        "faults_select",
+        "triage_full",
+        "triage_cheap",
+        "triage_replay",
+        "jobs_shed",
+        "admit_degrades",
+        "lane_interactive",
+        "lane_batch",
+        "model_cache_hits",
+        "model_cache_misses",
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "plan_cache_validation_rejects",
+        "plan_cache_inserts",
+        "plan_cache_evictions",
+        "plan_cache_bypasses",
+        "plan_cache_uncacheable",
+    ]
+    .map(|n| ("counter", n));
+    let histograms = ["queue_dwell_us", "job_latency_us"].map(|n| ("histogram", n));
+    let want: Vec<(String, String)> = counters
+        .into_iter()
+        .chain(histograms)
+        .map(|(k, n)| (k.to_string(), n.to_string()))
+        .collect();
+    assert_eq!(names, want);
+}
+
+#[test]
 fn a_deadline_trip_is_final() {
     // Each job learns its own model, so neither can meet a 1 ms deadline.
     let input = scratch("timeout.jsonl");
