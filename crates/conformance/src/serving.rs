@@ -11,7 +11,7 @@
 //! and therefore outside the determinism contract, so every service
 //! here runs with `job_timeout: None`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -322,7 +322,7 @@ impl Run {
             .filter(|r| r.status != JobStatus::Shed)
             .map(|r| r.seq)
             .collect();
-        assert_eq!(self.batch.completed_wire_seqs, answered, "{context}");
+        assert_eq!(completed_seqs(&self.batch), answered, "{context}");
         let quarantined_seqs: Vec<u64> = self
             .results
             .iter()
@@ -391,7 +391,7 @@ impl Served {
     pub fn assert_resumes(&self, context: &str, uninterrupted: &Served, cut: u64) {
         let victim = &self.first;
         assert_eq!(
-            victim.batch.completed_wire_seqs,
+            completed_seqs(&victim.batch),
             (0..cut).collect::<Vec<_>>(),
             "{context}: the victim terminally answers exactly the pre-drain lines"
         );
@@ -534,7 +534,7 @@ pub fn serve(mode: &Mode, specs: &[JobSpec]) -> Served {
     let successor = mode.service();
     successor.warm_start(&restored);
     let resumed = BatchOptions {
-        resume_completed: Some(restored.completed.iter().copied().collect::<HashSet<_>>()),
+        resume_completed: Some(restored.answered()),
         ..BatchOptions::default()
     };
     let (stdout, batch) = pass(&successor, &input, &resumed);
@@ -565,6 +565,11 @@ pub fn pass(service: &ExtractService, input: &str, opts: &BatchOptions) -> (Stri
     let mut out = Vec::new();
     let batch = run_batch(service, Cursor::new(input), &mut out, opts);
     (String::from_utf8(out).expect("output is UTF-8"), batch)
+}
+
+/// The wire seqs a pass answered terminally, in order.
+pub fn completed_seqs(batch: &BatchRun) -> Vec<u64> {
+    batch.completed.iter().map(|l| l.seq).collect()
 }
 
 /// Shuts `service` down after a pass and collects its run.

@@ -296,3 +296,25 @@ fn warm_block_scan_allocates_nothing() {
         texts.len()
     );
 }
+
+/// A warm `pipeline_for` + `plan_store_for` — the model-cache lookups a
+/// served job makes with the plan cache on — allocates nothing: slots
+/// are keyed by the learn config's value, not by a string built per
+/// call. Holds in every build profile.
+#[test]
+fn warm_model_cache_lookup_allocates_nothing() {
+    let cache = ModelCache::new();
+    let config = default_config_for(DatasetId::D4);
+    let lookup = || {
+        let pipeline = cache.pipeline_for(DatasetId::D4, DEFAULT_DOC_SEED, config);
+        let plans = cache.plan_store_for(DatasetId::D4, DEFAULT_DOC_SEED, &config);
+        (pipeline, plans)
+    };
+    drop(lookup());
+    let probe = AllocProbe::start();
+    let warm = lookup();
+    let allocs = probe.finish().allocs;
+    drop(warm);
+    assert_eq!(allocs, 0, "warm model-cache lookup allocated");
+    assert_eq!(cache.counters(), (1, 1));
+}

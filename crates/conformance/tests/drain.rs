@@ -11,7 +11,10 @@
 //! sheds every new submission.
 
 use vs2_conformance::serving::{self, Mode, FAULT_SEED};
-use vs2_serve::{BatchOptions, FaultPlan, HandoffError, HandoffSnapshot, JobSpec, ServiceOptions};
+use vs2_serve::handoff::HANDOFF_VERSION;
+use vs2_serve::{
+    AnsweredLine, BatchOptions, FaultPlan, HandoffError, HandoffSnapshot, JobSpec, ServiceOptions,
+};
 use vs2_synth::DatasetId;
 
 const LINES: usize = 12;
@@ -37,7 +40,7 @@ fn kill_and_resume(workers: usize, faults: Option<FaultPlan>) -> [String; 3] {
     };
     let reference = serving::serve(&mode, &specs);
     assert_eq!(
-        reference.first.batch.completed_wire_seqs,
+        serving::completed_seqs(&reference.first.batch),
         (0..LINES as u64).collect::<Vec<_>>()
     );
     let drained = serving::serve(
@@ -58,7 +61,7 @@ fn kill_and_resume(workers: usize, faults: Option<FaultPlan>) -> [String; 3] {
         "already-answered lines are skipped"
     );
     assert_eq!(
-        successor.batch.completed_wire_seqs,
+        serving::completed_seqs(&successor.batch),
         (CUT..LINES as u64).collect::<Vec<_>>()
     );
     drained.assert_resumes(&format!("{workers} workers"), &reference, CUT);
@@ -134,19 +137,22 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
 #[test]
 fn tampered_snapshots_are_rejected_with_typed_errors() {
     let good = HandoffSnapshot {
-        completed: vec![0, 1, 2],
+        completed: (0..3).map(|seq| AnsweredLine { seq, hash: 0 }).collect(),
         quarantine: Vec::new(),
         plans: Vec::new(),
     }
     .to_json();
 
-    let wrong_version = good.replace("\"version\":1", "\"version\":7");
+    let wrong_version = good.replace(&format!("\"version\":{HANDOFF_VERSION}"), "\"version\":7");
     assert!(matches!(
         HandoffSnapshot::parse(&wrong_version),
         Err(HandoffError::Version(7))
     ));
 
-    let shuffled = good.replace("[0,1,2]", "[2,1,0]");
+    let shuffled = good
+        .replace("\"seq\":0", "\"seq\":x")
+        .replace("\"seq\":2", "\"seq\":0")
+        .replace("\"seq\":x", "\"seq\":2");
     assert!(matches!(
         HandoffSnapshot::parse(&shuffled),
         Err(HandoffError::NonMonotonicCompleted { prev: 2, next: 1 })

@@ -29,7 +29,7 @@ use vs2_conformance::serving::{self, Mode};
 use vs2_conformance::strategy::arb_any_document;
 use vs2_conformance::transform::{permute_document, translate_document};
 use vs2_core::triage::{cheap_blocks, triage_doc, TriageConfig, TriageDecision};
-use vs2_core::{routed_blocks_ctx, DocContext, SegmentConfig};
+use vs2_core::{routed_blocks_ctx, DocContext, FingerprintConfig, SegmentConfig};
 use vs2_serve::{default_config_for, JobSpec, JobStatus, ModelCache, DEFAULT_DOC_SEED};
 use vs2_synth::{generate_one, DatasetConfig, DatasetId};
 
@@ -221,8 +221,9 @@ proptest! {
     ) {
         let seg = SegmentConfig { deskew: false, ..SegmentConfig::default() };
         let triage = TriageConfig::default();
-        let cols = triage.fingerprint.grid_cols as f64;
-        let rows = triage.fingerprint.grid_rows as f64;
+        let lattice = FingerprintConfig::default();
+        let cols = lattice.grid_cols as f64;
+        let rows = lattice.grid_rows as f64;
         let (dx, dy) = (kx as f64 * doc.width / cols, ky as f64 * doc.height / rows);
         // Keep every centroid strictly on-page after the shift and clear
         // of cell boundaries: on a boundary, the shifted float sum can
@@ -231,7 +232,7 @@ proptest! {
             let c = doc.bbox_of(*r).centroid();
             c.x + dx < doc.width
                 && c.y + dy < doc.height
-                && triage.fingerprint.boundary_margin(doc.width, doc.height, c) > 1e-6
+                && lattice.boundary_margin(doc.width, doc.height, c) > 1e-6
         });
         if !fits {
             return; // vacuous case: the shift would clamp at the page edge

@@ -51,7 +51,7 @@ pub use context::{CtxEmbedder, DocContext};
 pub use pipeline::{DisambiguationMode, Extraction, Vs2Config, Vs2Model, Vs2Pipeline};
 pub use plan::{
     planned_blocks, planned_blocks_ctx, FingerprintConfig, LayoutFingerprint, PlanConfig,
-    PlanCounters, PlanOutcome, PlanStore, PlanStoreConfig, SegmentationPlan,
+    PlanCounters, PlanOutcome, PlanStore, SegmentationPlan,
 };
 pub use segment::{
     logical_blocks, logical_blocks_ctx, logical_blocks_naive, segment, segment_naive,

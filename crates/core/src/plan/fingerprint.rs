@@ -79,6 +79,12 @@ impl FingerprintConfig {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`LayoutFingerprint::compute`] calls on this thread.
+    pub(crate) static FINGERPRINTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The quantised layout sketch. All fields are integral, so equality,
 /// hashing and ordering are exact; it is the key type of
 /// [`crate::plan::PlanStore`].
@@ -104,6 +110,8 @@ impl LayoutFingerprint {
     /// result depends only on page dimensions and element bounding
     /// boxes, never on text or colour.
     pub fn compute(doc: &Document, cfg: &FingerprintConfig) -> Self {
+        #[cfg(test)]
+        FINGERPRINTS.with(|c| c.set(c.get() + 1));
         let cols = cfg.grid_cols.max(1);
         let rows = cfg.grid_rows.max(1);
         let mut counts = vec![0u32; cols * rows];

@@ -11,7 +11,7 @@
 //!    segmentation run, replayable after a strict validation pass
 //!    ([`replay`]);
 //! 3. [`PlanStore`] + [`planned_blocks`] — the bounded LRU cache and
-//!    the fingerprint → validate → replay → fallback driver
+//!    the skew gate → fingerprint → validate → replay → fallback path
 //!    ([`store`]).
 //!
 //! Correctness stance: replay must be *byte-identical* to full
@@ -28,5 +28,5 @@ pub mod store;
 pub use fingerprint::{FingerprintConfig, LayoutFingerprint, CENTROID_MARGIN, STABLE_JITTER};
 pub use replay::{PlanConfig, PlanLeaf, PlanNode, SegmentationPlan, ValidationReject};
 pub use store::{
-    planned_blocks, planned_blocks_ctx, PlanCounters, PlanOutcome, PlanStore, PlanStoreConfig,
+    planned_blocks, planned_blocks_ctx, PlanCounters, PlanOutcome, PlanStore, PLAN_STORE_CAPACITY,
 };

@@ -1,12 +1,14 @@
 //! The bounded plan store and the cache-aware segmentation entry point.
 //!
 //! [`PlanStore`] maps [`LayoutFingerprint`]s to cached
-//! [`SegmentationPlan`]s with LRU eviction and hit/miss/reject
-//! counters. [`planned_blocks`] is the drop-in replacement for
-//! [`crate::segment::logical_blocks`] used by the serving layer when
-//! the plan cache is enabled: fingerprint → lookup → validate → replay,
-//! falling back to full segmentation (and capturing a new plan) on any
-//! miss or rejection.
+//! [`SegmentationPlan`]s — at most [`PLAN_STORE_CAPACITY`] of them, with
+//! LRU eviction — and keeps hit/miss/reject counters. [`planned_blocks`]
+//! is the drop-in replacement for [`crate::segment::logical_blocks`]
+//! used by the serving layer when the plan cache is enabled: skew gate →
+//! fingerprint → lookup → validate → replay, falling back to full
+//! segmentation (and capturing a new plan) on any miss or rejection.
+//! Each document's skew verdict and fingerprint are derived once (or
+//! taken from the triage router) and handed on, never recomputed.
 //!
 //! ## Cache-consistency invariants
 //!
@@ -19,9 +21,9 @@
 //!   source document reproduces the full-segmentation partition
 //!   exactly. Documents whose geometry defeats the validator (e.g.
 //!   overlapping blocks) are simply never cached.
-//! * **Skew bypass.** When deskew is enabled and the estimated page
-//!   skew reaches [`crate::segment::SKEW_EPSILON`], the plan path is
-//!   bypassed entirely: rotation-corrected analysis is inherently
+//! * **Skew bypass.** When the skew gate
+//!   ([`crate::segment::skew_to_correct`]) returns an angle, the plan
+//!   path is bypassed entirely: rotation-corrected analysis is inherently
 //!   content-dependent, so such documents always take the full path.
 
 use std::collections::HashMap;
@@ -34,19 +36,9 @@ use vs2_docmodel::Document;
 use super::fingerprint::LayoutFingerprint;
 use super::replay::{PlanConfig, SegmentationPlan, ValidationReject};
 
-/// Capacity bound of a [`PlanStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanStoreConfig {
-    /// Maximum number of cached plans; the least recently used plan is
-    /// evicted on overflow. A capacity of 0 disables insertion.
-    pub capacity: usize,
-}
-
-impl Default for PlanStoreConfig {
-    fn default() -> Self {
-        Self { capacity: 256 }
-    }
-}
+/// Maximum number of plans a [`PlanStore`] holds; the least recently
+/// used plan is evicted on overflow.
+pub const PLAN_STORE_CAPACITY: usize = 256;
 
 /// Counter snapshot of a [`PlanStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,7 +104,6 @@ struct Inner {
 
 /// Bounded, thread-safe fingerprint → plan cache with LRU eviction.
 pub struct PlanStore {
-    config: PlanStoreConfig,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -123,11 +114,9 @@ pub struct PlanStore {
     uncacheable: AtomicU64,
 }
 
-impl PlanStore {
-    /// Creates an empty store with the given bound.
-    pub fn new(config: PlanStoreConfig) -> Self {
+impl Default for PlanStore {
+    fn default() -> Self {
         Self {
-            config,
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
                 clock: 0,
@@ -141,7 +130,9 @@ impl PlanStore {
             uncacheable: AtomicU64::new(0),
         }
     }
+}
 
+impl PlanStore {
     /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("plan store lock").slots.len()
@@ -169,14 +160,11 @@ impl PlanStore {
     /// entry on overflow. Existing entries are never replaced (first
     /// plan wins); returns `false` when the insert was skipped.
     pub fn insert(&self, fp: LayoutFingerprint, plan: Arc<SegmentationPlan>) -> bool {
-        if self.config.capacity == 0 {
-            return false;
-        }
         let mut inner = self.inner.lock().expect("plan store lock");
         if inner.slots.contains_key(&fp) {
             return false;
         }
-        if inner.slots.len() >= self.config.capacity {
+        if inner.slots.len() >= PLAN_STORE_CAPACITY {
             // O(n) victim scan: capacities are small (hundreds) and
             // inserts only happen on cache misses that already paid for
             // a full segmentation run.
@@ -226,13 +214,10 @@ impl PlanStore {
         &self,
         entries: impl IntoIterator<Item = (LayoutFingerprint, Arc<SegmentationPlan>)>,
     ) -> usize {
-        if self.config.capacity == 0 {
-            return 0;
-        }
         let mut inner = self.inner.lock().expect("plan store lock");
         let mut admitted = 0;
         for (fp, plan) in entries {
-            if inner.slots.len() >= self.config.capacity {
+            if inner.slots.len() >= PLAN_STORE_CAPACITY {
                 break;
             }
             if inner.slots.contains_key(&fp) {
@@ -266,12 +251,6 @@ impl PlanStore {
     }
 }
 
-impl Default for PlanStore {
-    fn default() -> Self {
-        Self::new(PlanStoreConfig::default())
-    }
-}
-
 /// Cache-aware segmentation: the plan-path equivalent of
 /// [`crate::segment::logical_blocks`]. Returns the logical blocks plus
 /// how they were produced. Emits the `vs2.plan.*` span family; the full
@@ -282,7 +261,7 @@ pub fn planned_blocks(
     cfg: &PlanConfig,
     store: &PlanStore,
 ) -> (Vec<LogicalBlock>, PlanOutcome) {
-    planned_blocks_with(doc, seg, cfg, store, &vs2_nlp::LexiconEmbedding)
+    planned_blocks_with(doc, seg, cfg, store, &vs2_nlp::LexiconEmbedding, None, None)
 }
 
 /// Cache-aware segmentation over a borrowed [`DocContext`]: identical
@@ -297,29 +276,36 @@ pub fn planned_blocks_ctx(
     cfg: &PlanConfig,
     store: &PlanStore,
 ) -> (Vec<LogicalBlock>, PlanOutcome) {
-    planned_blocks_with(ctx.doc(), seg, cfg, store, &ctx.embedder())
+    planned_blocks_with(ctx.doc(), seg, cfg, store, &ctx.embedder(), None, None)
 }
 
-fn planned_blocks_with<E: vs2_nlp::Embedder>(
+/// The cache-aware segmentation body. `fingerprint` (on
+/// `cfg.fingerprint`) and `skew` (a skew-gate angle) are what the caller
+/// already derived; each is derived here, once, when absent.
+pub(crate) fn planned_blocks_with<E: vs2_nlp::Embedder>(
     doc: &Document,
     seg: &SegmentConfig,
     cfg: &PlanConfig,
     store: &PlanStore,
     embedder: &E,
+    fingerprint: Option<LayoutFingerprint>,
+    skew: Option<f64>,
 ) -> (Vec<LogicalBlock>, PlanOutcome) {
     let fp = {
         let span = vs2_obs::span(vs2_obs::stages::PLAN_FINGERPRINT);
-        if seg.deskew && segment::estimate_skew(doc).abs() >= segment::SKEW_EPSILON {
+        if let Some(angle) = skew.or_else(|| segment::skew_to_correct(doc, seg)) {
             span.tag("bypass", 1);
             drop(span);
             store.bypasses.fetch_add(1, Ordering::Relaxed);
-            let tree = segment::segment_with_embedder(doc, seg, embedder);
+            let tree = segment::segmenter::segment_in_frame(doc, seg, embedder, || Some(angle));
             return (segment::blocks_of_tree(&tree), PlanOutcome::Bypassed);
         }
-        let fp = LayoutFingerprint::compute(doc, &cfg.fingerprint);
+        let fp = fingerprint.unwrap_or_else(|| LayoutFingerprint::compute(doc, &cfg.fingerprint));
         span.tag("digest", fp.digest());
         fp
     };
+    // Past the gate the page is analysed unrotated.
+    let full = || segment::segmenter::segment_in_frame(doc, seg, embedder, || None);
 
     if let Some(plan) = store.lookup(&fp) {
         let validated = {
@@ -341,9 +327,8 @@ fn planned_blocks_with<E: vs2_nlp::Embedder>(
                 // First plan wins: the cached plan stays; this document
                 // pays for full segmentation and is not captured (its
                 // fingerprint slot is taken).
-                let tree = segment::segment_with_embedder(doc, seg, embedder);
                 return (
-                    segment::blocks_of_tree(&tree),
+                    segment::blocks_of_tree(&full()),
                     PlanOutcome::Rejected(reject),
                 );
             }
@@ -351,7 +336,7 @@ fn planned_blocks_with<E: vs2_nlp::Embedder>(
     }
 
     store.misses.fetch_add(1, Ordering::Relaxed);
-    let tree = segment::segment_with_embedder(doc, seg, embedder);
+    let tree = full();
     let blocks = segment::blocks_of_tree(&tree);
     let plan = SegmentationPlan::capture(doc, &tree);
     let inserted = if self_replay_matches(&plan, doc, cfg, &blocks) {
@@ -445,30 +430,41 @@ mod tests {
         assert_eq!(store.len(), 2);
     }
 
-    #[test]
-    fn lru_eviction_order_is_pinned() {
-        let store = PlanStore::new(PlanStoreConfig { capacity: 2 });
-        let a = block_doc("a", 40.0);
-        let b = block_doc("b", 120.0);
-        let c = block_doc("c", 200.0);
-        run(&a, &store);
-        run(&b, &store);
-        run(&a, &store); // refresh a: b is now least recently used
-        run(&c, &store); // evicts b
-        assert_eq!(store.counters().evictions, 1);
-        assert_eq!(run(&a, &store).1, PlanOutcome::Replayed);
-        assert_eq!(run(&c, &store).1, PlanOutcome::Replayed);
-        assert!(matches!(run(&b, &store).1, PlanOutcome::Miss { .. }));
+    /// `n` plans under distinct synthetic fingerprints (they differ in
+    /// the text count), each a capture of one small document.
+    fn synthetic_entries(n: usize) -> Vec<(LayoutFingerprint, Arc<SegmentationPlan>)> {
+        let doc = block_doc("s", 60.0);
+        let tree = crate::segment::segment(&doc, &SegmentConfig::default());
+        let plan = Arc::new(SegmentationPlan::capture(&doc, &tree));
+        let base = LayoutFingerprint::compute(&doc, &PlanConfig::default().fingerprint);
+        (0..n)
+            .map(|i| {
+                let fp = LayoutFingerprint {
+                    n_texts: 1000 + i as u32,
+                    ..base.clone()
+                };
+                (fp, Arc::clone(&plan))
+            })
+            .collect()
     }
 
     #[test]
-    fn zero_capacity_disables_insertion() {
-        let store = PlanStore::new(PlanStoreConfig { capacity: 0 });
-        let doc = block_doc("a", 60.0);
-        let (_, o) = run(&doc, &store);
-        assert_eq!(o, PlanOutcome::Miss { inserted: false });
-        assert!(store.is_empty());
-        assert!(matches!(run(&doc, &store).1, PlanOutcome::Miss { .. }));
+    fn lru_eviction_order_is_pinned() {
+        let store = PlanStore::default();
+        let mut entries = synthetic_entries(PLAN_STORE_CAPACITY + 1);
+        let (overflow_fp, overflow_plan) = entries.pop().unwrap();
+        for (fp, plan) in &entries {
+            assert!(store.insert(fp.clone(), Arc::clone(plan)));
+        }
+        // Refresh the oldest entry: the second one is now least recently
+        // used and is the one the overflow insert evicts.
+        assert!(store.lookup(&entries[0].0).is_some());
+        assert!(store.insert(overflow_fp.clone(), overflow_plan));
+        assert_eq!(store.counters().evictions, 1);
+        assert_eq!(store.len(), PLAN_STORE_CAPACITY);
+        assert!(store.lookup(&entries[0].0).is_some());
+        assert!(store.lookup(&overflow_fp).is_some());
+        assert!(store.lookup(&entries[1].0).is_none());
     }
 
     #[test]
@@ -513,12 +509,11 @@ mod tests {
         assert_eq!(warm.counters().misses, 0);
 
         // First plan wins on preload too, and capacity bounds the load.
-        assert_eq!(warm.preload(exported.clone()), 0);
-        let tiny = PlanStore::new(PlanStoreConfig { capacity: 1 });
-        assert_eq!(tiny.preload(exported), 1);
-        let disabled = PlanStore::new(PlanStoreConfig { capacity: 0 });
-        assert_eq!(disabled.preload(store.export()), 0);
-        assert!(disabled.is_empty());
+        assert_eq!(warm.preload(exported), 0);
+        let full = PlanStore::default();
+        let entries = synthetic_entries(PLAN_STORE_CAPACITY + 1);
+        assert_eq!(full.preload(entries), PLAN_STORE_CAPACITY);
+        assert_eq!(full.len(), PLAN_STORE_CAPACITY);
     }
 
     #[test]
@@ -535,7 +530,7 @@ mod tests {
                 ));
             }
         }
-        assert!(crate::segment::estimate_skew(&d).abs() >= crate::segment::SKEW_EPSILON);
+        assert!(crate::segment::skew_to_correct(&d, &SegmentConfig::default()).is_some());
         let store = PlanStore::default();
         let (_, o) = run(&d, &store);
         assert_eq!(o, PlanOutcome::Bypassed);

@@ -11,11 +11,11 @@
 //! normalised by the height of its *neighbouring bounding box* (the
 //! element at minimum distance from the strip), the runs are ranked by
 //! normalised width, and the first inflection point of the ranked
-//! distribution splits delimiters from spacing. The Pearson correlation
-//! between run widths and neighbour heights is computed as the
-//! diagnostic the algorithm scans (lines 8–11); an explicit minimum
-//! width ratio guards degenerate distributions. Interpretation choices
-//! are documented in DESIGN.md.
+//! distribution splits delimiters from spacing. The Pearson-correlation
+//! diagnostic the algorithm scans (lines 8–11) is not computed: the
+//! ranked widths alone decide, and an explicit minimum width ratio
+//! guards degenerate distributions. Interpretation choices are
+//! documented in DESIGN.md.
 
 use crate::segment::cuts::CutRun;
 use vs2_docmodel::{BBox, OccupancyGrid, Point};
@@ -194,41 +194,6 @@ pub fn score_runs_geom_into(
     }));
 }
 
-/// Pearson correlation coefficient; 0 when undefined.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    let n = xs.len().min(ys.len());
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = xs[..n].iter().sum::<f64>() / n as f64;
-    let my = ys[..n].iter().sum::<f64>() / n as f64;
-    let (mut cov, mut vx, mut vy) = (0.0, 0.0, 0.0);
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        cov += dx * dy;
-        vx += dx * dx;
-        vy += dy * dy;
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
-/// Running Pearson correlation between run widths and neighbour heights
-/// over document-order prefixes — the diagnostic sequence of Algorithm 1
-/// (lines 8–11).
-pub fn correlation_profile(scored: &[ScoredRun]) -> Vec<f64> {
-    let mut ordered: Vec<&ScoredRun> = scored.iter().collect();
-    ordered.sort_by_key(|d| (d.run.horizontal, d.run.start));
-    let ws: Vec<f64> = ordered.iter().map(|s| s.width).collect();
-    let hs: Vec<f64> = ordered.iter().map(|s| s.neighbor_height).collect();
-    (2..=ws.len())
-        .map(|i| pearson(&ws[..i], &hs[..i]))
-        .collect()
-}
-
 /// Selects the visual delimiters among scored runs.
 ///
 /// Runs are ranked by normalised width (descending); the first inflection
@@ -385,29 +350,8 @@ mod tests {
     }
 
     #[test]
-    fn pearson_basics() {
-        assert_eq!(pearson(&[1.0], &[1.0]), 0.0);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        let inv = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&x, &inv) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0, "zero variance");
-    }
-
-    #[test]
-    fn correlation_profile_length() {
-        let (area, boxes) = two_paragraph_layout();
-        let (grid, runs) = make(area, &boxes);
-        let scored = score_runs(&runs, &grid, &area, &boxes, &boxes);
-        let profile = correlation_profile(&scored);
-        assert_eq!(profile.len(), scored.len().saturating_sub(1));
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(select_delimiters(&[], &DelimiterConfig::default()).is_empty());
-        assert!(correlation_profile(&[]).is_empty());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::cell::RefCell;
 
+use crate::segment::SegmentConfig;
 use vs2_docmodel::{BBox, Document, Point};
 
 /// Minimum words on a line for its slope to vote.
@@ -32,14 +33,34 @@ thread_local! {
     static SKEW_SCRATCH: RefCell<SkewScratch> = RefCell::new(SkewScratch::default());
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`estimate_skew`] calls on this thread.
+    pub(crate) static SKEW_ESTIMATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Skew angles below this magnitude (radians) are treated as noise: the
 /// segmenter analyses the raw geometry without rotating, and the plan
-/// cache considers the document un-skewed.
+/// cache and the triage router consider the document un-skewed.
 pub const SKEW_EPSILON: f64 = 0.005;
+
+/// The cleaning step's one skew decision: the angle to correct when
+/// `config.deskew` is on and the estimated skew reaches [`SKEW_EPSILON`]
+/// (the segmenter rotates by it, the plan cache bypasses and triage
+/// routes full on it), `None` otherwise.
+pub fn skew_to_correct(doc: &Document, config: &SegmentConfig) -> Option<f64> {
+    if !config.deskew {
+        return None;
+    }
+    let angle = estimate_skew(doc);
+    (angle.abs() >= SKEW_EPSILON).then_some(angle)
+}
 
 /// Estimates the page skew in radians (positive = clockwise text flow).
 /// Returns 0.0 when too few usable lines exist.
 pub fn estimate_skew(doc: &Document) -> f64 {
+    #[cfg(test)]
+    SKEW_ESTIMATES.with(|c| c.set(c.get() + 1));
     SKEW_SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         // Group words into lines by vertical overlap (same rule the reading
@@ -124,17 +145,6 @@ pub fn rotate_elements(doc: &Document, angle: f64) -> Document {
     out
 }
 
-/// The cleaning step: estimates the skew and returns the straightened
-/// document together with the removed angle (radians). Angles below ~0.1°
-/// are ignored (no distortion to correct).
-pub fn deskew(doc: &Document) -> (Document, f64) {
-    let angle = estimate_skew(doc);
-    if angle.abs() < 0.002 {
-        return (doc.clone(), 0.0);
-    }
-    (rotate_elements(doc, angle), angle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,18 +182,30 @@ mod tests {
     fn straight_page_estimates_zero() {
         let d = skewed_doc(0.0);
         assert!(estimate_skew(&d).abs() < 1e-6);
-        let (out, removed) = deskew(&d);
-        assert_eq!(removed, 0.0);
-        assert_eq!(out, d);
+        assert_eq!(skew_to_correct(&d, &SegmentConfig::default()), None);
     }
 
     #[test]
     fn deskew_straightens_lines() {
         let d = skewed_doc(3.0);
-        let (out, removed) = deskew(&d);
+        let removed = skew_to_correct(&d, &SegmentConfig::default()).expect("skewed page");
         assert!(removed.abs() > 0.02, "removed {removed}");
-        let residual = estimate_skew(&out).to_degrees().abs();
+        let residual = estimate_skew(&rotate_elements(&d, removed))
+            .to_degrees()
+            .abs();
         assert!(residual < 0.5, "residual skew {residual:.2}");
+    }
+
+    #[test]
+    fn gate_is_off_without_deskew_and_estimates_nothing() {
+        let d = skewed_doc(3.0);
+        let off = SegmentConfig {
+            deskew: false,
+            ..SegmentConfig::default()
+        };
+        SKEW_ESTIMATES.with(|c| c.set(0));
+        assert_eq!(skew_to_correct(&d, &off), None);
+        assert_eq!(SKEW_ESTIMATES.with(std::cell::Cell::get), 0);
     }
 
     #[test]
@@ -198,7 +220,7 @@ mod tests {
     #[test]
     fn rotation_roundtrip_preserves_extents() {
         let d = skewed_doc(2.0);
-        let (out, _) = deskew(&d);
+        let out = rotate_elements(&d, estimate_skew(&d));
         assert_eq!(out.texts.len(), d.texts.len());
         for (a, b) in d.texts.iter().zip(&out.texts) {
             assert_eq!(a.text, b.text);

@@ -16,8 +16,8 @@ pub mod segmenter;
 
 pub use cluster::ClusterConfig;
 pub use cuts::{all_runs, cut_runs, horizontal_cuts, vertical_cuts, CutRun};
-pub use delimiter::{correlation_profile, pearson, select_delimiters, DelimiterConfig, ScoredRun};
-pub use deskew::{deskew, estimate_skew, rotate_elements, SKEW_EPSILON};
+pub use delimiter::{select_delimiters, DelimiterConfig, ScoredRun};
+pub use deskew::{estimate_skew, rotate_elements, skew_to_correct, SKEW_EPSILON};
 pub use merge::{semantic_merge, theta, MergeConfig};
 pub use naive::{logical_blocks_naive, segment_naive};
 pub use segmenter::{

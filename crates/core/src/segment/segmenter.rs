@@ -11,10 +11,8 @@
 use std::cell::RefCell;
 
 use crate::segment::cluster::ClusterConfig;
-use crate::segment::cuts::all_runs;
-use crate::segment::delimiter::{
-    run_strip, score_runs, select_delimiters, DelimiterConfig, ScoredRun,
-};
+use crate::segment::delimiter::{DelimiterConfig, ScoredRun};
+use crate::segment::deskew::{rotate_elements, skew_to_correct};
 use crate::segment::merge::MergeConfig;
 use vs2_docmodel::{BBox, Document, ElementRef, LayoutTree, NodeId};
 
@@ -266,6 +264,18 @@ pub fn segment_with_embedder<E: vs2_nlp::Embedder>(
     config: &SegmentConfig,
     embedder: &E,
 ) -> LayoutTree {
+    segment_in_frame(doc, config, embedder, || skew_to_correct(doc, config))
+}
+
+/// Segments `doc` in the frame the skew gate picks. `skew` yields the
+/// gate's verdict inside the deskew span; callers that already hold it
+/// (the plan cache, the triage router) pass it in.
+pub(crate) fn segment_in_frame<E: vs2_nlp::Embedder>(
+    doc: &Document,
+    config: &SegmentConfig,
+    embedder: &E,
+    skew: impl FnOnce() -> Option<f64>,
+) -> LayoutTree {
     let _segment_span = vs2_obs::span(vs2_obs::stages::SEGMENT);
     // Cleaning (Fig. 2 step a): straighten a skewed capture first. The
     // resulting tree's boxes live in the original coordinate frame — only
@@ -273,9 +283,8 @@ pub fn segment_with_embedder<E: vs2_nlp::Embedder>(
     // carry the partition back.
     if config.deskew {
         let deskew_span = vs2_obs::span(vs2_obs::stages::DESKEW);
-        let angle = crate::segment::deskew::estimate_skew(doc);
-        if angle.abs() >= crate::segment::deskew::SKEW_EPSILON {
-            let straightened = crate::segment::deskew::rotate_elements(doc, angle);
+        if let Some(angle) = skew() {
+            let straightened = rotate_elements(doc, angle);
             drop(deskew_span);
             let mut cfg = *config;
             cfg.deskew = false;
@@ -348,40 +357,6 @@ pub fn blocks_of_tree(tree: &LayoutTree) -> Vec<LogicalBlock> {
             }
         })
         .filter(|b| !b.elements.is_empty())
-        .collect()
-}
-
-/// Dumps the strip geometry of the selected delimiters of one area — used
-/// by the Fig. 5 reproduction tests and diagnostics.
-pub fn delimiters_of_area(
-    doc: &Document,
-    elements: &[ElementRef],
-    config: &SegmentConfig,
-) -> Vec<BBox> {
-    let tight = tight_bbox(doc, elements);
-    let cell = effective_cell_size(&tight.inflate(config.cell_size), config.cell_size);
-    let area = tight.inflate(cell);
-    let boxes: Vec<BBox> = elements.iter().map(|r| doc.bbox_of(*r)).collect();
-    let text_boxes: Vec<BBox> = elements
-        .iter()
-        .filter(|r| r.is_text())
-        .map(|r| doc.bbox_of(*r))
-        .collect();
-    let norm_boxes = if text_boxes.is_empty() {
-        &boxes
-    } else {
-        &text_boxes
-    };
-    let grid = vs2_docmodel::OccupancyGrid::rasterize(&area, &boxes, cell);
-    let runs = all_runs(&grid);
-    let scored = score_runs(&runs, &grid, &area, &boxes, norm_boxes);
-    let interior: Vec<ScoredRun> = scored
-        .into_iter()
-        .filter(|s| is_interior(s, &boxes, &area, cell))
-        .collect();
-    select_delimiters(&interior, &config.delimiter)
-        .into_iter()
-        .map(|s| run_strip(&s.run, &grid, &area))
         .collect()
 }
 
@@ -528,18 +503,6 @@ mod tests {
         // Delimiter-based split still works without clustering.
         let blocks = logical_blocks(&doc, &cfg_no_cluster);
         assert_eq!(blocks.len(), 2);
-    }
-
-    #[test]
-    fn delimiters_of_area_reports_strips() {
-        let doc = two_block_doc();
-        let delims = delimiters_of_area(&doc, &doc.element_refs(), &SegmentConfig::default());
-        assert!(!delims.is_empty());
-        // The reported strip lies between the paragraphs.
-        assert!(
-            delims.iter().any(|s| s.y > 40.0 && s.bottom() < 125.0),
-            "{delims:?}"
-        );
     }
 
     #[test]

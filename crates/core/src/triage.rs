@@ -22,15 +22,16 @@
 //! [`triage_doc`] is a pure function of the document geometry and the
 //! two configs: same document → same decision, on any thread, on the
 //! owned or the arena path, across repeated runs. All features derive
-//! from quantities the plan-cache fingerprint already computes
-//! ([`LayoutFingerprint`]: occupancy histogram, element counts, page
-//! shape) plus the segmenter's own skew estimate — no randomness, no
-//! wall clock, no cross-document state. The conformance suite pins the
+//! from the plan-cache fingerprint on the default lattice
+//! ([`LayoutFingerprint`] under [`FingerprintConfig::default`]: occupancy
+//! histogram, element counts, page shape) plus the segmenter's own skew
+//! gate ([`segment::skew_to_correct`]) — no randomness, no wall clock,
+//! no cross-document state. The conformance suite pins the
 //! purity and the metamorphic invariances property-style.
 
 use crate::context::DocContext;
 use crate::plan::{FingerprintConfig, LayoutFingerprint, PlanConfig, PlanOutcome, PlanStore};
-use crate::segment::{self, LogicalBlock, SegmentConfig, SKEW_EPSILON};
+use crate::segment::{self, LogicalBlock, SegmentConfig};
 use vs2_docmodel::{BBox, Document, ElementRef};
 
 /// Where the router sent a document. Wire names (`full` / `cheap` /
@@ -64,13 +65,10 @@ impl TriageDecision {
 /// separate cleanly: D4 occupancy entropy tops out near 0.53 while
 /// every D2/D3 document scores above 0.55 (and dense scanned D1 grids
 /// above 1.19, independently diverted by the skew gate). The
-/// conformance perf gate pins the trade-off at these values.
+/// conformance perf gate pins the trade-off at these values. Features
+/// are computed on [`FingerprintConfig::default`], [`PlanConfig`]'s lattice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TriageConfig {
-    /// Fingerprint lattice the features are computed on. The routed
-    /// driver uses the fingerprint only for its span's `digest` tag; the
-    /// plan cache fingerprints on its own [`PlanConfig`].
-    pub fingerprint: FingerprintConfig,
     /// Maximum occupancy-histogram entropy (bits, of the 2-bit cell
     /// bucket distribution; ≤ 2.0) for the cheap path. Regular layouts
     /// concentrate cells in few buckets → low entropy.
@@ -93,7 +91,6 @@ pub struct TriageConfig {
 impl Default for TriageConfig {
     fn default() -> Self {
         Self {
-            fingerprint: FingerprintConfig::default(),
             max_entropy: 0.55,
             min_column_regularity: 0.42,
             max_images: 0,
@@ -126,7 +123,7 @@ impl Default for CheapPathConfig {
 /// The fingerprint-derived features the scorer decides on. Every field
 /// is a pure function of the document geometry. The page-skew gate is
 /// not here: its estimate is an order of magnitude more expensive and is
-/// only computed once these gates pass.
+/// only run once these gates pass.
 struct LayoutFeatures {
     /// Exact text-element count (fingerprint field).
     n_texts: u32,
@@ -149,8 +146,9 @@ impl LayoutFeatures {
     }
 }
 
-fn layout_features(doc: &Document, cfg: &FingerprintConfig) -> (LayoutFeatures, LayoutFingerprint) {
-    let fp = LayoutFingerprint::compute(doc, cfg);
+fn layout_features(doc: &Document) -> (LayoutFeatures, LayoutFingerprint) {
+    let cfg = FingerprintConfig::default();
+    let fp = LayoutFingerprint::compute(doc, &cfg);
     let cols = cfg.grid_cols.max(1);
     let rows = cfg.grid_rows.max(1);
     let n_cells = cols * rows;
@@ -209,25 +207,25 @@ pub fn triage_doc(doc: &Document, seg: &SegmentConfig, cfg: &TriageConfig) -> Tr
     triage_lazy(doc, seg, cfg).0
 }
 
-/// Lazy decision plus the fingerprint it derived from (shared by
-/// [`triage_doc`] and [`routed_blocks_ctx`], which tags its span with
-/// the fingerprint's digest).
+/// Lazy decision plus the fingerprint it derived from and, when the skew
+/// gate ran (only if the layout gates passed) and diverted the page, its
+/// angle (shared by [`triage_doc`] and [`routed_blocks_ctx`]).
 fn triage_lazy(
     doc: &Document,
     seg: &SegmentConfig,
     cfg: &TriageConfig,
-) -> (TriageDecision, LayoutFingerprint) {
-    let (lay, fp) = layout_features(doc, &cfg.fingerprint);
+) -> (TriageDecision, LayoutFingerprint, Option<f64>) {
+    let (lay, fp) = layout_features(doc);
     if !lay.passes(cfg) {
-        return (TriageDecision::FullVs2, fp);
+        return (TriageDecision::FullVs2, fp, None);
     }
     // Skewed pages need rotation-corrected analysis: content-dependent
     // by construction, so they always take the full path (the same gate
     // the plan cache bypasses on).
-    if seg.deskew && segment::estimate_skew(doc).abs() >= SKEW_EPSILON {
-        return (TriageDecision::FullVs2, fp);
+    match segment::skew_to_correct(doc, seg) {
+        Some(angle) => (TriageDecision::FullVs2, fp, Some(angle)),
+        None => (TriageDecision::CheapPath, fp, None),
     }
-    (TriageDecision::CheapPath, fp)
 }
 
 /// Recursive XY-cut over `doc` (Nagy et al.): a region is split at the
@@ -336,17 +334,19 @@ fn cut(
 /// Composition rules, in order:
 ///
 /// 1. Skewed documents score `FullVs2` and (with a store) take the plan
-///    driver's own skew bypass — identical behaviour to the unrouted
-///    plan path.
+///    cache's skew bypass — identical behaviour to the unrouted plan
+///    path — reusing the scorer's skew angle when it has one.
 /// 2. A `CheapPath` score runs XY-cut ([`cheap_blocks`]) and never
 ///    touches the store: before the skew gate the score is a pure
 ///    function of the fingerprint, and plans are only captured for
 ///    unskewed `FullVs2`-scored documents, so within one serving mode a
 ///    cheap-scored fingerprint never has a plan.
 /// 3. A `FullVs2` score runs the normal segmentation path — through
-///    [`crate::plan::planned_blocks_ctx`] when a store is given (so it
-///    may still replay, reported as `PlanReplay`), plain
-///    [`crate::segment::logical_blocks_ctx`] otherwise.
+///    the plan cache ([`crate::plan::planned_blocks_ctx`]) when a store
+///    is given (so it may still replay, reported as `PlanReplay`; it
+///    reuses the scorer's fingerprint when the plan config uses the
+///    default lattice), the segmenter
+///    ([`crate::segment::logical_blocks_ctx`]) otherwise.
 ///
 /// Returns the blocks, the final decision, and the plan outcome when
 /// the plan path ran (`None` on the storeless or cheap paths).
@@ -357,36 +357,36 @@ pub fn routed_blocks_ctx(
     plan: Option<(&PlanConfig, &PlanStore)>,
 ) -> (Vec<LogicalBlock>, TriageDecision, Option<PlanOutcome>) {
     let doc = ctx.doc();
-    let scored = {
+    let (scored, fp, skew) = {
         let span = vs2_obs::span(vs2_obs::stages::TRIAGE);
-        let (scored, fp) = triage_lazy(doc, seg, cfg);
+        let (scored, fp, skew) = triage_lazy(doc, seg, cfg);
         span.tag("digest", fp.digest());
         span.tag("cheap", u64::from(scored == TriageDecision::CheapPath));
-        scored
+        (scored, fp, skew)
     };
-    match scored {
-        TriageDecision::CheapPath => (
-            cheap_blocks(doc, &cfg.cheap),
-            TriageDecision::CheapPath,
-            None,
-        ),
-        _ => {
-            if let Some((plan_cfg, store)) = plan {
-                let (blocks, outcome) = crate::plan::planned_blocks_ctx(ctx, seg, plan_cfg, store);
-                let decision = match outcome {
-                    PlanOutcome::Replayed => TriageDecision::PlanReplay,
-                    _ => TriageDecision::FullVs2,
-                };
-                (blocks, decision, Some(outcome))
-            } else {
-                (
-                    segment::logical_blocks_ctx(ctx, seg),
-                    TriageDecision::FullVs2,
-                    None,
-                )
-            }
-        }
+    if scored == TriageDecision::CheapPath {
+        return (cheap_blocks(doc, &cfg.cheap), scored, None);
     }
+    let Some((plan_cfg, store)) = plan else {
+        let skew = || skew.or_else(|| segment::skew_to_correct(doc, seg));
+        let tree = segment::segmenter::segment_in_frame(doc, seg, &ctx.embedder(), skew);
+        return (segment::blocks_of_tree(&tree), scored, None);
+    };
+    let fp = (plan_cfg.fingerprint == FingerprintConfig::default()).then_some(fp);
+    let (blocks, outcome) = crate::plan::store::planned_blocks_with(
+        doc,
+        seg,
+        plan_cfg,
+        store,
+        &ctx.embedder(),
+        fp,
+        skew,
+    );
+    let decision = match outcome {
+        PlanOutcome::Replayed => TriageDecision::PlanReplay,
+        _ => TriageDecision::FullVs2,
+    };
+    (blocks, decision, Some(outcome))
 }
 
 #[cfg(test)]
@@ -468,9 +468,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn skewed_documents_always_route_full() {
-        // Same slope construction as the plan-store bypass test.
+    /// Six sloped lines of eight words (same slope construction as the
+    /// plan-store bypass test).
+    fn skewed_doc() -> Document {
         let mut d = Document::new("skewed", 600.0, 800.0);
         for line in 0..6 {
             for i in 0..8 {
@@ -482,7 +482,28 @@ mod tests {
                 ));
             }
         }
-        assert!(segment::estimate_skew(&d).abs() >= SKEW_EPSILON);
+        d
+    }
+
+    /// Two three-word rows 300 units apart on a `width × 800` page: too
+    /// few texts to route cheap, and a plan the store admits.
+    fn block_doc(width: f64) -> Document {
+        let mut d = Document::new("blocks", width, 800.0);
+        for y in [60.0, 360.0] {
+            for i in 0..3 {
+                d.push_text(TextElement::word(
+                    format!("w{i}"),
+                    BBox::new(60.0 + i as f64 * 50.0, y, 40.0, 12.0),
+                ));
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn skewed_documents_always_route_full() {
+        let d = skewed_doc();
+        assert!(segment::skew_to_correct(&d, &SegmentConfig::default()).is_some());
         assert_eq!(
             triage_doc(&d, &SegmentConfig::default(), &TriageConfig::default()),
             TriageDecision::FullVs2
@@ -494,7 +515,7 @@ mod tests {
             ..SegmentConfig::default()
         };
         let cfg = TriageConfig::default();
-        let (lay, _) = layout_features(&d, &cfg.fingerprint);
+        let (lay, _) = layout_features(&d);
         assert_eq!(
             triage_doc(&d, &no_deskew, &cfg) == TriageDecision::CheapPath,
             lay.passes(&cfg)
@@ -509,8 +530,8 @@ mod tests {
         let cfg = TriageConfig::default();
         let mut cheap = 0;
         for doc in [grid_doc(), scatter_doc(), Document::new("e", 600.0, 800.0)] {
-            let (lay, _) = layout_features(&doc, &cfg.fingerprint);
-            let eager = lay.passes(&cfg) && segment::estimate_skew(&doc).abs() < SKEW_EPSILON;
+            let (lay, _) = layout_features(&doc);
+            let eager = lay.passes(&cfg) && segment::skew_to_correct(&doc, &seg).is_none();
             let routed_cheap = triage_doc(&doc, &seg, &cfg) == TriageDecision::CheapPath;
             assert_eq!(routed_cheap, eager, "doc {}", doc.id);
             cheap += usize::from(routed_cheap);
@@ -531,7 +552,7 @@ mod tests {
     #[test]
     fn empty_document_features_are_sane() {
         let d = Document::new("empty", 600.0, 800.0);
-        let (f, _) = layout_features(&d, &FingerprintConfig::default());
+        let (f, _) = layout_features(&d);
         assert_eq!(f.n_texts, 0);
         assert_eq!(f.occupancy_entropy, 0.0);
         assert_eq!(f.column_regularity, 0.0);
@@ -541,9 +562,11 @@ mod tests {
     #[test]
     fn features_reuse_the_fingerprint() {
         let doc = grid_doc();
-        let cfg = FingerprintConfig::default();
-        let (f, fp) = layout_features(&doc, &cfg);
-        assert_eq!(fp, LayoutFingerprint::compute(&doc, &cfg));
+        let (f, fp) = layout_features(&doc);
+        assert_eq!(
+            fp,
+            LayoutFingerprint::compute(&doc, &PlanConfig::default().fingerprint)
+        );
         assert_eq!(f.n_texts, fp.n_texts);
         assert_eq!(f.n_images, fp.n_images);
     }
@@ -600,6 +623,106 @@ mod tests {
             assert_eq!(a.bbox, b.bbox);
             assert_eq!(a.elements, b.elements);
         }
+    }
+
+    /// Runs `f` and returns its value with the skew estimates and
+    /// fingerprints it computed on this thread.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+        use crate::plan::fingerprint::FINGERPRINTS;
+        use crate::segment::deskew::SKEW_ESTIMATES;
+        use std::cell::Cell;
+        SKEW_ESTIMATES.with(|c| c.set(0));
+        FINGERPRINTS.with(|c| c.set(0));
+        let out = f();
+        (
+            out,
+            SKEW_ESTIMATES.with(Cell::get),
+            FINGERPRINTS.with(Cell::get),
+        )
+    }
+
+    #[test]
+    fn each_document_is_deskew_gated_and_fingerprinted_once() {
+        use crate::plan::ValidationReject;
+        let seg = SegmentConfig::default();
+        let tcfg = TriageConfig::default();
+        let pcfg = PlanConfig::default();
+        let store = PlanStore::default();
+        // The skewed grid passes the layout gates, so the scorer runs the
+        // skew gate itself and hands its angle to the plan bypass.
+        let skewed_grid = segment::rotate_elements(&grid_doc(), -0.01);
+        assert!(layout_features(&skewed_grid).0.passes(&tcfg));
+        assert!(!layout_features(&skewed_doc()).0.passes(&tcfg));
+        let routed = [
+            (grid_doc(), TriageDecision::CheapPath, None),
+            (
+                skewed_doc(),
+                TriageDecision::FullVs2,
+                Some(PlanOutcome::Bypassed),
+            ),
+            (
+                skewed_grid,
+                TriageDecision::FullVs2,
+                Some(PlanOutcome::Bypassed),
+            ),
+            (
+                block_doc(600.0),
+                TriageDecision::FullVs2,
+                Some(PlanOutcome::Miss { inserted: true }),
+            ),
+            (
+                block_doc(600.0),
+                TriageDecision::PlanReplay,
+                Some(PlanOutcome::Replayed),
+            ),
+            (
+                block_doc(601.5),
+                TriageDecision::FullVs2,
+                Some(PlanOutcome::Rejected(ValidationReject::PageMismatch)),
+            ),
+        ];
+        for (doc, decision, outcome) in &routed {
+            let ctx = DocContext::build(doc);
+            let ((_, d, o), skews, fps) =
+                counted(|| routed_blocks_ctx(&ctx, &seg, &tcfg, Some((&pcfg, &store))));
+            assert_eq!((d, o), (*decision, *outcome), "{decision:?}");
+            assert!(
+                skews <= 1,
+                "{decision:?} {outcome:?}: {skews} skew estimates"
+            );
+            assert!(fps <= 1, "{decision:?} {outcome:?}: {fps} fingerprints");
+            let (_, skews, fps) = counted(|| routed_blocks_ctx(&ctx, &seg, &tcfg, None));
+            assert!(
+                skews <= 1 && fps <= 1,
+                "{decision:?} storeless: {skews}, {fps}"
+            );
+        }
+        // The unrouted paths estimate the skew exactly once per document.
+        let store = PlanStore::default();
+        for doc in [
+            skewed_doc(),
+            block_doc(600.0),
+            block_doc(600.0),
+            block_doc(601.5),
+        ] {
+            let ctx = DocContext::build(&doc);
+            let (_, skews, fps) =
+                counted(|| crate::plan::planned_blocks_ctx(&ctx, &seg, &pcfg, &store));
+            assert_eq!(skews, 1, "planned {}", doc.id);
+            assert!(fps <= 1, "planned {}: {fps} fingerprints", doc.id);
+            let (_, skews, fps) = counted(|| segment::logical_blocks_ctx(&ctx, &seg));
+            assert_eq!((skews, fps), (1, 0), "logical {}", doc.id);
+        }
+        let counters = store.counters();
+        assert_eq!(
+            (
+                counters.bypasses,
+                counters.misses,
+                counters.hits,
+                counters.validation_rejects
+            ),
+            (1, 1, 1, 1)
+        );
     }
 
     #[test]

@@ -67,13 +67,6 @@ impl BBox {
         }
     }
 
-    /// Creates a bounding box from two opposite corners, in any order.
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        let x0 = a.x.min(b.x);
-        let y0 = a.y.min(b.y);
-        Self::new(x0, y0, (a.x - b.x).abs(), (a.y - b.y).abs())
-    }
-
     /// Right edge (`x + w`).
     pub fn right(&self) -> f64 {
         self.x + self.w
@@ -196,12 +189,6 @@ impl BBox {
     }
 }
 
-/// Sum of angular distances between two bounding-box centroids, one of the
-/// low-level clustering features of Table 1.
-pub fn sum_angular_distance(a: &BBox, b: &BBox) -> f64 {
-    a.centroid().angular_distance() + b.centroid().angular_distance()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,12 +213,6 @@ mod tests {
         let b = BBox::new(0.0, 0.0, -1.0, -2.0);
         assert!(b.is_empty());
         assert_eq!(b.area(), 0.0);
-    }
-
-    #[test]
-    fn bbox_from_corners_any_order() {
-        let a = BBox::from_corners(Point::new(4.0, 6.0), Point::new(1.0, 2.0));
-        assert_eq!(a, BBox::new(1.0, 2.0, 3.0, 4.0));
     }
 
     #[test]

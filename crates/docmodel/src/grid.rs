@@ -112,40 +112,6 @@ impl OccupancyGrid {
         }
         self.occ.iter().filter(|o| **o).count() as f64 / self.occ.len() as f64
     }
-
-    /// Occupied cell count per column (vertical projection profile), the
-    /// input to XY-Cut-style baselines.
-    pub fn col_profile(&self) -> Vec<usize> {
-        let mut p = vec![0usize; self.cols];
-        for row in self.occ.chunks(self.cols) {
-            for (cell, count) in row.iter().zip(p.iter_mut()) {
-                if *cell {
-                    *count += 1;
-                }
-            }
-        }
-        p
-    }
-
-    /// Occupied cell count per row (horizontal projection profile).
-    pub fn row_profile(&self) -> Vec<usize> {
-        self.occ
-            .chunks(self.cols)
-            .map(|row| row.iter().filter(|&&occupied| occupied).count())
-            .collect()
-    }
-
-    /// Converts a grid column back to a document-space x coordinate (cell
-    /// centre).
-    pub fn col_to_x(&self, col: usize) -> f64 {
-        self.origin.x + (col as f64 + 0.5) * self.cell
-    }
-
-    /// Converts a grid row back to a document-space y coordinate (cell
-    /// centre).
-    pub fn row_to_y(&self, row: usize) -> f64 {
-        self.origin.y + (row as f64 + 0.5) * self.cell
-    }
 }
 
 #[cfg(test)]
@@ -183,11 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn profiles_count_occupied_cells() {
+    fn occupancy_counts_covered_cells() {
         let area = BBox::new(0.0, 0.0, 4.0, 4.0);
         let g = OccupancyGrid::rasterize(&area, &[BBox::new(1.0, 0.0, 1.0, 4.0)], 1.0);
-        assert_eq!(g.col_profile(), vec![0, 4, 0, 0]);
-        assert_eq!(g.row_profile(), vec![1, 1, 1, 1]);
         assert!((g.occupancy() - 0.25).abs() < 1e-12);
     }
 
@@ -197,8 +161,7 @@ mod tests {
         let g = OccupancyGrid::rasterize(&area, &[BBox::new(11.0, 21.0, 1.0, 1.0)], 1.0);
         assert!(g.is_occupied(1, 1));
         assert!(g.is_whitespace(0, 0));
-        assert_eq!(g.col_to_x(0), 10.5);
-        assert_eq!(g.row_to_y(0), 20.5);
+        assert_eq!(g.origin(), Point::new(10.0, 20.0));
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl LayoutTree {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut LayoutNode {
-        &mut self.nodes[id.0]
-    }
-
     /// Number of live nodes.
     pub fn len(&self) -> usize {
         self.nodes.iter().filter(|n| !n.dead).count()

@@ -63,7 +63,9 @@ pub mod stages {
     pub const EXTRACT: &str = "vs2.extract";
     /// VS2-Segment: logical-block decomposition.
     pub const SEGMENT: &str = "vs2.segment";
-    /// Skew estimation (and rotation when skew is detected).
+    /// Skew estimation (and rotation when skew is detected). Where the
+    /// plan cache or the triage router already ran the skew gate, it
+    /// covers only the rotation.
     pub const DESKEW: &str = "vs2.segment.deskew";
     /// One XY-cut work-queue area visit; tagged with `depth`.
     pub const AREA: &str = "vs2.segment.area";
@@ -88,8 +90,10 @@ pub mod stages {
     pub const SELECT_SCAN: &str = "vs2.select.scan";
     /// Greedy joint assignment of candidates to entities.
     pub const ASSIGN: &str = "vs2.assign";
-    /// Layout-fingerprint computation over the raw element geometry
-    /// (plan-cache lookup key; emitted before segmentation).
+    /// The skew gate, then the layout-fingerprint computation over the
+    /// raw element geometry (plan-cache lookup key; emitted before
+    /// segmentation). Under the triage router either may be the
+    /// router's, handed on rather than recomputed.
     pub const PLAN_FINGERPRINT: &str = "vs2.plan.fingerprint";
     /// Validation of a cached segmentation plan against the incoming
     /// document (element cover, bounds and count checks).

@@ -21,14 +21,17 @@
 //!   `vs2d --drain-after`.
 //!
 //! With [`BatchOptions::resume_completed`] set (warm restart from a
-//! [`crate::handoff::HandoffSnapshot`]), lines whose wire seq the
-//! predecessor already answered are skipped; each skipped *valid* spec
-//! replays its submission's deterministic side effects — one engine
-//! sequence number, one admission tick and its client's bucket token —
-//! so the seq-keyed fault plan and the token buckets line up with an
-//! uninterrupted run.
+//! [`crate::handoff::HandoffSnapshot`]), lines the predecessor already
+//! answered — same wire seq, same [`line_hash`] — are skipped; each
+//! skipped *valid* spec replays its submission's deterministic side
+//! effects — one engine sequence number, one admission tick and its
+//! client's bucket token — so the seq-keyed fault plan and the token
+//! buckets line up with an uninterrupted run. A line whose wire seq was
+//! answered but whose hash differs stops the batch before it is
+//! submitted ([`BatchRun::resume_mismatch`]): the input is not the one
+//! the snapshot answered.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -38,6 +41,7 @@ use serde::{Deserialize, Value};
 use crate::admit::Lane;
 use crate::engine::JobOutcome;
 use crate::error::ServeError;
+use crate::handoff::{line_hash, AnsweredLine};
 use crate::job::{JobResult, JobSpec, JobStatus, QuarantineRecord};
 use crate::service::ExtractService;
 
@@ -102,10 +106,11 @@ pub struct BatchOptions {
     /// Begin draining after this many submissions: later lines are
     /// still answered, but as `shed` lines with reason `draining`.
     pub drain_after: Option<u64>,
-    /// Wire seqs already answered by a predecessor (from a handoff
-    /// snapshot): skip them, replaying the engine seq and admission
-    /// charge of the valid ones.
-    pub resume_completed: Option<HashSet<u64>>,
+    /// Lines already answered by a predecessor, as wire seq →
+    /// [`line_hash`] ([`crate::handoff::HandoffSnapshot::answered`]):
+    /// skip them, replaying the engine seq and admission charge of the
+    /// valid ones.
+    pub resume_completed: Option<HashMap<u64, u64>>,
 }
 
 /// What the result emitter must produce for one consumed input line.
@@ -114,13 +119,13 @@ pub struct BatchOptions {
 enum LineFate {
     /// A job went into the engine; wait for its result.
     Submitted {
-        wire_seq: u64,
+        line: AnsweredLine,
         job_id: String,
         seq: u64,
     },
     /// The line failed to parse or read; report `invalid` immediately.
     Invalid {
-        wire_seq: u64,
+        line: AnsweredLine,
         job_id: String,
         error: String,
     },
@@ -137,10 +142,13 @@ pub struct BatchRun {
     pub shed: u64,
     /// Input lines skipped because a predecessor already answered them.
     pub skipped: u64,
-    /// Wire seqs this run answered terminally (every emitted result
-    /// line except `shed`), in increasing order — the `completed` list
-    /// of a drain/handoff snapshot.
-    pub completed_wire_seqs: Vec<u64>,
+    /// Lines this run answered terminally (every emitted result line
+    /// except `shed`), in increasing wire-seq order — the `completed`
+    /// list of a drain/handoff snapshot.
+    pub completed: Vec<AnsweredLine>,
+    /// The 0-based input line at which a resumed run stopped because
+    /// the predecessor answered its wire seq for a different line.
+    pub resume_mismatch: Option<u64>,
     /// The quarantine records emitted after the result lines, in
     /// increasing wire-seq order.
     pub quarantine_records: Vec<QuarantineRecord>,
@@ -167,12 +175,13 @@ pub fn run_batch(
     let (fate_tx, fate_rx) = mpsc::channel::<LineFate>();
     let mut invalid = 0u64;
     let mut skipped = 0u64;
-    let (latencies, shed, completed_wire_seqs, quarantine_records) = std::thread::scope(|scope| {
+    let mut resume_mismatch = None;
+    let (latencies, shed, completed, quarantine_records) = std::thread::scope(|scope| {
         let emitter = scope.spawn(move || {
             let mut out = out;
             let mut lats = Vec::new();
             let mut shed = 0u64;
-            let mut completed: Vec<u64> = Vec::new();
+            let mut completed: Vec<AnsweredLine> = Vec::new();
             // With tracing on, each result line is followed by that
             // job's span records, and the batch ends with a metrics
             // snapshot. Off (the default), the wire format is untouched.
@@ -185,14 +194,10 @@ pub fn run_batch(
             for fate in fate_rx.iter() {
                 let mut engine_seq = None;
                 let result = match fate {
-                    LineFate::Submitted {
-                        wire_seq,
-                        job_id,
-                        seq,
-                    } => {
+                    LineFate::Submitted { line, job_id, seq } => {
                         engine_seq = Some(seq);
                         let done = service.wait_result(seq);
-                        ids_by_seq.insert(seq, (wire_seq, job_id.clone()));
+                        ids_by_seq.insert(seq, (line.seq, job_id.clone()));
                         let (status, extractions, error) = match done.outcome {
                             JobOutcome::Ok(ex) => (JobStatus::Ok, ex, None),
                             JobOutcome::Degraded { output, error } => {
@@ -212,10 +217,10 @@ pub fn run_batch(
                             shed += 1;
                         } else {
                             lats.push(done.latency);
-                            completed.push(wire_seq);
+                            completed.push(line);
                         }
                         JobResult {
-                            seq: wire_seq,
+                            seq: line.seq,
                             job_id,
                             status,
                             extractions,
@@ -226,13 +231,13 @@ pub fn run_batch(
                         }
                     }
                     LineFate::Invalid {
-                        wire_seq,
+                        line,
                         job_id,
                         error,
                     } => {
-                        completed.push(wire_seq);
+                        completed.push(line);
                         JobResult {
-                            seq: wire_seq,
+                            seq: line.seq,
                             job_id,
                             status: JobStatus::Invalid,
                             extractions: vec![],
@@ -289,102 +294,100 @@ pub fn run_batch(
         let mut submissions = 0u64;
         for line_no in 0.. {
             let default_id = format!("job-{line_no}");
-            let line = match read_capped_line(&mut reader) {
-                Ok(Some(l)) => l,
+            let read = match read_capped_line(&mut reader) {
                 Ok(None) => break,
-                Err(e) => {
-                    // A broken line must not abort the batch: report it
-                    // in-stream and keep going. `InvalidData` (non-UTF-8
-                    // bytes, an over-long line) consumes exactly the
-                    // offending line, so the stream stays aligned; any
-                    // other I/O error means the source itself failed —
-                    // report, then stop.
-                    invalid += 1;
-                    let recoverable = e.kind() == ErrorKind::InvalidData;
-                    let _ = fate_tx.send(LineFate::Invalid {
-                        wire_seq,
-                        job_id: default_id,
-                        error: format!("input read error at line {line_no}: {e}"),
-                    });
-                    wire_seq += 1;
-                    if recoverable {
-                        continue;
+                Ok(Some(text)) if text.trim().is_empty() => continue,
+                Ok(Some(text)) => Ok(text),
+                Err(e) => Err(e),
+            };
+            let parsed = match &read {
+                // A broken line must not abort the batch: report it
+                // in-stream and keep going (or stop after it, below).
+                Err(e) => Err(format!("input read error at line {line_no}: {e}")),
+                Ok(text) => match serde_json::parse(text) {
+                    // Control records steer the service without
+                    // consuming a wire seq — they are commands, not
+                    // jobs, and must not shift the seqs of surrounding
+                    // result lines. A job line's spec is read from the
+                    // same parsed tree.
+                    Ok(value) if value.get("control").is_some() => {
+                        if matches!(value.get("control"), Some(Value::Str(cmd)) if cmd == "drain") {
+                            service.begin_drain();
+                            continue;
+                        }
+                        Err(format!("unknown control record at line {line_no}"))
                     }
+                    value => value
+                        .and_then(|v| JobSpec::from_value(&v))
+                        .map(|mut spec| {
+                            if spec.client.is_none() {
+                                spec.client = opts.default_client.clone();
+                            }
+                            spec
+                        })
+                        .map_err(|e| format!("invalid job spec at line {line_no}: {e}")),
+                },
+            };
+            let line = AnsweredLine {
+                seq: wire_seq,
+                hash: match &read {
+                    Ok(text) => line_hash(text.as_bytes()),
+                    Err(e) => line_hash(e.to_string().as_bytes()),
+                },
+            };
+            wire_seq += 1;
+            // `InvalidData` (non-UTF-8 bytes, an over-long line)
+            // consumes exactly the offending line, so the stream stays
+            // aligned; any other I/O error means the source itself
+            // failed — report, then stop.
+            let source_failed = matches!(&read, Err(e) if e.kind() != ErrorKind::InvalidData);
+            // Warm restart: a line the predecessor already answered is
+            // skipped; a valid skipped spec still replays its engine
+            // seq, admission tick and bucket charge so seq- and
+            // tick-keyed decisions stay aligned with an uninterrupted
+            // run. The same seq over different bytes means a different
+            // input: stop before submitting anything from it.
+            match opts
+                .resume_completed
+                .as_ref()
+                .and_then(|done| done.get(&line.seq))
+            {
+                Some(&hash) if hash == line.hash => {
+                    if let Ok(spec) = &parsed {
+                        service.skip_submission(spec.client.as_deref());
+                    }
+                    skipped += 1;
+                }
+                Some(_) => {
+                    resume_mismatch = Some(line_no);
                     break;
                 }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            // Control records steer the service without consuming a
-            // wire seq — they are commands, not jobs, and must not
-            // shift the seqs of surrounding result lines. A job line's
-            // spec is read from the same parsed tree.
-            let value = serde_json::parse(&line);
-            if let Ok(value) = &value {
-                if let Some(ctl) = value.get("control") {
-                    if matches!(ctl, Value::Str(cmd) if cmd == "drain") {
-                        service.begin_drain();
-                    } else {
+                None => match parsed {
+                    Ok(spec) => {
+                        let job_id = spec.job_id.clone().unwrap_or(default_id);
+                        if opts.drain_after == Some(submissions) {
+                            service.begin_drain();
+                        }
+                        // Backpressure: blocks while the work queue is
+                        // full (shed decisions fire before the queue, so
+                        // an admission-controlled service never blocks
+                        // here under overload).
+                        let seq = service.submit_spec(spec, opts.default_lane);
+                        submissions += 1;
+                        let _ = fate_tx.send(LineFate::Submitted { line, job_id, seq });
+                    }
+                    Err(error) => {
                         invalid += 1;
                         let _ = fate_tx.send(LineFate::Invalid {
-                            wire_seq,
+                            line,
                             job_id: default_id,
-                            error: format!("unknown control record at line {line_no}"),
+                            error,
                         });
-                        wire_seq += 1;
                     }
-                    continue;
-                }
+                },
             }
-            let parsed = value.and_then(|v| JobSpec::from_value(&v)).map(|mut spec| {
-                if spec.client.is_none() {
-                    spec.client = opts.default_client.clone();
-                }
-                spec
-            });
-            // Warm restart: lines the predecessor already answered
-            // are skipped; a valid skipped spec still replays its
-            // engine seq, admission tick and bucket charge so seq-
-            // and tick-keyed decisions stay aligned with an
-            // uninterrupted run.
-            let resumed = opts.resume_completed.as_ref();
-            if resumed.is_some_and(|done| done.contains(&wire_seq)) {
-                if let Ok(spec) = &parsed {
-                    service.skip_submission(spec.client.as_deref());
-                }
-                skipped += 1;
-                wire_seq += 1;
-                continue;
-            }
-            match parsed {
-                Ok(spec) => {
-                    let job_id = spec.job_id.clone().unwrap_or(default_id);
-                    if opts.drain_after == Some(submissions) {
-                        service.begin_drain();
-                    }
-                    // Backpressure: blocks while the work queue is full
-                    // (shed decisions fire before the queue, so an
-                    // admission-controlled service never blocks here
-                    // under overload).
-                    let seq = service.submit_spec(spec, opts.default_lane);
-                    submissions += 1;
-                    let _ = fate_tx.send(LineFate::Submitted {
-                        wire_seq,
-                        job_id,
-                        seq,
-                    });
-                    wire_seq += 1;
-                }
-                Err(e) => {
-                    invalid += 1;
-                    let _ = fate_tx.send(LineFate::Invalid {
-                        wire_seq,
-                        job_id: default_id,
-                        error: format!("invalid job spec at line {line_no}: {e}"),
-                    });
-                    wire_seq += 1;
-                }
+            if source_failed {
+                break;
             }
         }
         drop(fate_tx);
@@ -395,7 +398,8 @@ pub fn run_batch(
         invalid,
         shed,
         skipped,
-        completed_wire_seqs,
+        completed,
+        resume_mismatch,
         quarantine_records,
     }
 }
@@ -421,6 +425,18 @@ mod tests {
             ServiceOptions::default(),
             None,
         )
+    }
+
+    fn seqs(run: &BatchRun) -> Vec<u64> {
+        run.completed.iter().map(|l| l.seq).collect()
+    }
+
+    /// The first `n` lines of `input` as a predecessor's answered map.
+    fn answered(input: &str, n: usize) -> HashMap<u64, u64> {
+        (0u64..)
+            .zip(input.lines().take(n))
+            .map(|(seq, line)| (seq, line_hash(line.as_bytes())))
+            .collect()
     }
 
     fn parse_lines(out: &[u8]) -> Vec<JobResult> {
@@ -452,7 +468,7 @@ mod tests {
         assert_eq!(run.invalid, 2);
         assert_eq!(run.shed, 0);
         assert_eq!(run.skipped, 0);
-        assert_eq!(run.completed_wire_seqs, vec![0, 1, 2, 3, 4]);
+        assert_eq!(seqs(&run), vec![0, 1, 2, 3, 4]);
         let results = parse_lines(&out);
         assert_eq!(
             results
@@ -686,7 +702,7 @@ mod tests {
             &BatchOptions::default(),
         );
         assert_eq!(run.shed, 2);
-        assert_eq!(run.completed_wire_seqs, vec![0]);
+        assert_eq!(seqs(&run), vec![0]);
         let results = parse_lines(&out);
         assert_eq!(results.len(), 3, "shed jobs still get result lines");
         assert_eq!(results[0].status, JobStatus::Ok);
@@ -783,7 +799,7 @@ mod tests {
             },
         );
         assert_eq!(run.shed, 2);
-        assert_eq!(run.completed_wire_seqs, vec![0, 1, 2, 3]);
+        assert_eq!(seqs(&run), vec![0, 1, 2, 3]);
         let results = parse_lines(&out);
         for r in &results[..4] {
             assert_eq!(r.status, JobStatus::Ok);
@@ -811,13 +827,13 @@ mod tests {
             Cursor::new(input),
             &mut out,
             &BatchOptions {
-                resume_completed: Some([0u64, 1u64].into_iter().collect()),
+                resume_completed: Some(answered(input, 2)),
                 ..BatchOptions::default()
             },
         );
         assert_eq!(run.skipped, 2);
         assert_eq!(run.invalid, 0);
-        assert_eq!(run.completed_wire_seqs, vec![2, 3]);
+        assert_eq!(seqs(&run), vec![2, 3]);
         let results = parse_lines(&out);
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].seq, 2);
@@ -827,5 +843,70 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.ok, 2);
+    }
+
+    #[test]
+    fn resume_stops_at_an_answered_seq_whose_line_differs() {
+        let predecessor = concat!(
+            "{\"dataset\":\"D1\",\"doc_index\":0}\n",
+            "{\"dataset\":\"D1\",\"doc_index\":1}\n",
+        );
+        let input = concat!(
+            "{\"dataset\":\"D1\",\"doc_index\":0}\n",
+            "{\"dataset\":\"D2\",\"doc_index\":1}\n",
+            "{\"dataset\":\"D1\",\"doc_index\":2}\n",
+        );
+        let service = test_service(1);
+        let mut out = Vec::new();
+        let run = run_batch(
+            &service,
+            Cursor::new(input),
+            &mut out,
+            &BatchOptions {
+                resume_completed: Some(answered(predecessor, 2)),
+                ..BatchOptions::default()
+            },
+        );
+        // Line 0 matches and is skipped; line 1 carries an answered seq
+        // over different bytes, so nothing from it on is submitted.
+        assert_eq!(run.resume_mismatch, Some(1));
+        assert_eq!(run.skipped, 1);
+        assert!(run.completed.is_empty());
+        assert!(out.is_empty());
+        assert_eq!(service.shutdown().submitted, 0);
+    }
+
+    #[test]
+    fn resume_skips_answered_unreadable_and_control_lines() {
+        // Every line a run answers — an unreadable one and an unknown
+        // control record included — is skipped by a successor handed
+        // that run's answers, so none is answered twice.
+        let mut input = b"{\"dataset\":\"D1\",\"doc_index\":0}\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n{\"control\":\"pause\"}\n");
+        let first = test_service(1);
+        let mut out = Vec::new();
+        let run = run_batch(
+            &first,
+            Cursor::new(&input),
+            &mut out,
+            &BatchOptions::default(),
+        );
+        first.shutdown();
+        assert_eq!(seqs(&run), vec![0, 1, 2]);
+        assert_eq!(run.invalid, 2);
+        let successor = test_service(1);
+        let mut out = Vec::new();
+        let resumed = run_batch(
+            &successor,
+            Cursor::new(&input),
+            &mut out,
+            &BatchOptions {
+                resume_completed: Some(run.completed.iter().map(|l| (l.seq, l.hash)).collect()),
+                ..BatchOptions::default()
+            },
+        );
+        assert_eq!((resumed.skipped, resumed.resume_mismatch), (3, None));
+        assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+        assert_eq!(successor.shutdown().submitted, 0);
     }
 }

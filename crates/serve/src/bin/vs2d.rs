@@ -80,10 +80,12 @@ USAGE: vs2d [OPTIONS]
                        answered as shed (reason `draining`) while queued
                        work flushes; pair with --handoff for a warm restart
   --handoff PATH       on shutdown, write a handoff snapshot (answered wire
-                       seqs + quarantine ledger + cached segmentation plans)
+                       seqs and line hashes + quarantine ledger + cached
+                       segmentation plans)
   --resume-from PATH   warm-start from a handoff snapshot: skip answered
                        lines, preload cached plans, keep seq- and token-
-                       bucket decisions aligned with an uninterrupted run
+                       bucket decisions aligned with an uninterrupted run;
+                       exit 2 at the first answered line whose bytes differ
 ";
 
 struct Options {
@@ -299,11 +301,17 @@ fn main() {
             default_client: opts.client.clone(),
             default_lane: opts.lane,
             drain_after: opts.drain_after,
-            resume_completed: resume
-                .as_ref()
-                .map(|s| s.completed.iter().copied().collect()),
+            resume_completed: resume.as_ref().map(HandoffSnapshot::answered),
         },
     );
+    if let Some(line_no) = run.resume_mismatch {
+        service.shutdown();
+        fail(&format!(
+            "--resume-from {}: input line {line_no} differs from the line the snapshot \
+             answered under its wire seq; this is not the predecessor's input, stopped before it",
+            opts.resume_from.as_deref().unwrap_or_default(),
+        ));
+    }
 
     if let Some(path) = &opts.handoff {
         let snapshot = service.handoff_snapshot(&run, resume.as_ref());

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use vs2_core::pipeline::{Vs2Config, Vs2Pipeline};
 use vs2_core::plan::{PlanCounters, PlanStore};
-use vs2_core::select::Eq2Weights;
+use vs2_core::select::{Eq2Weights, LearnConfig};
 use vs2_core::Vs2Model;
 use vs2_synth::dataset::{holdout_corpus, DatasetId};
 
@@ -55,19 +55,54 @@ pub fn default_config_for(dataset: DatasetId) -> Vs2Config {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     dataset: DatasetId,
     model_seed: u64,
-    /// Canonical JSON of the learning configuration — `LearnConfig` holds
-    /// floats, so the serialized form stands in as the hashable identity.
-    learn: String,
+    learn: LearnKey,
 }
 
-/// One model slot: the learn-once cell plus the slot's plan namespace.
+/// A [`LearnConfig`] as a hash key: its float compares by bit pattern.
+#[derive(Debug, Clone, Copy)]
+struct LearnKey(LearnConfig);
+
+impl LearnKey {
+    fn parts(&self) -> (u64, usize, usize) {
+        let LearnConfig {
+            min_support_frac,
+            max_tree_size,
+            max_patterns,
+        } = self.0;
+        (min_support_frac.to_bits(), max_tree_size, max_patterns)
+    }
+}
+
+impl PartialEq for LearnKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for LearnKey {}
+
+impl std::hash::Hash for LearnKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+/// Canonical JSON of a learning configuration: a plan namespace's
+/// identity in the handoff format.
+fn learn_json(learn: &LearnConfig) -> String {
+    serde_json::to_string(learn).expect("learn config serialises")
+}
+
+/// One model slot: the learn-once cell, the slot's plan namespace, and
+/// the canonical JSON of its learn config (built once, with the slot).
 struct Entry {
     model: Arc<OnceLock<Arc<Vs2Model>>>,
     plans: Arc<PlanStore>,
+    learn: String,
 }
 
 /// Counter snapshot of the full two-level cache, for summaries and the
@@ -109,6 +144,7 @@ impl ModelCache {
         let e = entries.entry(key).or_insert_with(|| Entry {
             model: Arc::default(),
             plans: Arc::default(),
+            learn: learn_json(&key.learn.0),
         });
         (Arc::clone(&e.model), Arc::clone(&e.plans))
     }
@@ -157,7 +193,7 @@ impl ModelCache {
         CacheKey {
             dataset,
             model_seed,
-            learn: serde_json::to_string(&config.learn).expect("learn config serialises"),
+            learn: LearnKey(config.learn),
         }
     }
 
@@ -223,7 +259,7 @@ impl ModelCache {
             .map(|(key, e)| PlanNamespace {
                 dataset: key.dataset,
                 model_seed: key.model_seed,
-                learn: key.learn.clone(),
+                learn: e.learn.clone(),
                 entries: e
                     .plans
                     .export()
@@ -259,11 +295,10 @@ impl ModelCache {
         model_seed: u64,
         config: &Vs2Config,
     ) -> usize {
-        let key = Self::key(namespace.dataset, model_seed, config);
-        if (namespace.model_seed, &namespace.learn) != (key.model_seed, &key.learn) {
+        if namespace.model_seed != model_seed || namespace.learn != learn_json(&config.learn) {
             return 0;
         }
-        let (_model, plans) = self.entry(key);
+        let (_model, plans) = self.entry(Self::key(namespace.dataset, model_seed, config));
         plans.preload(
             namespace
                 .entries
@@ -327,7 +362,7 @@ mod tests {
         CacheKey {
             dataset: DatasetId::D1,
             model_seed: tag,
-            learn: "test".into(),
+            learn: LearnKey(LearnConfig::default()),
         }
     }
 
@@ -461,7 +496,7 @@ mod tests {
         let namespace = |model_seed: u64, config: &Vs2Config| PlanNamespace {
             dataset: DatasetId::D1,
             model_seed,
-            learn: ModelCache::key(DatasetId::D1, model_seed, config).learn,
+            learn: learn_json(&config.learn),
             entries: Vec::new(),
         };
         assert_eq!(

@@ -3,13 +3,16 @@
 //!
 //! A snapshot captures three things:
 //!
-//! * **Completed wire seqs** — the input line numbers whose result lines
-//!   the draining process already emitted. The successor skips these
-//!   (replaying their engine sequence numbers and admission charges with
+//! * **Answered lines** — the wire seqs (input line numbers) whose result
+//!   lines the draining process already emitted, each with a hash of the
+//!   input line it answered ([`line_hash`]). The successor skips a line
+//!   only when both its seq and its hash match (replaying its engine
+//!   sequence number and admission charge with
 //!   [`crate::engine::BatchEngine::skip_submission`] so seq- and
 //!   tick-keyed decisions line up with an uninterrupted run) and
 //!   processes only the rest, giving exactly-once output across the
-//!   pair of processes.
+//!   pair of processes. A hash mismatch means the successor reads a
+//!   different input: it stops there instead of skipping lines unrun.
 //! * **Quarantine ledger** — the records behind the draining run's
 //!   `{"record":"quarantine",...}` lines, so accounting survives the
 //!   process boundary.
@@ -26,6 +29,7 @@
 //! [`HandoffError`], never silently accepted — a corrupted snapshot must
 //! fail the warm start, not corrupt the successor's accounting.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
@@ -35,7 +39,26 @@ use vs2_synth::dataset::DatasetId;
 use crate::job::QuarantineRecord;
 
 /// Snapshot format version written by this build.
-pub const HANDOFF_VERSION: u64 = 1;
+pub const HANDOFF_VERSION: u64 = 2;
+
+/// One input line a process answered: its wire seq and the
+/// [`line_hash`] of the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnsweredLine {
+    /// Wire seq (input line number, empty lines and control records
+    /// excluded).
+    pub seq: u64,
+    /// [`line_hash`] of the line's bytes as read.
+    pub hash: u64,
+}
+
+/// 64-bit FNV-1a hash of one input line (without its terminator); a
+/// line that could not be read hashes its read error's text.
+pub fn line_hash(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// One cached plan: the fingerprint key and the plan replayed under it.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +86,10 @@ pub struct PlanNamespace {
 /// Everything a successor needs to warm-start after a drain.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HandoffSnapshot {
-    /// Wire seqs (input line numbers) whose result lines the draining
-    /// process emitted, in strictly increasing order.
-    pub completed: Vec<u64>,
+    /// Input lines whose result lines the draining process (and the
+    /// processes it resumed from) emitted, in strictly increasing seq
+    /// order.
+    pub completed: Vec<AnsweredLine>,
     /// The draining run's quarantine ledger, in strictly increasing
     /// wire-seq order.
     pub quarantine: Vec<QuarantineRecord>,
@@ -119,6 +143,24 @@ impl fmt::Display for HandoffError {
 }
 
 impl std::error::Error for HandoffError {}
+
+impl Serialize for AnsweredLine {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("seq".to_string(), Value::UInt(self.seq)),
+            ("hash".to_string(), Value::UInt(self.hash)),
+        ])
+    }
+}
+
+impl Deserialize for AnsweredLine {
+    fn from_value(v: &Value) -> Result<Self, SerdeError> {
+        Ok(Self {
+            seq: v.field("seq")?,
+            hash: v.field("hash")?,
+        })
+    }
+}
 
 impl Serialize for PlanEntry {
     fn to_value(&self) -> Value {
@@ -217,11 +259,17 @@ impl HandoffSnapshot {
         }
         let snapshot =
             HandoffSnapshot::from_value(&value).map_err(|e| HandoffError::Parse(e.to_string()))?;
-        check_monotonic(snapshot.completed.iter().copied())
+        check_monotonic(snapshot.completed.iter().map(|l| l.seq))
             .map_err(|(prev, next)| HandoffError::NonMonotonicCompleted { prev, next })?;
         check_monotonic(snapshot.quarantine.iter().map(|r| r.seq))
             .map_err(|(prev, next)| HandoffError::NonMonotonicLedger { prev, next })?;
         Ok(snapshot)
+    }
+
+    /// The answered lines as a wire seq → line hash map, the form
+    /// [`crate::batch::BatchOptions::resume_completed`] takes.
+    pub fn answered(&self) -> HashMap<u64, u64> {
+        self.completed.iter().map(|l| (l.seq, l.hash)).collect()
     }
 }
 
@@ -265,10 +313,19 @@ mod tests {
         }
     }
 
+    fn answered(seqs: &[u64]) -> Vec<AnsweredLine> {
+        seqs.iter()
+            .map(|&seq| AnsweredLine {
+                seq,
+                hash: line_hash(format!("line {seq}").as_bytes()),
+            })
+            .collect()
+    }
+
     #[test]
     fn snapshot_round_trips() {
         let snap = HandoffSnapshot {
-            completed: vec![0, 1, 4, 9],
+            completed: answered(&[0, 1, 4, 9]),
             quarantine: vec![quarantine(2), quarantine(5)],
             plans: vec![plan_namespace()],
         };
@@ -296,7 +353,9 @@ mod tests {
     #[test]
     fn unknown_version_is_rejected() {
         let snap = HandoffSnapshot::default();
-        let raw = snap.to_json().replace("\"version\":1", "\"version\":9");
+        let raw = snap
+            .to_json()
+            .replace(&format!("\"version\":{HANDOFF_VERSION}"), "\"version\":9");
         assert_eq!(HandoffSnapshot::parse(&raw), Err(HandoffError::Version(9)));
     }
 
@@ -315,12 +374,22 @@ mod tests {
     #[test]
     fn non_monotonic_completed_is_rejected() {
         let snap = HandoffSnapshot {
-            completed: vec![0, 3, 3],
+            completed: answered(&[0, 3, 3]),
             ..HandoffSnapshot::default()
         };
         assert_eq!(
             HandoffSnapshot::parse(&snap.to_json()),
             Err(HandoffError::NonMonotonicCompleted { prev: 3, next: 3 })
+        );
+    }
+
+    #[test]
+    fn line_hash_is_fnv1a_64() {
+        assert_eq!(line_hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(line_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_ne!(
+            line_hash(b"{\"doc_index\":1}"),
+            line_hash(b"{\"doc_index\":2}")
         );
     }
 

@@ -260,14 +260,14 @@ impl ExtractService {
         run: &BatchRun,
         predecessor: Option<&HandoffSnapshot>,
     ) -> HandoffSnapshot {
-        let mut completed = run.completed_wire_seqs.clone();
+        let mut completed = run.completed.clone();
         let mut quarantine = run.quarantine_records.clone();
         if let Some(snap) = predecessor {
             completed.extend(snap.completed.iter().copied());
             quarantine.extend(snap.quarantine.iter().cloned());
         }
-        completed.sort_unstable();
-        completed.dedup();
+        completed.sort_unstable_by_key(|l| l.seq);
+        completed.dedup_by_key(|l| l.seq);
         quarantine.sort_by_key(|r| r.seq);
         HandoffSnapshot {
             completed,

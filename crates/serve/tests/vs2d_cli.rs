@@ -379,11 +379,46 @@ fn restart_chain_answers_every_line_once_like_an_uninterrupted_run() {
     let snapshot = |path: &str| {
         vs2_serve::HandoffSnapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
     };
-    assert_eq!(snapshot(s1).completed, (0..4).collect::<Vec<_>>());
-    assert_eq!(snapshot(s2).completed, (0..8).collect::<Vec<_>>());
+    // Each answered line carries the hash of the input line it answered.
+    let hashes: Vec<u64> = mixed_batch()
+        .lines()
+        .map(|l| vs2_serve::handoff::line_hash(l.as_bytes()))
+        .collect();
+    for (path, n) in [(s1, 4), (s2, 8)] {
+        let completed = snapshot(path).completed;
+        let seqs: Vec<u64> = completed.iter().map(|l| l.seq).collect();
+        assert_eq!(seqs, (0..n as u64).collect::<Vec<_>>(), "{path}");
+        let line_hashes: Vec<u64> = completed.iter().map(|l| l.hash).collect();
+        assert_eq!(line_hashes, hashes[..n], "{path}");
+    }
     for path in [s1, s2] {
         assert!(!snapshot(path).plans.is_empty(), "{path} carries no plans");
     }
+}
+
+#[test]
+fn resuming_over_a_different_input_exits_2_naming_the_line() {
+    let input = scratch("foreign-a.jsonl");
+    std::fs::write(&input, mixed_batch()).unwrap();
+    let snapshot = scratch("foreign-s1.json");
+    let snapshot = snapshot.to_str().unwrap();
+    let drained = vs2d(&input, &["--drain-after", "4", "--handoff", snapshot]);
+    assert_eq!(drained.status.code(), Some(0));
+    // The same first two lines, then other jobs: lines 0 and 1 are the
+    // answered ones, line 2 answered seq 2 with different bytes.
+    let other = scratch("foreign-b.jsonl");
+    let lines: String = mixed_batch()
+        .lines()
+        .take(2)
+        .map(|l| format!("{l}\n"))
+        .chain((0..28).map(|i| format!("{{\"dataset\":\"D2\",\"doc_index\":{i}}}\n")))
+        .collect();
+    std::fs::write(&other, lines).unwrap();
+    let resumed = vs2d(&other, &["--resume-from", snapshot]);
+    let stderr = String::from_utf8(resumed.stderr).unwrap();
+    assert_eq!(resumed.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("input line 2 differs"), "{stderr}");
+    assert!(resumed.stdout.is_empty(), "nothing from line 2 on runs");
 }
 
 #[test]
