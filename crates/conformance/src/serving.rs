@@ -535,6 +535,7 @@ pub fn serve(mode: &Mode, specs: &[JobSpec]) -> Served {
     successor.warm_start(&restored);
     let resumed = BatchOptions {
         resume_completed: Some(restored.answered()),
+        resume_controls: restored.consumed_controls(),
         ..BatchOptions::default()
     };
     let (stdout, batch) = pass(&successor, &input, &resumed);

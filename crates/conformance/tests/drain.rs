@@ -138,8 +138,7 @@ fn handoff_plans_warm_start_the_successor_plan_cache() {
 fn tampered_snapshots_are_rejected_with_typed_errors() {
     let good = HandoffSnapshot {
         completed: (0..3).map(|seq| AnsweredLine { seq, hash: 0 }).collect(),
-        quarantine: Vec::new(),
-        plans: Vec::new(),
+        ..HandoffSnapshot::default()
     }
     .to_json();
 

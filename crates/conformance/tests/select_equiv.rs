@@ -20,7 +20,9 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use vs2_conformance::strategy::{arb_any_document, q};
 use vs2_core::segment::logical_blocks;
-use vs2_core::select::{table3, table4, SyntacticPattern};
+use vs2_core::select::{
+    table3, table4, BlockBest, BlockText, PatternIndex, ScanScratch, SyntacticPattern,
+};
 use vs2_core::{DisambiguationMode, DocContext, Extraction, Vs2Config, Vs2Pipeline};
 use vs2_docmodel::{BBox, Document, TextElement};
 use vs2_serve::{default_config_for, ModelCache, DEFAULT_DOC_SEED};
@@ -430,31 +432,48 @@ fn whole_block(doc: &Document) -> vs2_core::LogicalBlock {
     }
 }
 
-/// The index's per-entity best equals the naive matcher's on `block`.
+/// The index's sparse hits on `bt` are the naive matcher's winners of
+/// exactly the entities that have one, in entity order. `scratch` may
+/// carry earlier queries: it must come back clean every time.
+fn assert_hits_equal_naive(
+    index: &PatternIndex,
+    patterns: &BTreeMap<String, Vec<SyntacticPattern>>,
+    bt: &BlockText,
+    scratch: &mut ScanScratch,
+) {
+    let expected: Vec<(usize, BlockBest)> = patterns
+        .values()
+        .enumerate()
+        .filter_map(|(ei, pats)| {
+            vs2_core::select::naive::block_best(pats, bt).map(|(m, exact, specificity)| {
+                (
+                    ei,
+                    BlockBest {
+                        m,
+                        exact,
+                        specificity,
+                    },
+                )
+            })
+        })
+        .collect();
+    assert_eq!(
+        index.block_hits(bt, scratch),
+        &expected[..],
+        "sparse hits over {:?}",
+        bt.ann.tokens.iter().map(|t| &*t.raw).collect::<Vec<_>>()
+    );
+}
+
+/// The index's sparse hits equal the naive matcher's on `block`.
 fn assert_index_equals_naive(
     patterns: &BTreeMap<String, Vec<SyntacticPattern>>,
     doc: &Document,
     block: &vs2_core::LogicalBlock,
 ) {
-    let bt = vs2_core::select::BlockText::build(doc, block);
-    let index = vs2_core::select::PatternIndex::build(patterns);
-    let indexed = index.block_best(&bt);
-    for (ei, (entity, pats)) in patterns.iter().enumerate() {
-        let expected =
-            vs2_core::select::naive::block_best(pats, &bt).map(|(m, exact, specificity)| {
-                vs2_core::select::BlockBest {
-                    m,
-                    exact,
-                    specificity,
-                }
-            });
-        assert_eq!(
-            indexed[ei],
-            expected,
-            "entity {entity} over {:?}",
-            bt.ann.tokens.iter().map(|t| &*t.raw).collect::<Vec<_>>()
-        );
-    }
+    let bt = BlockText::build(doc, block);
+    let index = PatternIndex::build(patterns);
+    assert_hits_equal_naive(&index, patterns, &bt, &mut index.scratch());
 }
 
 /// The select entry points — context and naive — agree on the given
@@ -497,9 +516,14 @@ fn same_edge_merge_and_split_match_naive() {
     // "b" again, so neither "abbc b" over 0..3 nor "abbc b ca" over 0..4
     // matches: the winner stays the merge path's one-token span.
     assert_index_equals_naive(&m, &doc, &block);
-    let bt = vs2_core::select::BlockText::build(&doc, &block);
-    let best = vs2_core::select::PatternIndex::build(&m).block_best(&bt)[0].unwrap();
-    assert_eq!(best.m, vs2_core::select::PatternMatch { start: 0, end: 1 });
+    let bt = BlockText::build(&doc, &block);
+    let index = PatternIndex::build(&m);
+    let hits = index.block_hits(&bt, &mut index.scratch()).to_vec();
+    assert_eq!(hits.len(), 1);
+    assert_eq!(
+        hits[0].1.m,
+        vs2_core::select::PatternMatch { start: 0, end: 1 }
+    );
     assert_entry_points_agree(
         &Vs2Pipeline::with_patterns(m, Vs2Config::default()),
         &doc,
@@ -577,6 +601,47 @@ fn d1_phrase_only_entry_points_agree() {
         let doc = generate_one(DatasetId::D1, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
         let blocks = logical_blocks(&doc, &d1.config.segment);
         assert_entry_points_agree(d1, &doc, &blocks);
+    }
+}
+
+/// Every pipeline's sparse block hits equal the naive matcher on the
+/// blocks of every synthetic dataset, through one scratch per pipeline
+/// reused across all of them. The scratch's reset count is the number
+/// of hits — one per entity a block touched — and for the 480-entity D1
+/// model that is a small fraction of one reset per entity per block.
+#[test]
+fn sparse_hits_equal_naive_on_learned_models() {
+    let docs: Vec<Document> = [DatasetId::D1, DatasetId::D2, DatasetId::D3, DatasetId::D4]
+        .into_iter()
+        .flat_map(|dataset| {
+            (0..2)
+                .map(move |i| generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc)
+        })
+        .collect();
+    for (name, pipeline) in pipelines() {
+        let index = pipeline.model().index();
+        let mut scratch = index.scratch();
+        let (mut blocks_seen, mut hits) = (0u64, 0u64);
+        for doc in &docs {
+            for block in logical_blocks(doc, &pipeline.config.segment) {
+                let bt = BlockText::build(doc, &block);
+                assert_hits_equal_naive(index, pipeline.patterns(), &bt, &mut scratch);
+                blocks_seen += 1;
+                hits += index.block_hits(&bt, &mut scratch).len() as u64;
+            }
+        }
+        // Each block was queried twice.
+        assert_eq!(scratch.slots_reset(), 2 * hits, "{name}");
+        if *name == "learned-D1" {
+            let dense = blocks_seen * index.entity_count() as u64;
+            assert_eq!(index.entity_count(), 480);
+            assert!(hits > 0, "the D1 model matched nothing");
+            assert!(
+                hits * 50 < dense,
+                "{name}: {hits} touched slots over {blocks_seen} blocks is not sparse \
+                 against {dense} dense slots"
+            );
+        }
     }
 }
 

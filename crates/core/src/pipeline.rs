@@ -16,11 +16,12 @@ use crate::select::interest::{block_densities, interest_points_with};
 use crate::select::learn::{learn_patterns, LearnConfig};
 use crate::select::naive;
 use crate::select::pattern::{PatternMatch, SyntacticPattern};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use vs2_docmodel::{BBox, Document};
 use vs2_nlp::embedding::Embedder;
-use vs2_nlp::wsd::Lesk;
+use vs2_nlp::wsd::{Gloss, Lesk};
 use vs2_nlp::LexiconEmbedding;
 
 /// How conflicting matches are resolved — the §6.5 ablation axis.
@@ -84,6 +85,16 @@ struct EntityProfile {
     mean_log_len: f64,
 }
 
+/// What scoring reads of one entity, at the entity's position in the
+/// inventory's key order (the [`PatternIndex`] entity order): its name,
+/// holdout profile and Lesk gloss (empty when it has none).
+#[derive(Debug, Clone)]
+struct EntitySlot {
+    name: String,
+    profile: Option<EntityProfile>,
+    gloss: Gloss,
+}
+
 /// The learned, immutable state of a VS2 extractor: the per-entity
 /// pattern inventory, Lesk glosses, and distant-supervision profiles.
 ///
@@ -99,8 +110,8 @@ pub struct Vs2Model {
     /// model-construction time and shared (read-only) by every pipeline
     /// holding this model.
     index: PatternIndex,
-    glosses: Lesk,
-    profiles: BTreeMap<String, EntityProfile>,
+    /// One slot per entity of `patterns`, in key order.
+    slots: Vec<EntitySlot>,
 }
 
 impl Vs2Model {
@@ -146,24 +157,35 @@ impl Vs2Model {
                 )
             })
             .collect();
-        let index = PatternIndex::build(&patterns);
-        Self {
-            patterns,
-            index,
-            glosses,
-            profiles,
-        }
+        Self::assemble(patterns, profiles, glosses.into_glosses())
     }
 
     /// Builds a model from an explicit pattern inventory (e.g. the
     /// hand-written Table 3/4 sets) with no glosses or profiles.
     pub fn with_patterns(patterns: BTreeMap<String, Vec<SyntacticPattern>>) -> Self {
+        Self::assemble(patterns, BTreeMap::new(), HashMap::new())
+    }
+
+    /// Compiles the index and lays out one [`EntitySlot`] per entity of
+    /// `patterns`, with its profile and gloss when it has them.
+    fn assemble(
+        patterns: BTreeMap<String, Vec<SyntacticPattern>>,
+        mut profiles: BTreeMap<String, EntityProfile>,
+        mut glosses: HashMap<String, Gloss>,
+    ) -> Self {
         let index = PatternIndex::build(&patterns);
+        let slots = patterns
+            .keys()
+            .map(|name| EntitySlot {
+                name: name.clone(),
+                profile: profiles.remove(name),
+                gloss: glosses.remove(name).unwrap_or_default(),
+            })
+            .collect();
         Self {
             patterns,
             index,
-            glosses: Lesk::new(),
-            profiles: BTreeMap::new(),
+            slots,
         }
     }
 
@@ -180,7 +202,7 @@ impl Vs2Model {
 
     /// Entities the model knows how to extract.
     pub fn entities(&self) -> Vec<&str> {
-        self.patterns.keys().map(|s| s.as_str()).collect()
+        self.slots.iter().map(|s| s.name.as_str()).collect()
     }
 }
 
@@ -252,14 +274,18 @@ impl Vs2Pipeline {
     /// blocks plug in here (the Table 5 baselines, plan replay, the
     /// triage cheap path).
     ///
-    /// One [`PatternIndex::block_best_into`] query per block answers for
-    /// every entity at once. Block texts come from the context's interned
-    /// token view, built with exactly what the index reads
-    /// ([`BlockText::build_in_with`] over [`PatternIndex::read_set`]), and
-    /// every embedding goes through the context's per-job memo, so
-    /// nothing is re-tokenised, re-stemmed or re-embedded per block. Each
-    /// block's word density and Lesk keys are derived once, not once per
-    /// candidate. Pinned equal to the executable reference
+    /// One sparse [`PatternIndex::block_hits`] query per block answers
+    /// for every entity at once, and the stage then works only on the
+    /// hits: a candidate list exists only for an entity some block
+    /// matched, and names are read from the model's entity slots, so the
+    /// cost follows the matches found, not the inventory's size. Block
+    /// texts come from the context's interned token view, built with
+    /// exactly what the index reads ([`BlockText::build_in_with`] over
+    /// [`PatternIndex::read_set`]), and every embedding goes through the
+    /// context's per-job memo, so nothing is re-tokenised, re-stemmed or
+    /// re-embedded per block. Each block's word density and Lesk keys are
+    /// derived once, not once per candidate. Pinned equal to the
+    /// executable reference
     /// [`candidates_on_blocks_naive`](Self::candidates_on_blocks_naive)
     /// by `tests/arena_equiv.rs` and `tests/select_equiv.rs` in
     /// `vs2-conformance`.
@@ -268,6 +294,27 @@ impl Vs2Pipeline {
         ctx: &DocContext<'_>,
         blocks: &[LogicalBlock],
     ) -> BTreeMap<String, Vec<Extraction>> {
+        let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
+        for (_, cand) in self.ranked_candidates(ctx, blocks) {
+            match out.get_mut(&cand.entity) {
+                Some(list) => list.push(cand),
+                None => {
+                    out.insert(cand.entity.clone(), vec![cand]);
+                }
+            }
+        }
+        out
+    }
+
+    /// [`candidates_on_blocks_ctx`](Self::candidates_on_blocks_ctx) as
+    /// one flat list of `(entity, candidate)` pairs sorted by entity
+    /// (key order), each entity's run ranked best-first — the form
+    /// [`assign`] works on.
+    fn ranked_candidates(
+        &self,
+        ctx: &DocContext<'_>,
+        blocks: &[LogicalBlock],
+    ) -> Vec<(usize, Extraction)> {
         let select_span = vs2_obs::span(vs2_obs::stages::SELECT);
         select_span.tag("blocks", blocks.len() as u64);
         let doc = ctx.doc();
@@ -285,22 +332,16 @@ impl Vs2Pipeline {
         };
         let _scan_span = vs2_obs::span(vs2_obs::stages::SELECT_SCAN);
         // One pass over the blocks; the index answers for all entities at
-        // once. Accumulating per entity in ascending block order keeps the
-        // pre-sort candidate order — and therefore the stable sort's
-        // output — identical to the old entity-outer loop.
-        let entities: Vec<&String> = self.model.patterns.keys().collect();
-        let mut per_entity: Vec<Vec<Extraction>> = vec![Vec::new(); entities.len()];
-        let mut scratch = crate::select::ScanScratch::default();
-        let mut bests: Vec<Option<crate::select::BlockBest>> = Vec::new();
+        // once, with the hits of each block in ascending entity order.
+        let mut scored: Vec<(usize, Extraction)> = Vec::new();
+        let mut scratch = self.model.index.scratch();
         let mut keys: Vec<&str> = Vec::new();
         for (bi, bt) in texts.iter().enumerate() {
             if bt.is_empty() {
                 continue;
             }
-            self.model
-                .index
-                .block_best_into(bt, &mut scratch, &mut bests);
-            if bests.iter().all(Option::is_none) {
+            let hits = self.model.index.block_hits(bt, &mut scratch);
+            if hits.is_empty() {
                 continue;
             }
             // The block's distinct Lesk keys, as `Lesk::score` would
@@ -313,34 +354,29 @@ impl Vs2Pipeline {
                 density: densities[bi],
                 keys: Some(&keys),
             };
-            for (ei, best) in bests.iter().enumerate() {
-                let Some(b) = *best else { continue };
-                per_entity[ei].push(self.score_candidate(
+            for &(entity, b) in hits {
+                let cand = self.score_candidate(
                     doc,
                     blocks,
                     bi,
                     bt,
                     &row,
-                    entities[ei],
+                    entity,
                     b.m,
                     b.exact,
                     b.specificity,
                     &ip_enc,
                     &page,
                     &embedder,
-                ));
+                );
+                scored.push((entity, cand));
             }
         }
-
-        let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
-        for (ei, mut cands) in per_entity.into_iter().enumerate() {
-            if cands.is_empty() {
-                continue;
-            }
-            cands.sort_by(|a, b| a.score.total_cmp(&b.score));
-            out.insert(entities[ei].clone(), cands);
-        }
-        out
+        // A stable sort by (entity, score): each entity's candidates
+        // arrive in ascending block order, so this ranks them exactly as
+        // a per-entity list in block order sorted stably by score.
+        scored.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.score.total_cmp(&b.1.score)));
+        scored
     }
 
     /// The original (pre-index) search-and-select loop, kept as the
@@ -360,7 +396,7 @@ impl Vs2Pipeline {
         let densities = block_densities(doc, blocks);
         let (ip_enc, page) = self.select_prep(doc, blocks, &texts, &densities, &LexiconEmbedding);
         let mut out: BTreeMap<String, Vec<Extraction>> = BTreeMap::new();
-        for (entity, patterns) in self.model.patterns() {
+        for (slot, (entity, patterns)) in self.model.patterns().iter().enumerate() {
             let mut cands: Vec<Extraction> = Vec::new();
             for (bi, bt) in texts.iter().enumerate() {
                 if bt.is_empty() {
@@ -383,7 +419,7 @@ impl Vs2Pipeline {
                     bi,
                     bt,
                     &row,
-                    entity,
+                    slot,
                     m,
                     exact,
                     specificity,
@@ -435,9 +471,10 @@ impl Vs2Pipeline {
         (ip_enc, page)
     }
 
-    /// Turns one block-level winning match into a scored [`Extraction`].
-    /// Both matchers funnel through here, so the differential suite pins
-    /// exactly the matcher — scoring is shared by construction.
+    /// Turns one block-level winning match of the entity in slot `entity`
+    /// into a scored [`Extraction`]. Both matchers funnel through here,
+    /// so the differential suite pins exactly the matcher — scoring is
+    /// shared by construction.
     #[allow(clippy::too_many_arguments)]
     fn score_candidate<E: Embedder>(
         &self,
@@ -446,7 +483,7 @@ impl Vs2Pipeline {
         bi: usize,
         bt: &BlockText,
         row: &ScoreRow<'_>,
-        entity: &str,
+        entity: usize,
         m: PatternMatch,
         exact: bool,
         specificity: usize,
@@ -454,6 +491,7 @@ impl Vs2Pipeline {
         page: &PageScale,
         embedder: &E,
     ) -> Extraction {
+        let slot = &self.model.slots[entity];
         let (text, span_bbox) = if exact {
             // D1 semantics: the descriptor locates the field; the
             // extraction is the value adjacent to it (bounded to a
@@ -494,7 +532,7 @@ impl Vs2Pipeline {
                 // verbosity agreement.
                 let mut score = distance_to_nearest(&enc, ip_enc, &self.config.weights, page)
                     - 0.05 * specificity as f64;
-                if let Some(profile) = self.model.profiles.get(entity) {
+                if let Some(profile) = &slot.profile {
                     let sim = vs2_nlp::cosine(&enc.embedding, &profile.centroid);
                     score += 0.25 * (1.0 - sim.clamp(-1.0, 1.0)) / 2.0;
                     let n_words = text.split_whitespace().count().max(1);
@@ -504,31 +542,21 @@ impl Vs2Pipeline {
                 // Holdout-context gloss overlap (the block's words
                 // vs the entity's fixed-format contexts) — the
                 // cue that separates "Phone …" from "Fax …".
-                score -= 0.15 * self.gloss_overlap(entity, bt, row).min(1.0);
+                score -= 0.15 * gloss_overlap(&slot.gloss, bt, row).min(1.0);
                 score
             }
             DisambiguationMode::FirstMatch => {
                 // Reading order: top-to-bottom, left-to-right.
                 blocks[bi].bbox.y * 10_000.0 + blocks[bi].bbox.x
             }
-            DisambiguationMode::Lesk => -self.gloss_overlap(entity, bt, row),
+            DisambiguationMode::Lesk => -gloss_overlap(&slot.gloss, bt, row),
         };
         Extraction {
-            entity: entity.to_string(),
+            entity: slot.name.clone(),
             text,
             block_bbox: blocks[bi].bbox,
             span_bbox,
             score,
-        }
-    }
-
-    /// Lesk overlap of the entity's gloss with the block: over the row's
-    /// interned keys when it has them, else over the block's content
-    /// words (the reference path).
-    fn gloss_overlap(&self, entity: &str, bt: &BlockText, row: &ScoreRow<'_>) -> f64 {
-        match row.keys {
-            Some(keys) => self.model.glosses.score_keys(entity, keys),
-            None => self.model.glosses.score(entity, bt.ann.content_words()),
         }
     }
 
@@ -547,7 +575,7 @@ impl Vs2Pipeline {
         ctx: &DocContext<'_>,
         blocks: &[LogicalBlock],
     ) -> Vec<Extraction> {
-        assign(self.candidates_on_blocks_ctx(ctx, blocks))
+        assign_ranked(self.ranked_candidates(ctx, blocks))
     }
 
     /// End-to-end extraction: builds one [`DocContext`] for `doc`,
@@ -558,7 +586,7 @@ impl Vs2Pipeline {
         let _extract_span = vs2_obs::span(vs2_obs::stages::EXTRACT);
         let ctx = DocContext::build(doc);
         let blocks = crate::segment::logical_blocks_ctx(&ctx, &self.config.segment);
-        assign(self.candidates_on_blocks_ctx(&ctx, &blocks))
+        assign_ranked(self.ranked_candidates(&ctx, &blocks))
     }
 
     /// Triage-routed zero-copy extraction: scores the document's layout
@@ -579,7 +607,7 @@ impl Vs2Pipeline {
         let (blocks, decision, _) =
             crate::triage::routed_blocks_ctx(&ctx, &self.config.segment, triage, None);
         (
-            assign(self.candidates_on_blocks_ctx(&ctx, &blocks)),
+            assign_ranked(self.ranked_candidates(&ctx, &blocks)),
             decision,
         )
     }
@@ -614,12 +642,38 @@ struct ScoreRow<'k> {
     keys: Option<&'k [&'k str]>,
 }
 
+/// Lesk overlap of an entity's gloss with the block: over the row's
+/// interned keys when it has them, else over the block's content words
+/// (the reference path).
+fn gloss_overlap(gloss: &Gloss, bt: &BlockText, row: &ScoreRow<'_>) -> f64 {
+    match row.keys {
+        Some(keys) => gloss.score_keys(keys),
+        None => gloss.score(bt.ann.content_words()),
+    }
+}
+
 /// Greedy joint assignment of candidates to entities: the globally
 /// best-scoring (entity, candidate) pairs claim their blocks one-to-one,
 /// so two entities never extract from the same logical block while an
 /// alternative exists. Entities whose candidates are all claimed fall
-/// back to their best candidate.
-fn assign(candidates: BTreeMap<String, Vec<Extraction>>) -> Vec<Extraction> {
+/// back to their first candidate. Each entity's list is read best first,
+/// as [`Vs2Pipeline::candidates_on_blocks_ctx`] ranks it; the output
+/// holds one extraction per entity with a candidate, in key order.
+pub fn assign(candidates: BTreeMap<String, Vec<Extraction>>) -> Vec<Extraction> {
+    assign_ranked(
+        candidates
+            .into_values()
+            .enumerate()
+            .flat_map(|(k, cands)| cands.into_iter().map(move |c| (k, c)))
+            .collect(),
+    )
+}
+
+/// [`assign`] over one flat list of `(entity, candidate)` pairs sorted by
+/// entity, each entity's run read best first. Entities are addressed by
+/// their run, each candidate's block key is reduced once to a dense id,
+/// and the winners are moved out of the list.
+fn assign_ranked(ranked: Vec<(usize, Extraction)>) -> Vec<Extraction> {
     let _assign_span = vs2_obs::span(vs2_obs::stages::ASSIGN);
     let block_key = |e: &Extraction| -> (i64, i64, i64, i64) {
         (
@@ -629,24 +683,45 @@ fn assign(candidates: BTreeMap<String, Vec<Extraction>>) -> Vec<Extraction> {
             (e.block_bbox.h * 8.0) as i64,
         )
     };
-    let mut claimed: std::collections::BTreeSet<(i64, i64, i64, i64)> =
-        std::collections::BTreeSet::new();
-    let mut unassigned: Vec<&String> = candidates.keys().collect();
-    let mut chosen: BTreeMap<String, Extraction> = BTreeMap::new();
+    // `runs[k]`: the range of `ranked` holding entity `k`'s candidates.
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, (entity, _)) in ranked.iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if ranked[run.start].0 == *entity => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    // `block[i]`: the dense id of candidate `i`'s block key; candidates
+    // share an id exactly when their keys are equal.
+    let mut distinct: Vec<(i64, i64, i64, i64)> =
+        ranked.iter().map(|(_, c)| block_key(c)).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let block: Vec<usize> = ranked
+        .iter()
+        .map(|(_, c)| {
+            distinct
+                .binary_search(&block_key(c))
+                .expect("every key is listed")
+        })
+        .collect();
+    let mut claimed = vec![false; distinct.len()];
+    let mut unassigned: Vec<usize> = (0..runs.len()).collect();
+    // The candidate each entity emits: its pick, else its best.
+    let mut chosen: Vec<usize> = runs.iter().map(|run| run.start).collect();
 
     // Regret-based greedy: at each round, the entity that would lose the
     // most by not getting its current best unclaimed candidate (the gap
-    // to its second choice) assigns first.
+    // to its second choice) assigns first; equal regrets go to the
+    // earliest entity.
     while !unassigned.is_empty() {
-        let mut best_pick: Option<(f64, usize, &Extraction)> = None; // (regret, pos, cand)
-        for (pos, entity) in unassigned.iter().enumerate() {
-            let mut free = candidates[*entity]
-                .iter()
-                .filter(|c| !claimed.contains(&block_key(c)));
+        let mut best_pick: Option<(f64, usize, usize)> = None; // (regret, pos, cand)
+        for (pos, &k) in unassigned.iter().enumerate() {
+            let mut free = runs[k].clone().filter(|&i| !claimed[block[i]]);
             let Some(first) = free.next() else { continue };
             let regret = free
                 .next()
-                .map(|second| second.score - first.score)
+                .map(|second| ranked[second].1.score - ranked[first].1.score)
                 .unwrap_or(f64::INFINITY);
             let better = match &best_pick {
                 None => true,
@@ -657,24 +732,23 @@ fn assign(candidates: BTreeMap<String, Vec<Extraction>>) -> Vec<Extraction> {
             }
         }
         match best_pick {
-            Some((_, pos, cand)) => {
-                claimed.insert(block_key(cand));
-                let entity = unassigned.remove(pos);
-                chosen.insert(entity.clone(), cand.clone());
+            Some((_, pos, i)) => {
+                let k = unassigned.remove(pos);
+                claimed[block[i]] = true;
+                chosen[k] = i;
             }
-            None => break, // remaining entities have no free candidates
+            // The remaining entities have no free candidates: they fall
+            // back to their best one.
+            None => break,
         }
     }
-    // Fallback: an entity whose candidates were all claimed still emits
-    // its best candidate.
-    for (entity, cands) in &candidates {
-        if !chosen.contains_key(entity) {
-            if let Some(best) = cands.first() {
-                chosen.insert(entity.clone(), best.clone());
-            }
-        }
-    }
-    chosen.into_values().collect()
+    // One winner per run, in entity order: move them out.
+    let mut winners = chosen.into_iter().peekable();
+    ranked
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, (_, cand))| winners.next_if_eq(&i).map(|_| cand))
+        .collect()
 }
 
 #[cfg(test)]

@@ -55,12 +55,8 @@ impl Default for DelimiterConfig {
     }
 }
 
-/// The bounding box of the strip a run occupies, in document coordinates.
-pub fn run_strip(run: &CutRun, grid: &OccupancyGrid, area: &BBox) -> BBox {
-    run_strip_geom(run, grid.origin(), grid.cell_size(), area)
-}
-
-/// [`run_strip`] over bare raster geometry (origin + cell size) — the
+/// The bounding box of the strip a run occupies, in document
+/// coordinates, from bare raster geometry (origin + cell size) — the
 /// grid-representation-independent form shared by the packed fast path.
 pub fn run_strip_geom(run: &CutRun, origin: Point, cell: f64, area: &BBox) -> BBox {
     if run.horizontal {
@@ -363,14 +359,14 @@ mod tests {
             start: 5,
             len: 3,
         };
-        let strip = run_strip(&run, &grid, &area);
+        let strip = run_strip_geom(&run, grid.origin(), grid.cell_size(), &area);
         assert_eq!(strip, BBox::new(10.0, 30.0, 100.0, 6.0));
         let vrun = CutRun {
             horizontal: false,
             start: 10,
             len: 2,
         };
-        let vstrip = run_strip(&vrun, &grid, &area);
+        let vstrip = run_strip_geom(&vrun, grid.origin(), grid.cell_size(), &area);
         assert_eq!(vstrip, BBox::new(30.0, 20.0, 4.0, 50.0));
     }
 }

@@ -34,6 +34,14 @@
 //!   block's precomputed feature summary. Surviving patterns test
 //!   candidate windows with bitmask subset checks against the block's
 //!   [`FeatureTable`] instead of rebuilding `BTreeSet<Feature>`s.
+//! * **Sparse per-block results.** A block query
+//!   ([`PatternIndex::block_hits`]) costs what the block matches, not
+//!   what the inventory holds. The per-entity accumulators live in the
+//!   [`ScanScratch`], sized once to the model's entity count and clean
+//!   between queries; the scan notes each entity the first time it
+//!   touches its accumulator, and the query returns only those entities'
+//!   winners, in ascending entity order, resetting only their slots. A
+//!   learned D1 model has 480 entities but a D1 block touches about one.
 //!
 //! The phrase scan reads only the tokens' normal forms; only window
 //! patterns read POS, chunks, NER and the [`FeatureTable`]. The index
@@ -75,11 +83,12 @@ pub struct BlockBest {
 }
 
 /// Reusable buffers for the per-block scan: the phrase-walk DFS stack,
-/// the split continuations' banned-edge sets, the per-pop hit lists and
-/// the OCR-split rejoin text (one buffer + span table instead of a
-/// `String` per adjacent token pair). Create once per worker (or via
-/// [`PatternIndex::scratch`]) and pass to
-/// [`PatternIndex::block_best_with`] for every block of a job.
+/// the split continuations' banned-edge sets, the per-pop hit lists, the
+/// OCR-split rejoin text (one buffer + span table instead of a `String`
+/// per adjacent token pair), the per-entity accumulators and the sparse
+/// result list. Create once per job (or worker) with
+/// [`PatternIndex::scratch`] and pass to [`PatternIndex::block_hits`]
+/// for every block; once warm, a query allocates nothing.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     stack: Vec<Frame>,
@@ -94,7 +103,21 @@ pub struct ScanScratch {
     merged_hits: Vec<(u32, u32)>,
     rejoined_text: String,
     rejoined_spans: Vec<(u32, u32)>,
-    acc: Vec<Acc>,
+    accs: Accs,
+    /// The last query's result: `(entity, winner)` in ascending entity
+    /// order.
+    hits: Vec<(usize, BlockBest)>,
+    /// Accumulator slots reset so far, over every query.
+    resets: u64,
+}
+
+impl ScanScratch {
+    /// Accumulator slots the queries through this scratch have reset so
+    /// far: one per entity a block touched, never one per entity of the
+    /// inventory.
+    pub fn slots_reset(&self) -> u64 {
+        self.resets
+    }
 }
 
 /// One pending trie-walk state: the next block token, the trie node, and
@@ -617,56 +640,59 @@ impl PatternIndex {
         &self.read
     }
 
-    /// Scratch for [`PatternIndex::block_best_with`] — kept across
-    /// blocks so the phrase-scan DFS stack and the OCR-split rejoin
-    /// buffer are allocated once per worker, not once per block.
-    /// (Defined on the impl for discoverability; see [`ScanScratch`].)
-    pub fn scratch() -> ScanScratch {
-        ScanScratch::default()
-    }
-
-    /// The per-entity best match within one block — observationally
-    /// identical to running the naive per-entity loops (see
-    /// [`crate::select::naive`]). Returns one slot per entity, in the
-    /// inventory's entity order.
-    pub fn block_best(&self, bt: &BlockText) -> Vec<Option<BlockBest>> {
-        self.block_best_with(bt, &mut ScanScratch::default())
-    }
-
-    /// [`PatternIndex::block_best`] with caller-owned scan scratch, so a
-    /// worker processing many blocks reuses the DFS stack and the
-    /// rejoined-pair buffer instead of reallocating them per block.
-    pub fn block_best_with(
-        &self,
-        bt: &BlockText,
-        scratch: &mut ScanScratch,
-    ) -> Vec<Option<BlockBest>> {
-        let mut out = Vec::new();
-        self.block_best_into(bt, scratch, &mut out);
-        out
-    }
-
-    /// [`PatternIndex::block_best_with`] into a caller-owned output
-    /// buffer, with the per-entity accumulators also drawn from the
-    /// scratch — zero allocations per block once the buffers are warm.
-    pub fn block_best_into(
-        &self,
-        bt: &BlockText,
-        scratch: &mut ScanScratch,
-        out: &mut Vec<Option<BlockBest>>,
-    ) {
-        // Take the accumulator out of the scratch so the scan borrows
-        // don't collide; put it back when done.
-        let mut acc = std::mem::take(&mut scratch.acc);
-        acc.clear();
-        acc.resize(self.n_entities, Acc::default());
-        if !bt.is_empty() {
-            self.scan_phrases(bt, &mut acc, scratch);
-            self.scan_windows(bt, &mut acc);
+    /// Scratch for [`PatternIndex::block_hits`], its accumulators sized
+    /// to this index's entity count. Keep it across blocks (and jobs) so
+    /// the DFS stack, the rejoin buffer and the accumulators are
+    /// allocated once, not once per block.
+    pub fn scratch(&self) -> ScanScratch {
+        ScanScratch {
+            accs: Accs {
+                slots: vec![Acc::default(); self.n_entities],
+                touched: Vec::new(),
+            },
+            ..ScanScratch::default()
         }
-        out.clear();
-        out.extend(acc.iter().map(|a| a.into_best()));
-        scratch.acc = acc;
+    }
+
+    /// The winning match of every entity that matched within one block,
+    /// as `(entity, winner)` pairs in ascending entity order (entities
+    /// follow the inventory's key order). Each winner is observationally
+    /// identical to the naive per-entity loops' (see
+    /// [`crate::select::naive`]); an entity absent from the result has no
+    /// match in the block.
+    ///
+    /// Work and resets are proportional to the entities the block
+    /// touches: only their accumulator slots are read out and reset, so
+    /// the scratch is clean again on return. A scratch from
+    /// [`PatternIndex::scratch`] (or any scratch after its first query on
+    /// this index) makes the call allocation-free once its buffers are
+    /// warm.
+    pub fn block_hits<'s>(
+        &self,
+        bt: &BlockText,
+        scratch: &'s mut ScanScratch,
+    ) -> &'s [(usize, BlockBest)] {
+        // Take the accumulators out of the scratch so the scan borrows
+        // don't collide; put them back when done.
+        let mut accs = std::mem::take(&mut scratch.accs);
+        if accs.slots.len() < self.n_entities {
+            accs.slots.resize(self.n_entities, Acc::default());
+        }
+        if !bt.is_empty() {
+            self.scan_phrases(bt, &mut accs, scratch);
+            self.scan_windows(bt, &mut accs);
+        }
+        accs.touched.sort_unstable();
+        scratch.hits.clear();
+        for &e in &accs.touched {
+            let acc = std::mem::take(&mut accs.slots[e as usize]);
+            let best = acc.into_best().expect("a touched slot holds a match");
+            scratch.hits.push((e as usize, best));
+        }
+        scratch.resets += accs.touched.len() as u64;
+        accs.touched.clear();
+        scratch.accs = accs;
+        &scratch.hits
     }
 
     /// One left-to-right pass over the block: from every start token,
@@ -674,7 +700,7 @@ impl PatternIndex {
     /// reads only the probe buckets its query lengths select; per edge, a
     /// direct hit suppresses the merge and split branches, and a split
     /// continuation is banned from the grandchildren its edge merged into.
-    fn scan_phrases(&self, bt: &BlockText, acc: &mut [Acc], scratch: &mut ScanScratch) {
+    fn scan_phrases(&self, bt: &BlockText, accs: &mut Accs, scratch: &mut ScanScratch) {
         if self.nodes[0].children.is_empty() {
             return;
         }
@@ -721,7 +747,7 @@ impl PatternIndex {
             {
                 let node = &self.nodes[node_id as usize];
                 for slot in &node.terminals {
-                    update(acc, *slot, PatternMatch { start, end: i }, true, 4);
+                    accs.update(*slot, PatternMatch { start, end: i }, true, 4);
                 }
                 if node.children.is_empty() {
                     continue;
@@ -799,18 +825,18 @@ impl PatternIndex {
         }
     }
 
-    fn scan_windows(&self, bt: &BlockText, acc: &mut [Acc]) {
+    fn scan_windows(&self, bt: &BlockText, accs: &mut Accs) {
         for (anchor, bucket) in &self.groups {
             if !anchor.present_in(bt) {
                 continue;
             }
             for w in bucket {
-                self.eval_window(bt, w, acc);
+                self.eval_window(bt, w, accs);
             }
         }
     }
 
-    fn eval_window(&self, bt: &BlockText, w: &CompiledWindow, acc: &mut [Acc]) {
+    fn eval_window(&self, bt: &BlockText, w: &CompiledWindow, accs: &mut Accs) {
         // Full-requirement prefilter against the block summary — free
         // once the masks exist, and strictly stronger than the anchor.
         let s = &bt.features.summary;
@@ -826,7 +852,7 @@ impl PatternIndex {
             Some(k) => {
                 for (p, rep) in bt.ann.phrases.iter().zip(table.phrase_windows.iter()) {
                     if p.kind == k {
-                        self.eval_rep(bt, w, rep, acc);
+                        self.eval_rep(bt, w, rep, accs);
                     }
                 }
             }
@@ -836,13 +862,13 @@ impl PatternIndex {
                     .iter()
                     .chain(std::iter::once(&table.block_window))
                 {
-                    self.eval_rep(bt, w, rep, acc);
+                    self.eval_rep(bt, w, rep, accs);
                 }
             }
         }
     }
 
-    fn eval_rep(&self, bt: &BlockText, w: &CompiledWindow, rep: &WindowRep, acc: &mut [Acc]) {
+    fn eval_rep(&self, bt: &BlockText, w: &CompiledWindow, rep: &WindowRep, accs: &mut Accs) {
         let table = &bt.features;
         {
             if rep.end <= rep.start {
@@ -871,8 +897,7 @@ impl PatternIndex {
                 for span in &bt.ann.ner {
                     if w.contact.contains(&span.tag) && span.start < rep.end && span.end > rep.start
                     {
-                        update(
-                            acc,
+                        accs.update(
                             w.slot,
                             PatternMatch {
                                 start: span.start,
@@ -897,13 +922,7 @@ impl PatternIndex {
                     e2 = e2.max(span.end);
                 }
             }
-            update(
-                acc,
-                w.slot,
-                PatternMatch { start: s2, end: e2 },
-                false,
-                w.spec,
-            );
+            accs.update(w.slot, PatternMatch { start: s2, end: e2 }, false, w.spec);
         }
     }
 }
@@ -927,24 +946,40 @@ impl Acc {
     }
 }
 
-fn update(acc: &mut [Acc], slot: Slot, m: PatternMatch, exact: bool, spec: usize) {
-    let a = &mut acc[slot.entity as usize];
-    a.spec = a.spec.max(spec);
-    let len = m.end - m.start;
-    let key = (std::cmp::Reverse(len), slot.rank, m.start, m.end);
-    let better = match &a.best {
-        None => true,
-        Some((cur, cur_rank, _)) => {
-            key < (
-                std::cmp::Reverse(cur.end - cur.start),
-                *cur_rank,
-                cur.start,
-                cur.end,
-            )
+/// The accumulators of one block query: one slot per entity (all clean
+/// between queries) plus the entities whose slot the current block
+/// touched, in first-touch order.
+#[derive(Debug, Clone, Default)]
+struct Accs {
+    slots: Vec<Acc>,
+    touched: Vec<u32>,
+}
+
+impl Accs {
+    fn update(&mut self, slot: Slot, m: PatternMatch, exact: bool, spec: usize) {
+        let a = &mut self.slots[slot.entity as usize];
+        // Every update leaves a winner behind, so an empty slot is one
+        // this block has not touched yet.
+        if a.best.is_none() {
+            self.touched.push(slot.entity);
         }
-    };
-    if better {
-        a.best = Some((m, slot.rank, exact));
+        a.spec = a.spec.max(spec);
+        let len = m.end - m.start;
+        let key = (std::cmp::Reverse(len), slot.rank, m.start, m.end);
+        let better = match &a.best {
+            None => true,
+            Some((cur, cur_rank, _)) => {
+                key < (
+                    std::cmp::Reverse(cur.end - cur.start),
+                    *cur_rank,
+                    cur.start,
+                    cur.end,
+                )
+            }
+        };
+        if better {
+            a.best = Some((m, slot.rank, exact));
+        }
     }
 }
 
@@ -985,10 +1020,19 @@ mod tests {
         (d, bt)
     }
 
+    /// The dense view of one block query: one slot per entity.
+    fn dense(index: &PatternIndex, b: &BlockText) -> Vec<Option<BlockBest>> {
+        let mut out = vec![None; index.entity_count()];
+        for &(e, best) in index.block_hits(b, &mut index.scratch()) {
+            out[e] = Some(best);
+        }
+        out
+    }
+
     fn assert_same_as_naive(patterns: &BTreeMap<String, Vec<SyntacticPattern>>, text: &str) {
         let (_, b) = bt(text);
         let index = PatternIndex::build(patterns);
-        let indexed = index.block_best(&b);
+        let indexed = dense(&index, &b);
         for (ei, pats) in patterns.values().enumerate() {
             let expected = naive::block_best(pats, &b).map(|(m, exact, specificity)| BlockBest {
                 m,
@@ -1013,7 +1057,7 @@ mod tests {
         let index = PatternIndex::build(&m);
         assert_eq!(index.phrase_count(), 2);
         let (_, b) = bt("Total wages income due");
-        let best = index.block_best(&b);
+        let best = dense(&index, &b);
         assert_eq!(
             best[0].map(|x| x.m),
             Some(PatternMatch { start: 0, end: 2 })
@@ -1040,7 +1084,7 @@ mod tests {
         );
         let (_, b) = bt("Total wages income due");
         let index = PatternIndex::build(&m);
-        let best = index.block_best(&b)[0].unwrap();
+        let best = dense(&index, &b)[0].unwrap();
         // Rank 0 is "wages income" → span (1, 3), even though (0, 2)
         // starts earlier.
         assert_eq!(best.m, PatternMatch { start: 1, end: 3 });
@@ -1062,7 +1106,7 @@ mod tests {
         );
         let (_, b) = bt("Total amount due now");
         let index = PatternIndex::build(&m);
-        let best = index.block_best(&b);
+        let best = dense(&index, &b);
         let expected = PatternMatch { start: 1, end: 3 };
         assert_eq!(best[0].unwrap().m, expected);
         assert_eq!(best[1].unwrap().m, expected);
@@ -1086,7 +1130,7 @@ mod tests {
         let (_, b) = bt(text);
         let index = PatternIndex::build(&m);
         let naive_best = naive::block_best(&m["e"], &b).unwrap();
-        let best = index.block_best(&b)[0].unwrap();
+        let best = dense(&index, &b)[0].unwrap();
         assert_eq!(best.m, naive_best.0, "winning span must match naive");
         assert_eq!(best.specificity, 1);
         assert_same_as_naive(&m, text);
@@ -1158,6 +1202,43 @@ mod tests {
         .collect();
         let (_, b) = bt("");
         let index = PatternIndex::build(&m);
-        assert_eq!(index.block_best(&b), vec![None]);
+        assert_eq!(dense(&index, &b), vec![None]);
+    }
+
+    #[test]
+    fn hits_are_sparse_ascending_and_reset_only_what_they_touch() {
+        // Ten entities; the block touches entities 7 and 2 (in that scan
+        // order) and nothing else.
+        let m: BTreeMap<String, Vec<SyntacticPattern>> = (0..10)
+            .map(|i| {
+                let phrase = match i {
+                    2 => "wages income".to_string(),
+                    7 => "total wages".to_string(),
+                    _ => format!("field{i} label"),
+                };
+                (format!("e{i}"), vec![SyntacticPattern::ExactPhrase(phrase)])
+            })
+            .collect();
+        let index = PatternIndex::build(&m);
+        let (_, b) = bt("Total wages income due");
+        let (_, none) = bt("nothing to see");
+        let mut scratch = index.scratch();
+        for _ in 0..3 {
+            let hits: Vec<usize> = index
+                .block_hits(&b, &mut scratch)
+                .iter()
+                .map(|h| h.0)
+                .collect();
+            assert_eq!(hits, vec![2, 7]);
+            assert!(index.block_hits(&none, &mut scratch).is_empty());
+        }
+        // Two slots reset per matching block, none for the empty one.
+        assert_eq!(scratch.slots_reset(), 6);
+        // A default scratch grows to the index on first use and agrees.
+        let mut fresh = ScanScratch::default();
+        assert_eq!(
+            index.block_hits(&b, &mut fresh).to_vec(),
+            index.block_hits(&b, &mut scratch).to_vec()
+        );
     }
 }

@@ -14,7 +14,30 @@ use std::collections::{HashMap, HashSet};
 /// A gloss-overlap disambiguator with named senses.
 #[derive(Debug, Clone, Default)]
 pub struct Lesk {
-    glosses: HashMap<String, HashSet<String>>,
+    glosses: HashMap<String, Gloss>,
+}
+
+/// One sense's gloss: the set of its words' [`gloss_key`]s. The empty
+/// gloss scores 0 against every context, like an unknown sense.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Gloss(HashSet<String>);
+
+impl Gloss {
+    /// [`Lesk::score`] against this gloss.
+    pub fn score<'a, I: IntoIterator<Item = &'a str>>(&self, context: I) -> f64 {
+        let ctx = gloss_set(context);
+        let keys: Vec<&str> = ctx.iter().map(String::as_str).collect();
+        self.score_keys(&keys)
+    }
+
+    /// [`Lesk::score_keys`] against this gloss.
+    pub fn score_keys(&self, keys: &[&str]) -> f64 {
+        if keys.is_empty() || self.0.is_empty() {
+            return 0.0;
+        }
+        let overlap = keys.iter().filter(|k| self.0.contains(**k)).count();
+        overlap as f64 / keys.len() as f64
+    }
 }
 
 /// The gloss key of one word: its lower-cased stem, or `None` when the
@@ -61,6 +84,7 @@ impl Lesk {
         self.glosses
             .entry(sense.into())
             .or_default()
+            .0
             .extend(gloss_set(words));
     }
 
@@ -73,23 +97,19 @@ impl Lesk {
     /// shared stems divided by the context size (0 when either is empty,
     /// or the sense is unknown).
     pub fn score<'a, I: IntoIterator<Item = &'a str>>(&self, sense: &str, context: I) -> f64 {
-        let ctx = gloss_set(context);
-        let keys: Vec<&str> = ctx.iter().map(String::as_str).collect();
-        self.score_keys(sense, &keys)
+        self.glosses.get(sense).map_or(0.0, |g| g.score(context))
     }
 
     /// [`Lesk::score`] over a context already reduced to its keys:
     /// `keys` must be the *distinct* [`gloss_key`]s of the context words.
     /// Equal to `score(sense, words)` whenever `keys` is that set.
     pub fn score_keys(&self, sense: &str, keys: &[&str]) -> f64 {
-        let Some(gloss) = self.glosses.get(sense) else {
-            return 0.0;
-        };
-        if keys.is_empty() || gloss.is_empty() {
-            return 0.0;
-        }
-        let overlap = keys.iter().filter(|k| gloss.contains(**k)).count();
-        overlap as f64 / keys.len() as f64
+        self.glosses.get(sense).map_or(0.0, |g| g.score_keys(keys))
+    }
+
+    /// The glosses by sense, moved out of the disambiguator.
+    pub fn into_glosses(self) -> HashMap<String, Gloss> {
+        self.glosses
     }
 
     /// Best-scoring sense for a context; `None` when no sense overlaps at

@@ -18,7 +18,10 @@
 //! * empty lines (skipped entirely, no wire seq consumed), and
 //! * the control record `{"control":"drain"}`, which flips the service
 //!   into draining (also no wire seq) — the in-stream equivalent of
-//!   `vs2d --drain-after`.
+//!   `vs2d --drain-after`. The record that began the drain is reported
+//!   in [`BatchRun::controls`] by line number and [`line_hash`]; one
+//!   read while the service already drains changes nothing and is not
+//!   reported, so it drains the successor instead.
 //!
 //! With [`BatchOptions::resume_completed`] set (warm restart from a
 //! [`crate::handoff::HandoffSnapshot`]), lines the predecessor already
@@ -29,7 +32,10 @@
 //! buckets line up with an uninterrupted run. A line whose wire seq was
 //! answered but whose hash differs stops the batch before it is
 //! submitted ([`BatchRun::resume_mismatch`]): the input is not the one
-//! the snapshot answered.
+//! the snapshot answered. With [`BatchOptions::resume_controls`], the
+//! control records the predecessor consumed are skipped the same way
+//! (same line number, same hash), so a stream drained by an in-stream
+//! record resumes past it instead of draining again.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, ErrorKind, Read, Write};
@@ -41,7 +47,7 @@ use serde::{Deserialize, Value};
 use crate::admit::Lane;
 use crate::engine::JobOutcome;
 use crate::error::ServeError;
-use crate::handoff::{line_hash, AnsweredLine};
+use crate::handoff::{line_hash, AnsweredLine, ControlLine};
 use crate::job::{JobResult, JobSpec, JobStatus, QuarantineRecord};
 use crate::service::ExtractService;
 
@@ -111,6 +117,10 @@ pub struct BatchOptions {
     /// skip them, replaying the engine seq and admission charge of the
     /// valid ones.
     pub resume_completed: Option<HashMap<u64, u64>>,
+    /// Control records a predecessor consumed, as input line number →
+    /// [`line_hash`] ([`crate::handoff::HandoffSnapshot::consumed_controls`]):
+    /// skip them instead of acting on them again.
+    pub resume_controls: HashMap<u64, u64>,
 }
 
 /// What the result emitter must produce for one consumed input line.
@@ -146,8 +156,12 @@ pub struct BatchRun {
     /// except `shed`), in increasing wire-seq order — the `completed`
     /// list of a drain/handoff snapshot.
     pub completed: Vec<AnsweredLine>,
+    /// The drain control record this run consumed to begin draining, if
+    /// any — the `controls` list of a drain/handoff snapshot.
+    pub controls: Vec<ControlLine>,
     /// The 0-based input line at which a resumed run stopped because
-    /// the predecessor answered its wire seq for a different line.
+    /// the predecessor answered its wire seq (or consumed a control
+    /// record on that line) for a different line.
     pub resume_mismatch: Option<u64>,
     /// The quarantine records emitted after the result lines, in
     /// increasing wire-seq order.
@@ -175,6 +189,7 @@ pub fn run_batch(
     let (fate_tx, fate_rx) = mpsc::channel::<LineFate>();
     let mut invalid = 0u64;
     let mut skipped = 0u64;
+    let mut controls = Vec::new();
     let mut resume_mismatch = None;
     let (latencies, shed, completed, quarantine_records) = std::thread::scope(|scope| {
         let emitter = scope.spawn(move || {
@@ -300,6 +315,20 @@ pub fn run_batch(
                 Ok(Some(text)) => Ok(text),
                 Err(e) => Err(e),
             };
+            let hash = match &read {
+                Ok(text) => line_hash(text.as_bytes()),
+                Err(e) => line_hash(e.to_string().as_bytes()),
+            };
+            // Warm restart: a control record the predecessor consumed on
+            // this line is skipped, not acted on again; other bytes on
+            // that line mean a different input.
+            if let Some(&consumed) = opts.resume_controls.get(&line_no) {
+                if consumed != hash {
+                    resume_mismatch = Some(line_no);
+                    break;
+                }
+                continue;
+            }
             let parsed = match &read {
                 // A broken line must not abort the batch: report it
                 // in-stream and keep going (or stop after it, below).
@@ -312,7 +341,13 @@ pub fn run_batch(
                     // same parsed tree.
                     Ok(value) if value.get("control").is_some() => {
                         if matches!(value.get("control"), Some(Value::Str(cmd)) if cmd == "drain") {
-                            service.begin_drain();
+                            if !service.is_draining() {
+                                service.begin_drain();
+                                controls.push(ControlLine {
+                                    line: line_no,
+                                    hash,
+                                });
+                            }
                             continue;
                         }
                         Err(format!("unknown control record at line {line_no}"))
@@ -330,10 +365,7 @@ pub fn run_batch(
             };
             let line = AnsweredLine {
                 seq: wire_seq,
-                hash: match &read {
-                    Ok(text) => line_hash(text.as_bytes()),
-                    Err(e) => line_hash(e.to_string().as_bytes()),
-                },
+                hash,
             };
             wire_seq += 1;
             // `InvalidData` (non-UTF-8 bytes, an over-long line)
@@ -399,6 +431,7 @@ pub fn run_batch(
         shed,
         skipped,
         completed,
+        controls,
         resume_mismatch,
         quarantine_records,
     }
@@ -908,5 +941,62 @@ mod tests {
         assert_eq!((resumed.skipped, resumed.resume_mismatch), (3, None));
         assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
         assert_eq!(successor.shutdown().submitted, 0);
+    }
+
+    #[test]
+    fn resume_skips_the_drain_record_the_predecessor_consumed() {
+        let input = concat!(
+            "{\"dataset\":\"D1\",\"doc_index\":0}\n",
+            "{\"control\":\"drain\"}\n",
+            "{\"dataset\":\"D1\",\"doc_index\":1}\n",
+            "{\"control\":\"drain\"}\n",
+            "{\"dataset\":\"D1\",\"doc_index\":2}\n",
+        );
+        let first = test_service(1);
+        let run = run_batch(
+            &first,
+            Cursor::new(input),
+            Vec::new(),
+            &BatchOptions::default(),
+        );
+        first.shutdown();
+        // Only the record that began the drain is consumed; the second
+        // one found the service draining already.
+        let control = ControlLine {
+            line: 1,
+            hash: line_hash(b"{\"control\":\"drain\"}"),
+        };
+        assert_eq!(run.controls, [control]);
+        assert_eq!((seqs(&run), run.shed), (vec![0], 2));
+        let resume = |controls: HashMap<u64, u64>| BatchOptions {
+            resume_completed: Some(run.completed.iter().map(|l| (l.seq, l.hash)).collect()),
+            resume_controls: controls,
+            ..BatchOptions::default()
+        };
+        // The successor skips line 1, answers job 1, and is drained by
+        // the record on line 3 in its turn.
+        let successor = test_service(1);
+        let mut out = Vec::new();
+        let resumed = run_batch(
+            &successor,
+            Cursor::new(input),
+            &mut out,
+            &resume([(1, control.hash)].into()),
+        );
+        successor.shutdown();
+        assert_eq!((seqs(&resumed), resumed.shed), (vec![1], 1));
+        assert_eq!(resumed.controls, [ControlLine { line: 3, ..control }]);
+        // Other bytes on a consumed record's line mean another input.
+        let foreign = test_service(1);
+        let mut out = Vec::new();
+        let stopped = run_batch(
+            &foreign,
+            Cursor::new(input),
+            &mut out,
+            &resume([(1, control.hash ^ 1)].into()),
+        );
+        foreign.shutdown();
+        assert_eq!(stopped.resume_mismatch, Some(1));
+        assert!(out.is_empty());
     }
 }

@@ -80,12 +80,14 @@ USAGE: vs2d [OPTIONS]
                        answered as shed (reason `draining`) while queued
                        work flushes; pair with --handoff for a warm restart
   --handoff PATH       on shutdown, write a handoff snapshot (answered wire
-                       seqs and line hashes + quarantine ledger + cached
-                       segmentation plans)
+                       seqs and line hashes + the drain control line it
+                       consumed + quarantine ledger + cached segmentation
+                       plans)
   --resume-from PATH   warm-start from a handoff snapshot: skip answered
-                       lines, preload cached plans, keep seq- and token-
-                       bucket decisions aligned with an uninterrupted run;
-                       exit 2 at the first answered line whose bytes differ
+                       lines and consumed drain control lines, preload
+                       cached plans, keep seq- and token-bucket decisions
+                       aligned with an uninterrupted run; exit 2 at the
+                       first recorded line whose bytes differ
 ";
 
 struct Options {
@@ -302,13 +304,17 @@ fn main() {
             default_lane: opts.lane,
             drain_after: opts.drain_after,
             resume_completed: resume.as_ref().map(HandoffSnapshot::answered),
+            resume_controls: resume
+                .as_ref()
+                .map(HandoffSnapshot::consumed_controls)
+                .unwrap_or_default(),
         },
     );
     if let Some(line_no) = run.resume_mismatch {
         service.shutdown();
         fail(&format!(
             "--resume-from {}: input line {line_no} differs from the line the snapshot \
-             answered under its wire seq; this is not the predecessor's input, stopped before it",
+             recorded for it; this is not the predecessor's input, stopped before it",
             opts.resume_from.as_deref().unwrap_or_default(),
         ));
     }

@@ -13,6 +13,13 @@
 //!   processes only the rest, giving exactly-once output across the
 //!   pair of processes. A hash mismatch means the successor reads a
 //!   different input: it stops there instead of skipping lines unrun.
+//! * **Consumed control lines** — the input line numbers (and
+//!   [`line_hash`]es) of the `{"control":"drain"}` records that drained
+//!   the process. A control record takes no wire seq, so it cannot be
+//!   answered; recording it is what lets a successor skip it instead of
+//!   draining again on the same line. A successor skips a recorded line
+//!   only when its hash matches; otherwise it stops, as for an answered
+//!   line.
 //! * **Quarantine ledger** — the records behind the draining run's
 //!   `{"record":"quarantine",...}` lines, so accounting survives the
 //!   process boundary.
@@ -39,7 +46,7 @@ use vs2_synth::dataset::DatasetId;
 use crate::job::QuarantineRecord;
 
 /// Snapshot format version written by this build.
-pub const HANDOFF_VERSION: u64 = 2;
+pub const HANDOFF_VERSION: u64 = 3;
 
 /// One input line a process answered: its wire seq and the
 /// [`line_hash`] of the line.
@@ -48,6 +55,16 @@ pub struct AnsweredLine {
     /// Wire seq (input line number, empty lines and control records
     /// excluded).
     pub seq: u64,
+    /// [`line_hash`] of the line's bytes as read.
+    pub hash: u64,
+}
+
+/// One control record a process consumed: its 0-based input line number
+/// (empty lines included) and the [`line_hash`] of the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ControlLine {
+    /// 0-based input line number.
+    pub line: u64,
     /// [`line_hash`] of the line's bytes as read.
     pub hash: u64,
 }
@@ -90,6 +107,9 @@ pub struct HandoffSnapshot {
     /// processes it resumed from) emitted, in strictly increasing seq
     /// order.
     pub completed: Vec<AnsweredLine>,
+    /// Drain control records the draining process (and the processes it
+    /// resumed from) consumed, in strictly increasing line order.
+    pub controls: Vec<ControlLine>,
     /// The draining run's quarantine ledger, in strictly increasing
     /// wire-seq order.
     pub quarantine: Vec<QuarantineRecord>,
@@ -109,6 +129,13 @@ pub enum HandoffError {
         /// The seq preceding the violation.
         prev: u64,
         /// The offending seq (≤ `prev`).
+        next: u64,
+    },
+    /// The consumed control lines are not strictly increasing.
+    NonMonotonicControls {
+        /// The line number preceding the violation.
+        prev: u64,
+        /// The offending line number (≤ `prev`).
         next: u64,
     },
     /// The quarantine ledger's wire seqs are not strictly increasing.
@@ -134,6 +161,10 @@ impl fmt::Display for HandoffError {
                 f,
                 "non-monotonic completed seqs in handoff: {next} after {prev}"
             ),
+            HandoffError::NonMonotonicControls { prev, next } => write!(
+                f,
+                "non-monotonic control lines in handoff: {next} after {prev}"
+            ),
             HandoffError::NonMonotonicLedger { prev, next } => write!(
                 f,
                 "non-monotonic quarantine ledger seqs in handoff: {next} after {prev}"
@@ -157,6 +188,24 @@ impl Deserialize for AnsweredLine {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         Ok(Self {
             seq: v.field("seq")?,
+            hash: v.field("hash")?,
+        })
+    }
+}
+
+impl Serialize for ControlLine {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("line".to_string(), Value::UInt(self.line)),
+            ("hash".to_string(), Value::UInt(self.hash)),
+        ])
+    }
+}
+
+impl Deserialize for ControlLine {
+    fn from_value(v: &Value) -> Result<Self, SerdeError> {
+        Ok(Self {
+            line: v.field("line")?,
             hash: v.field("hash")?,
         })
     }
@@ -208,6 +257,7 @@ impl Serialize for HandoffSnapshot {
             ("record".to_string(), Value::Str("handoff".to_string())),
             ("version".to_string(), Value::UInt(HANDOFF_VERSION)),
             ("completed".to_string(), self.completed.to_value()),
+            ("controls".to_string(), self.controls.to_value()),
             ("quarantine".to_string(), self.quarantine.to_value()),
             ("plans".to_string(), self.plans.to_value()),
         ])
@@ -218,6 +268,7 @@ impl Deserialize for HandoffSnapshot {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         Ok(Self {
             completed: v.field("completed")?,
+            controls: v.field("controls")?,
             quarantine: v.field("quarantine")?,
             plans: v.field("plans")?,
         })
@@ -245,9 +296,9 @@ impl HandoffSnapshot {
         serde_json::to_string(self).expect("handoff snapshot serialises")
     }
 
-    /// Parses and validates a snapshot: the version must match and both
-    /// the completed list and the quarantine ledger must be strictly
-    /// increasing in wire seq.
+    /// Parses and validates a snapshot: the version must match, the
+    /// completed list and the quarantine ledger must be strictly
+    /// increasing in wire seq, and the control lines in line number.
     pub fn parse(raw: &str) -> Result<Self, HandoffError> {
         let value: Value =
             serde_json::parse(raw).map_err(|e| HandoffError::Parse(e.to_string()))?;
@@ -261,6 +312,8 @@ impl HandoffSnapshot {
             HandoffSnapshot::from_value(&value).map_err(|e| HandoffError::Parse(e.to_string()))?;
         check_monotonic(snapshot.completed.iter().map(|l| l.seq))
             .map_err(|(prev, next)| HandoffError::NonMonotonicCompleted { prev, next })?;
+        check_monotonic(snapshot.controls.iter().map(|c| c.line))
+            .map_err(|(prev, next)| HandoffError::NonMonotonicControls { prev, next })?;
         check_monotonic(snapshot.quarantine.iter().map(|r| r.seq))
             .map_err(|(prev, next)| HandoffError::NonMonotonicLedger { prev, next })?;
         Ok(snapshot)
@@ -270,6 +323,12 @@ impl HandoffSnapshot {
     /// [`crate::batch::BatchOptions::resume_completed`] takes.
     pub fn answered(&self) -> HashMap<u64, u64> {
         self.completed.iter().map(|l| (l.seq, l.hash)).collect()
+    }
+
+    /// The consumed control lines as a line number → line hash map, the
+    /// form [`crate::batch::BatchOptions::resume_controls`] takes.
+    pub fn consumed_controls(&self) -> HashMap<u64, u64> {
+        self.controls.iter().map(|c| (c.line, c.hash)).collect()
     }
 }
 
@@ -326,6 +385,10 @@ mod tests {
     fn snapshot_round_trips() {
         let snap = HandoffSnapshot {
             completed: answered(&[0, 1, 4, 9]),
+            controls: vec![ControlLine {
+                line: 3,
+                hash: line_hash(b"{\"control\":\"drain\"}"),
+            }],
             quarantine: vec![quarantine(2), quarantine(5)],
             plans: vec![plan_namespace()],
         };
@@ -380,6 +443,19 @@ mod tests {
         assert_eq!(
             HandoffSnapshot::parse(&snap.to_json()),
             Err(HandoffError::NonMonotonicCompleted { prev: 3, next: 3 })
+        );
+    }
+
+    #[test]
+    fn non_monotonic_controls_are_rejected() {
+        let control = |line| ControlLine { line, hash: 1 };
+        let snap = HandoffSnapshot {
+            controls: vec![control(5), control(2)],
+            ..HandoffSnapshot::default()
+        };
+        assert_eq!(
+            HandoffSnapshot::parse(&snap.to_json()),
+            Err(HandoffError::NonMonotonicControls { prev: 5, next: 2 })
         );
     }
 

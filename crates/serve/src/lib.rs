@@ -71,7 +71,9 @@ pub use cache::{default_config_for, weights_for, CacheSnapshot, ModelCache};
 pub use engine::{BatchEngine, Completed, EngineConfig, EngineStats, JobCtx, JobOutcome};
 pub use error::{QuarantineEntry, ServeError};
 pub use faults::{FaultKind, FaultPlan, FaultSite};
-pub use handoff::{AnsweredLine, HandoffError, HandoffSnapshot, PlanEntry, PlanNamespace};
+pub use handoff::{
+    AnsweredLine, ControlLine, HandoffError, HandoffSnapshot, PlanEntry, PlanNamespace,
+};
 pub use job::{
     JobDocCache, JobResult, JobSource, JobSpec, JobStatus, QuarantineRecord, DEFAULT_DOC_SEED,
 };

@@ -251,7 +251,8 @@ impl ExtractService {
     }
 
     /// The drain/handoff snapshot to write after `run`: its answered
-    /// wire seqs and quarantine records, merged with those of the
+    /// wire seqs, consumed control lines and quarantine records, merged
+    /// with those of the
     /// `predecessor` the run resumed from (so a chain of restarts stays
     /// exactly-once end to end), plus every non-empty plan-cache
     /// namespace ([`ModelCache::export_plan_namespaces`]).
@@ -261,16 +262,21 @@ impl ExtractService {
         predecessor: Option<&HandoffSnapshot>,
     ) -> HandoffSnapshot {
         let mut completed = run.completed.clone();
+        let mut controls = run.controls.clone();
         let mut quarantine = run.quarantine_records.clone();
         if let Some(snap) = predecessor {
             completed.extend(snap.completed.iter().copied());
+            controls.extend(snap.controls.iter().copied());
             quarantine.extend(snap.quarantine.iter().cloned());
         }
         completed.sort_unstable_by_key(|l| l.seq);
         completed.dedup_by_key(|l| l.seq);
+        controls.sort_unstable_by_key(|c| c.line);
+        controls.dedup_by_key(|c| c.line);
         quarantine.sort_by_key(|r| r.seq);
         HandoffSnapshot {
             completed,
+            controls,
             quarantine,
             plans: self.cache.export_plan_namespaces(),
         }

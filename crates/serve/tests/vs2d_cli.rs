@@ -396,6 +396,78 @@ fn restart_chain_answers_every_line_once_like_an_uninterrupted_run() {
     }
 }
 
+/// The `ok` result lines of a run.
+fn ok_lines(out: &Output) -> Vec<String> {
+    String::from_utf8(out.stdout.clone())
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"status\":\"ok\""))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn resume_skips_the_drain_control_record_its_predecessor_consumed() {
+    // Six D4 jobs with an in-stream drain after the second: the first
+    // process answers jobs 0 and 1 and sheds the rest; its successor must
+    // skip the consumed record and answer jobs 2-5, not drain again.
+    // The jobs carry their own ids: a default id names the physical
+    // line, which the control record shifts.
+    let jobs: Vec<String> = (0..6)
+        .map(|i| format!("{{\"dataset\":\"D4\",\"doc_index\":{i},\"job_id\":\"d4-{i}\"}}"))
+        .collect();
+    let control = "{\"control\":\"drain\"}";
+    let with_control = scratch("control.jsonl");
+    let mut lines = jobs.clone();
+    lines.insert(2, control.to_string());
+    std::fs::write(&with_control, lines.join("\n") + "\n").unwrap();
+    let without = scratch("control-free.jsonl");
+    std::fs::write(&without, jobs.join("\n") + "\n").unwrap();
+    let [s1, s2] = [scratch("control-s1.json"), scratch("control-s2.json")];
+    let [s1, s2] = [s1.to_str().unwrap(), s2.to_str().unwrap()];
+
+    let first = vs2d_with(&with_control, &["--workers", "2", "--handoff", s1]);
+    let second = vs2d_with(
+        &with_control,
+        &["--workers", "2", "--resume-from", s1, "--handoff", s2],
+    );
+    let uninterrupted = vs2d_with(&without, &["--workers", "2"]);
+    for run in [&first, &second, &uninterrupted] {
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    let first_out = String::from_utf8(first.stdout.clone()).unwrap();
+    assert_eq!(first_out.matches("draining").count(), 4, "{first_out}");
+    let second_out = String::from_utf8(second.stdout.clone()).unwrap();
+    assert!(!second_out.contains("shed"), "{second_out}");
+    let chain: Vec<String> = [ok_lines(&first), ok_lines(&second)].concat();
+    assert_eq!(chain.len(), 6);
+    assert_eq!(chain, ok_lines(&uninterrupted));
+
+    // Both snapshots record the consumed record by line number and hash.
+    let consumed = vs2_serve::ControlLine {
+        line: 2,
+        hash: vs2_serve::handoff::line_hash(control.as_bytes()),
+    };
+    for path in [s1, s2] {
+        let snap =
+            vs2_serve::HandoffSnapshot::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(snap.controls, [consumed], "{path}");
+    }
+    // A third process resuming from the chain's end has nothing left.
+    let third = vs2d_with(&with_control, &["--workers", "2", "--resume-from", s2]);
+    assert_eq!(third.status.code(), Some(0));
+    assert!(
+        third.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&third.stdout)
+    );
+}
+
 #[test]
 fn resuming_over_a_different_input_exits_2_naming_the_line() {
     let input = scratch("foreign-a.jsonl");
