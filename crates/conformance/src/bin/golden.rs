@@ -2,9 +2,12 @@
 //!
 //! * `cargo run -p vs2-conformance --bin golden` — check mode: renders
 //!   the live snapshot for every dataset and diffs it against the
-//!   checked-in fixture; exits non-zero on drift or a missing fixture.
+//!   checked-in fixture, and compares the partition digest
+//!   (`golden/blocks.digest`: per corpus, the FNV-1a of the
+//!   `--dump-blocks` lines of its first `N_DIGEST_DOCS` documents);
+//!   exits non-zero on drift or a missing fixture.
 //! * `cargo run -p vs2-conformance --bin golden -- --bless` —
-//!   regenerates every fixture in place.
+//!   regenerates every fixture and the digest in place.
 //! * `cargo run --release -p vs2-conformance --bin golden -- --dump-blocks N`
 //!   — prints the `logical_blocks` of documents `0..N` of D1–D4 and
 //!   Templated, one `Debug` line per document, for a before/after `cmp`
@@ -13,12 +16,11 @@
 use std::process::ExitCode;
 
 use vs2_conformance::golden::{
-    check_golden, check_tree_golden, dataset_name, golden_path, golden_snapshot, tree_golden_path,
-    tree_snapshot,
+    blocks_digest, blocks_digest_path, blocks_line, check_blocks_digest, check_golden,
+    check_tree_golden, dataset_name, golden_path, golden_snapshot, tree_golden_path, tree_snapshot,
+    DIGEST_DATASETS, N_DIGEST_DOCS,
 };
-use vs2_core::segment::logical_blocks;
-use vs2_serve::{default_config_for, DEFAULT_DOC_SEED};
-use vs2_synth::{generate_one, DatasetConfig, DatasetId};
+use vs2_synth::DatasetId;
 
 fn bless_file(path: &std::path::Path, snapshot: &str) -> Result<(), ExitCode> {
     if let Some(dir) = path.parent() {
@@ -37,15 +39,9 @@ fn bless_file(path: &std::path::Path, snapshot: &str) -> Result<(), ExitCode> {
 
 /// Prints the logical blocks of the first `n` documents of every corpus.
 fn dump_blocks(n: usize) {
-    for dataset in DatasetId::EXTENDED
-        .into_iter()
-        .chain([DatasetId::Templated])
-    {
-        let segment = default_config_for(dataset).segment;
+    for dataset in DIGEST_DATASETS {
         for i in 0..n {
-            let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
-            let blocks = logical_blocks(&doc, &segment);
-            println!("{} {i} {blocks:?}", dataset_name(dataset));
+            println!("{}", blocks_line(dataset, i));
         }
     }
 }
@@ -103,6 +99,19 @@ fn main() -> ExitCode {
             Ok(()) => println!("{} trees: ok", dataset_name(tree_dataset)),
             Err(e) => {
                 eprintln!("{} trees: {e}", dataset_name(tree_dataset));
+                failed = true;
+            }
+        }
+    }
+    if bless {
+        if let Err(code) = bless_file(&blocks_digest_path(), &blocks_digest(N_DIGEST_DOCS)) {
+            return code;
+        }
+    } else {
+        match check_blocks_digest() {
+            Ok(()) => println!("partitions of {N_DIGEST_DOCS} docs per corpus: ok"),
+            Err(e) => {
+                eprintln!("{e}");
                 failed = true;
             }
         }

@@ -5,7 +5,9 @@
 //! of each synthetic dataset at [`DEFAULT_DOC_SEED`]. The fixtures live
 //! in `crates/conformance/golden/<dataset>.json`; the `golden` bin
 //! checks them (default) or regenerates them (`--bless`), and
-//! `tests/golden.rs` compares against them on every run.
+//! `tests/golden.rs` compares against them on every run. The bin also
+//! checks (and blesses) `golden/blocks.digest`, one digest per corpus of
+//! the segmentation partitions of its first [`N_DIGEST_DOCS`] documents.
 //!
 //! The snapshots derive from the repo's *synthetic* datasets, not the
 //! paper's corpora — they pin this implementation against itself, not
@@ -122,6 +124,95 @@ pub fn check_tree_golden(dataset: DatasetId) -> Result<(), String> {
     })?;
     let actual = tree_snapshot(dataset);
     diff_against(dataset, &expected, &actual)
+}
+
+/// Documents per corpus folded into the partition digest: the 240 a
+/// before/after `golden --dump-blocks 240` compares, so the digest pins
+/// that whole dump (about 3.5 s in a debug build on a 2-CPU host).
+pub const N_DIGEST_DOCS: usize = 240;
+
+/// The corpora of the partition digest, in file order.
+pub const DIGEST_DATASETS: [DatasetId; 5] = [
+    DatasetId::D1,
+    DatasetId::D2,
+    DatasetId::D3,
+    DatasetId::D4,
+    DatasetId::Templated,
+];
+
+/// Path of the checked-in partition digest.
+pub fn blocks_digest_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join("blocks.digest")
+}
+
+/// The `golden --dump-blocks` line of document `i` of `dataset`: its
+/// `logical_blocks` under the served segmentation configuration, one
+/// `Debug` rendering (every float in round-trip form).
+pub fn blocks_line(dataset: DatasetId, i: usize) -> String {
+    let segment = default_config_for(dataset).segment;
+    let doc = generate_one(dataset, i, DatasetConfig::new(1, DEFAULT_DOC_SEED)).doc;
+    let blocks = vs2_core::segment::logical_blocks(&doc, &segment);
+    format!("{} {i} {blocks:?}", dataset_name(dataset))
+}
+
+/// 64-bit FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The partition digest: per corpus, the FNV-1a of its first `n`
+/// dump-blocks lines, newlines included — one `<dataset> <n> <hex>`
+/// line each. Pins every partition of those documents, not only the
+/// ones the extraction goldens reach.
+pub fn blocks_digest(n: usize) -> String {
+    let mut out = String::new();
+    for dataset in DIGEST_DATASETS {
+        let h = (0..n).fold(0xcbf2_9ce4_8422_2325, |h, i| {
+            fnv1a(fnv1a(h, blocks_line(dataset, i).as_bytes()), b"\n")
+        });
+        out.push_str(&format!("{} {n} {h:016x}\n", dataset_name(dataset)));
+    }
+    out
+}
+
+/// Compares the live partition digest against the checked-in one; same
+/// contract as [`check_golden`], naming the corpora that drifted.
+pub fn check_blocks_digest() -> Result<(), String> {
+    let path = blocks_digest_path();
+    let expected = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "missing partition digest {} ({e}); generate it with \
+             `cargo run -p vs2-conformance --bin golden -- --bless`",
+            path.display()
+        )
+    })?;
+    let actual = blocks_digest(N_DIGEST_DOCS);
+    if actual == expected {
+        return Ok(());
+    }
+    let drifted: Vec<&str> = actual
+        .lines()
+        .zip(expected.lines())
+        .filter(|(a, e)| a != e)
+        .filter_map(|(a, _)| a.split(' ').next())
+        .collect();
+    Err(format!(
+        "segmentation partitions drifted ({}); compare `golden --dump-blocks \
+         {N_DIGEST_DOCS}` before and after the change, and re-bless with \
+         `cargo run -p vs2-conformance --bin golden -- --bless` if the \
+         change is intentional",
+        if drifted.is_empty() {
+            "line counts differ".to_string()
+        } else {
+            drifted.join(", ")
+        }
+    ))
 }
 
 /// Compares the live snapshot for `dataset` against the checked-in

@@ -68,38 +68,39 @@ struct CtxCeiling {
 }
 
 const CTX_CEILINGS: [CtxCeiling; 4] = [
-    // D1 (measured: segment 613, select 297, extract 869 — select
+    // D1 (measured: segment 496, select 297, extract 752 — select
     // builds token-only block texts for the all-descriptor D1 model and
     // scores gloss overlap over interned Lesk keys; segment reuses one
-    // packed raster across the area recursion; assignment moves its
-    // winners instead of cloning them)
+    // packed raster across the area recursion and merges from one
+    // element-embedding column, with no word list per node; assignment
+    // moves its winners instead of cloning them)
     CtxCeiling {
         dataset: DatasetId::D1,
-        segment: 674,
+        segment: 546,
         select: 322,
-        extract: 956,
+        extract: 827,
     },
-    // D2 (measured: segment 233, select 296, extract 524)
+    // D2 (measured: segment 195, select 296, extract 487)
     CtxCeiling {
         dataset: DatasetId::D2,
-        segment: 256,
+        segment: 215,
         select: 322,
-        extract: 576,
+        extract: 536,
     },
-    // D3 (measured: segment 173, select 290, extract 456)
+    // D3 (measured: segment 140, select 290, extract 423)
     CtxCeiling {
         dataset: DatasetId::D3,
-        segment: 190,
+        segment: 154,
         select: 315,
-        extract: 502,
+        extract: 465,
     },
-    // D4 (measured: segment 227, select 391, extract 612). No
+    // D4 (measured: segment 187, select 391, extract 573). No
     // pre-refactor history, so no ⅓ gate.
     CtxCeiling {
         dataset: DatasetId::D4,
-        segment: 250,
+        segment: 206,
         select: 425,
-        extract: 673,
+        extract: 630,
     },
 ];
 

@@ -5,7 +5,7 @@
 //! re-bless with `cargo run -p vs2-conformance --bin golden -- --bless`
 //! and review the fixture diff in the PR.
 
-use vs2_conformance::golden::{check_golden, check_tree_golden};
+use vs2_conformance::golden::{check_blocks_digest, check_golden, check_tree_golden};
 use vs2_synth::DatasetId;
 
 #[test]
@@ -31,4 +31,9 @@ fn d4_snapshot_matches_fixture() {
 #[test]
 fn d4_tree_snapshot_matches_fixture() {
     check_tree_golden(DatasetId::D4).unwrap();
+}
+
+#[test]
+fn segmentation_partitions_match_digest() {
+    check_blocks_digest().unwrap();
 }

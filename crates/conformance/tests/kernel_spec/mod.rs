@@ -6,6 +6,11 @@
 //! two-path battery (`segment_equiv`) cannot see a change to them; the
 //! `segment_kernels` battery holds the production kernels to this copy
 //! bit for bit instead. Test-only: nothing outside that battery links it.
+//!
+//! [`merge`] holds the fast path's Eq. 1 merge as it stood before the
+//! per-call embedding column, for the same battery.
+
+pub mod merge;
 
 use std::cell::RefCell;
 

@@ -14,6 +14,14 @@
 //! zero-size and non-finite boxes, degenerate areas and configurations,
 //! and element counts from 2 to past the distance-table bound.
 //!
+//! The fast path's Eq. 1 merge (`segment::fast::semantic_merge_fast`)
+//! is held the same way to its pre-column copy in `kernel_spec::merge`:
+//! the same merge count and layout trees equal node for node, boxes by
+//! `to_bits`, over random trees with repeated words (equal sibling
+//! cosines, where the last maximum must win), image-only and empty
+//! nodes, internal siblings and non-sibling nodes on the same level, and
+//! configurations that merge several times.
+//!
 //! Case counts honour `VS2_PROPTEST_CASES`; failures print a
 //! `VS2_PROPTEST_SEED` repro command (see the `proptest` shim docs).
 
@@ -23,8 +31,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use vs2_core::segment::cluster::{cluster, ClusterConfig, DISTANCE_TABLE_MAX_N};
 use vs2_core::segment::delimiter::{score_runs_geom_into, ScoredRun};
-use vs2_core::segment::CutRun;
-use vs2_docmodel::{BBox, Document, ElementRef, ImageElement, Lab, Point, TextElement};
+use vs2_core::segment::fast::semantic_merge_fast;
+use vs2_core::segment::{CutRun, MergeConfig};
+use vs2_docmodel::{
+    BBox, Document, ElementRef, ImageElement, Lab, LayoutTree, NodeId, Point, TextElement,
+};
+use vs2_nlp::LexiconEmbedding;
 
 /// Side of the square test page.
 const PAGE: f64 = 200.0;
@@ -339,4 +351,242 @@ fn generators_are_not_vacuous() {
     }
     assert!(split >= 20, "only {split} cases split the text");
     assert!(image_parts >= 10, "only {image_parts} cases carried images");
+}
+
+/// Element texts for the merge battery: two topics, a name, a number, an
+/// unknown word and a two-word text. Small, so equal texts (and equal
+/// sibling cosines) are common.
+const MERGE_TEXTS: [&str; 9] = [
+    "concert",
+    "festival",
+    "workshop",
+    "acres",
+    "sqft",
+    "james",
+    "2,465",
+    "zorblax",
+    "jazz concert",
+];
+
+/// One generated element: text (or image when `>= MERGE_TEXTS.len()`),
+/// lattice position, top-level group and subgroup.
+type MergeElement = (u32, (u32, u32), u32, u32);
+
+/// Elements, the number of top-level groups, which groups split into
+/// subgroups (bit mask), a text-palette narrowing and the configuration.
+type MergeCase = (Vec<MergeElement>, u32, u32, u32, u32);
+
+fn merge_case() -> impl Strategy<Value = MergeCase> {
+    (
+        vec(
+            (
+                0u32..MERGE_TEXTS.len() as u32 + 2,
+                (0u32..24, 0u32..24),
+                0u32..6,
+                0u32..2,
+            ),
+            2..28,
+        ),
+        2u32..10,
+        0u32..512,
+        0u32..3,
+        0u32..6,
+    )
+}
+
+fn merge_config(mode: u32) -> MergeConfig {
+    let base = MergeConfig::default();
+    match mode {
+        0 => base,
+        // Contrast always clears θ and any pair is similar enough: the
+        // tree merges until visual separation stops it.
+        1 => MergeConfig {
+            theta_max: 0.0,
+            min_pair_similarity: -1.0,
+            ..base
+        },
+        2 => MergeConfig {
+            theta_max: 0.0,
+            min_pair_similarity: 0.2,
+            separation_gap_ratio: 1e9,
+            ..base
+        },
+        3 => MergeConfig {
+            max_sweeps: 2,
+            theta_max: 0.0,
+            min_pair_similarity: -1.0,
+            ..base
+        },
+        4 => MergeConfig {
+            min_pair_similarity: 0.0,
+            separation_gap_ratio: 1e9,
+            ..base
+        },
+        _ => MergeConfig {
+            theta_min: -1.0,
+            theta_max: -1.0,
+            min_pair_similarity: -1.0,
+            separation_gap_ratio: 1e9,
+            ..base
+        },
+    }
+}
+
+/// The document and the tree of one case: the root holds every element;
+/// group `g` is the root's `g`-th child (empty when no element drew it);
+/// a group whose bit is set in `split` gets one child per subgroup.
+fn merge_tree(case: &MergeCase) -> (Document, LayoutTree) {
+    let (elements, groups, split, narrow, _) = case;
+    let mut doc = Document::new("merge", 260.0, 220.0);
+    let refs: Vec<ElementRef> = elements
+        .iter()
+        .map(|&(t, (x, y), _, _)| {
+            let b = BBox::new(f64::from(x) * 10.0, f64::from(y) * 9.0, 30.0, 8.0);
+            match MERGE_TEXTS.get(t as usize) {
+                // Narrowed palettes repeat texts more often.
+                Some(_) => {
+                    let t = t as usize % (MERGE_TEXTS.len() >> narrow);
+                    doc.push_text(TextElement::word(MERGE_TEXTS[t], b))
+                }
+                None => {
+                    doc.push_image(ImageElement::new(u64::from(t), b, Lab::new(50.0, 0.0, 0.0)))
+                }
+            }
+        })
+        .collect();
+    let bbox_of = |doc: &Document, part: &[ElementRef]| {
+        let boxes: Vec<BBox> = part.iter().map(|r| doc.bbox_of(*r)).collect();
+        BBox::enclosing(&boxes).unwrap_or_default()
+    };
+    let mut tree = LayoutTree::new(bbox_of(&doc, &refs), refs.clone());
+    for g in 0..*groups {
+        let part: Vec<ElementRef> = refs
+            .iter()
+            .zip(elements)
+            .filter(|(_, e)| e.2 % groups == g)
+            .map(|(r, _)| *r)
+            .collect();
+        let node = tree.add_child(tree.root(), bbox_of(&doc, &part), part.clone());
+        if split >> g & 1 == 1 {
+            for sub in 0..2 {
+                let part: Vec<ElementRef> = refs
+                    .iter()
+                    .zip(elements)
+                    .filter(|(_, e)| e.2 % groups == g && e.3 == sub)
+                    .map(|(r, _)| *r)
+                    .collect();
+                tree.add_child(node, bbox_of(&doc, &part), part);
+            }
+        }
+    }
+    (doc, tree)
+}
+
+/// Every live node's id, parent, children, elements and box bits.
+#[allow(clippy::type_complexity)]
+fn tree_bits(
+    tree: &LayoutTree,
+) -> Vec<(
+    NodeId,
+    Option<NodeId>,
+    Vec<NodeId>,
+    Vec<ElementRef>,
+    [u64; 4],
+)> {
+    tree.live_ids()
+        .map(|id| {
+            let n = tree.node(id);
+            let b = n.bbox;
+            (
+                id,
+                n.parent,
+                n.children.clone(),
+                n.elements.clone(),
+                [b.x.to_bits(), b.y.to_bits(), b.w.to_bits(), b.h.to_bits()],
+            )
+        })
+        .collect()
+}
+
+/// Production and reference merging of one case: the merge counts.
+fn merge_both(case: &MergeCase) -> (usize, usize) {
+    let (doc, tree) = merge_tree(case);
+    let cfg = merge_config(case.4);
+    let (mut reference, mut fast) = (tree.clone(), tree);
+    let want =
+        kernel_spec::merge::semantic_merge_fast(&doc, &mut reference, &LexiconEmbedding, &cfg);
+    let got = semantic_merge_fast(&doc, &mut fast, &LexiconEmbedding, &cfg);
+    assert_eq!(got, want, "merge counts diverged under {cfg:?}");
+    assert_eq!(
+        tree_bits(&fast),
+        tree_bits(&reference),
+        "trees diverged under {cfg:?}"
+    );
+    (got, tree_bits(&fast).len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Eq. 1 merging: same merges, same trees, bit for bit.
+    #[test]
+    fn merge_matches_reference(case in merge_case()) {
+        merge_both(&case);
+    }
+}
+
+/// The merge generator is not vacuous: many cases merge, many merge more
+/// than once, and many carry image-only and empty nodes, equal sibling
+/// texts and non-sibling nodes on the level of a sibling group.
+#[test]
+fn merge_generator_is_not_vacuous() {
+    let mut rng = proptest::TestRng::from_label("segment_kernels::merge_coverage");
+    let (mut merged, mut repeated, mut image_only, mut empty, mut tied, mut levels) =
+        (0, 0, 0, 0, 0, 0);
+    for _ in 0..300 {
+        let case = Strategy::generate(&merge_case(), &mut rng);
+        let (doc, tree) = merge_tree(&case);
+        let leaves: Vec<&[ElementRef]> = tree
+            .leaves()
+            .into_iter()
+            .map(|id| tree.node(id).elements.as_slice())
+            .collect();
+        let text_of = |part: &[ElementRef]| -> Vec<&str> {
+            part.iter().filter_map(|r| doc.text_of(*r)).collect()
+        };
+        if leaves
+            .iter()
+            .any(|p| !p.is_empty() && p.iter().all(|r| !r.is_text()))
+        {
+            image_only += 1;
+        }
+        if leaves.iter().any(|p| p.is_empty()) {
+            empty += 1;
+        }
+        let texts: Vec<Vec<&str>> = leaves.iter().map(|p| text_of(p)).collect();
+        if (0..texts.len())
+            .any(|i| (i + 1..texts.len()).any(|j| !texts[i].is_empty() && texts[i] == texts[j]))
+        {
+            tied += 1;
+        }
+        if case.2 & ((1 << case.1) - 1) != 0 {
+            levels += 1;
+        }
+        let (merges, _) = merge_both(&case);
+        if merges >= 1 {
+            merged += 1;
+        }
+        if merges >= 2 {
+            repeated += 1;
+        }
+    }
+    assert!(merged >= 120, "only {merged} cases merged");
+    assert!(repeated >= 55, "only {repeated} cases merged twice or more");
+    assert!(
+        image_only >= 70,
+        "only {image_only} cases had an image-only node"
+    );
+    assert!(empty >= 140, "only {empty} cases had an empty node");
+    assert!(tied >= 65, "only {tied} cases had equal sibling texts");
+    assert!(levels >= 180, "only {levels} cases had internal siblings");
 }

@@ -54,9 +54,10 @@ pub fn theta(cfg: &MergeConfig, h: usize) -> f64 {
     cfg.theta_min + (cfg.theta_max - cfg.theta_min) / 10.0 * h as f64
 }
 
-/// Embedding of a node: the normalised mean of its words' vectors.
-/// Shared with the fast path's embedding cache so cached and recomputed
-/// vectors are identical by construction.
+/// Embedding of a node: the normalised mean of its words' vectors. The
+/// fast path derives the same bits from its per-call element column
+/// (`vs2_nlp::embedding::mean_normalized` over the same vectors in the
+/// same order).
 pub(crate) fn node_embedding<E: Embedder>(
     doc: &Document,
     elements: &[ElementRef],
@@ -72,7 +73,7 @@ pub(crate) fn node_embedding<E: Embedder>(
 /// sibling, or (2) the whitespace gap between the two areas is of
 /// delimiter strength relative to their text size (a gap a visual
 /// delimiter would claim must not be merged across).
-pub(crate) fn visually_separated(
+pub fn visually_separated(
     doc: &Document,
     tree: &LayoutTree,
     a: NodeId,

@@ -25,6 +25,10 @@ struct SplitScratch {
     items: Vec<(ElementRef, BBox)>,
     tagged: Vec<(u32, ElementRef)>,
     line_boxes: Vec<BBox>,
+    /// The tagged elements bucketed by line, stably.
+    by_line: Vec<ElementRef>,
+    /// `by_line[ends[li - 1]..ends[li]]` is line `li` (`0` before line 0).
+    line_ends: Vec<usize>,
 }
 
 thread_local! {
@@ -116,6 +120,10 @@ pub(crate) fn effective_cell_size(area: &BBox, cell: f64) -> f64 {
 /// An interior delimiter must have content on both sides of its centre
 /// line (a drift path may extend a run past the last element, so the
 /// strip's extremities are not a reliable boundary test).
+///
+/// This is the scan the naive segmenter runs per delimiter; the fast
+/// path asks the same question of a [`CentroidExtent`] folded once per
+/// area, and the unit tests hold the two equal.
 pub(crate) fn is_interior(delim: &ScoredRun, boxes: &[BBox], grid_area: &BBox, cell: f64) -> bool {
     let run = &delim.run;
     let center = run.center() * cell;
@@ -129,6 +137,52 @@ pub(crate) fn is_interior(delim: &ScoredRun, boxes: &[BBox], grid_area: &BBox, c
         let left = boxes.iter().any(|b| b.centroid().x < x);
         let right = boxes.iter().any(|b| b.centroid().x > x);
         left && right
+    }
+}
+
+/// The extreme element centroids of one area, folded once so that each
+/// delimiter's [`is_interior`] test is two comparisons instead of two
+/// scans. `f64::min` and `f64::max` skip a NaN operand and the folds
+/// start at ±∞, so `min.y < y` holds exactly when some centroid has
+/// `c.y < y` (a comparison with NaN is false on both sides): the answer
+/// of the scan, NaN and infinite centroids included.
+pub(crate) struct CentroidExtent {
+    min_x: f64,
+    max_x: f64,
+    min_y: f64,
+    max_y: f64,
+}
+
+impl CentroidExtent {
+    /// Folds the centroids of `boxes`.
+    pub(crate) fn of(boxes: &[BBox]) -> Self {
+        let mut e = CentroidExtent {
+            min_x: f64::INFINITY,
+            max_x: f64::NEG_INFINITY,
+            min_y: f64::INFINITY,
+            max_y: f64::NEG_INFINITY,
+        };
+        for b in boxes {
+            let c = b.centroid();
+            e.min_x = e.min_x.min(c.x);
+            e.max_x = e.max_x.max(c.x);
+            e.min_y = e.min_y.min(c.y);
+            e.max_y = e.max_y.max(c.y);
+        }
+        e
+    }
+
+    /// [`is_interior`] over the folded centroids.
+    pub(crate) fn is_interior(&self, delim: &ScoredRun, grid_area: &BBox, cell: f64) -> bool {
+        let run = &delim.run;
+        let center = run.center() * cell;
+        if run.horizontal {
+            let y = grid_area.y + center;
+            self.min_y < y && self.max_y > y
+        } else {
+            let x = grid_area.x + center;
+            self.min_x < x && self.max_x > x
+        }
     }
 }
 
@@ -217,16 +271,36 @@ pub(crate) fn split_by_delimiters(
                 &mut scratch.tagged,
                 &mut scratch.line_boxes,
             );
-            for (li, lb) in scratch.line_boxes.iter().enumerate() {
+            // One stable counting pass buckets the tagged elements by
+            // line, so each line reaches its band in tagged order.
+            let ends = &mut scratch.line_ends;
+            ends.clear();
+            ends.resize(scratch.line_boxes.len(), 0);
+            for &(l, _) in &scratch.tagged {
+                ends[l as usize] += 1;
+            }
+            let mut start = 0;
+            for e in ends.iter_mut() {
+                let len = *e;
+                *e = start;
+                start += len;
+            }
+            // `ends[l]` is now line `l`'s next write slot; after the
+            // placement pass it is the line's end.
+            scratch.by_line.clear();
+            scratch
+                .by_line
+                .resize(scratch.tagged.len(), ElementRef::Text(0));
+            for &(l, r) in &scratch.tagged {
+                scratch.by_line[ends[l as usize]] = r;
+                ends[l as usize] += 1;
+            }
+            let mut lo = 0;
+            for (lb, &hi) in scratch.line_boxes.iter().zip(ends.iter()) {
                 let cy = lb.centroid().y;
                 let band = cuts.iter().position(|&cut| cy < cut).unwrap_or(cuts.len());
-                bands[band].extend(
-                    scratch
-                        .tagged
-                        .iter()
-                        .filter(|(l, _)| *l == li as u32)
-                        .map(|(_, r)| *r),
-                );
+                bands[band].extend_from_slice(&scratch.by_line[lo..hi]);
+                lo = hi;
             }
         } else {
             for &r in elements {
@@ -503,6 +577,134 @@ mod tests {
         // Delimiter-based split still works without clustering.
         let blocks = logical_blocks(&doc, &cfg_no_cluster);
         assert_eq!(blocks.len(), 2);
+    }
+
+    /// SplitMix64 draws for the reference comparisons below.
+    fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    fn run(horizontal: bool, start: usize, len: usize) -> ScoredRun {
+        ScoredRun {
+            run: crate::segment::CutRun {
+                horizontal,
+                start,
+                len,
+            },
+            gap: 1.0,
+            neighbor_height: 1.0,
+            width: 1.0,
+        }
+    }
+
+    #[test]
+    fn centroid_extent_answers_like_the_scan() {
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let mut next = draws(7);
+        for case in 0..2000 {
+            let n = next(6) as usize;
+            let boxes: Vec<BBox> = (0..n)
+                .map(|_| {
+                    let mut v = [0.0; 4];
+                    for x in &mut v {
+                        *x = match next(12) {
+                            0 if case % 3 == 0 => specials[next(4) as usize],
+                            _ => next(40) as f64,
+                        };
+                    }
+                    BBox {
+                        x: v[0],
+                        y: v[1],
+                        w: v[2],
+                        h: v[3],
+                    }
+                })
+                .collect();
+            let extent = CentroidExtent::of(&boxes);
+            let area = BBox::new(next(8) as f64, next(8) as f64, 60.0, 60.0);
+            for cell in [0.5, 1.0, 4.0] {
+                for horizontal in [true, false] {
+                    let d = run(horizontal, next(30) as usize, 1 + next(4) as usize);
+                    assert_eq!(
+                        extent.is_interior(&d, &area, cell),
+                        is_interior(&d, &boxes, &area, cell),
+                        "{boxes:?} {d:?} cell {cell}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The line banding as it stood before the one-pass bucket: one
+    /// filter over the tagged elements per line.
+    fn split_reference(
+        doc: &Document,
+        elements: &[ElementRef],
+        cuts: &[f64],
+    ) -> Vec<Vec<ElementRef>> {
+        let (mut items, mut tagged, mut line_boxes) = (Vec::new(), Vec::new(), Vec::new());
+        group_lines(doc, elements, &mut items, &mut tagged, &mut line_boxes);
+        let mut bands: Vec<Vec<ElementRef>> = vec![Vec::new(); cuts.len() + 1];
+        for (li, lb) in line_boxes.iter().enumerate() {
+            let cy = lb.centroid().y;
+            let band = cuts.iter().position(|&cut| cy < cut).unwrap_or(cuts.len());
+            bands[band].extend(
+                tagged
+                    .iter()
+                    .filter(|(l, _)| *l == li as u32)
+                    .map(|(_, r)| *r),
+            );
+        }
+        bands.retain(|b| !b.is_empty());
+        bands
+    }
+
+    #[test]
+    fn line_banding_matches_the_per_line_filter() {
+        let mut next = draws(11);
+        let mut interleaved = 0;
+        for _ in 0..500 {
+            let mut d = Document::new("bands", 200.0, 200.0);
+            let refs: Vec<ElementRef> = (0..2 + next(30))
+                .map(|_| {
+                    // Tall and short boxes on a coarse lattice, so lines
+                    // absorb later elements out of y order.
+                    let (y, h) = (next(20) as f64 * 6.0, 4.0 + next(3) as f64 * 8.0);
+                    let b = BBox::new(next(10) as f64 * 20.0, y, 15.0, h);
+                    d.push_text(TextElement::word("w", b))
+                })
+                .collect();
+            let cell = 4.0;
+            let delims: Vec<ScoredRun> = (0..1 + next(3))
+                .map(|_| run(true, next(50) as usize, 1 + next(3) as usize))
+                .collect();
+            let area = d.page_bbox();
+            let mut cuts: Vec<f64> = delims
+                .iter()
+                .map(|r| area.y + r.run.center() * cell)
+                .collect();
+            cuts.sort_by(|a, b| a.total_cmp(b));
+            cuts.dedup_by(|a, b| (*a - *b).abs() < cell);
+            let want = split_reference(&d, &refs, &cuts);
+            let got = split_by_delimiters(&d, &refs, &delims, true, &area, cell);
+            assert_eq!(got, want);
+            let (mut items, mut tagged, mut lines) = (Vec::new(), Vec::new(), Vec::new());
+            group_lines(&d, &refs, &mut items, &mut tagged, &mut lines);
+            if tagged.windows(2).any(|w| w[1].0 < w[0].0) {
+                interleaved += 1;
+            }
+        }
+        assert!(
+            interleaved >= 50,
+            "only {interleaved} cases interleave lines"
+        );
     }
 
     #[test]

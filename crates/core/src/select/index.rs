@@ -23,10 +23,12 @@
 //!   reads only the token's bucket (direct and merge branches) and the
 //!   rejoined pair's bucket (split branch, against the direct table),
 //!   skips entries whose first *and* last bytes both differ from the
-//!   query's — a necessary condition of the edit-one comparator on those
+//!   query's, and then entries whose byte signature (one bit per byte
+//!   class, [`byte_signature`]) differs from the query's in more than two
+//!   bits — both necessary conditions of the edit-one comparator on those
 //!   lengths — and runs the unchanged comparator on the rest. A root
 //!   with dozens of first words and hundreds of merged forms thus costs a
-//!   handful of byte checks per start token, not a full edge sweep.
+//!   handful of bit checks per start token, not a full edge sweep.
 //! * **Window patterns grouped by anchor feature.** Each compiled
 //!   window pattern is bucketed under its most selective requirement
 //!   (stem ≻ NER ≻ verb sense ≻ noun sense ≻ POS flag ≻ TIMEX/geocode);
@@ -66,6 +68,7 @@ use crate::select::PatternMatch;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use vs2_nlp::chunk::PhraseKind;
+use vs2_nlp::lexicon::{byte_signature, signatures_within_edit_one};
 use vs2_nlp::ner::NerTag;
 
 /// The winning match of one entity within one block, as the naive
@@ -166,23 +169,40 @@ struct TrieNode {
 
 /// One entry of a [`ProbeTable`]: which edge (and, in the merged table,
 /// which of its [`Merged`] forms) to compare, plus the probe word's
-/// first and last byte for the prefilter.
+/// first and last byte and its byte signature for the prefilter.
+/// 16 bytes: a `u64` signature would grow it by half.
 #[derive(Debug, Clone, Copy)]
 struct Probe {
     edge: u32,
     merged: u32,
+    sig: u32,
     first: u8,
     last: u8,
 }
 
 impl Probe {
+    /// The probe of `word` (non-empty) for `edge` and its `merged` form.
+    fn new(word: &str, edge: usize, merged: usize) -> Self {
+        let bytes = word.as_bytes();
+        Probe {
+            edge: edge as u32,
+            merged: merged as u32,
+            sig: byte_signature(bytes),
+            first: bytes[0],
+            last: bytes[bytes.len() - 1],
+        }
+    }
+
     /// A necessary condition of [`word_matches`] on bucketed lengths: an
     /// equal-length match substitutes at most one byte, so the first and
     /// last bytes cannot both differ (words of < 4 bytes must be equal);
     /// a one-byte insertion or deletion leaves the first bytes equal, or
-    /// — when it sits at the front — the last bytes.
-    fn may_match(&self, query: &[u8]) -> bool {
-        query.first() == Some(&self.first) || query.last() == Some(&self.last)
+    /// — when it sits at the front — the last bytes. And one edit moves
+    /// at most two bits of the byte signature (`query_sig` is the
+    /// query's).
+    fn may_match(&self, query: &[u8], query_sig: u32) -> bool {
+        (query.first() == Some(&self.first) || query.last() == Some(&self.last))
+            && signatures_within_edit_one(query_sig, self.sig)
     }
 }
 
@@ -586,12 +606,6 @@ impl PatternIndex {
     /// Fills the per-node [`ProbeTable`]s from the edges and their merged
     /// forms.
     fn build_probes(&mut self) {
-        let probe = |word: &str, edge: usize, merged: usize| Probe {
-            edge: edge as u32,
-            merged: merged as u32,
-            first: word.as_bytes()[0],
-            last: word.as_bytes()[word.len() - 1],
-        };
         let mut direct = ProbeTable::default();
         let mut merged = ProbeTable::default();
         for node in &self.nodes {
@@ -599,7 +613,7 @@ impl PatternIndex {
                 .children
                 .iter()
                 .enumerate()
-                .map(|(ei, e)| (e.word.as_str(), probe(&e.word, ei, 0)))
+                .map(|(ei, e)| (e.word.as_str(), Probe::new(&e.word, ei, 0)))
                 .collect();
             direct.push_node(&words);
             let words: Vec<(&str, Probe)> = node
@@ -610,7 +624,7 @@ impl PatternIndex {
                     e.merged
                         .iter()
                         .enumerate()
-                        .map(move |(mi, m)| (m.word.as_str(), probe(&m.word, ei, mi)))
+                        .map(move |(mi, m)| (m.word.as_str(), Probe::new(&m.word, ei, mi)))
                 })
                 .collect();
             merged.push_node(&words);
@@ -758,8 +772,9 @@ impl PatternIndex {
                 merged_hits.clear();
                 if i < n {
                     let q = norm(i);
+                    let q_sig = byte_signature(q.as_bytes());
                     for p in self.direct.bucket(node_id, q.len()) {
-                        if !p.may_match(q.as_bytes()) || is_banned(banned, p.edge) {
+                        if !p.may_match(q.as_bytes(), q_sig) || is_banned(banned, p.edge) {
                             continue;
                         }
                         let edge = &node.children[p.edge as usize];
@@ -775,7 +790,7 @@ impl PatternIndex {
                         }
                     }
                     for p in self.merged.bucket(node_id, q.len()) {
-                        if !p.may_match(q.as_bytes())
+                        if !p.may_match(q.as_bytes(), q_sig)
                             || is_banned(banned, p.edge)
                             || direct_hits.contains(&p.edge)
                         {
@@ -794,8 +809,9 @@ impl PatternIndex {
                 }
                 if i + 1 < n {
                     let q = rejoined(i);
+                    let q_sig = byte_signature(q.as_bytes());
                     for p in self.direct.bucket(node_id, q.len()) {
-                        if !p.may_match(q.as_bytes())
+                        if !p.may_match(q.as_bytes(), q_sig)
                             || is_banned(banned, p.edge)
                             || direct_hits.contains(&p.edge)
                         {
@@ -994,6 +1010,8 @@ mod tests {
     use super::*;
     use crate::segment::LogicalBlock;
     use crate::select::naive;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use vs2_docmodel::{BBox, Document, TextElement};
     use vs2_nlp::hypernym::Sense;
     use vs2_nlp::stem::stem;
@@ -1240,5 +1258,111 @@ mod tests {
             index.block_hits(&b, &mut fresh).to_vec(),
             index.block_hits(&b, &mut scratch).to_vec()
         );
+    }
+
+    /// Characters whose bytes stress the signature: letters and digits
+    /// that share a class under `& 31` (`'0'`/`'p'`/`'P'`, `'1'`/`'q'`,
+    /// `'@'`/`'`'`), and multi-byte characters — `'é'` and `'ß'` share
+    /// their lead byte, so swapping one for the other is one byte edit.
+    const ALPHABET: [char; 14] = [
+        'a', 'e', 'p', 'P', 'q', '0', '1', '@', '`', 's', 'é', 'ß', 'ñ', '€',
+    ];
+
+    fn word_of(ix: &[u32]) -> String {
+        ix.iter().map(|&i| ALPHABET[i as usize]).collect()
+    }
+
+    /// `want` with one char edit (`kind` 0: none, 1: substitute, 2:
+    /// insert, 3: delete) at `at`.
+    fn edited(want: &str, kind: u32, at: u32, with: u32) -> String {
+        let mut chars: Vec<char> = want.chars().collect();
+        let c = ALPHABET[with as usize];
+        match kind {
+            1 if !chars.is_empty() => {
+                let at = at as usize % chars.len();
+                chars[at] = c;
+            }
+            2 => chars.insert(at as usize % (chars.len() + 1), c),
+            3 if !chars.is_empty() => {
+                chars.remove(at as usize % chars.len());
+            }
+            _ => {}
+        }
+        chars.into_iter().collect()
+    }
+
+    /// The probe filter the scan applies before [`word_matches`]: the
+    /// length bucket, the first/last byte test and the signature test.
+    fn filter_passes(have: &str, want: &str) -> bool {
+        !want.is_empty()
+            && in_bucket(want.len(), have.len())
+            && Probe::new(want, 0, 0).may_match(have.as_bytes(), byte_signature(have.as_bytes()))
+    }
+
+    type EditCase = (Vec<u32>, u32, u32, u32);
+
+    fn edit_case() -> impl Strategy<Value = EditCase> {
+        (
+            vec(0u32..ALPHABET.len() as u32, 1..9),
+            0u32..4,
+            0u32..16,
+            0u32..ALPHABET.len() as u32,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The prefilter never rejects a pair the comparator accepts, in
+        /// either direction, over short and long words, colliding byte
+        /// classes and non-ASCII bytes.
+        #[test]
+        fn probe_filter_is_sound(case in edit_case()) {
+            let (word, kind, at, with) = case;
+            let want = word_of(&word);
+            let have = edited(&want, kind, at, with);
+            for (a, b) in [(&have, &want), (&want, &have)] {
+                if word_matches(a, b) {
+                    prop_assert!(filter_passes(a, b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+    }
+
+    /// The edit generator is not vacuous: it yields matches below and at
+    /// four bytes, and matches through a non-ASCII byte edit.
+    #[test]
+    fn probe_filter_cases_cover_short_long_and_non_ascii_matches() {
+        let mut rng = proptest::TestRng::from_label("index::probe_filter");
+        let (mut short, mut long, mut non_ascii, mut edits) = (0, 0, 0, 0);
+        for _ in 0..4096 {
+            let (word, kind, at, with) = edit_case().generate(&mut rng);
+            let want = word_of(&word);
+            let have = edited(&want, kind, at, with);
+            if !word_matches(&have, &want) {
+                continue;
+            }
+            assert!(filter_passes(&have, &want));
+            match want.len() {
+                0..4 => short += 1,
+                _ => long += 1,
+            }
+            if have != want {
+                edits += 1;
+                if !want.is_ascii() && have.len() == want.len() {
+                    non_ascii += 1;
+                }
+            }
+        }
+        assert!(short >= 100 && long >= 500, "short {short}, long {long}");
+        assert!(
+            edits >= 500 && non_ascii >= 20,
+            "edits {edits}, non-ASCII {non_ascii}"
+        );
+    }
+
+    #[test]
+    fn probe_stays_sixteen_bytes() {
+        assert!(std::mem::size_of::<Probe>() <= 16);
     }
 }

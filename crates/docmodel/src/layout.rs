@@ -144,18 +144,10 @@ impl LayoutTree {
     /// Live nodes at the same depth as `id`, excluding `id` itself. Eq. 1
     /// contrasts siblings with non-sibling nodes on the same level.
     pub fn same_level(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.same_level_into(id, &mut out);
-        out
-    }
-
-    /// [`LayoutTree::same_level`] into a caller-owned buffer (cleared
-    /// first) — the segmentation fast path reuses one buffer across the
-    /// merge sweeps.
-    pub fn same_level_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
         let d = self.depth(id);
-        out.clear();
-        out.extend(self.live_ids().filter(|n| *n != id && self.depth(*n) == d));
+        self.live_ids()
+            .filter(|n| *n != id && self.depth(*n) == d)
+            .collect()
     }
 
     /// Merges `b` into `a`: `a` absorbs `b`'s elements, children and

@@ -14,6 +14,7 @@
 //!   the full learn-from-text path.
 
 use crate::lexicon::{self, Topic, ALL_TOPICS};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Embedding dimensionality.
@@ -33,20 +34,63 @@ pub trait Embedder {
     where
         Self: Sized,
     {
-        let mut acc = [0.0; DIM];
-        let mut n = 0usize;
-        for w in words {
-            let v = self.embed(w);
-            for i in 0..DIM {
-                acc[i] += v[i];
-            }
-            n += 1;
+        mean_normalized(words.into_iter().map(|w| self.embed(w)))
+    }
+}
+
+/// The L2-normalised mean of `vectors`, summed in iteration order; the
+/// zero vector when there are none. [`Embedder::embed_text`] is this over
+/// its words' vectors, so a caller holding the word vectors already (the
+/// segmentation fast path's per-element column) gets the same bits.
+pub fn mean_normalized<V: Borrow<Vector>>(vectors: impl IntoIterator<Item = V>) -> Vector {
+    let mut acc = [0.0; DIM];
+    let mut n = 0usize;
+    for v in vectors {
+        let v = v.borrow();
+        for i in 0..DIM {
+            acc[i] += v[i];
         }
-        if n == 0 {
-            return acc;
+        n += 1;
+    }
+    if n == 0 {
+        return acc;
+    }
+    normalize(&mut acc);
+    acc
+}
+
+/// A vector with its squared norm, summed in the order [`cosine`] sums
+/// it: a cosine between two `Normed`s recomputes only the dot product
+/// and equals [`cosine`] of the bare vectors bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Normed {
+    /// The vector.
+    pub v: Vector,
+    /// `Σ v[i]²` in index order.
+    pub sq_norm: f64,
+}
+
+impl Normed {
+    /// Pairs `v` with its squared norm.
+    pub fn new(v: Vector) -> Self {
+        let mut sq_norm = 0.0;
+        for x in &v {
+            sq_norm += x * x;
         }
-        normalize(&mut acc);
-        acc
+        Self { v, sq_norm }
+    }
+
+    /// [`cosine`] of the two vectors.
+    pub fn cosine(&self, other: &Normed) -> f64 {
+        let mut dot = 0.0;
+        for i in 0..DIM {
+            dot += self.v[i] * other.v[i];
+        }
+        if self.sq_norm <= 0.0 || other.sq_norm <= 0.0 {
+            0.0
+        } else {
+            dot / (self.sq_norm.sqrt() * other.sq_norm.sqrt())
+        }
     }
 }
 
@@ -404,6 +448,33 @@ mod tests {
     fn case_insensitive() {
         let e = LexiconEmbedding;
         assert_eq!(e.embed("Concert"), e.embed("concert"));
+    }
+
+    #[test]
+    fn normed_cosine_is_bit_identical() {
+        let zero = Normed::new([0.0; DIM]);
+        for seed in 0..64u64 {
+            let (a, b) = (hash_vector(seed), hash_vector(seed * 7 + 3));
+            let mut scaled = a;
+            scaled
+                .iter_mut()
+                .for_each(|x| *x *= 1e-3 * (seed + 1) as f64);
+            for (x, y) in [(a, b), (a, a), (scaled, b), (b, scaled)] {
+                let want = cosine(&x, &y);
+                let got = Normed::new(x).cosine(&Normed::new(y));
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+            }
+            assert_eq!(Normed::new(a).cosine(&zero), cosine(&a, &[0.0; DIM]));
+        }
+    }
+
+    #[test]
+    fn mean_normalized_is_embed_text() {
+        let e = LexiconEmbedding;
+        let words = ["concert", "acres", "Main", "2,465", "zorblax"];
+        let column: Vec<Vector> = words.iter().map(|w| e.embed(w)).collect();
+        assert_eq!(mean_normalized(&column), e.embed_text(words));
+        assert_eq!(mean_normalized(&column[..0]), [0.0; DIM]);
     }
 
     #[test]

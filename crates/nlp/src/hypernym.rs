@@ -97,13 +97,19 @@ const PERSON_ROLES: &[&str] = &[
 /// inflectional variants resolve identically.
 pub fn sense_of(word: &str) -> Sense {
     let w = word.to_lowercase();
-    let stemmed = stem(&w);
-    if PERSON_ROLES.contains(&w.as_str()) || PERSON_ROLES.contains(&stemmed.as_str()) {
+    sense_of_lower(&w, &stem(&w))
+}
+
+/// [`sense_of`] for a word that is already lower-case, given its stem
+/// (`stemmed == stem(w)`): a caller that holds the stem pays no second
+/// lowering or stemming.
+pub fn sense_of_lower(w: &str, stemmed: &str) -> Sense {
+    if PERSON_ROLES.contains(&w) || PERSON_ROLES.contains(&stemmed) {
         return Sense::Person;
     }
-    let topic = lexicon::topic_of(&w)
-        .or_else(|| lexicon::topic_of(&stemmed))
-        .or_else(|| lexicon::topic_of_fuzzy(&w));
+    let topic = lexicon::topic_of(w)
+        .or_else(|| lexicon::topic_of(stemmed))
+        .or_else(|| lexicon::topic_of_fuzzy(w));
     match topic {
         Some(Topic::Measure) => Sense::Measure,
         Some(Topic::Structure) => Sense::Structure,

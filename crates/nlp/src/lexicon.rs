@@ -892,6 +892,22 @@ pub fn topic_of(word: &str) -> Option<Topic> {
     index().get(word).copied()
 }
 
+/// The byte signature of `word`: bit `b & 31` is set for each byte `b`.
+/// Equal words have equal signatures, and see
+/// [`signatures_within_edit_one`] for what one edit can do to them.
+pub fn byte_signature(word: &[u8]) -> u32 {
+    word.iter().fold(0, |sig, b| sig | 1 << (b & 31))
+}
+
+/// A necessary condition of [`within_edit_one`] on two words' byte
+/// signatures: a substitution clears at most one bit and sets at most
+/// one, an insertion or deletion moves at most one, so words within one
+/// edit differ in at most two signature bits. Bytes that share a class
+/// (`b & 31`) only make the test weaker, never wrong.
+pub fn signatures_within_edit_one(a: u32, b: u32) -> bool {
+    (a ^ b).count_ones() <= 2
+}
+
 /// `true` when two words are within edit distance one (one substitution,
 /// insertion or deletion) — the OCR channel's typical corruption.
 pub fn within_edit_one(a: &str, b: &str) -> bool {
@@ -959,17 +975,44 @@ pub fn topic_of_fuzzy(word: &str) -> Option<Topic> {
     if let Some(t) = topic_of(&normalised) {
         return Some(t);
     }
-    for (topic, words) in topic_pools() {
-        if *topic == Topic::Generic {
-            continue;
-        }
-        for w in *words {
-            if w.len() >= 5 && within_edit_one(&normalised, w) {
-                return Some(*topic);
-            }
-        }
-    }
-    None
+    // The content-pool words of five or more bytes in pool order, so the
+    // first within one edit wins; a word is compared only when its length
+    // and byte signature allow one edit.
+    let sig = byte_signature(normalised.as_bytes());
+    fuzzy_pool()
+        .iter()
+        .find(|c| {
+            c.word.len().abs_diff(normalised.len()) <= 1
+                && signatures_within_edit_one(sig, c.sig)
+                && within_edit_one(&normalised, c.word)
+        })
+        .map(|c| c.topic)
+}
+
+/// One word [`topic_of_fuzzy`] scans, with its byte signature.
+struct FuzzyWord {
+    word: &'static str,
+    sig: u32,
+    topic: Topic,
+}
+
+/// The words [`topic_of_fuzzy`] scans: every content pool's words of five
+/// or more bytes, in pool order (never `Generic`).
+fn fuzzy_pool() -> &'static [FuzzyWord] {
+    static POOL: OnceLock<Vec<FuzzyWord>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        topic_pools()
+            .iter()
+            .filter(|(topic, _)| *topic != Topic::Generic)
+            .flat_map(|(topic, words)| {
+                words.iter().filter(|w| w.len() >= 5).map(|w| FuzzyWord {
+                    word: w,
+                    sig: byte_signature(w.as_bytes()),
+                    topic: *topic,
+                })
+            })
+            .collect()
+    })
 }
 
 /// Words belonging to a topic.
@@ -989,6 +1032,116 @@ pub fn contains(word: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`topic_of_fuzzy`] as it stood before the signature prefilter,
+    /// copied verbatim: the linear scan over the pools.
+    fn topic_of_fuzzy_reference(word: &str) -> Option<Topic> {
+        if let Some(t) = topic_of(word) {
+            return Some(t);
+        }
+        if word.len() < 5 || !word.chars().all(|c| c.is_ascii_alphanumeric()) {
+            return None;
+        }
+        // Normalise the classic digit confusions before scanning.
+        let normalised: String = word
+            .chars()
+            .map(|c| match c {
+                '0' => 'o',
+                '1' => 'l',
+                '5' => 's',
+                '6' => 'b',
+                _ => c,
+            })
+            .collect();
+        if let Some(t) = topic_of(&normalised) {
+            return Some(t);
+        }
+        for (topic, words) in topic_pools() {
+            if *topic == Topic::Generic {
+                continue;
+            }
+            for w in *words {
+                if w.len() >= 5 && within_edit_one(&normalised, w) {
+                    return Some(*topic);
+                }
+            }
+        }
+        None
+    }
+
+    /// Draws for the fuzzy-scan comparison (SplitMix64).
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// Letters, the confusable digits, a capital and a non-ASCII letter.
+    const EDIT_BYTES: &[char] = &[
+        'a', 'e', 'i', 'o', 'n', 's', 't', 'r', 'l', 'b', 'p', 'x', 'z', '0', '1', '5', '6', '9',
+        'Q', 'é',
+    ];
+
+    fn edit(word: &str, next: &mut impl FnMut(usize) -> usize) -> String {
+        let mut chars: Vec<char> = word.chars().collect();
+        let c = EDIT_BYTES[next(EDIT_BYTES.len())];
+        match next(3) {
+            0 if !chars.is_empty() => {
+                let at = next(chars.len());
+                chars[at] = c;
+            }
+            1 => {
+                let at = next(chars.len() + 1);
+                chars.insert(at, c);
+            }
+            _ if !chars.is_empty() => {
+                chars.remove(next(chars.len()));
+            }
+            _ => {}
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn fuzzy_topic_equals_the_linear_scan() {
+        let mut next = draws(0x5eed);
+        let (mut queries, mut fuzzy_hits) = (0, 0);
+        let mut check = |q: &str| {
+            let want = topic_of_fuzzy_reference(q);
+            assert_eq!(topic_of_fuzzy(q), want, "{q:?}");
+            queries += 1;
+            if want.is_some() && topic_of(q).is_none() {
+                fuzzy_hits += 1;
+            }
+        };
+        for (_, words) in topic_pools() {
+            for w in *words {
+                check(w);
+                for _ in 0..3 {
+                    let once = edit(w, &mut next);
+                    check(&once);
+                    check(&edit(&once, &mut next));
+                }
+            }
+        }
+        for _ in 0..3000 {
+            let len = 3 + next(8);
+            let q: String = (0..len)
+                .map(|_| EDIT_BYTES[next(EDIT_BYTES.len())])
+                .collect();
+            check(&q);
+        }
+        assert!(queries > 5000, "{queries} queries");
+        assert!(
+            fuzzy_hits > 1000,
+            "only {fuzzy_hits} queries matched by one edit"
+        );
+    }
 
     #[test]
     fn every_topic_has_a_pool() {

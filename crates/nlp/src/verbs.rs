@@ -56,7 +56,12 @@ const MOTION: &[&str] = &["join", "attend", "come", "arriv", "meet"];
 /// classes; an empty result means the verb is outside the lexicon.
 pub fn senses_of(verb: &str) -> Vec<VerbSense> {
     let w = verb.to_lowercase();
-    let s = stem(&w);
+    senses_of_lower(&w, &stem(&w))
+}
+
+/// [`senses_of`] for a verb form that is already lower-case, given its
+/// stem (`s == stem(w)`).
+pub fn senses_of_lower(w: &str, s: &str) -> Vec<VerbSense> {
     let mut out = Vec::new();
     let matches = |pool: &[&str]| pool.iter().any(|p| s.starts_with(p) || w.starts_with(p));
     if matches(CAPTAIN) {

@@ -43,7 +43,7 @@ pub use span::{enabled, span, SpanGuard, SpanRecord, Trace};
 /// │   │   ├── vs2.segment.fast.cuts   (word-packed whitespace sweep)
 /// │   │   └── vs2.segment.cluster     (only when delimiters found < 2 parts)
 /// │   └── vs2.segment.merge           (once; Eq. 1 semantic merging)
-/// │       └── vs2.segment.fast.embed  (per-sweep embedding-cache fill)
+/// │       └── vs2.segment.fast.embed  (per-call element-embedding column)
 /// ├── vs2.select                      (pattern search + disambiguation)
 /// │   ├── vs2.select.index            (block texts, feature tables, interest points)
 /// │   └── vs2.select.scan             (indexed pattern scan + scoring)
@@ -78,8 +78,8 @@ pub mod stages {
     /// The word-packed whitespace sweep of one area (segment fast path);
     /// child of [`AREA`].
     pub const FAST_CUTS: &str = "vs2.segment.fast.cuts";
-    /// Per-sweep embedding-cache fill of the fast semantic merge; child
-    /// of [`MERGE`].
+    /// The fast semantic merge's per-call element-embedding column: each
+    /// text element embedded once, before the sweeps; child of [`MERGE`].
     pub const FAST_EMBED: &str = "vs2.segment.fast.embed";
     /// VS2-Select: pattern search and multimodal disambiguation.
     pub const SELECT: &str = "vs2.select";

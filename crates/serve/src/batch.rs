@@ -308,7 +308,6 @@ pub fn run_batch(
         let mut wire_seq = 0u64;
         let mut submissions = 0u64;
         for line_no in 0.. {
-            let default_id = format!("job-{line_no}");
             let read = match read_capped_line(&mut reader) {
                 Ok(None) => break,
                 Ok(Some(text)) if text.trim().is_empty() => continue,
@@ -368,6 +367,9 @@ pub fn run_batch(
                 hash,
             };
             wire_seq += 1;
+            // Named by its own wire seq, so blank lines and control
+            // records before it do not rename it.
+            let default_id = || format!("job-{}", line.seq);
             // `InvalidData` (non-UTF-8 bytes, an over-long line)
             // consumes exactly the offending line, so the stream stays
             // aligned; any other I/O error means the source itself
@@ -396,7 +398,7 @@ pub fn run_batch(
                 }
                 None => match parsed {
                     Ok(spec) => {
-                        let job_id = spec.job_id.clone().unwrap_or(default_id);
+                        let job_id = spec.job_id.clone().unwrap_or_else(default_id);
                         if opts.drain_after == Some(submissions) {
                             service.begin_drain();
                         }
@@ -412,7 +414,7 @@ pub fn run_batch(
                         invalid += 1;
                         let _ = fate_tx.send(LineFate::Invalid {
                             line,
-                            job_id: default_id,
+                            job_id: default_id(),
                             error,
                         });
                     }
@@ -509,7 +511,7 @@ mod tests {
                 .filter(|r| r.status != JobStatus::Invalid)
                 .map(|r| r.job_id.as_str())
                 .collect::<Vec<_>>(),
-            vec!["job-0", "named", "job-5"]
+            vec!["job-0", "named", "job-4"]
         );
         // 5 non-empty lines → 5 result lines, in input order.
         assert_eq!(results.len(), 5);

@@ -81,8 +81,9 @@ impl std::fmt::Debug for JobDocCache {
 /// One extraction job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Caller-chosen id echoed into the result; defaults to the input
-    /// line number rendered as `job-<n>`.
+    /// Caller-chosen id echoed into the result; defaults to the line's
+    /// wire seq rendered as `job-<seq>` (blank lines and control records
+    /// take no seq).
     pub job_id: Option<String>,
     /// Dataset the document belongs to — selects the served model.
     pub dataset: DatasetId,

@@ -411,8 +411,8 @@ fn resume_skips_the_drain_control_record_its_predecessor_consumed() {
     // Six D4 jobs with an in-stream drain after the second: the first
     // process answers jobs 0 and 1 and sheds the rest; its successor must
     // skip the consumed record and answer jobs 2-5, not drain again.
-    // The jobs carry their own ids: a default id names the physical
-    // line, which the control record shifts.
+    // The jobs carry their own ids; default ids are pinned by
+    // `default_ids_ignore_blank_lines_and_control_records`.
     let jobs: Vec<String> = (0..6)
         .map(|i| format!("{{\"dataset\":\"D4\",\"doc_index\":{i},\"job_id\":\"d4-{i}\"}}"))
         .collect();
@@ -466,6 +466,46 @@ fn resume_skips_the_drain_control_record_its_predecessor_consumed() {
         "{}",
         String::from_utf8_lossy(&third.stdout)
     );
+}
+
+#[test]
+fn default_ids_ignore_blank_lines_and_control_records() {
+    // Six D4 jobs without ids, a blank line after the first and a drain
+    // record after the third, run as a resume chain: every ok line,
+    // `job_id` included, equals the plain file's. A default id is the
+    // line's wire seq, which neither consumes.
+    let jobs: Vec<String> = (0..6)
+        .map(|i| format!("{{\"dataset\":\"D4\",\"doc_index\":{i}}}"))
+        .collect();
+    let mut lines = jobs.clone();
+    lines.insert(3, "{\"control\":\"drain\"}".to_string());
+    lines.insert(1, String::new());
+    let noisy = scratch("default-ids-noisy.jsonl");
+    std::fs::write(&noisy, lines.join("\n") + "\n").unwrap();
+    let plain = scratch("default-ids-plain.jsonl");
+    std::fs::write(&plain, jobs.join("\n") + "\n").unwrap();
+    let snap = scratch("default-ids-s1.json");
+    let snap = snap.to_str().unwrap();
+
+    let first = vs2d_with(&noisy, &["--workers", "2", "--handoff", snap]);
+    let second = vs2d_with(&noisy, &["--workers", "2", "--resume-from", snap]);
+    let uninterrupted = vs2d_with(&plain, &["--workers", "2"]);
+    for run in [&first, &second, &uninterrupted] {
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    let chain: Vec<String> = [ok_lines(&first), ok_lines(&second)].concat();
+    assert_eq!(ok_lines(&first).len(), 3, "the drain lands after job 2");
+    assert_eq!(chain, ok_lines(&uninterrupted));
+    let ids: Vec<String> = results(&String::from_utf8(uninterrupted.stdout.clone()).unwrap())
+        .into_iter()
+        .map(|r| r.job_id)
+        .collect();
+    assert_eq!(ids, ["job-0", "job-1", "job-2", "job-3", "job-4", "job-5"]);
 }
 
 #[test]
