@@ -12,8 +12,15 @@
 //! * per-distinct-token derived columns — stem, noun hypernym-sense
 //!   mask, verb-sense mask, Lesk gloss key — computed once instead of
 //!   once per token instance per block;
-//! * a memoising [`CtxEmbedder`] so segmentation's semantic merge and
-//!   selection's interest points embed each distinct word once per job.
+//! * the embedding of each text element, built on first use and read by
+//!   both segmentation's semantic merge and selection's interest points
+//!   ([`CtxEmbedder`]), so each element is embedded once per job.
+//!
+//! Two per-thread memos carry derived forms and word embeddings across
+//! jobs. A word enters either memo only on a document after the one it
+//! was first seen in: scanned input is mostly one-off tokens (amounts,
+//! ids, misreads), and memoising those would grow the memos without a
+//! single hit. A one-off word is derived and dropped.
 //!
 //! Every derived value is a pure function of the token string, so the
 //! context path is observationally identical to the owned reference that
@@ -21,11 +28,11 @@
 //! interner proptest battery in `vs2-conformance` pin.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use vs2_docmodel::{DocView, Document, TokenId};
+use vs2_docmodel::{DocView, Document, TextElement, TokenId};
 use vs2_nlp::embedding::{Embedder, LexiconEmbedding, Vector};
 use vs2_nlp::hypernym::{self, Sense};
 use vs2_nlp::stem::stem;
@@ -47,8 +54,9 @@ pub(crate) fn empty_arc() -> Arc<str> {
 /// vocabulary is pure `Arc` refcount bumps. Every cached value is a pure
 /// function of the raw text (`norm` is the deterministic normalisation
 /// the tokeniser produces), so a hit is observationally identical to
-/// recomputation. The cap bounds memory on adversarial vocabularies;
-/// past it, misses recompute without inserting.
+/// recomputation. Only recurring words are admitted ([`admit`]); the cap
+/// bounds memory on adversarial vocabularies, and past it misses
+/// recompute without inserting.
 struct CachedForms {
     raw: Arc<str>,
     norm: Arc<str>,
@@ -92,10 +100,73 @@ thread_local! {
         RefCell::new(HashMap::new());
 }
 
-// Per-thread word-embedding memo (same rationale and cap as the form
-// cache; `embed` is a pure function of the word, so hits are bit-exact).
+// Per-thread word-embedding memo (same rationale, admission rule and cap
+// as the form cache; `embed` is a pure function of the word, so hits are
+// bit-exact).
 thread_local! {
     static EMBED_CACHE: RefCell<HashMap<Box<str>, Vector>> = RefCell::new(HashMap::new());
+}
+
+/// Slots of the per-thread doorkeeper ([`admit`]), in sets of
+/// [`DOORKEEPER_WAYS`].
+const DOORKEEPER_SLOTS: usize = 1 << 12;
+const DOORKEEPER_WAYS: usize = 4;
+
+/// One doorkeeper slot: a word's fingerprint and the serial of the
+/// earliest document it was seen in. Serial 0 marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sighting {
+    fingerprint: u64,
+    serial: u64,
+}
+
+thread_local! {
+    /// Serial of the last [`DocContext`] built on this thread.
+    static DOC_SERIAL: Cell<u64> = const { Cell::new(0) };
+    /// Set-associative sightings of words the memos missed, allocated on
+    /// first use.
+    static DOORKEEPER: RefCell<Vec<Sighting>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Whether a memo that missed `word` while serving document `serial`
+/// should insert it: only when this thread already saw the word in an
+/// earlier document. A first sighting is recorded, displacing the oldest
+/// sighting of its set, and refused, so a word that occurs in one
+/// document never enters a memo. A displaced word is refused once more;
+/// two words with one fingerprint may admit each other early. Neither
+/// changes a value the memos return, only what they keep.
+fn admit(word: &str, serial: u64) -> bool {
+    // FNV-1a: a fingerprint, not a map key, so speed beats spread.
+    let fingerprint = word.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    DOORKEEPER.with(|slots| {
+        let mut slots = slots.borrow_mut();
+        if slots.is_empty() {
+            slots.resize(DOORKEEPER_SLOTS, Sighting::default());
+        }
+        let sets = DOORKEEPER_SLOTS / DOORKEEPER_WAYS;
+        let set = (fingerprint ^ fingerprint >> 32) as usize % sets * DOORKEEPER_WAYS;
+        let set = &mut slots[set..set + DOORKEEPER_WAYS];
+        if let Some(seen) = set
+            .iter_mut()
+            .find(|s| s.serial != 0 && s.fingerprint == fingerprint)
+        {
+            if seen.serial < serial {
+                return true;
+            }
+            // Seen in this document, or through an older context's
+            // embedder: keep the earliest sighting.
+            seen.serial = serial;
+            return false;
+        }
+        let oldest = set.iter_mut().min_by_key(|s| s.serial).expect("ways > 0");
+        *oldest = Sighting {
+            fingerprint,
+            serial,
+        };
+        false
+    })
 }
 
 /// Borrowed, fully tokenised view of one document plus every
@@ -116,6 +187,10 @@ pub struct DocContext<'d> {
     vsense: Vec<u8>,
     /// Per-id Lesk gloss key (`None` for words `Lesk` ignores).
     keys: Vec<Option<Arc<str>>>,
+    /// This build's serial on its thread: what the memos admit by.
+    serial: u64,
+    /// `embed` of each text element, in text order, built on first use.
+    column: OnceCell<Vec<Vector>>,
 }
 
 impl<'d> DocContext<'d> {
@@ -133,6 +208,10 @@ impl<'d> DocContext<'d> {
         let mut vsense = Vec::with_capacity(n);
         let mut keys = Vec::with_capacity(n);
         let empty = empty_arc();
+        let serial = DOC_SERIAL.with(|s| {
+            s.set(s.get() + 1);
+            s.get()
+        });
         FORM_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
             for (_, raw, norm) in view.interner.iter() {
@@ -207,7 +286,7 @@ impl<'d> DocContext<'d> {
                     Some(k) if k == norm => (KeyForm::Norm, Some(tok.norm.clone())),
                     Some(k) => (KeyForm::Recompute, Some(Arc::from(k))),
                 };
-                if cache.len() < FORM_CACHE_CAP {
+                if cache.len() < FORM_CACHE_CAP && admit(raw, serial) {
                     cache.insert(
                         raw.into(),
                         CachedForms {
@@ -234,6 +313,8 @@ impl<'d> DocContext<'d> {
             sense,
             vsense,
             keys,
+            serial,
+            column: OnceCell::new(),
         }
     }
 
@@ -269,11 +350,18 @@ impl<'d> DocContext<'d> {
         self.keys[id.index()].as_deref()
     }
 
-    /// A memoising embedder over the per-thread embedding cache.
-    /// Deterministically identical to [`LexiconEmbedding`] (`embed` is
-    /// pure); each distinct word is embedded once per thread.
-    pub fn embedder(&self) -> CtxEmbedder {
-        CtxEmbedder(())
+    /// A memoising embedder over the per-thread embedding cache and this
+    /// context's element column. Deterministically identical to
+    /// [`LexiconEmbedding`] (`embed` is pure). A word that recurs across
+    /// this thread's documents is embedded once while it stays memoised;
+    /// a one-off word once per `embed` call, and each text element once
+    /// per job.
+    pub fn embedder(&self) -> CtxEmbedder<'_> {
+        CtxEmbedder {
+            serial: self.serial,
+            texts: &self.view.doc.texts,
+            column: &self.column,
+        }
     }
 }
 
@@ -288,11 +376,16 @@ impl std::fmt::Debug for DocContext<'_> {
 }
 
 /// [`Embedder`] that memoises [`LexiconEmbedding`] in the per-thread
-/// embedding cache. `embed` is a pure function of the word, so
-/// memoisation is bit-exact.
-pub struct CtxEmbedder(());
+/// embedding cache and answers [`Embedder::embed_column`] over its
+/// context's text elements from the context's column. `embed` is a pure
+/// function of the word, so memoisation is bit-exact.
+pub struct CtxEmbedder<'c> {
+    serial: u64,
+    texts: &'c [TextElement],
+    column: &'c OnceCell<Vec<Vector>>,
+}
 
-impl Embedder for CtxEmbedder {
+impl Embedder for CtxEmbedder<'_> {
     fn embed(&self, word: &str) -> Vector {
         EMBED_CACHE.with(|cache| {
             if let Some(v) = cache.borrow().get(word) {
@@ -300,19 +393,59 @@ impl Embedder for CtxEmbedder {
             }
             let v = LexiconEmbedding.embed(word);
             let mut cache = cache.borrow_mut();
-            if cache.len() < FORM_CACHE_CAP {
+            if cache.len() < FORM_CACHE_CAP && admit(word, self.serial) {
                 cache.insert(word.into(), v);
             }
             v
         })
     }
+
+    /// The context's column when `texts` are its document's texts — by
+    /// value, so the deskew branch's rotated copy shares it too — else a
+    /// column computed for this call.
+    fn embed_column<T: AsRef<str>>(&self, texts: &[T]) -> Cow<'_, [Vector]> {
+        let own = texts.len() == self.texts.len()
+            && texts
+                .iter()
+                .zip(self.texts)
+                .all(|(t, o)| t.as_ref() == o.text);
+        if !own {
+            return Cow::Owned(texts.iter().map(|t| self.embed(t.as_ref())).collect());
+        }
+        Cow::Borrowed(self.column.get_or_init(|| {
+            #[cfg(test)]
+            tests::ELEMENT_EMBEDS.with(|c| c.set(c.get() + self.texts.len() as u64));
+            self.texts.iter().map(|t| self.embed(&t.text)).collect()
+        }))
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use vs2_docmodel::{BBox, TextElement};
+    use std::collections::HashSet;
+    use vs2_docmodel::BBox;
     use vs2_nlp::token::tokenize;
+
+    thread_local! {
+        /// Text elements embedded into context columns on this thread.
+        pub(crate) static ELEMENT_EMBEDS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn form_cache_len() -> usize {
+        FORM_CACHE.with(|c| c.borrow().len())
+    }
+
+    fn embed_cache_len() -> usize {
+        EMBED_CACHE.with(|c| c.borrow().len())
+    }
+
+    fn memoised(word: &str) -> (bool, bool) {
+        (
+            FORM_CACHE.with(|c| c.borrow().contains_key(word)),
+            EMBED_CACHE.with(|c| c.borrow().contains_key(word)),
+        )
+    }
 
     fn doc_with(texts: &[&str]) -> Document {
         let mut doc = Document::new("ctx", 200.0, 100.0);
@@ -363,8 +496,9 @@ mod tests {
     fn lesk_keys_match_gloss_keys_cold_and_warm() {
         let words = ["Hosted hosting THE 1,000 inf NaN infinity İstanbul ẞtraße and"];
         let doc = doc_with(&words);
-        // The first build misses the form cache, the second hits it.
-        for _ in 0..2 {
+        // The first build misses the form cache, the second misses and
+        // admits, the third hits it.
+        for _ in 0..3 {
             let ctx = DocContext::build(&doc);
             for id in ctx.view.tokens_of_text(0) {
                 let norm = &*ctx.token(*id).norm;
@@ -384,7 +518,8 @@ mod tests {
         let doc = doc_with(&[
             "Hosted brokers hosting acres Concerts leasing organised İstanbul ẞtraße 2,465 the",
         ]);
-        for _ in 0..2 {
+        // Cold, admitting, hit.
+        for _ in 0..3 {
             let ctx = DocContext::build(&doc);
             for id in ctx.view.tokens_of_text(0) {
                 let norm = &*ctx.token(*id).norm;
@@ -406,12 +541,125 @@ mod tests {
     #[test]
     fn memoised_embedder_is_bit_exact() {
         let ctx_doc = doc_with(&["concert gala concert"]);
-        let ctx = DocContext::build(&ctx_doc);
-        let e = ctx.embedder();
-        for w in ["concert", "gala", "Σίσυφος", "2,465"] {
-            assert_eq!(e.embed(w), LexiconEmbedding.embed(w), "embed({w})");
-            // Second call hits the memo and must be identical.
-            assert_eq!(e.embed(w), LexiconEmbedding.embed(w));
+        let words = ["concert", "gala", "Σίσυφος", "2,465"];
+        // Cold, admitting, hit: one context per pass, as one per job.
+        for _ in 0..3 {
+            let ctx = DocContext::build(&ctx_doc);
+            let e = ctx.embedder();
+            for w in words {
+                assert_eq!(e.embed(w), LexiconEmbedding.embed(w), "embed({w})");
+                assert_eq!(e.embed(w), LexiconEmbedding.embed(w));
+            }
         }
+        assert!(words.iter().all(|w| memoised(w).1));
+    }
+
+    #[test]
+    fn context_column_is_embed_of_each_element_once_per_job() {
+        let doc = doc_with(&["Concert tonight", "2,465", "", "acres"]);
+        let ctx = DocContext::build(&doc);
+        let e = ctx.embedder();
+        ELEMENT_EMBEDS.with(|c| c.set(0));
+        let want: Vec<Vector> = doc
+            .texts
+            .iter()
+            .map(|t| LexiconEmbedding.embed(&t.text))
+            .collect();
+        assert_eq!(&*e.embed_column(&doc.texts), &want[..]);
+        // A copy with the same texts (the deskew branch's rotated
+        // document) reads the same column.
+        let copy = doc.clone();
+        assert!(matches!(e.embed_column(&copy.texts), Cow::Borrowed(_)));
+        assert_eq!(ELEMENT_EMBEDS.with(Cell::get), doc.texts.len() as u64);
+        // Other texts get a column of their own.
+        let other = ["acres", "gala"];
+        let column = e.embed_column(&other);
+        assert!(matches!(column, Cow::Owned(_)));
+        assert_eq!(column[1], LexiconEmbedding.embed("gala"));
+        assert_eq!(ELEMENT_EMBEDS.with(Cell::get), doc.texts.len() as u64);
+    }
+
+    #[test]
+    fn memos_admit_a_word_on_its_second_document() {
+        let once = doc_with(&["qzxonce 918273645"]);
+        let twice = doc_with(&["qzxtwice"]);
+        let filler = doc_with(&["unrelated"]);
+        // Seen in one document, even many times in it: never memoised.
+        let ctx = DocContext::build(&once);
+        for _ in 0..3 {
+            ctx.embedder().embed("qzxonce");
+        }
+        ctx.embedder().embed_column(&once.texts);
+        for w in ["qzxonce", "918273645", "qzxonce 918273645"] {
+            assert_eq!(memoised(w), (false, false), "{w}");
+        }
+        // Seen again in a later document: both memos take it.
+        let first = DocContext::build(&twice);
+        first.embedder().embed("qzxtwice");
+        assert_eq!(memoised("qzxtwice"), (false, false));
+        drop(first);
+        let _ = DocContext::build(&filler);
+        let second = DocContext::build(&twice);
+        assert_eq!(memoised("qzxtwice"), (true, false));
+        second.embedder().embed("qzxtwice");
+        assert_eq!(memoised("qzxtwice"), (true, true));
+        for w in ["qzxonce", "918273645"] {
+            assert_eq!(memoised(w), (false, false), "{w}");
+        }
+    }
+
+    #[test]
+    fn memos_hold_only_words_of_two_or_more_documents() {
+        use crate::pipeline::{Vs2Config, Vs2Pipeline};
+        use vs2_synth::{generate, holdout_corpus, DatasetConfig, DatasetId};
+        let corpus = holdout_corpus(DatasetId::D1, 99);
+        let pipeline = Vs2Pipeline::learn(
+            corpus
+                .entries
+                .iter()
+                .map(|e| (e.entity.as_str(), e.text.as_str(), e.context.as_str())),
+            Vs2Config::default(),
+        );
+        let docs = generate(DatasetId::D1, DatasetConfig::new(24, 7));
+        // Every string a job can hand either memo: element texts, their
+        // whitespace pieces, and token surface and normal forms.
+        let mut documents_of: HashMap<String, usize> = HashMap::new();
+        for ad in &docs {
+            let mut words: HashSet<String> = HashSet::new();
+            for t in &ad.doc.texts {
+                words.insert(t.text.clone());
+                words.extend(t.text.split_whitespace().map(String::from));
+                for tok in tokenize(&t.text) {
+                    words.insert(tok.raw.to_string());
+                    words.insert(tok.norm.to_string());
+                }
+            }
+            for w in words {
+                *documents_of.entry(w).or_default() += 1;
+            }
+            std::hint::black_box(pipeline.extract_ctx(&ad.doc));
+        }
+        let recurring = documents_of.values().filter(|&&n| n >= 2).count();
+        let (forms, embeds) = (form_cache_len(), embed_cache_len());
+        assert!(forms > 0 && embeds > 0, "recurring words are memoised");
+        assert!(
+            forms <= recurring,
+            "form memo {forms} > {recurring} recurring words"
+        );
+        assert!(
+            embeds <= recurring,
+            "embedding memo {embeds} > {recurring} recurring words"
+        );
+        // Memoised words really recur: no one-document word is kept.
+        FORM_CACHE.with(|c| {
+            for w in c.borrow().keys() {
+                assert!(documents_of.get(&**w).is_some_and(|&n| n >= 2), "{w}");
+            }
+        });
+        EMBED_CACHE.with(|c| {
+            for w in c.borrow().keys() {
+                assert!(documents_of.get(&**w).is_some_and(|&n| n >= 2), "{w}");
+            }
+        });
     }
 }

@@ -13,6 +13,7 @@
 
 use std::cell::RefCell;
 
+use crate::segment::segmenter::group_into_lines;
 use crate::segment::SegmentConfig;
 use vs2_docmodel::{BBox, Document, Point};
 
@@ -25,6 +26,8 @@ const MIN_LINE_WORDS: usize = 3;
 struct SkewScratch {
     items: Vec<BBox>,
     line_boxes: Vec<BBox>,
+    /// Lines still open to later words ([`group_into_lines`]).
+    open_lines: Vec<u32>,
     tagged: Vec<(u32, Point)>,
     slopes: Vec<f64>,
 }
@@ -73,26 +76,14 @@ pub fn estimate_skew(doc: &Document) -> f64 {
         items.extend(doc.texts.iter().map(|t| t.bbox));
         items.sort_by(|a, b| a.y.total_cmp(&b.y));
         let line_boxes = &mut scratch.line_boxes;
-        line_boxes.clear();
         let tagged = &mut scratch.tagged;
         tagged.clear();
-        for &b in items.iter() {
-            let c = b.centroid();
-            let mut placed = None;
-            for (li, lb) in line_boxes.iter_mut().enumerate() {
-                let overlap = (lb.bottom().min(b.bottom()) - lb.y.max(b.y)).max(0.0);
-                if overlap / lb.h.min(b.h).max(1e-9) > 0.5 {
-                    *lb = lb.union(&b);
-                    placed = Some(li as u32);
-                    break;
-                }
-            }
-            let li = placed.unwrap_or_else(|| {
-                line_boxes.push(b);
-                (line_boxes.len() - 1) as u32
-            });
-            tagged.push((li, c));
-        }
+        group_into_lines(
+            items.iter().map(|b| (b.centroid(), *b)),
+            line_boxes,
+            &mut scratch.open_lines,
+            |li, c| tagged.push((li, c)),
+        );
 
         // Least-squares slope per line; median over lines.
         let slopes = &mut scratch.slopes;

@@ -32,8 +32,10 @@
 //! 3. **Cached merge embeddings.** Naive semantic merging re-derives
 //!    `node_embedding` — a full tokenise-hash-normalise pass over a
 //!    node's words — for every candidate comparison, every sweep. The
-//!    fast path embeds each text element once per call, into a column
-//!    indexed by text index, and derives a node's embedding as
+//!    fast path reads one embedding per text element from a column
+//!    indexed by text index ([`Embedder::embed_column`]; the per-job
+//!    context builds it once and shares it with selection's interest
+//!    points), and derives a node's embedding as
 //!    [`mean_normalized`] over its elements' column entries in element
 //!    order — the rule [`Embedder::embed_text`] applies to the same
 //!    vectors, so the bits are
@@ -56,8 +58,9 @@
 //! Spans: this path emits the same `vs2.segment.*` span tree as before
 //! (AREA/GRID/CLUSTER/MERGE at identical points) plus two fast-path
 //! children: `vs2.segment.fast.cuts` under each AREA (the packed sweep)
-//! and `vs2.segment.fast.embed` under MERGE (the per-call element
-//! embedding column). The naive module emits no spans.
+//! and `vs2.segment.fast.embed` under MERGE (fetching the element
+//! embedding column, which builds it on a job's first use). The naive
+//! module emits no spans.
 
 use crate::segment::cluster::cluster;
 use crate::segment::cuts::{cut_runs_into, CutRun, DRIFT_PERIOD};
@@ -397,9 +400,11 @@ fn node_embedding_cached<'c>(
 /// in [`semantic_merge`](crate::segment::merge::semantic_merge); what it
 /// no longer repeats:
 ///
-/// * each text element is embedded once per call, into a column indexed
-///   by text index, and a node's embedding is the normalised mean of its
-///   elements' column entries — the same sums in the same order as
+/// * each text element is embedded once, into a column indexed by text
+///   index ([`Embedder::embed_column`]: once per call, or once per job
+///   through the context's embedder), and a node's embedding is the
+///   normalised mean of its elements' column entries — the same sums in
+///   the same order as
 ///   [`node_embedding`](crate::segment::merge::node_embedding);
 /// * node embeddings are cached with their squared norms and dropped
 ///   only for the absorbing node of a merge, so a cosine costs one dot
@@ -417,20 +422,13 @@ pub fn semantic_merge_fast<E: Embedder>(
     embedder: &E,
     cfg: &MergeConfig,
 ) -> usize {
-    let column: Vec<Vector> = {
+    let column = {
         let _embed_span = vs2_obs::span(vs2_obs::stages::FAST_EMBED);
-        doc.texts
-            .iter()
-            .map(|t| {
-                #[cfg(test)]
-                tests::ELEMENT_EMBEDS.with(|c| c.set(c.get() + 1));
-                embedder.embed(&t.text)
-            })
-            .collect()
+        embedder.embed_column(&doc.texts)
     };
-    // Merging only kills nodes, so the arena slots of the live nodes at
-    // entry cover every node the sweeps can consult.
-    let slots = tree.live_ids().last().map_or(0, |id| id.0 + 1);
+    // Merging only kills nodes, so the arena at entry covers every node
+    // the sweeps can consult.
+    let slots = tree.arena_len();
     let mut cache: Vec<Option<Normed>> = vec![None; slots];
     let mut merges = 0;
     // Sweep-scoped scratch, reused across all sweeps.
@@ -530,18 +528,31 @@ pub fn semantic_merge_fast<E: Embedder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::tests::ELEMENT_EMBEDS;
+    use crate::context::DocContext;
     use crate::segment::cuts::{horizontal_cuts, vertical_cuts};
     use crate::segment::naive::segment_naive;
     use crate::segment::segment;
+    use crate::segment::segmenter::blocks_of_tree;
+    use crate::select::interest_points;
     use std::cell::Cell;
     use vs2_docmodel::{OccupancyGrid, TextElement};
     use vs2_nlp::LexiconEmbedding;
 
     thread_local! {
-        /// Element embeddings ([`Embedder::embed`] calls) on this thread.
-        pub(super) static ELEMENT_EMBEDS: Cell<u64> = const { Cell::new(0) };
         /// Node embeddings (column means) on this thread.
         pub(super) static NODE_EMBEDS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// [`LexiconEmbedding`] that counts its `embed` calls.
+    #[derive(Default)]
+    struct Counting(Cell<u64>);
+
+    impl Embedder for Counting {
+        fn embed(&self, word: &str) -> Vector {
+            self.0.set(self.0.get() + 1);
+            LexiconEmbedding.embed(word)
+        }
     }
 
     fn sweep_packed(grid: &PackedGrid, horizontal: bool, s: &mut SweepScratch) -> Vec<usize> {
@@ -725,17 +736,33 @@ mod tests {
 
     #[test]
     fn one_embed_per_element_and_one_node_embedding_per_element_list() {
-        let (d, mut tree) = merge_fixture();
+        let (d, tree) = merge_fixture();
         let leaves = tree.leaves().len() as u64;
-        ELEMENT_EMBEDS.with(|c| c.set(0));
+        let cfg = MergeConfig::default();
+        let counting = Counting::default();
         NODE_EMBEDS.with(|c| c.set(0));
-        let merges = semantic_merge_fast(&d, &mut tree, &LexiconEmbedding, &MergeConfig::default());
+        let merges = semantic_merge_fast(&d, &mut tree.clone(), &counting, &cfg);
         assert_eq!(merges, 2);
         // Every text element once, whatever the number of sweeps.
-        assert_eq!(ELEMENT_EMBEDS.with(Cell::get), d.texts.len() as u64);
+        assert_eq!(counting.0.get(), d.texts.len() as u64);
         // Each leaf once, plus the absorbing leaf once after each merge;
         // the root's embedding is never computed.
         assert_eq!(NODE_EMBEDS.with(Cell::get), leaves + merges as u64);
+
+        // Through a job's context, every text element once per job,
+        // across the merge and the interest points of its blocks.
+        let ctx = DocContext::build(&d);
+        let embedder = ctx.embedder();
+        ELEMENT_EMBEDS.with(|c| c.set(0));
+        let mut merged = tree;
+        assert_eq!(
+            semantic_merge_fast(&d, &mut merged, &embedder, &cfg),
+            merges
+        );
+        let blocks = blocks_of_tree(&merged);
+        let ips = interest_points(&d, &blocks, &embedder);
+        assert_eq!(ips, interest_points(&d, &blocks, &LexiconEmbedding));
+        assert_eq!(ELEMENT_EMBEDS.with(Cell::get), d.texts.len() as u64);
     }
 
     #[test]

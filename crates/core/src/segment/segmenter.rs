@@ -25,6 +25,8 @@ struct SplitScratch {
     items: Vec<(ElementRef, BBox)>,
     tagged: Vec<(u32, ElementRef)>,
     line_boxes: Vec<BBox>,
+    /// Lines still open to later elements ([`group_into_lines`]).
+    open_lines: Vec<u32>,
     /// The tagged elements bucketed by line, stably.
     by_line: Vec<ElementRef>,
     /// `by_line[ends[li - 1]..ends[li]]` is line `li` (`0` before line 0).
@@ -195,35 +197,79 @@ impl CentroidExtent {
 /// join; `line_boxes[i]` is the running union of line `i`'s element
 /// boxes, which equals the enclosing box of its members exactly (union
 /// is min/max). Returns the tagged elements in y-sorted order plus the
-/// per-line boxes in line-creation order.
+/// per-line boxes in line-creation order; `open` is scratch.
 fn group_lines(
     doc: &Document,
     elements: &[ElementRef],
     items: &mut Vec<(ElementRef, BBox)>,
     tagged: &mut Vec<(u32, ElementRef)>,
     line_boxes: &mut Vec<BBox>,
+    open: &mut Vec<u32>,
 ) {
     items.clear();
     items.extend(elements.iter().map(|r| (*r, doc.bbox_of(*r))));
     items.sort_by(|a, b| a.1.y.total_cmp(&b.1.y));
-    line_boxes.clear();
     tagged.clear();
-    for &(r, b) in items.iter() {
-        let mut placed = None;
-        for (li, lb) in line_boxes.iter_mut().enumerate() {
-            let overlap = (lb.bottom().min(b.bottom()) - lb.y.max(b.y)).max(0.0);
-            let min_h = lb.h.min(b.h).max(1e-9);
-            if overlap / min_h > 0.5 {
+    group_into_lines(items.iter().copied(), line_boxes, open, |li, r| {
+        tagged.push((li, r))
+    });
+}
+
+/// The line rule shared by the segmenter and skew estimation. `items`
+/// must arrive sorted by `total_cmp` on their box's `y`. Each item joins
+/// the first line, in creation order, whose running box overlaps it
+/// vertically by more than half the smaller height (that box grows to
+/// the union), or else opens a new line; `tag` receives each item with
+/// its line's index, in item order. `line_boxes` receives the lines'
+/// boxes in creation order; `open` is scratch.
+///
+/// A line whose bottom lies at or above an item's top overlaps neither
+/// that item nor any later one (their tops lie no higher), so it leaves
+/// the scan for good. A NaN top is compared with every line: `min` and
+/// `max` skip a NaN operand, so such an item can match any line, and the
+/// NaN tops sort to the two ends, so no finite top follows a
+/// positive-NaN one.
+pub(crate) fn group_into_lines<T>(
+    items: impl IntoIterator<Item = (T, BBox)>,
+    line_boxes: &mut Vec<BBox>,
+    open: &mut Vec<u32>,
+    mut tag: impl FnMut(u32, T),
+) {
+    let joins = |lb: &BBox, b: &BBox| {
+        let overlap = (lb.bottom().min(b.bottom()) - lb.y.max(b.y)).max(0.0);
+        overlap / lb.h.min(b.h).max(1e-9) > 0.5
+    };
+    line_boxes.clear();
+    open.clear();
+    for (item, b) in items {
+        let placed = if b.y.is_nan() {
+            line_boxes
+                .iter()
+                .position(|lb| joins(lb, &b))
+                .map(|li| li as u32)
+        } else {
+            open.retain(|&li| {
+                let bottom = line_boxes[li as usize].bottom();
+                bottom > b.y || bottom.is_nan()
+            });
+            open.iter()
+                .copied()
+                .find(|&li| joins(&line_boxes[li as usize], &b))
+        };
+        let li = match placed {
+            Some(li) => {
+                let lb = &mut line_boxes[li as usize];
                 *lb = lb.union(&b);
-                placed = Some(li as u32);
-                break;
+                li
             }
-        }
-        let li = placed.unwrap_or_else(|| {
-            line_boxes.push(b);
-            (line_boxes.len() - 1) as u32
-        });
-        tagged.push((li, r));
+            None => {
+                line_boxes.push(b);
+                let li = (line_boxes.len() - 1) as u32;
+                open.push(li);
+                li
+            }
+        };
+        tag(li, item);
     }
 }
 
@@ -270,6 +316,7 @@ pub(crate) fn split_by_delimiters(
                 &mut scratch.items,
                 &mut scratch.tagged,
                 &mut scratch.line_boxes,
+                &mut scratch.open_lines,
             );
             // One stable counting pass buckets the tagged elements by
             // line, so each line reaches its band in tagged order.
@@ -328,7 +375,7 @@ pub fn segment(doc: &Document, config: &SegmentConfig) -> LayoutTree {
 
 /// [`segment`] with an injected semantic-merge embedder. The zero-copy
 /// pipeline passes its per-job memoising embedder
-/// ([`crate::context::CtxEmbedder`]) so each distinct word is embedded
+/// ([`crate::context::CtxEmbedder`]) so each text element is embedded
 /// once per job across segmentation *and* selection. The embedder keys
 /// on word strings, so it stays valid on the deskew branch's rotated
 /// copy of the document (rotation changes geometry, not words); `embed`
@@ -650,7 +697,14 @@ mod tests {
         cuts: &[f64],
     ) -> Vec<Vec<ElementRef>> {
         let (mut items, mut tagged, mut line_boxes) = (Vec::new(), Vec::new(), Vec::new());
-        group_lines(doc, elements, &mut items, &mut tagged, &mut line_boxes);
+        group_lines(
+            doc,
+            elements,
+            &mut items,
+            &mut tagged,
+            &mut line_boxes,
+            &mut Vec::new(),
+        );
         let mut bands: Vec<Vec<ElementRef>> = vec![Vec::new(); cuts.len() + 1];
         for (li, lb) in line_boxes.iter().enumerate() {
             let cy = lb.centroid().y;
@@ -696,7 +750,14 @@ mod tests {
             let got = split_by_delimiters(&d, &refs, &delims, true, &area, cell);
             assert_eq!(got, want);
             let (mut items, mut tagged, mut lines) = (Vec::new(), Vec::new(), Vec::new());
-            group_lines(&d, &refs, &mut items, &mut tagged, &mut lines);
+            group_lines(
+                &d,
+                &refs,
+                &mut items,
+                &mut tagged,
+                &mut lines,
+                &mut Vec::new(),
+            );
             if tagged.windows(2).any(|w| w[1].0 < w[0].0) {
                 interleaved += 1;
             }
@@ -705,6 +766,80 @@ mod tests {
             interleaved >= 50,
             "only {interleaved} cases interleave lines"
         );
+    }
+
+    /// The line loop as it stood before open lines were tracked: every
+    /// item scans every line.
+    fn group_reference(items: &[BBox]) -> (Vec<u32>, Vec<BBox>) {
+        let mut line_boxes: Vec<BBox> = Vec::new();
+        let mut tags = Vec::new();
+        for &b in items {
+            let mut placed = None;
+            for (li, lb) in line_boxes.iter_mut().enumerate() {
+                let overlap = (lb.bottom().min(b.bottom()) - lb.y.max(b.y)).max(0.0);
+                let min_h = lb.h.min(b.h).max(1e-9);
+                if overlap / min_h > 0.5 {
+                    *lb = lb.union(&b);
+                    placed = Some(li as u32);
+                    break;
+                }
+            }
+            let li = placed.unwrap_or_else(|| {
+                line_boxes.push(b);
+                (line_boxes.len() - 1) as u32
+            });
+            tags.push(li);
+        }
+        (tags, line_boxes)
+    }
+
+    fn box_bits(b: &BBox) -> [u64; 4] {
+        [b.x.to_bits(), b.y.to_bits(), b.w.to_bits(), b.h.to_bits()]
+    }
+
+    #[test]
+    fn open_line_grouping_matches_the_full_scan() {
+        let mut next = draws(29);
+        // Lattice values plus every special value a box field can hold.
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e-12,
+            -3.0,
+        ];
+        let mut value = |lattice: f64| {
+            if next(6) == 0 {
+                specials[next(specials.len() as u64) as usize]
+            } else {
+                next(24) as f64 * lattice
+            }
+        };
+        let (mut line_boxes, mut open) = (Vec::new(), Vec::new());
+        let mut closed = 0;
+        for case in 0..3000 {
+            let n = 1 + case % 40;
+            let mut items: Vec<BBox> = (0..n)
+                .map(|_| BBox::new(value(9.0), value(5.0), value(7.0), value(3.0)))
+                .collect();
+            items.sort_by(|a, b| a.y.total_cmp(&b.y));
+            let (want_tags, want_lines) = group_reference(&items);
+            let mut tags = Vec::new();
+            group_into_lines(
+                items.iter().map(|b| ((), *b)),
+                &mut line_boxes,
+                &mut open,
+                |li, ()| tags.push(li),
+            );
+            assert_eq!(tags, want_tags, "{items:?}");
+            let bits = |lines: &[BBox]| lines.iter().map(box_bits).collect::<Vec<_>>();
+            assert_eq!(bits(&line_boxes), bits(&want_lines), "{items:?}");
+            closed += line_boxes.len() - open.len();
+        }
+        assert!(closed > 1000, "only {closed} lines closed early");
     }
 
     #[test]

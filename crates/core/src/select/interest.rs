@@ -8,17 +8,9 @@
 //! large blocks are highlights) — and takes the first-order Pareto front
 //! by non-dominated sorting.
 
-use std::cell::RefCell;
-
 use crate::segment::LogicalBlock;
-use vs2_docmodel::Document;
+use vs2_docmodel::{Document, ElementRef};
 use vs2_nlp::embedding::{cosine, Embedder, Vector};
-
-thread_local! {
-    /// Reused per-block word-vector buffer (`Vector` is `Copy`, so reuse
-    /// is a pure capacity optimisation).
-    static VECTOR_SCRATCH: RefCell<Vec<Vector>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The objective values of one block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,45 +27,43 @@ pub struct Objectives {
 
 /// Computes the three §5.3.1 objectives for a block.
 pub fn objectives<E: Embedder>(doc: &Document, block: &LogicalBlock, embedder: &E) -> Objectives {
-    objectives_at(doc, block, doc.word_density(&block.bbox), embedder)
+    objectives_at(
+        doc,
+        block,
+        doc.word_density(&block.bbox),
+        &embedder.embed_column(&doc.texts),
+    )
 }
 
-/// [`objectives`] with the block's word density already computed.
-fn objectives_at<E: Embedder>(
+/// [`objectives`] with the block's word density already computed, over
+/// the embedding of each of the document's text elements.
+fn objectives_at(
     doc: &Document,
     block: &LogicalBlock,
     density: f64,
-    embedder: &E,
+    column: &[Vector],
 ) -> Objectives {
     let height = block
         .elements
         .iter()
         .map(|r| doc.bbox_of(*r).h)
         .fold(0.0, f64::max);
-    let coherence = VECTOR_SCRATCH.with(|s| {
-        let mut vectors = s.borrow_mut();
-        vectors.clear();
-        vectors.extend(
-            block
-                .elements
-                .iter()
-                .filter_map(|r| doc.text_of(*r))
-                .map(|w| embedder.embed(w)),
-        );
-        let mut coh = 0.0;
-        let mut pairs = 0usize;
-        for i in 0..vectors.len() {
-            for j in i + 1..vectors.len() {
-                coh += cosine(&vectors[i], &vectors[j]);
-                pairs += 1;
-            }
+    // The block's word vectors in element order.
+    let words = || {
+        block.elements.iter().filter_map(|r| match r {
+            ElementRef::Text(i) => Some(&column[*i]),
+            ElementRef::Image(_) => None,
+        })
+    };
+    let mut coh = 0.0;
+    let mut pairs = 0usize;
+    for (i, a) in words().enumerate() {
+        for b in words().skip(i + 1) {
+            coh += cosine(a, b);
+            pairs += 1;
         }
-        if pairs == 0 {
-            0.0
-        } else {
-            coh / pairs as f64
-        }
-    });
+    }
+    let coherence = if pairs == 0 { 0.0 } else { coh / pairs as f64 };
     Objectives {
         height,
         coherence,
@@ -112,10 +102,11 @@ pub(crate) fn interest_points_with<E: Embedder>(
     embedder: &E,
 ) -> Vec<usize> {
     debug_assert_eq!(blocks.len(), densities.len());
+    let column = embedder.embed_column(&doc.texts);
     let objs: Vec<Objectives> = blocks
         .iter()
         .zip(densities)
-        .map(|(b, d)| objectives_at(doc, b, *d, embedder))
+        .map(|(b, d)| objectives_at(doc, b, *d, &column))
         .collect();
     (0..blocks.len())
         .filter(|&i| {

@@ -83,6 +83,14 @@ impl TextElement {
     }
 }
 
+/// The transcribed word, so a document's texts can be handed to code that
+/// only reads strings without collecting them first.
+impl AsRef<str> for TextElement {
+    fn as_ref(&self) -> &str {
+        &self.text
+    }
+}
+
 /// An atomic element representing image content (§4.1.2). The bitmap itself
 /// is abstracted to an identifier plus its average colour, which is all any
 /// algorithm in the paper consumes.

@@ -70,9 +70,17 @@ impl LayoutTree {
         &self.nodes[id.0]
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes. Merging kills nodes without freeing their
+    /// arena slots, so this is no bound on [`NodeId`]s: size a per-node
+    /// table by [`arena_len`](Self::arena_len).
     pub fn len(&self) -> usize {
         self.nodes.iter().filter(|n| !n.dead).count()
+    }
+
+    /// Number of arena slots, dead nodes included: every [`NodeId`] this
+    /// tree has issued is below it.
+    pub fn arena_len(&self) -> usize {
+        self.nodes.len()
     }
 
     /// `true` when only the root exists.
@@ -249,6 +257,20 @@ mod tests {
             vec![ElementRef::Text(2)],
         );
         (t, a, b, c)
+    }
+
+    #[test]
+    fn arena_len_bounds_ids_after_a_merge_kills_a_node() {
+        let (mut t, a, b, _) = simple_tree();
+        // Kill the second arena node: the last one stays live.
+        t.merge_siblings(b, a);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.arena_len(), 4);
+        assert!(t.live_ids().all(|id| id.0 < t.arena_len()));
+        // A table sized by the live count misses the last live id.
+        let last = t.live_ids().last().unwrap();
+        assert_eq!(last.0, 3);
+        assert!(last.0 >= t.len());
     }
 
     #[test]

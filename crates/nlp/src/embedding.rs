@@ -14,7 +14,7 @@
 //!   the full learn-from-text path.
 
 use crate::lexicon::{self, Topic, ALL_TOPICS};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 
 /// Embedding dimensionality.
@@ -35,6 +35,16 @@ pub trait Embedder {
         Self: Sized,
     {
         mean_normalized(words.into_iter().map(|w| self.embed(w)))
+    }
+
+    /// [`embed`](Self::embed) of each of `texts`, in order. An embedder
+    /// bound to one document may hand back a column it built once for
+    /// that document's texts; this default computes it per call.
+    fn embed_column<T: AsRef<str>>(&self, texts: &[T]) -> Cow<'_, [Vector]>
+    where
+        Self: Sized,
+    {
+        Cow::Owned(texts.iter().map(|t| self.embed(t.as_ref())).collect())
     }
 }
 
@@ -475,6 +485,17 @@ mod tests {
         let column: Vec<Vector> = words.iter().map(|w| e.embed(w)).collect();
         assert_eq!(mean_normalized(&column), e.embed_text(words));
         assert_eq!(mean_normalized(&column[..0]), [0.0; DIM]);
+    }
+
+    #[test]
+    fn embed_column_is_embed_of_each_text() {
+        let e = LexiconEmbedding;
+        let texts = ["concert", "Main St", "2,465", ""];
+        let column = e.embed_column(&texts);
+        assert_eq!(column.len(), texts.len());
+        for (v, t) in column.iter().zip(texts) {
+            assert_eq!(*v, e.embed(t), "{t}");
+        }
     }
 
     #[test]

@@ -83,10 +83,12 @@ impl Token {
     }
 
     /// `true` when the normal form parses as a number (integers, decimals
-    /// and digit groups like `2,465`).
+    /// and digit groups like `2,465`): with its commas dropped it is a
+    /// non-empty `f64` literal as `str::parse` reads one, which takes
+    /// `inf`, `infinity` and `nan` in any case, signs and exponents too.
+    /// Checked over the bytes, without building the comma-free copy.
     pub fn is_numeric(&self) -> bool {
-        let cleaned: String = self.norm.chars().filter(|c| *c != ',').collect();
-        !cleaned.is_empty() && cleaned.parse::<f64>().is_ok()
+        is_f64_literal(self.norm.bytes().filter(|&b| b != b','))
     }
 
     /// `true` when the token mixes digits and letters (e.g. `7pm`, `3rd`).
@@ -95,6 +97,62 @@ impl Token {
         let has_alpha = self.norm.chars().any(|c| c.is_alphabetic());
         has_digit && has_alpha
     }
+}
+
+/// Whether `bytes` spell a string `str::parse::<f64>` accepts:
+/// `[+-]?(inf|infinity|nan)` in any ASCII case, or
+/// `[+-]?(D+|D+\.D*|D*\.D+)([eE][+-]?D+)?` over ASCII digits `D`.
+fn is_f64_literal(mut bytes: impl Iterator<Item = u8>) -> bool {
+    let mut next = bytes.next();
+    if matches!(next, Some(b'+' | b'-')) {
+        next = bytes.next();
+    }
+    let Some(first) = next else {
+        return false;
+    };
+    if first.is_ascii_alphabetic() {
+        let mut word = [0u8; 8];
+        let mut len = 0;
+        for b in std::iter::once(first).chain(bytes) {
+            if len == word.len() {
+                return false;
+            }
+            word[len] = b.to_ascii_lowercase();
+            len += 1;
+        }
+        return matches!(&word[..len], b"inf" | b"infinity" | b"nan");
+    }
+    let mut digits = 0;
+    next = Some(first);
+    while next.is_some_and(|b| b.is_ascii_digit()) {
+        digits += 1;
+        next = bytes.next();
+    }
+    if next == Some(b'.') {
+        next = bytes.next();
+        while next.is_some_and(|b| b.is_ascii_digit()) {
+            digits += 1;
+            next = bytes.next();
+        }
+    }
+    if digits == 0 {
+        return false;
+    }
+    if matches!(next, Some(b'e' | b'E')) {
+        next = bytes.next();
+        if matches!(next, Some(b'+' | b'-')) {
+            next = bytes.next();
+        }
+        let mut exponent = 0;
+        while next.is_some_and(|b| b.is_ascii_digit()) {
+            exponent += 1;
+            next = bytes.next();
+        }
+        if exponent == 0 {
+            return false;
+        }
+    }
+    next.is_none()
 }
 
 /// Splits text into word tokens. Whitespace separates tokens; sentence
@@ -266,6 +324,99 @@ mod tests {
         assert!(!Token::new("pi").is_numeric());
         assert!(Token::new("7pm").is_alphanumeric_mix());
         assert!(!Token::new("seven").is_alphanumeric_mix());
+    }
+
+    /// The comma-stripping, allocating definition `is_numeric` replaced.
+    fn numeric_by_parse(norm: &str) -> bool {
+        let cleaned: String = norm.chars().filter(|c| *c != ',').collect();
+        !cleaned.is_empty() && cleaned.parse::<f64>().is_ok()
+    }
+
+    fn numeric(norm: &str) -> bool {
+        Token::from_parts(Arc::from(norm), Arc::from(norm)).is_numeric()
+    }
+
+    /// Pieces that numbers, special values and near misses are made of,
+    /// non-ASCII lookalikes included.
+    const PIECES: [&str; 28] = [
+        "0", "7", "12", ".", ",", "+", "-", "e", "E", "i", "n", "f", "a", "inf", "INF", "Infinity",
+        "nan", "NaN", "infinity", "x", " ", "_", "İ", "ı", "١", "²", "ﬁ", "ｅ",
+    ];
+
+    #[test]
+    fn is_numeric_matches_parse_on_listed_cases() {
+        let long = format!("{}.{}e{}", "9".repeat(400), "1".repeat(40), "3".repeat(30));
+        let cases = [
+            "inf",
+            "NaN",
+            "infinity",
+            "1e5",
+            "+1",
+            "-.5",
+            ",",
+            "1,,2",
+            "",
+            "2,465",
+            "3.14",
+            "pi",
+            "1.",
+            ".",
+            "1e",
+            "1e+",
+            "e5",
+            "+",
+            "-inf",
+            "+NaN",
+            "InFiNiTy",
+            "infinit",
+            "infinityy",
+            "nan1",
+            "1_000",
+            "0x10",
+            "1e5.0",
+            "1.5e-3",
+            ",,",
+            "-,5",
+            "1,e,5",
+            "١٢",
+            "1²",
+            "ınf",
+            "İnf",
+            "ｉｎｆ",
+            "1ｅ5",
+            " 1",
+            "1 ",
+            "++1",
+            "1e--5",
+            &long,
+        ];
+        for c in cases {
+            assert_eq!(numeric(c), numeric_by_parse(c), "{c:?}");
+        }
+        // Every string of up to three pieces.
+        for a in PIECES {
+            for b in PIECES {
+                for c in PIECES {
+                    for s in [a.to_string(), format!("{a}{b}"), format!("{a}{b}{c}")] {
+                        assert_eq!(numeric(&s), numeric_by_parse(&s), "{s:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+        #[test]
+        fn is_numeric_matches_parse(
+            ix in proptest::collection::vec(0usize..PIECES.len(), 0..10),
+            any in "\\PC{0,12}",
+        ) {
+            let pieced: String = ix.iter().map(|&i| PIECES[i]).collect();
+            for s in [pieced.as_str(), any.as_str()] {
+                proptest::prop_assert_eq!(numeric(s), numeric_by_parse(s), "{:?}", s);
+            }
+        }
     }
 
     #[test]

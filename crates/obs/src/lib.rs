@@ -78,8 +78,9 @@ pub mod stages {
     /// The word-packed whitespace sweep of one area (segment fast path);
     /// child of [`AREA`].
     pub const FAST_CUTS: &str = "vs2.segment.fast.cuts";
-    /// The fast semantic merge's per-call element-embedding column: each
-    /// text element embedded once, before the sweeps; child of [`MERGE`].
+    /// The fast semantic merge's element-embedding column, fetched before
+    /// the sweeps: built here on a job's first use (each text element
+    /// embedded once), or per call on the owned path; child of [`MERGE`].
     pub const FAST_EMBED: &str = "vs2.segment.fast.embed";
     /// VS2-Select: pattern search and multimodal disambiguation.
     pub const SELECT: &str = "vs2.select";
