@@ -228,7 +228,6 @@ impl Mode {
             workers: self.workers,
             queue_capacity: self.queue_capacity,
             job_timeout: None,
-            max_attempts: 3,
             faults: self.faults,
             admit: self.admit,
         }

@@ -243,7 +243,6 @@ fn trace_jsonl_matches_the_documented_schema() {
         "jobs_ok",
         "jobs_degraded",
         "jobs_quarantined",
-        "retries",
         "panics",
         "timeouts",
         "faults_model_build",

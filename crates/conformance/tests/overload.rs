@@ -150,8 +150,11 @@ fn interactive_overflow_sheds_with_typed_outcomes() {
                 matches!(done.outcome, JobOutcome::Shed(ShedReason::RateLimited)),
                 "job {i} past budget must shed as rate_limited"
             );
-            assert_eq!(done.attempts, 0, "shed jobs must never run");
-            assert_eq!(done.latency, std::time::Duration::ZERO);
+            assert_eq!(
+                done.latency,
+                std::time::Duration::ZERO,
+                "shed jobs must never run"
+            );
         }
     }
 }
@@ -166,7 +169,6 @@ fn pressure_shedding_keeps_exactly_once_accounting() {
             workers: 2,
             queue_capacity: 4,
             job_timeout: None,
-            max_attempts: 1,
             faults: None,
             admit: Some(AdmitConfig::for_queue(4)),
         },
@@ -213,7 +215,6 @@ fn saturated_interactive_jobs_all_shed() {
                 workers: 1,
                 queue_capacity: 64,
                 job_timeout: None,
-                max_attempts: 1,
                 faults: None,
                 admit: Some(AdmitConfig {
                     latency_high_us: 1,
@@ -235,7 +236,11 @@ fn saturated_interactive_jobs_all_shed() {
             .iter()
             .map(|&s| {
                 let done = engine.wait_result(s);
-                assert_eq!(done.attempts, 0, "shed jobs must never run");
+                assert_eq!(
+                    done.latency,
+                    std::time::Duration::ZERO,
+                    "shed jobs must never run"
+                );
                 match done.outcome {
                     JobOutcome::Shed(reason) => Some(reason),
                     _ => None,

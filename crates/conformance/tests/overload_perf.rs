@@ -42,7 +42,6 @@ fn arm(multiplier: f64) -> Arm {
             workers: WORKERS,
             queue_capacity: QUEUE,
             job_timeout: None,
-            max_attempts: 1,
             faults: None,
             admit: Some(admit),
         },

@@ -27,8 +27,8 @@
 //!   and never touch the interactive client; inert admission ≡ off;
 //! * **drain/resume** — the successor-else-victim answer per line equals
 //!   the uninterrupted sibling cell;
-//! * **chaos** — a job whose first attempt draws no panic or transient
-//!   fault answers exactly as in the fault-free sibling cell;
+//! * **chaos** — a job that draws no panic answers exactly as in the
+//!   fault-free sibling cell;
 //! * **reference** — fault-free, triage-off, admission-off cells match
 //!   the golden fixtures and the offline naive pipeline;
 //! * **degraded lines** — every degraded answer is the XY-cut fallback;
@@ -265,12 +265,9 @@ fn chaos_leaves_fault_free_jobs_untouched() {
     // Engine seqs are wire seqs: the batch has no invalid lines.
     let clean: Vec<bool> = (0..m.specs.len() as u64)
         .map(|seq| {
-            FaultSite::all().iter().all(|&site| {
-                !matches!(
-                    plan.decide(site, seq, 0),
-                    Some(FaultKind::Panic | FaultKind::Transient)
-                )
-            })
+            FaultSite::all()
+                .iter()
+                .all(|&site| plan.decide(site, seq) != Some(FaultKind::Panic))
         })
         .collect();
     assert!(

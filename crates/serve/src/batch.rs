@@ -287,7 +287,6 @@ pub fn run_batch(
                 let record = QuarantineRecord {
                     seq: wire_seq,
                     job_id,
-                    attempts: entry.attempts,
                     kind: entry.error.kind().to_string(),
                     error: entry.error.to_string(),
                     elapsed_us: include_latency

@@ -10,13 +10,13 @@
 //! {"seq":0,"job_id":"job-0","status":"ok","extractions":[...]}
 //! {"seq":1,"job_id":"job-1","status":"ok","extractions":[...]}
 //! vs2d: 2 jobs (2 ok, 0 degraded, 0 quarantined, 0 shed, 0 invalid) in 0.84s — 2.4 docs/s
-//! vs2d: 0 retries, 0 panics, 0 timeout trips | latency p50 212332us p95 341007us p99 341007us | queue stalls 0 | model cache 2 miss, 0 hit | 4 workers
+//! vs2d: 0 panics, 0 timeout trips | latency p50 212332us p95 341007us p99 341007us | queue stalls 0 | model cache 2 miss, 0 hit | 4 workers
 //! ```
 //!
 //! Result lines omit `latency_us` unless `--latency` is given, so the
 //! default output of a batch is byte-identical across runs and worker
-//! counts. Jobs whose primary pipeline fails every attempt either come
-//! back with `status: "degraded"` (XY-cut fallback segmentation) or
+//! counts. Jobs whose primary pipeline fails either come back with
+//! `status: "degraded"` (XY-cut fallback segmentation) or
 //! `status: "quarantined"`, with one `{"record":"quarantine",...}` line
 //! per quarantined job after the batch.
 //!
@@ -42,10 +42,8 @@ USAGE: vs2d [OPTIONS]
   --input PATH         job-spec JSONL file, `-` for stdin (default -)
   --workers N          worker threads (default: available parallelism)
   --queue-capacity N   work-queue bound; submission blocks beyond it (default 32)
-  --timeout-ms N       soft per-job deadline: a job past it is quarantined;
-                       not retried. 0 disables (default 0)
-  --max-attempts N     attempt budget for transient failures; retries run
-                       at once, without backoff (default 3)
+  --timeout-ms N       soft per-job deadline: a job past it is quarantined.
+                       0 disables (default 0)
   --fault-seed N       enable deterministic chaos fault injection with
                        this seed (testing only; accepts 0x-prefixed hex)
   --model-seed N       holdout-corpus seed for model learning (default 0xC0FFEE)
@@ -95,7 +93,6 @@ struct Options {
     workers: usize,
     queue_capacity: usize,
     timeout_ms: u64,
-    max_attempts: u32,
     fault_seed: Option<u64>,
     model_seed: u64,
     config_path: Option<String>,
@@ -121,7 +118,6 @@ impl Default for Options {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 32,
             timeout_ms: 0,
-            max_attempts: EngineConfig::default().max_attempts,
             fault_seed: None,
             model_seed: DEFAULT_DOC_SEED,
             config_path: None,
@@ -175,14 +171,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 opts.timeout_ms = value("--timeout-ms")?
                     .parse()
                     .map_err(|e| format!("--timeout-ms: {e}"))?;
-            }
-            "--max-attempts" => {
-                opts.max_attempts = value("--max-attempts")?
-                    .parse()
-                    .map_err(|e| format!("--max-attempts: {e}"))?;
-                if opts.max_attempts == 0 {
-                    return Err("--max-attempts must be at least 1".into());
-                }
             }
             "--fault-seed" => {
                 let raw = value("--fault-seed")?;
@@ -267,7 +255,6 @@ fn main() {
         workers: opts.workers,
         queue_capacity: opts.queue_capacity,
         job_timeout: (opts.timeout_ms > 0).then(|| Duration::from_millis(opts.timeout_ms)),
-        max_attempts: opts.max_attempts,
         faults: opts.fault_seed.map(FaultPlan::chaos),
         admit: (opts.admit || opts.bucket_capacity.is_some()).then(|| {
             let cfg = AdmitConfig::for_queue(opts.queue_capacity);
@@ -364,8 +351,7 @@ fn main() {
         );
     }
     eprintln!(
-        "vs2d: {} retries, {} panics, {} timeout trips | latency p50 {}us p95 {}us p99 {}us | queue stalls {} | model cache {} miss, {} hit | {} workers",
-        stats.retried,
+        "vs2d: {} panics, {} timeout trips | latency p50 {}us p95 {}us p99 {}us | queue stalls {} | model cache {} miss, {} hit | {} workers",
         stats.panicked,
         stats.timed_out,
         lat.p50_us,
@@ -400,7 +386,6 @@ fn main() {
             ("degraded".into(), serde::Value::UInt(stats.degraded)),
             ("quarantined".into(), serde::Value::UInt(stats.quarantined)),
             ("shed".into(), serde::Value::UInt(stats.shed)),
-            ("retried".into(), serde::Value::UInt(stats.retried)),
             ("panicked".into(), serde::Value::UInt(stats.panicked)),
             ("timed_out".into(), serde::Value::UInt(stats.timed_out)),
             ("invalid".into(), serde::Value::UInt(run.invalid)),

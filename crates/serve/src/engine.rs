@@ -8,25 +8,22 @@
 //!   sequence number; results are keyed by it. However many workers race,
 //!   [`BatchEngine::drain`] returns outcomes in submission order, so a
 //!   4-worker run is byte-identical to a 1-worker run.
-//! * **Error taxonomy.** Processors return `Result<O, ServeError>`; a
-//!   panic is caught per attempt (`catch_unwind`) and folded into
-//!   [`ServeError::Fatal`]. [`ServeError::Retryable`] failures are
-//!   re-run in place at once, up to [`EngineConfig::max_attempts`]
-//!   attempts. Only injected faults are transient — the pipeline runs
-//!   in-process, with nothing outside it to wait out — so a backoff
-//!   sleep would only add latency.
-//! * **Soft timeouts are final.** A job whose attempt overruns its
-//!   deadline is quarantined as [`ServeError::Timeout`] on that first
-//!   trip. The pipeline is a pure function of the document, so a re-run
-//!   would only repeat the overrun. Two detectors can trip it: a
-//!   watchdog thread that scans in-flight attempts, and the overrunning
-//!   worker itself when its attempt returns. Both go through one trip
-//!   handler. The stuck worker cannot be killed; when its attempt
-//!   returns to find its in-flight entry gone, the watchdog has already
-//!   answered the job and the late result is dropped.
+//! * **One attempt per job.** Processors return `Result<O, ServeError>`;
+//!   a panic is caught (`catch_unwind`) and folded into
+//!   [`ServeError::Fatal`]. The pipeline is a pure in-process function
+//!   of the document, so a failed attempt would fail the same way on a
+//!   re-run: nothing is retried, and a failure goes straight to the
+//!   fallback.
+//! * **Soft timeouts.** A job whose attempt overruns its deadline is
+//!   quarantined as [`ServeError::Timeout`]. Two detectors can trip it:
+//!   a watchdog thread that scans in-flight attempts, and the
+//!   overrunning worker itself when its attempt returns. Both go through
+//!   one trip handler. The stuck worker cannot be killed; when its
+//!   attempt returns to find its in-flight entry gone, the watchdog has
+//!   already answered the job and the late result is dropped.
 //! * **Degrade, else quarantine.** Every job left without a primary
-//!   answer — attempts spent, or routed past the primary by admission
-//!   control's degrade lane — ends in one place: the fallback processor
+//!   answer — its attempt failed, or admission control's degrade lane
+//!   routed it past the primary — ends in one place: the fallback processor
 //!   ([`BatchEngine::with_fallback`]) gets one shot (timeouts excepted),
 //!   and its run time is added to the job's latency. An answer
 //!   completes the job as [`JobOutcome::Degraded`]; otherwise the job is
@@ -40,11 +37,11 @@
 //!   per sequence number, and every ledger entry has its published
 //!   outcome.
 //! * **Fault injection.** With [`EngineConfig::faults`] set, the
-//!   [`JobCtx`] passed to the processor injects deterministic panics,
-//!   transient errors and latency at named pipeline sites (see
+//!   [`JobCtx`] passed to the processor injects deterministic panics
+//!   and latency at named pipeline sites (see
 //!   [`crate::faults`]); with it unset the check is one branch.
 //! * **One ledger.** Every engine event (submission lane, outcome,
-//!   shed, admission degrade, retry, panic, timeout trip, fault trigger,
+//!   shed, admission degrade, panic, timeout trip, fault trigger,
 //!   queue dwell, job latency) is counted once, in the engine's
 //!   [`EngineMetrics`]; [`BatchEngine::stats`] is read back from it.
 //!   Admission control only decides, and the plan store keeps the plan
@@ -71,13 +68,9 @@ pub struct EngineConfig {
     /// Work-queue capacity; submitters block (backpressure) beyond it.
     pub queue_capacity: usize,
     /// Soft per-job deadline, measured from the moment a worker picks the
-    /// job up. A job past it is quarantined, not retried. `None` disables
-    /// the watchdog.
+    /// job up. A job past it is quarantined. `None` disables the
+    /// watchdog.
     pub job_timeout: Option<Duration>,
-    /// Total attempts per job for transient
-    /// ([`ServeError::Retryable`]) failures, including the first
-    /// (minimum 1). Retries run at once, with no backoff.
-    pub max_attempts: u32,
     /// Deterministic fault injection; `None` (production) costs one
     /// branch per site checkpoint.
     pub faults: Option<FaultPlan>,
@@ -93,21 +86,18 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 32,
             job_timeout: None,
-            max_attempts: 3,
             faults: None,
             admit: None,
         }
     }
 }
 
-/// Per-attempt context handed to the processor: identifies the job and
-/// attempt, and hosts the fault-injection checkpoints.
+/// Per-job context handed to the processor: identifies the job and
+/// hosts the fault-injection checkpoints.
 #[derive(Clone)]
 pub struct JobCtx {
     /// Engine sequence number of the job being processed.
     pub seq: u64,
-    /// 0-based attempt number (retries increment it).
-    pub attempt: u32,
     faults: Option<FaultPlan>,
     metrics: Arc<EngineMetrics>,
 }
@@ -116,7 +106,6 @@ impl std::fmt::Debug for JobCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobCtx")
             .field("seq", &self.seq)
-            .field("attempt", &self.attempt)
             .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
@@ -126,10 +115,9 @@ impl JobCtx {
     /// Builds a context explicitly — for driving processors outside an
     /// engine (direct calls in tests and differential harnesses). It
     /// records into a ledger of its own.
-    pub fn new(seq: u64, attempt: u32, faults: Option<FaultPlan>) -> Self {
+    pub fn new(seq: u64, faults: Option<FaultPlan>) -> Self {
         Self {
             seq,
-            attempt,
             faults,
             metrics: Arc::new(EngineMetrics::new()),
         }
@@ -143,17 +131,17 @@ impl JobCtx {
 
     /// Fault-injection checkpoint: a no-op unless the engine was
     /// configured with a [`FaultPlan`], in which case the plan's
-    /// deterministic decision for `(site, seq, attempt)` is applied
-    /// (sleep / `Err(Retryable)` / panic). Each fired decision also
-    /// bumps the site's fault-trigger counter.
-    pub fn checkpoint(&self, site: FaultSite) -> Result<(), ServeError> {
+    /// deterministic decision for `(site, seq)` is applied (sleep or
+    /// panic). Each fired decision also bumps the site's fault-trigger
+    /// counter.
+    pub fn checkpoint(&self, site: FaultSite) {
         let Some(plan) = &self.faults else {
-            return Ok(());
+            return;
         };
-        if plan.decide(site, self.seq, self.attempt).is_some() {
+        if plan.decide(site, self.seq).is_some() {
             self.metrics.on_fault(site);
         }
-        plan.apply(site, self.seq, self.attempt)
+        plan.apply(site, self.seq);
     }
 }
 
@@ -162,18 +150,18 @@ impl JobCtx {
 pub enum JobOutcome<O> {
     /// The primary processor returned normally.
     Ok(O),
-    /// The primary path gave no answer (attempts spent, or admission
+    /// The primary path gave no answer (its attempt failed, or admission
     /// control routed the job straight to the fallback) but the fallback
     /// produced one.
     Degraded {
         /// The fallback's output.
         output: O,
-        /// The error that triggered degradation: the final primary-path
+        /// The error that triggered degradation: the primary attempt's
         /// error, or [`ServeError::Overloaded`] for the degrade lane.
         error: ServeError,
     },
-    /// The job failed every attempt and no fallback answer exists; a
-    /// matching entry is in the quarantine ledger.
+    /// The job got no answer from either path; a matching entry is in
+    /// the quarantine ledger.
     Failed(ServeError),
     /// Admission control rejected the job at submit time: it was never
     /// enqueued or processed, its outcome published immediately. Not a
@@ -207,25 +195,23 @@ impl<O> JobOutcome<O> {
     }
 }
 
-/// One finished job: outcome plus processing latency of the attempt that
-/// decided it (queue wait and earlier attempts excluded; for a timeout,
-/// the elapsed time at the moment the trip fired), including the
-/// fallback's run time whenever the fallback ran.
+/// One finished job: outcome plus processing latency of its attempt
+/// (queue wait excluded; for a timeout, the elapsed time at the moment
+/// the trip fired), including the fallback's run time whenever the
+/// fallback ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completed<O> {
     /// Submission sequence number.
     pub seq: u64,
     /// Terminal state.
     pub outcome: JobOutcome<O>,
-    /// Processing latency of the deciding attempt plus, when the
-    /// fallback ran, the fallback's own run time.
+    /// Processing latency of the attempt plus, when the fallback ran,
+    /// the fallback's own run time.
     pub latency: Duration,
-    /// Queue dwell before the deciding attempt was picked up (zero for
-    /// shed jobs and watchdog-decided timeouts). `dwell + latency` is
-    /// the job's sojourn time — what a caller actually waited.
+    /// Queue dwell before the job was picked up (zero for shed jobs and
+    /// watchdog-decided timeouts). `dwell + latency` is the job's
+    /// sojourn time — what a caller actually waited.
     pub dwell: Duration,
-    /// Attempts consumed (including the first).
-    pub attempts: u32,
 }
 
 /// Counters snapshot, read from the engine's [`EngineMetrics`]; see
@@ -243,11 +229,9 @@ pub struct EngineStats {
     pub degraded: u64,
     /// Jobs that ended in the quarantine ledger with no answer.
     pub quarantined: u64,
-    /// Retry dispatches (re-runs after transient failures).
-    pub retried: u64,
-    /// Panics caught in the primary processor, over all attempts.
+    /// Panics caught in the primary processor.
     pub panicked: u64,
-    /// Deadline trips (each one final).
+    /// Deadline trips.
     pub timed_out: u64,
     /// Jobs rejected by admission control (overload or drain).
     pub shed: u64,
@@ -268,12 +252,6 @@ struct QueuedJob<J> {
     enqueued: Instant,
 }
 
-/// The running attempt of an in-flight job, as the watchdog sees it.
-struct Inflight {
-    started: Instant,
-    attempt: u32,
-}
-
 struct ResultsState<O> {
     map: BTreeMap<u64, Completed<O>>,
     /// Every live seq already claimed — the exactly-once guard.
@@ -292,10 +270,11 @@ struct Shared<J, O> {
     queue: LaneQueue<QueuedJob<J>>,
     results: Mutex<ResultsState<O>>,
     results_cv: Condvar,
-    inflight: Mutex<HashMap<u64, Inflight>>,
+    /// When each in-flight job's attempt started, by seq: what the
+    /// watchdog scans.
+    inflight: Mutex<HashMap<u64, Instant>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
     timeout: Option<Duration>,
-    max_attempts: u32,
     faults: Option<FaultPlan>,
     metrics: Arc<EngineMetrics>,
     admit: Option<AdmitController>,
@@ -317,14 +296,7 @@ impl<J, O> Shared<J, O> {
     }
 
     /// Publishes `outcome` for `seq`, which the caller has claimed.
-    fn publish(
-        &self,
-        seq: u64,
-        outcome: JobOutcome<O>,
-        latency: Duration,
-        dwell: Duration,
-        attempts: u32,
-    ) {
+    fn publish(&self, seq: u64, outcome: JobOutcome<O>, latency: Duration, dwell: Duration) {
         let mut results = self.results.lock().unwrap();
         match &outcome {
             JobOutcome::Ok(_) => self.metrics.on_ok(),
@@ -348,7 +320,6 @@ impl<J, O> Shared<J, O> {
                 outcome,
                 latency,
                 dwell,
-                attempts,
             },
         );
         drop(results);
@@ -358,22 +329,13 @@ impl<J, O> Shared<J, O> {
     /// Appends `seq` to the quarantine ledger, then publishes it as
     /// [`JobOutcome::Failed`] — in that order, so any observer of the
     /// outcome also sees the ledger entry. The caller has claimed `seq`.
-    fn quarantine(
-        &self,
-        seq: u64,
-        error: ServeError,
-        latency: Duration,
-        dwell: Duration,
-        attempts: u32,
-    ) {
+    fn quarantine(&self, seq: u64, error: ServeError, latency: Duration, dwell: Duration) {
         self.quarantine.lock().unwrap().push(QuarantineEntry {
             seq,
-            attempts,
             error: error.clone(),
             elapsed: latency,
         });
-        let outcome = JobOutcome::Failed(error);
-        self.publish(seq, outcome, latency, dwell, attempts);
+        self.publish(seq, JobOutcome::Failed(error), latency, dwell);
     }
 }
 
@@ -394,8 +356,8 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     /// Spawns the worker pool (and, with a timeout configured, the
     /// watchdog). `process` runs on worker threads and must therefore be
     /// `Send + Sync`; shared read-only state (the model cache) goes in
-    /// via `Arc` capture. Jobs that fail every attempt are quarantined —
-    /// use [`BatchEngine::with_fallback`] to degrade them instead.
+    /// via `Arc` capture. Jobs whose attempt fails are quarantined — use
+    /// [`BatchEngine::with_fallback`] to degrade them instead.
     pub fn new<F>(config: EngineConfig, process: F) -> Self
     where
         F: Fn(&J, &JobCtx) -> Result<O, ServeError> + Send + Sync + 'static,
@@ -404,8 +366,8 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
     }
 
     /// Like [`BatchEngine::new`], plus a degradation fallback: when a
-    /// job's primary attempts are all spent (other than by timeout), or
-    /// admission control routes it to the degrade lane, `fallback` gets
+    /// job's primary attempt fails (other than by timeout), or admission
+    /// control routes it to the degrade lane, `fallback` gets
     /// one shot at producing a cheaper answer, given the error that sent
     /// the job there. An `Ok` completes the job as
     /// [`JobOutcome::Degraded`]; an `Err` quarantines it with that error
@@ -429,7 +391,6 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
             inflight: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
             timeout: config.job_timeout,
-            max_attempts: config.max_attempts,
             faults: config.faults,
             metrics: Arc::new(EngineMetrics::new()),
             admit: config.admit.map(AdmitController::new),
@@ -502,7 +463,7 @@ impl<J: Send + 'static, O: Send + 'static> BatchEngine<J, O> {
                 if self.shared.claim(seq) {
                     let shed = JobOutcome::Shed(reason);
                     self.shared
-                        .publish(seq, shed, Duration::ZERO, Duration::ZERO, 0);
+                        .publish(seq, shed, Duration::ZERO, Duration::ZERO);
                 }
                 return seq;
             }
@@ -645,7 +606,6 @@ fn finish_failed<J, O>(
     error: ServeError,
     mut latency: Duration,
     dwell: Duration,
-    attempts: u32,
 ) {
     if !shared.claim(seq) {
         return;
@@ -656,23 +616,22 @@ fn finish_failed<J, O>(
     match output {
         Ok(Ok(output)) => {
             let outcome = JobOutcome::Degraded { output, error };
-            shared.publish(seq, outcome, latency, dwell, attempts);
+            shared.publish(seq, outcome, latency, dwell);
         }
-        Ok(Err(own)) => shared.quarantine(seq, own, latency, dwell, attempts),
-        Err(_) => shared.quarantine(seq, error, latency, dwell, attempts),
+        Ok(Err(own)) => shared.quarantine(seq, own, latency, dwell),
+        Err(_) => shared.quarantine(seq, error, latency, dwell),
     }
 }
 
-/// Handles a deadline overrun of `(seq, attempt)` for either detector —
-/// the watchdog or the overrunning worker itself. The party that claims
-/// the seq counts the trip (and the panic, when the overrunning attempt
-/// also panicked) and quarantines the job as [`ServeError::Timeout`].
-/// The trip is final: no retry, and no fallback — the document already
-/// burnt its deadline, and the quarantine record *is* the answer.
+/// Handles a deadline overrun of job `seq` for either detector — the
+/// watchdog or the overrunning worker itself. The party that claims the
+/// seq counts the trip (and the panic, when the overrunning attempt also
+/// panicked) and quarantines the job as [`ServeError::Timeout`], with no
+/// fallback: the document already burnt its deadline, and the
+/// quarantine record *is* the answer.
 fn trip_deadline<J, O>(
     shared: &Shared<J, O>,
     seq: u64,
-    attempt: u32,
     elapsed: Duration,
     dwell: Duration,
     panicked: bool,
@@ -684,8 +643,7 @@ fn trip_deadline<J, O>(
     if panicked {
         shared.metrics.on_panic();
     }
-    let error = ServeError::Timeout { elapsed };
-    shared.quarantine(seq, error, elapsed, dwell, attempt + 1);
+    shared.quarantine(seq, ServeError::Timeout { elapsed }, elapsed, dwell);
 }
 
 fn worker_loop<J, O>(shared: &Shared<J, O>) {
@@ -694,8 +652,7 @@ fn worker_loop<J, O>(shared: &Shared<J, O>) {
     }
 }
 
-/// Runs one job to a terminal decision, retrying transient failures in
-/// place.
+/// Runs one job's single attempt to a terminal decision.
 fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
     let QueuedJob {
         seq,
@@ -706,69 +663,47 @@ fn run_job<J, O>(shared: &Shared<J, O>, queued: QueuedJob<J>) {
     let dwell = enqueued.elapsed();
     shared.metrics.on_dwell(dwell);
     // Degrade-routed jobs skip the primary pipeline entirely: one shot
-    // at the fallback, no retries, no watchdog registration.
+    // at the fallback, no watchdog registration.
     if let Some(reason) = degrade {
         let error = ServeError::Overloaded { reason };
-        finish_failed(shared, &job, seq, error, Duration::ZERO, dwell, 1);
+        finish_failed(shared, &job, seq, error, Duration::ZERO, dwell);
         return;
     }
-    let mut attempt = 0;
-    loop {
-        let start = Instant::now();
-        let entry = Inflight {
-            started: start,
-            attempt,
-        };
-        shared.inflight.lock().unwrap().insert(seq, entry);
-        let ctx = JobCtx {
-            seq,
-            attempt,
-            faults: shared.faults,
-            metrics: Arc::clone(&shared.metrics),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| (shared.process)(&job, &ctx)));
-        // An entry already gone means the watchdog tripped this attempt
-        // and answered the job: the late result is dropped.
-        if shared.inflight.lock().unwrap().remove(&seq).is_none() {
-            return;
-        }
-        // Measured after the removal, so an attempt the watchdog could
-        // have tripped reads as overrun here too: the label does not
-        // depend on which detector got there first.
-        let latency = start.elapsed();
-        if shared.timeout.is_some_and(|t| latency >= t) {
-            trip_deadline(shared, seq, attempt, latency, dwell, result.is_err());
-            return;
-        }
-        let error = match result {
-            Ok(Ok(output)) => {
-                if shared.claim(seq) {
-                    let outcome = JobOutcome::Ok(output);
-                    shared.publish(seq, outcome, latency, dwell, attempt + 1);
-                }
-                return;
-            }
-            Ok(Err(error)) => error,
-            Err(payload) => {
-                shared.metrics.on_panic();
-                ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
-            }
-        };
-        if error.is_retryable() && attempt + 1 < shared.max_attempts {
-            shared.metrics.on_retry();
-            attempt += 1;
-            continue;
-        }
-        let final_error = match error {
-            ServeError::Retryable(last) => ServeError::Poison {
-                attempts: attempt + 1,
-                last,
-            },
-            other => other,
-        };
-        finish_failed(shared, &job, seq, final_error, latency, dwell, attempt + 1);
+    let start = Instant::now();
+    shared.inflight.lock().unwrap().insert(seq, start);
+    let ctx = JobCtx {
+        seq,
+        faults: shared.faults,
+        metrics: Arc::clone(&shared.metrics),
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| (shared.process)(&job, &ctx)));
+    // An entry already gone means the watchdog tripped this attempt and
+    // answered the job: the late result is dropped.
+    if shared.inflight.lock().unwrap().remove(&seq).is_none() {
         return;
     }
+    // Measured after the removal, so an attempt the watchdog could have
+    // tripped reads as overrun here too: the label does not depend on
+    // which detector got there first.
+    let latency = start.elapsed();
+    if shared.timeout.is_some_and(|t| latency >= t) {
+        trip_deadline(shared, seq, latency, dwell, result.is_err());
+        return;
+    }
+    let error = match result {
+        Ok(Ok(output)) => {
+            if shared.claim(seq) {
+                shared.publish(seq, JobOutcome::Ok(output), latency, dwell);
+            }
+            return;
+        }
+        Ok(Err(error)) => error,
+        Err(payload) => {
+            shared.metrics.on_panic();
+            ServeError::Fatal(format!("panic: {}", panic_message(&*payload)))
+        }
+    };
+    finish_failed(shared, &job, seq, error, latency, dwell);
 }
 
 fn watchdog_loop<J, O>(shared: &Shared<J, O>, timeout: Duration) {
@@ -779,16 +714,16 @@ fn watchdog_loop<J, O>(shared: &Shared<J, O>, timeout: Duration) {
         std::thread::sleep(tick);
         let now = Instant::now();
         let mut expired = Vec::new();
-        shared.inflight.lock().unwrap().retain(|&seq, e| {
-            let elapsed = now.duration_since(e.started);
+        shared.inflight.lock().unwrap().retain(|&seq, started| {
+            let elapsed = now.duration_since(*started);
             let overrun = elapsed >= timeout;
             if overrun {
-                expired.push((seq, e.attempt, elapsed));
+                expired.push((seq, elapsed));
             }
             !overrun
         });
-        for (seq, attempt, elapsed) in expired {
-            trip_deadline(shared, seq, attempt, elapsed, Duration::ZERO, false);
+        for (seq, elapsed) in expired {
+            trip_deadline(shared, seq, elapsed, Duration::ZERO, false);
         }
         if shared.stopping.load(Ordering::Relaxed)
             && shared.queue.is_empty()
@@ -812,7 +747,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, AtomicUsize};
+    use std::sync::atomic::AtomicUsize;
 
     /// An engine whose processor never fails.
     fn plain_engine<J, O, F>(workers: usize, queue_capacity: usize, f: F) -> BatchEngine<J, O>
@@ -826,7 +761,6 @@ mod tests {
                 workers,
                 queue_capacity,
                 job_timeout: None,
-                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -855,7 +789,6 @@ mod tests {
             .collect();
         assert_eq!(values, (0..20).map(|i| i * 2).collect::<Vec<_>>());
         assert!(results.iter().all(|c| c.latency > Duration::ZERO));
-        assert!(results.iter().all(|c| c.attempts == 1));
     }
 
     #[test]
@@ -897,79 +830,56 @@ mod tests {
         let ledger = engine.quarantine();
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger[0].seq, 1);
-        assert_eq!(ledger[0].attempts, 1);
         let stats = engine.stats();
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.quarantined, 1);
     }
 
     #[test]
-    fn transient_errors_are_retried_until_success() {
-        let attempts_seen = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&attempts_seen);
-        let mut engine: BatchEngine<u32, u32> = BatchEngine::new(
-            EngineConfig {
-                workers: 1,
-                queue_capacity: 4,
-                max_attempts: 3,
-                ..EngineConfig::default()
-            },
-            move |job, ctx| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                if ctx.attempt < 2 {
-                    Err(ServeError::Retryable(format!("flaky at {}", ctx.attempt)))
-                } else {
-                    Ok(*job)
-                }
-            },
-        );
-        engine.submit(7);
-        let results = engine.drain();
-        assert_eq!(results[0].outcome, JobOutcome::Ok(7));
-        assert_eq!(results[0].attempts, 3);
-        assert_eq!(attempts_seen.load(Ordering::Relaxed), 3);
-        let stats = engine.shutdown();
-        assert_eq!(stats.retried, 2);
-        assert_eq!(stats.ok, 1);
-        assert_eq!(stats.quarantined, 0);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_poisons_and_degrades() {
-        let mut engine: BatchEngine<u32, u32> = BatchEngine::with_fallback(
+    fn a_failed_attempt_is_never_rerun() {
+        // Job 0 returns an error, job 1 panics: each runs its processor
+        // once and its fallback once, and degrades.
+        let runs: Arc<[AtomicUsize; 2]> = Arc::default();
+        let fallbacks: Arc<[AtomicUsize; 2]> = Arc::default();
+        let (counted, fell_back) = (Arc::clone(&runs), Arc::clone(&fallbacks));
+        let mut engine: BatchEngine<usize, usize> = BatchEngine::with_fallback(
             EngineConfig {
                 workers: 2,
                 queue_capacity: 4,
-                max_attempts: 3,
                 ..EngineConfig::default()
             },
-            |_job, _ctx| Err(ServeError::Retryable("always flaky".into())),
-            |job, _| Ok(job + 100),
-        );
-        engine.submit(1);
-        engine.submit(2);
-        let results = engine.drain();
-        for (i, done) in results.iter().enumerate() {
-            match &done.outcome {
-                JobOutcome::Degraded { output, error } => {
-                    assert_eq!(*output, (i as u32 + 1) + 100);
-                    assert_eq!(
-                        error,
-                        &ServeError::Poison {
-                            attempts: 3,
-                            last: "always flaky".into()
-                        }
-                    );
+            move |&job: &usize, _ctx| {
+                counted[job].fetch_add(1, Ordering::Relaxed);
+                if job == 1 {
+                    panic!("primary panics");
                 }
-                other => panic!("expected degraded, got {other:?}"),
-            }
-            assert_eq!(done.attempts, 3);
+                Err(ServeError::Fatal("primary fails".into()))
+            },
+            move |&job: &usize, _| {
+                fell_back[job].fetch_add(1, Ordering::Relaxed);
+                Ok(job + 100)
+            },
+        );
+        engine.submit(0);
+        engine.submit(1);
+        let results = engine.drain();
+        let errors = [
+            ServeError::Fatal("primary fails".into()),
+            ServeError::Fatal("panic: primary panics".into()),
+        ];
+        for (job, (done, error)) in results.iter().zip(errors).enumerate() {
+            let degraded = JobOutcome::Degraded {
+                output: job + 100,
+                error,
+            };
+            assert_eq!(done.outcome, degraded);
+            assert_eq!(runs[job].load(Ordering::Relaxed), 1, "job {job} reran");
+            assert_eq!(fallbacks[job].load(Ordering::Relaxed), 1, "job {job}");
         }
-        let stats = engine.stats();
+        let stats = engine.shutdown();
         assert_eq!(stats.degraded, 2);
-        assert_eq!(stats.quarantined, 0, "degraded jobs are not quarantined");
-        assert_eq!(stats.retried, 4);
-        assert!(engine.quarantine().is_empty());
+        assert_eq!(stats.panicked, 1);
+        assert_eq!(stats.quarantined, 0);
     }
 
     #[test]
@@ -978,7 +888,6 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                max_attempts: 1,
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
@@ -998,40 +907,11 @@ mod tests {
     }
 
     #[test]
-    fn fatal_errors_skip_the_retry_budget() {
-        let attempts_seen = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&attempts_seen);
-        let mut engine: BatchEngine<u32, u32> = BatchEngine::new(
-            EngineConfig {
-                workers: 1,
-                queue_capacity: 4,
-                max_attempts: 5,
-                ..EngineConfig::default()
-            },
-            move |_job, _ctx| {
-                seen.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Fatal("unrecoverable".into()))
-            },
-        );
-        engine.submit(0);
-        let results = engine.drain();
-        assert_eq!(
-            results[0].outcome,
-            JobOutcome::Failed(ServeError::Fatal("unrecoverable".into()))
-        );
-        assert_eq!(attempts_seen.load(Ordering::Relaxed), 1, "no retry");
-        let stats = engine.shutdown();
-        assert_eq!(stats.retried, 0);
-        assert_eq!(stats.quarantined, 1);
-    }
-
-    #[test]
     fn failing_fallback_lands_in_quarantine() {
         let mut engine: BatchEngine<u32, u32> = BatchEngine::with_fallback(
             EngineConfig {
                 workers: 1,
                 queue_capacity: 4,
-                max_attempts: 1,
                 ..EngineConfig::default()
             },
             |_job, _ctx| Err(ServeError::Fatal("primary down".into())),
@@ -1064,7 +944,6 @@ mod tests {
                 workers: 2,
                 queue_capacity: 8,
                 job_timeout: Some(Duration::from_millis(40)),
-                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1096,11 +975,8 @@ mod tests {
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger[0].seq, 1);
         assert_eq!(ledger[0].error.kind(), "timeout");
-        assert_eq!(ledger[0].attempts, 1);
-        assert_eq!(results[1].attempts, 1);
         let stats = engine.stats();
         assert_eq!(stats.timed_out, 1, "one watchdog trip");
-        assert_eq!(stats.retried, 0, "a trip is final");
         assert_eq!(stats.ok, 3);
         assert_eq!(stats.quarantined, 1);
     }
@@ -1114,7 +990,6 @@ mod tests {
                 workers: 2,
                 queue_capacity: 8,
                 job_timeout: Some(Duration::from_millis(30)),
-                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1130,17 +1005,14 @@ mod tests {
             results[0].outcome,
             JobOutcome::Failed(ServeError::Timeout { .. })
         ));
-        assert_eq!(results[0].attempts, 1);
         let shared = Arc::clone(&engine.shared);
         // Shutdown joins the stuck worker: its late result adds nothing.
         let stats = engine.shutdown();
         assert_eq!(runs.load(Ordering::Relaxed), 1, "the job ran once");
         assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.retried, 0);
         assert_eq!(stats.completed, 1);
         let ledger = shared.quarantine.lock().unwrap();
         assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].attempts, 1);
     }
 
     #[test]
@@ -1176,7 +1048,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 job_timeout: Some(Duration::from_millis(10)),
-                max_attempts: 3,
                 faults: None,
                 admit: None,
             },
@@ -1221,55 +1092,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_transient_faults_exhaust_the_budget_deterministically() {
-        // A plan that always injects a transient fault at every site:
-        // every job must burn its full budget and poison out.
-        let plan = FaultPlan {
-            seed: 11,
-            panic_per_mille: 0,
-            transient_per_mille: 1000,
-            latency_per_mille: 0,
-            injected_latency: Duration::ZERO,
-        };
-        let run = || {
-            let mut engine: BatchEngine<u32, u32> = BatchEngine::new(
-                EngineConfig {
-                    workers: 2,
-                    queue_capacity: 4,
-                    max_attempts: 2,
-                    faults: Some(plan),
-                    ..EngineConfig::default()
-                },
-                |job, ctx| {
-                    ctx.checkpoint(FaultSite::Segment)?;
-                    Ok(*job)
-                },
-            );
-            for j in 0..3 {
-                engine.submit(j);
-            }
-            let outcomes: Vec<String> = engine
-                .drain()
-                .iter()
-                .map(|c| format!("{:?}", c.outcome))
-                .collect();
-            let stats = engine.shutdown();
-            (outcomes, stats.quarantined, stats.retried)
-        };
-        let (outcomes, quarantined, retried) = run();
-        assert_eq!(quarantined, 3);
-        assert_eq!(retried, 3);
-        for o in &outcomes {
-            assert!(o.contains("Poison"), "{o}");
-        }
-        assert_eq!(run().0, outcomes, "fault injection must be deterministic");
-    }
-
-    #[test]
     fn checkpoints_are_free_without_a_plan() {
-        let ctx = JobCtx::new(0, 0, None);
+        let ctx = JobCtx::new(0, None);
         for site in FaultSite::all() {
-            assert!(ctx.checkpoint(site).is_ok());
+            ctx.checkpoint(site);
         }
     }
 
@@ -1285,7 +1111,6 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 8,
-                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },
@@ -1308,7 +1133,6 @@ mod tests {
         for shed in &results[2..] {
             assert_eq!(shed.latency, Duration::ZERO);
             assert_eq!(shed.dwell, Duration::ZERO);
-            assert_eq!(shed.attempts, 0);
         }
         let stats = engine.stats();
         assert_eq!(stats.submitted, 4);
@@ -1331,7 +1155,6 @@ mod tests {
             EngineConfig {
                 workers: 2,
                 queue_capacity: 8,
-                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },
@@ -1354,7 +1177,6 @@ mod tests {
             }
             other => panic!("expected degraded, got {other:?}"),
         }
-        assert_eq!(results[1].attempts, 1);
         let stats = engine.stats();
         assert_eq!(stats.degraded, 1);
         assert_eq!(stats.shed, 0, "batch over-rate degrades, never sheds");
@@ -1370,7 +1192,6 @@ mod tests {
             EngineConfig {
                 workers: 1,
                 queue_capacity: 8,
-                max_attempts: 1,
                 admit: Some(admit),
                 ..EngineConfig::default()
             },

@@ -45,8 +45,10 @@ use vs2_synth::dataset::DatasetId;
 
 use crate::job::QuarantineRecord;
 
-/// Snapshot format version written by this build.
-pub const HANDOFF_VERSION: u64 = 3;
+/// Snapshot format version written by this build. Version 4 dropped the
+/// `attempts` field of the embedded quarantine records (every job has
+/// one attempt), so a version 3 snapshot is rejected.
+pub const HANDOFF_VERSION: u64 = 4;
 
 /// One input line a process answered: its wire seq and the
 /// [`line_hash`] of the line.
@@ -343,9 +345,8 @@ mod tests {
         QuarantineRecord {
             seq,
             job_id: format!("job-{seq}"),
-            attempts: 3,
-            kind: "poison".to_string(),
-            error: "panic: boom".to_string(),
+            kind: "fatal".to_string(),
+            error: "fatal: panic: boom".to_string(),
             elapsed_us: None,
         }
     }
@@ -415,11 +416,18 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
+        assert_eq!(HANDOFF_VERSION, 4);
         let snap = HandoffSnapshot::default();
-        let raw = snap
-            .to_json()
-            .replace(&format!("\"version\":{HANDOFF_VERSION}"), "\"version\":9");
-        assert_eq!(HandoffSnapshot::parse(&raw), Err(HandoffError::Version(9)));
+        for old in [3, 9] {
+            let raw = snap.to_json().replace(
+                &format!("\"version\":{HANDOFF_VERSION}"),
+                &format!("\"version\":{old}"),
+            );
+            assert_eq!(
+                HandoffSnapshot::parse(&raw),
+                Err(HandoffError::Version(old))
+            );
+        }
     }
 
     #[test]

@@ -44,9 +44,10 @@ pub enum JobSource {
     Inline(Arc<Document>),
 }
 
-/// Per-job memo of the materialised document, so retries, the degraded
-/// fallback and the primary attempt all share one `Arc<Document>`
-/// instead of re-generating (synthetic) or re-cloning (inline).
+/// Per-job memo of the materialised document, so the primary attempt,
+/// the degraded fallback and observability all share one
+/// `Arc<Document>` instead of re-generating (synthetic) or re-cloning
+/// (inline).
 ///
 /// Identity-transparent: clones carry the cached value forward (a
 /// refcount bump, never a deep copy) and every `JobDocCache` compares
@@ -108,8 +109,8 @@ impl JobSpec {
 
     /// Materialises the job's document behind a shared `Arc`, memoised
     /// per job: the first call generates (synthetic) or shares (inline)
-    /// the document; later calls — retries, fallback, observability —
-    /// are refcount bumps.
+    /// the document; later calls — fallback, observability — are
+    /// refcount bumps.
     pub fn document_arc(&self) -> Arc<Document> {
         Arc::clone(self.doc_cache.0.get_or_init(|| match &self.source {
             JobSource::Synthetic { doc_index, seed } => {
@@ -321,7 +322,7 @@ impl Deserialize for JobResult {
 /// One quarantine-ledger line, emitted after the batch's result lines:
 ///
 /// ```text
-/// {"record":"quarantine","seq":4,"job_id":"job-4","attempts":3,"kind":"poison","error":"..."}
+/// {"record":"quarantine","seq":4,"job_id":"job-4","kind":"timeout","error":"timeout after 31ms"}
 /// ```
 ///
 /// The `record` discriminator keeps these lines distinguishable from
@@ -333,13 +334,11 @@ pub struct QuarantineRecord {
     pub seq: u64,
     /// Echo of the job id.
     pub job_id: String,
-    /// Attempts consumed (including the first).
-    pub attempts: u32,
-    /// Error taxonomy kind (`fatal` / `timeout` / `poison`).
+    /// Error taxonomy kind (`fatal` / `timeout` / `overloaded`).
     pub kind: String,
     /// Human-readable final error.
     pub error: String,
-    /// Final-attempt processing time; omitted in stable output.
+    /// The attempt's processing time; omitted in stable output.
     pub elapsed_us: Option<u64>,
 }
 
@@ -349,7 +348,6 @@ impl Serialize for QuarantineRecord {
             ("record".to_string(), Value::Str("quarantine".to_string())),
             ("seq".to_string(), Value::UInt(self.seq)),
             ("job_id".to_string(), Value::Str(self.job_id.clone())),
-            ("attempts".to_string(), Value::UInt(self.attempts as u64)),
             ("kind".to_string(), Value::Str(self.kind.clone())),
             ("error".to_string(), Value::Str(self.error.clone())),
         ];
@@ -369,7 +367,6 @@ impl Deserialize for QuarantineRecord {
         Ok(Self {
             seq: v.field("seq")?,
             job_id: v.field("job_id")?,
-            attempts: v.field("attempts")?,
             kind: v.field("kind")?,
             error: v.field("error")?,
             elapsed_us: match v.get("elapsed_us") {
@@ -545,9 +542,8 @@ mod tests {
         let rec = QuarantineRecord {
             seq: 4,
             job_id: "job-4".into(),
-            attempts: 3,
-            kind: "poison".into(),
-            error: "poison after 3 attempts: flaky".into(),
+            kind: "fatal".into(),
+            error: "fatal: panic: boom".into(),
             elapsed_us: None,
         };
         let json = serde_json::to_string(&rec).unwrap();
@@ -557,7 +553,7 @@ mod tests {
         assert_eq!(back, rec);
         // A result line must not parse as a quarantine record.
         assert!(serde_json::from_str::<QuarantineRecord>(
-            r#"{"record":"result","seq":0,"job_id":"a","attempts":1,"kind":"fatal","error":"x"}"#
+            r#"{"record":"result","seq":0,"job_id":"a","kind":"fatal","error":"x"}"#
         )
         .is_err());
     }

@@ -31,14 +31,14 @@
 //! * [`admit::AdmitController`] — admission control: deterministic
 //!   per-client token buckets, backlog/latency pressure watermarks,
 //!   load shedding and degrade routing.
-//! * [`error::ServeError`] — the structured failure taxonomy (retryable /
-//!   fatal / timeout / poison) every layer above speaks.
+//! * [`error::ServeError`] — the structured failure taxonomy (fatal /
+//!   timeout / overloaded) every layer above speaks.
 //! * [`faults::FaultPlan`] — deterministic fault injection at named
 //!   pipeline sites, enabled only through [`engine::EngineConfig`].
-//! * [`engine::BatchEngine`] — generic worker pool with per-job panic
-//!   isolation, bounded immediate retries, final soft timeouts (a job past its
-//!   deadline is quarantined, not retried), poison-job quarantine,
-//!   graceful degradation and submission-ordered results.
+//! * [`engine::BatchEngine`] — generic worker pool with one attempt per
+//!   job, per-job panic isolation, soft timeouts (a job past its
+//!   deadline is quarantined), graceful degradation, a quarantine ledger
+//!   for jobs left without an answer, and submission-ordered results.
 //! * [`cache::ModelCache`] — learn-once/extract-many `Vs2Model` sharing,
 //!   one slot per `(dataset, seed, learn config)` key.
 //! * [`obs::EngineMetrics`] / [`obs::ObsHub`] — the engine's always-on

@@ -38,7 +38,6 @@ enum Counter {
     JobsOk,
     JobsDegraded,
     JobsQuarantined,
-    Retries,
     Panics,
     Timeouts,
     FaultsModelBuild,
@@ -54,11 +53,10 @@ enum Counter {
 }
 
 /// Counter names in [`Counter`] order, which is the tail order.
-const COUNTER_NAMES: [&str; 16] = [
+const COUNTER_NAMES: [&str; 15] = [
     "jobs_ok",
     "jobs_degraded",
     "jobs_quarantined",
-    "retries",
     "panics",
     "timeouts",
     "faults_model_build",
@@ -74,7 +72,7 @@ const COUNTER_NAMES: [&str; 16] = [
 ];
 
 /// The serving-layer metric set: queue dwell and job latency histograms,
-/// outcome/retry/panic/timeout counters, and per-site fault triggers.
+/// outcome/panic/timeout counters, and per-site fault triggers.
 #[derive(Default)]
 pub struct EngineMetrics {
     counters: [AtomicU64; COUNTER_NAMES.len()],
@@ -117,7 +115,6 @@ impl EngineMetrics {
             ok,
             degraded,
             quarantined,
-            retried: self.total(Counter::Retries),
             panicked: self.total(Counter::Panics),
             timed_out: self.total(Counter::Timeouts),
             shed,
@@ -135,14 +132,9 @@ impl EngineMetrics {
         self.queue_dwell_us.observe(micros(dwell));
     }
 
-    /// Processing latency of a job's deciding attempt.
+    /// Processing latency of a job's attempt.
     pub fn on_job_latency(&self, latency: Duration) {
         self.job_latency_us.observe(micros(latency));
-    }
-
-    /// A retry was dispatched (a re-run after a transient failure).
-    pub fn on_retry(&self) {
-        self.add(Counter::Retries);
     }
 
     /// A processor panic was caught.
@@ -245,8 +237,8 @@ fn triage_counter(decision: TriageDecision) -> Counter {
 
 /// The `--trace` span store for one [`crate::service::ExtractService`]:
 /// with a hub, the service's processor installs a [`vs2_obs::Trace`]
-/// around each job and keeps the deciding attempt's spans here for the
-/// batch emitter to serialise.
+/// around each job and keeps a successful job's spans here for the batch
+/// emitter to serialise.
 #[derive(Default)]
 pub struct ObsHub {
     spans: Mutex<BTreeMap<u64, Vec<SpanRecord>>>,
@@ -259,8 +251,7 @@ impl ObsHub {
     }
 
     /// Stores the spans of a successfully extracted job, keyed by engine
-    /// sequence number. A retried job overwrites its failed attempts'
-    /// (never stored) slot with the deciding attempt's spans.
+    /// sequence number. A job that failed stores none.
     pub fn store_spans(&self, seq: u64, spans: Vec<SpanRecord>) {
         self.spans.lock().unwrap().insert(seq, spans);
     }
@@ -280,11 +271,10 @@ mod tests {
 
     #[test]
     fn each_event_moves_its_named_counter() {
-        let events: [Event; 16] = [
+        let events: [Event; 15] = [
             ("jobs_ok", |m| m.on_ok()),
             ("jobs_degraded", |m| m.on_degraded()),
             ("jobs_quarantined", |m| m.on_quarantined()),
-            ("retries", |m| m.on_retry()),
             ("panics", |m| m.on_panic()),
             ("timeouts", |m| m.on_timeout()),
             ("faults_model_build", |m| m.on_fault(FaultSite::ModelBuild)),

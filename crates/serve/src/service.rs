@@ -60,11 +60,10 @@ pub struct ServiceOptions {
 /// output is reproducible byte for byte.
 ///
 /// Fault tolerance: the processor is split across the three
-/// [`FaultSite`]s (model build → segment → select), transient failures
-/// are re-run at once up to [`EngineConfig::max_attempts`] times, and a job
-/// whose primary attempts are all spent degrades to XY-cut segmentation
-/// — the extraction still runs, only the segmentation is the cheap
-/// geometric one, exactly as on the triage cheap path. Jobs the
+/// [`FaultSite`]s (model build → segment → select), and a job whose one
+/// primary attempt fails degrades to XY-cut segmentation — the
+/// extraction still runs, only the segmentation is the cheap geometric
+/// one, exactly as on the triage cheap path. Jobs the
 /// fallback cannot save land in the quarantine ledger
 /// ([`ExtractService::quarantine`]).
 pub struct ExtractService {
@@ -84,7 +83,7 @@ impl ExtractService {
     /// route (the `vs2d` `--plan-cache` / `--triage` flags, plus the
     /// library-only naive segmenter).
     ///
-    /// The engine records queue dwell, latency, retries, panics,
+    /// The engine records queue dwell, latency, panics,
     /// timeouts, outcomes, per-site fault triggers and the routing
     /// decisions below into its ledger ([`Self::metrics`]) whether or
     /// not a `hub` is given. With a `hub`, each successful job's
@@ -106,19 +105,15 @@ impl ExtractService {
         let process = move |spec: &JobSpec, ctx: &crate::engine::JobCtx| {
             let run =
                 |ctx: &crate::engine::JobCtx| -> Result<Vec<Extraction>, crate::error::ServeError> {
-                    // Checked once per job: bad geometry is fatal, so a
-                    // retry only follows a first attempt that passed.
-                    if ctx.attempt == 0 {
-                        spec.validate_geometry()?;
-                    }
+                    spec.validate_geometry()?;
                     // Root span for the serving path; the pipeline stages
                     // (segment / select / assign) nest under it.
                     let _extract_span = vs2_obs::span(vs2_obs::stages::EXTRACT);
-                    ctx.checkpoint(FaultSite::ModelBuild)?;
+                    ctx.checkpoint(FaultSite::ModelBuild);
                     let config = config.unwrap_or_else(|| default_config_for(spec.dataset));
                     let pipeline = worker_cache.pipeline_for(spec.dataset, model_seed, config);
                     let doc = spec.document_arc();
-                    ctx.checkpoint(FaultSite::Segment)?;
+                    ctx.checkpoint(FaultSite::Segment);
                     // Zero-copy path: one DocContext per job carries the
                     // interned tokens, stem/sense tables and memoised
                     // embeddings through segment → select → assign.
@@ -161,7 +156,7 @@ impl ExtractService {
                     } else {
                         vs2_core::logical_blocks_ctx(&dctx, &pipeline.config.segment)
                     };
-                    ctx.checkpoint(FaultSite::Select)?;
+                    ctx.checkpoint(FaultSite::Select);
                     Ok(pipeline.extract_on_blocks_ctx(&dctx, &blocks))
                 };
             match &worker_hub {
@@ -170,8 +165,8 @@ impl ExtractService {
                     let result = run(ctx);
                     let spans = trace.finish();
                     if result.is_ok() {
-                        // Only the deciding attempt's spans are kept;
-                        // failed attempts never reach this arm.
+                        // A failed job's spans are dropped: its answer
+                        // comes from the fallback, which is not traced.
                         h.store_spans(ctx.seq, spans);
                     }
                     result
@@ -210,8 +205,8 @@ impl ExtractService {
         self.obs.as_ref()
     }
 
-    /// The engine's ledger: outcome, retry, fault, routing and plan
-    /// counters plus the dwell and latency histograms.
+    /// The engine's ledger: outcome, fault, routing and plan counters
+    /// plus the dwell and latency histograms.
     pub fn metrics(&self) -> &Arc<EngineMetrics> {
         self.engine.metrics()
     }

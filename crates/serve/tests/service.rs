@@ -167,14 +167,12 @@ fn job_soft_timeout_quarantines_on_the_first_trip() {
             done.outcome
         );
         assert!(done.latency >= Duration::from_micros(1));
-        assert_eq!(done.attempts, 1, "a trip is final");
     }
     let ledger = service.quarantine();
     assert_eq!(ledger.len(), 2);
     assert!(ledger.iter().all(|e| e.error.kind() == "timeout"));
     let stats = service.shutdown();
     assert_eq!(stats.timed_out, 2, "one trip per job");
-    assert_eq!(stats.retried, 0);
     assert_eq!(stats.ok, 0);
     assert_eq!(stats.quarantined, 2);
     assert_eq!(stats.completed, 2);
@@ -210,13 +208,12 @@ fn queue_backpressure_stalls_are_counted() {
 
 #[test]
 fn poisoned_jobs_degrade_to_xycut_baseline() {
-    // A plan that injects a transient fault at every site exhausts every
-    // job's retry budget; the service must answer each job through the
-    // XY-cut fallback and mark it degraded — nothing is lost.
+    // A plan that injects a panic at every site fails every job's one
+    // attempt; the service must answer each job through the XY-cut
+    // fallback and mark it degraded — nothing is lost.
     let plan = FaultPlan {
         seed: 5,
-        panic_per_mille: 0,
-        transient_per_mille: 1000,
+        panic_per_mille: 1000,
         latency_per_mille: 0,
         injected_latency: Duration::ZERO,
     };
@@ -225,7 +222,6 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
             EngineConfig {
                 workers,
                 queue_capacity: 4,
-                max_attempts: 2,
                 faults: Some(plan),
                 ..EngineConfig::default()
             },
@@ -240,6 +236,7 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
         let results = service.drain();
         let stats = service.stats();
         assert_eq!(stats.degraded, 3);
+        assert_eq!(stats.panicked, 3, "the first site panics, once per job");
         assert_eq!(stats.quarantined, 0, "the fallback answers every job");
         assert!(service.quarantine().is_empty());
         results
@@ -254,7 +251,9 @@ fn poisoned_jobs_degrade_to_xycut_baseline() {
     for (i, done) in results.iter().enumerate() {
         match &done.outcome {
             JobOutcome::Degraded { output, error } => {
-                assert!(matches!(error, ServeError::Poison { attempts: 2, .. }));
+                let panic =
+                    format!("fatal: panic: injected panic at model_build (seq {i}, attempt 0)");
+                assert_eq!(error.to_string(), panic);
                 // The degraded answer is exactly the XY-cut cheap-path
                 // segmentation driven through the same learned patterns.
                 let doc =

@@ -168,7 +168,6 @@ fn summary_json_metrics_tail_stderr_and_wire_agree() {
         }
     }
     for (key, counter) in [
-        ("retried", "retries"),
         ("panicked", "panics"),
         ("timed_out", "timeouts"),
         ("triage_full", "triage_full"),
@@ -198,10 +197,10 @@ fn summary_json_metrics_tail_stderr_and_wire_agree() {
         ],
         "{stderr}"
     );
-    let fault_line = numbers(stderr_line(&stderr, " retries, "));
+    let fault_line = numbers(stderr_line(&stderr, " panics, "));
     assert_eq!(
-        fault_line[..3],
-        [field("retried"), field("panicked"), field("timed_out")],
+        fault_line[..2],
+        [field("panicked"), field("timed_out")],
         "{stderr}"
     );
     let triage_line = numbers(stderr_line(&stderr, "triage routed"));
@@ -537,6 +536,7 @@ fn resuming_over_a_different_input_exits_2_naming_the_line() {
 fn counter_lines_do_not_depend_on_the_worker_count() {
     // Twenty synthetic jobs over five datasets: at four workers several
     // jobs wait on one model learn, which must count as a cache hit.
+    // Under chaos too: each job's faults are keyed by its seq alone.
     let input = scratch("workers.jsonl");
     let lines: String = (0..20)
         .map(|i| {
@@ -545,14 +545,37 @@ fn counter_lines_do_not_depend_on_the_worker_count() {
         })
         .collect();
     std::fs::write(&input, lines).unwrap();
-    let counters = |workers: &str| {
-        let out = vs2d_with(&input, &["--workers", workers, "--metrics"]);
+    let counters = |workers: &str, chaos: &[&str]| {
+        let out = vs2d_with(
+            &input,
+            &[&["--workers", workers, "--metrics"], chaos].concat(),
+        );
         assert_eq!(out.status.code(), Some(0));
         metric_counters(&String::from_utf8(out.stdout).unwrap())
     };
-    let one = counters("1");
+    let one = counters("1", &[]);
     assert_eq!(one["model_cache_misses"], 5, "one learn per dataset");
-    assert_eq!(one, counters("4"));
+    assert_eq!(one, counters("4", &[]));
+    let chaos = ["--fault-seed", FAULT_SEED];
+    let one = counters("1", &chaos);
+    assert!(
+        one["panics"] > 0,
+        "seed {FAULT_SEED} panics nowhere: {one:?}"
+    );
+    let faults = ["faults_model_build", "faults_segment", "faults_select"];
+    assert!(faults.iter().any(|f| one[*f] > 0), "{one:?}");
+    assert_eq!(one, counters("4", &chaos));
+}
+
+#[test]
+fn max_attempts_is_an_unknown_flag() {
+    let input = scratch("max-attempts.jsonl");
+    std::fs::write(&input, "{\"dataset\":\"D4\",\"doc_index\":1}\n").unwrap();
+    let out = vs2d_with(&input, &["--max-attempts", "3"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag `--max-attempts`"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 #[test]
@@ -574,7 +597,6 @@ fn metrics_tail_names_are_pinned_in_order() {
         "jobs_ok",
         "jobs_degraded",
         "jobs_quarantined",
-        "retries",
         "panics",
         "timeouts",
         "faults_model_build",
@@ -628,11 +650,13 @@ fn a_deadline_trip_is_final() {
     assert_eq!(quarantine.len(), 2, "{stdout}");
     for record in quarantine {
         assert!(record.contains("\"kind\":\"timeout\""), "{record}");
-        assert!(record.contains("\"attempts\":1,"), "{record}");
+        assert!(!record.contains("\"attempts\""), "{record}");
     }
-    let fault_line = stderr_line(&stderr, " retries, ");
-    assert!(fault_line.contains(" 0 retries,"), "{stderr}");
-    assert!(fault_line.contains(" 2 timeout trips "), "{stderr}");
+    let fault_line = stderr_line(&stderr, " panics, ");
+    assert!(
+        fault_line.contains(" 0 panics, 2 timeout trips "),
+        "{stderr}"
+    );
     assert_eq!(out.status.code(), Some(1), "quarantines fail the run");
 }
 
